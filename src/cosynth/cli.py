@@ -25,7 +25,7 @@ from cosynth.motion import (
     ReplanInfeasible,
 )
 from cosynth.pipeline import PipelineConfig, run_pipeline
-from cosynth.synthesis import SynthesisProblem, synthesize_supervisor
+from cosynth.synthesis import SynthesisProblem, learn_supervisor
 from cosynth.verification import verify
 from cosynth.automata import complement as _complement
 from cosynth.automata import parallel_compose as _compose
@@ -65,9 +65,7 @@ def cmd_supc(args) -> int:
     plant = load_dfa(args.plant)
     plant = widen_like(plant, spec.alphabet)
     log = LearnLog() if args.trace else None
-    supervisor = synthesize_supervisor(
-        SynthesisProblem(spec, spec.alphabet, plant_dfa=plant), log=log
-    )
+    supervisor = learn_supervisor(SynthesisProblem(spec, spec.alphabet, plant_dfa=plant), log=log)
     if args.trace:
         Path(args.trace).write_text(log.text(), encoding="utf-8")
     _write(supervisor, args.out)

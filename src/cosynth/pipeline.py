@@ -299,7 +299,8 @@ def run_pipeline(
     # the composed mission plans must satisfy the global mission
     product = minimize(widen_like(parallel_compose_all(result.plans), global_alphabet))
     witness = satisfies(product, mission)
-    assert witness is None, f"pipeline postcondition failed at {_word(witness)}"
+    if witness is not None:
+        raise AssertionError(f"pipeline postcondition failed at {_word(witness)}")
     report.add("  final-check: holds")
 
     # motion planning

@@ -1,10 +1,14 @@
-"""Learning a local mission supervisor without a plant model.
+"""Supervisor synthesis: supC of a local mission, built or learned.
 
 The supervisor for a prefix-closed local mission is the supremal
-controllable sublanguage of the mission w.r.t. the (possibly unknown) plant.
-Rather than computing it from a plant automaton, the teacher here answers
-membership against the mission language and dynamically cuts behaviours
-that a growing set of uncontrollably illegal words proves unenforceable:
+controllable sublanguage of the mission w.r.t. the plant.  When the plant
+is given as an automaton, :func:`synthesize_supervisor` builds it by the
+closed form of :func:`cosynth.langops.sup_c`.  When the plant is known only
+through a membership oracle, or when the paper's learning trace is wanted
+(``cosynth supc``), :func:`learn_supervisor` learns it with L*: the teacher
+answers membership against the mission language and dynamically cuts
+behaviours that a growing set of uncontrollably illegal words proves
+unenforceable:
 
   round 1      answer = t in L_i
   round j > 1  answer = previous answer and t not in D_ui(C_j) Σ*
@@ -41,7 +45,6 @@ from cosynth.automata import (
     language_empty,
     language_equal,
     minimize,
-    parallel_compose,
     subtract,
     words_dfa,
 )
@@ -123,7 +126,6 @@ class SynthesisProblem:
     alphabet: EventAlphabet
     plant_membership: Optional[Callable[[Word], bool]] = None
     plant_dfa: Optional[Dfa] = None
-    audit_depth: Optional[int] = None
 
     def member(self) -> Callable[[Word], bool]:
         if self.plant_membership is not None:
@@ -159,13 +161,11 @@ class SupervisorTeacher:
 
     def __init__(self, spec: Dfa, alphabet: EventAlphabet,
                  plant_member: Callable[[Word], bool],
-                 plant_dfa: Optional[Dfa] = None,
-                 audit_depth: Optional[int] = None):
+                 plant_dfa: Optional[Dfa] = None):
         self.spec = spec
         self.alphabet = alphabet
         self.plant_member = plant_member
         self.plant_dfa = plant_dfa
-        self.audit_depth = audit_depth
         self.illegal = IllegalBehaviorSet()
         self.k = minimize(spec)
         self._answers: dict[Word, int] = {}
@@ -174,8 +174,6 @@ class SupervisorTeacher:
         self.k_history: list[Dfa] = [self.k]
         self._spec_completion = complete(spec)
         if plant_dfa is not None:
-            from cosynth.langops import widen_like
-
             self._plant_completion = complete(all_marked(widen_like(plant_dfa, alphabet)))
         else:
             self._plant_completion = None
@@ -346,7 +344,7 @@ class SupervisorTeacher:
         return None
 
     def _audit_bounded(self) -> Optional[Word]:
-        depth = self.audit_depth or (2 * len(self.spec.states) + 2)
+        depth = 2 * len(self.spec.states) + 2
         spec_c, spec_qe = complete(self.spec)
         k_c, _ = complete(self.k)
         uncontrollable = self.alphabet.uncontrollable
@@ -380,48 +378,49 @@ class SupervisorTeacher:
         return None
 
 
-def synthesize_supervisor(
-    problem: SynthesisProblem,
-    log: Optional[LearnLog] = None,
-    cross_check: bool = True,
-) -> Dfa:
-    """Learn a supervisor whose closed-loop behaviour is supC of the mission.
-
-    The returned automaton has every state marked (supervisor convention).
-    When a plant DFA is available the learned language is cross-checked
-    against the directly computed supremal controllable sublanguage.
-    An empty result is returned with a warning rather than an error.
-    """
+def _checked_spec(problem: SynthesisProblem) -> Dfa:
     spec_dfa = minimize(widen_like(_as_marked(problem.spec), problem.alphabet))
     if language_equal(spec_dfa, prefix_close_largest(spec_dfa)) is not None:
         raise InputError("supervisor synthesis requires a prefix-closed mission spec")
     if language_empty(spec_dfa):
         raise InputError("supervisor synthesis requires a non-empty mission spec")
-    teacher = SupervisorTeacher(
-        spec_dfa,
-        problem.alphabet,
-        problem.member(),
-        plant_dfa=problem.plant_dfa,
-        audit_depth=problem.audit_depth,
-    )
-    learned = learn(teacher, problem.alphabet, log=log)
-    supervisor = minimize(learned)
+    return spec_dfa
+
+
+def _as_supervisor(language: Dfa, alphabet: EventAlphabet) -> Dfa:
+    supervisor = minimize(language)
     if language_empty(supervisor):
         warnings.warn("supremal controllable sublanguage is empty; returning the empty supervisor")
-        supervisor = empty_dfa(problem.alphabet)
-    else:
-        assert set(supervisor.marked) == set(supervisor.states), "supervisor states must all be marked"
-    if cross_check and problem.plant_dfa is not None:
-        plant = widen_like(problem.plant_dfa, problem.alphabet)
-        oracle = sup_c(spec_dfa, plant)
-        if language_empty(oracle):
-            # the plant always generates ε, so an empty supC is unenforceable;
-            # the stub supervisor stands in for it (callers were warned)
-            assert language_empty(supervisor), "expected the empty supervisor"
-        else:
-            closed_loop = all_marked(parallel_compose(supervisor, plant))
-            witness = language_equal(closed_loop, oracle)
-            assert witness is None, (
-                f"learned supervisor disagrees with supC at {' '.join(witness) or 'ε'}"
-            )
+        return empty_dfa(alphabet)
+    if set(supervisor.marked) != set(supervisor.states):
+        raise AssertionError("supervisor states must all be marked")
     return supervisor
+
+
+def synthesize_supervisor(problem: SynthesisProblem) -> Dfa:
+    """Supervisor whose closed-loop behaviour is supC of the mission.
+
+    With a plant DFA the language is built directly by the closed form of
+    :func:`sup_c`; with a bare plant membership oracle it is learned by
+    :func:`learn_supervisor`.  The returned automaton has every state
+    marked (supervisor convention).  An empty result is returned with a
+    warning rather than an error.
+    """
+    if problem.plant_dfa is None:
+        return learn_supervisor(problem)
+    spec_dfa = _checked_spec(problem)
+    plant = widen_like(problem.plant_dfa, problem.alphabet)
+    return _as_supervisor(sup_c(spec_dfa, plant), problem.alphabet)
+
+
+def learn_supervisor(problem: SynthesisProblem, log: Optional[LearnLog] = None) -> Dfa:
+    """Learn the supervisor with L* and the illegal-behaviour teacher.
+
+    Same contract as :func:`synthesize_supervisor`; ``log`` records the
+    MQ/EQ/CE trace of the session.
+    """
+    spec_dfa = _checked_spec(problem)
+    teacher = SupervisorTeacher(
+        spec_dfa, problem.alphabet, problem.member(), plant_dfa=problem.plant_dfa
+    )
+    return _as_supervisor(learn(teacher, problem.alphabet, log=log), problem.alphabet)

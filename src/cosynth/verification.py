@@ -1,7 +1,8 @@
-"""Assume-guarantee verification with learned assumptions and mission re-synthesis.
+"""Assume-guarantee verification with weakest assumptions and mission re-synthesis.
 
-One verification pass learns, per supervised agent, the weakest environment
-assumption over that agent's interface alphabet, then discharges the
+One verification pass builds, per supervised agent, the weakest environment
+assumption over that agent's interface alphabet by the direct construction
+of Giannakopoulou, Păsăreanu and Barringer (ASE 2002), then discharges the
 symmetric n-module proof rule: if the composed complements of all
 assumptions stay inside the property, the composed system satisfies it.
 When the rule produces a counterexample the word is simulated on every
@@ -40,7 +41,6 @@ from cosynth.automata import (
     empty_dfa,
     extend_closure,
     language_empty,
-    language_equal,
     language_subset,
     minimize,
     parallel_compose_all,
@@ -57,7 +57,6 @@ from cosynth.langops import (
     satisfies,
     widen_alphabet,
 )
-from cosynth.lstar import LearnLog, learn
 
 
 @dataclass(frozen=True)
@@ -181,45 +180,21 @@ def cv_membership(t: Word, module: Dfa, prop: Dfa, interface: EventAlphabet) -> 
     return 1 if check_triple(word_dfa(t, interface), module, prop) is None else 0
 
 
-class AssumptionTeacher:
-    """Teacher for assumption learning; equivalence is answered against the
-    directly constructed weakest assumption, memberships via the triple check."""
+def learn_assumption(module: Dfa, prop: Dfa, interface: EventAlphabet) -> Dfa:
+    """The weakest assumption for one agent over its interface alphabet.
 
-    def __init__(self, module: Dfa, prop: Dfa, interface: EventAlphabet):
-        self.module = module
-        self.prop = prop
-        self.interface = interface
-        self.target = weakest_assumption(module, prop, interface)
-        self._cache: dict[Word, int] = {}
-
-    def membership(self, word: Word) -> int:
-        cached = self._cache.get(word)
-        if cached is None:
-            cached = cv_membership(word, self.module, self.prop, self.interface)
-            self._cache[word] = cached
-        return cached
-
-    def conjecture(self, dfa: Dfa) -> Optional[Word]:
-        return language_equal(dfa, self.target)
-
-    @property
-    def generation(self) -> int:
-        return 0
-
-
-def learn_assumption(
-    module: Dfa, prop: Dfa, interface: EventAlphabet, log: Optional[LearnLog] = None
-) -> Dfa:
-    """Learn the weakest assumption for one agent over its interface alphabet."""
-    teacher = AssumptionTeacher(module, prop, interface)
-    assumption = learn(teacher, interface, log=log)
+    Built directly by :func:`weakest_assumption`; it is the language an L*
+    session answered by :func:`cv_membership` would converge to.
+    """
+    assumption = weakest_assumption(module, prop, interface)
     if not language_empty(assumption):
         # an empty assumption admits no environment at all, so its premise
         # holds vacuously; the product check only applies to the other case
         violation = check_triple(assumption, module, prop)
-        assert violation is None, (
-            f"learned assumption fails its own premise at {' '.join(violation) or 'ε'}"
-        )
+        if violation is not None:
+            raise AssertionError(
+                f"weakest assumption fails its own premise at {' '.join(violation) or 'ε'}"
+            )
     return assumption
 
 
@@ -266,23 +241,29 @@ def resynthesize_specs(t: Word, plans: Sequence[Dfa]) -> list[Dfa]:
 def is_live(dfa: Dfa) -> bool:
     """True if the trimmed automaton still contains a cycle (unbounded behaviour)."""
     t = trim(dfa)
+    successors = {q: [] for q in t.states}
+    for (q, _e), nxt in t.transitions.items():
+        successors[q].append(nxt)
     color: dict[str, int] = {}
-
-    def dfs(q: str) -> bool:
-        color[q] = 1
-        for e in t.alphabet.events:
-            nxt = t.transitions.get((q, e))
-            if nxt is None:
-                continue
-            c = color.get(nxt, 0)
-            if c == 1:
-                return True
-            if c == 0 and dfs(nxt):
-                return True
-        color[q] = 2
-        return False
-
-    return any(dfs(q) for q in t.states if color.get(q, 0) == 0)
+    for root in t.states:
+        if root in color:
+            continue
+        color[root] = 1
+        stack = [(root, iter(successors[root]))]
+        while stack:
+            q, pending = stack[-1]
+            for nxt in pending:
+                c = color.get(nxt, 0)
+                if c == 1:
+                    return True
+                if c == 0:
+                    color[nxt] = 1
+                    stack.append((nxt, iter(successors[nxt])))
+                    break
+            else:
+                color[q] = 2
+                stack.pop()
+    return False
 
 
 def cut_behavior(plan: Dfa, w: Word) -> Dfa:
@@ -352,7 +333,7 @@ def verify(
 ) -> tuple[Verdict, list[Dfa], VerifyStats]:
     """One assume-guarantee pass over the supervised agents.
 
-    Returns the verdict, the learned assumptions, and pass statistics.
+    Returns the verdict, the weakest assumptions, and pass statistics.
     A holds verdict always coincides with the direct product check; a
     violated verdict's counterexample is realisable by every agent.
     """
@@ -378,10 +359,11 @@ def verify(
     premise = sym_n_check(assumptions, prop)
     if premise is None:
         confirm = _direct_check(modules, prop)
-        assert confirm is None, (
-            f"assume-guarantee concluded holds but the product violates the property "
-            f"at {' '.join(confirm) or 'ε'}"
-        )
+        if confirm is not None:
+            raise AssertionError(
+                f"assume-guarantee concluded holds but the product violates the property "
+                f"at {' '.join(confirm) or 'ε'}"
+            )
         return Verdict("holds"), assumptions, stats
     stats.premise_counterexample = premise
     verdict = analyze_counterexample(premise, modules, prop)
@@ -396,7 +378,8 @@ def verify(
     if direct is None:
         return Verdict("holds"), assumptions, stats
     confirmed = analyze_counterexample(direct, modules, prop)
-    assert confirmed.outcome == "violated", "direct counterexample must be realisable"
+    if confirmed.outcome != "violated":
+        raise AssertionError("direct counterexample must be realisable")
     return confirmed, assumptions, stats
 
 

@@ -45,7 +45,7 @@ from cosynth.motion import (
     validate_integrated_clauses,
 )
 from cosynth.pipeline import PipelineConfig, run_pipeline
-from cosynth.synthesis import SynthesisProblem, synthesize_supervisor
+from cosynth.synthesis import SynthesisProblem, learn_supervisor, synthesize_supervisor
 from cosynth.verification import verify
 from conftest import brute_accepts, random_dfa, words_up_to
 
@@ -190,9 +190,9 @@ def test_criterion_6_supc_oracle_suite():
             if language_empty(spec):
                 continue
             done += 1
-            learned = synthesize_supervisor(
-                SynthesisProblem(spec, alpha, plant_dfa=plant), cross_check=False
-            )
+            problem = SynthesisProblem(spec, alpha, plant_dfa=plant)
+            learned = learn_supervisor(problem)
+            assert learned == synthesize_supervisor(problem), done
             oracle = sup_c(spec, plant)
             if language_empty(oracle):
                 assert language_empty(learned), done
@@ -201,8 +201,9 @@ def test_criterion_6_supc_oracle_suite():
                 assert language_equal(closed_loop, oracle) is None, done
             plant_gen = minimize(all_marked(plant))
             closed = _supc_closed_form(spec, plant_gen, alpha)
-            fixed = _supc_fixed_point(spec, plant_gen, alpha, None)
+            fixed = _supc_fixed_point(spec, plant_gen, alpha)
             assert language_equal(closed, fixed) is None, done
+            assert language_equal(oracle, fixed) is None, done
     elapsed = time.monotonic() - started
     assert elapsed < 30.0, f"supC suite took {elapsed:.1f}s"
     _report(6, f"100/100 instances: learner equals supC and both formulas agree ({elapsed:.1f}s)")

@@ -1,6 +1,7 @@
 """Case-study anchors beyond the acceptance criteria: separability failure,
 supC identities, assumption behaviour, analysis verdicts, fixture integrity."""
 
+from cosynth import motion, synthesis, verification
 from cosynth.automata import (
     EventAlphabet,
     accepts,
@@ -66,6 +67,20 @@ def test_initial_supervisors_equal_their_missions(casestudy):
             SynthesisProblem(spec, spec.alphabet, plant_dfa=spec)
         )
         assert language_equal(supervisor, spec) is None
+
+
+def test_pipeline_builds_every_language_without_learning(monkeypatch):
+    # supervisors, assumptions and motion plans come from direct constructions
+    def refuse(*args, **kwargs):
+        raise AssertionError("L* ran on the default pipeline path")
+
+    for module in (synthesis, verification, motion):
+        monkeypatch.setattr(module, "learn", refuse, raising=False)
+    config = PipelineConfig.load(fixture_path("casestudy.cfg"))
+    report = run_pipeline(
+        config, fixture_path("real_no_d3.env"), fixture_path("d3_closed.sched")
+    )
+    assert report.status == "holds"
 
 
 def test_repaired_missions_stay_controllable(casestudy):

@@ -1,7 +1,13 @@
 """Command line surface: subcommands, exit codes, diagnostics, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import cosynth
 from cosynth.automata import (
     Dfa,
     EventAlphabet,
@@ -150,6 +156,26 @@ def test_pipeline_command_and_determinism(tmp_path):
     assert files1 == files2
     for name in files1:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_pipeline_under_optimized_python_writes_the_same_report(tmp_path):
+    # invariants are explicit raises, so ``python -O`` runs the same checks
+    src = Path(cosynth.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    reports = []
+    for flags, name in (([], "plain"), (["-O"], "optimized")):
+        out = tmp_path / name
+        done = subprocess.run(
+            [sys.executable, *flags, "-m", "cosynth.cli", "pipeline",
+             "--config", str(fixture_path("casestudy.cfg")), "--out", str(out),
+             "--real-env", str(fixture_path("real_no_d3.env")),
+             "--schedule", str(fixture_path("d3_closed.sched"))],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        reports.append((out / "report.txt").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_pipeline_with_real_env_and_schedule(tmp_path):

@@ -27,7 +27,6 @@ from cosynth.motion import (
     labeling_to_text,
     lift_mission_to_regions,
     motion_dfa,
-    mp_membership,
     replan,
     run_language,
     schedule_from_text,
@@ -117,14 +116,6 @@ def test_lift_requires_labels_for_every_event():
     pi = LabelingMap(REGIONS, {"a": frozenset({"R1"})})
     with pytest.raises(InputError):
         lift_mission_to_regions(mission, pi, "R1")
-
-
-def test_mp_membership():
-    mission, pi = fire_mission()
-    lifted = lift_mission_to_regions(mission, pi, "R1")
-    assert mp_membership((), lifted) == 1
-    assert mp_membership(("R1", "R2"), lifted) == 1
-    assert mp_membership(("R1", "R3"), lifted) == 0
 
 
 def test_run_language_semantics():

@@ -18,12 +18,13 @@ from cosynth.automata import (
     parallel_compose,
     word_dfa,
 )
-from cosynth.langops import is_controllable, sup_c, widen_like
+from cosynth.langops import _supc_fixed_point, is_controllable, sup_c, widen_like
 from cosynth.synthesis import (
     IllegalBehaviorSet,
     SupervisorTeacher,
     SynthesisProblem,
     d_ui,
+    learn_supervisor,
     ls_counterexample,
     ls_membership,
     synthesize_supervisor,
@@ -156,8 +157,10 @@ def test_random_instances_match_direct_supc_and_are_controllable():
             strans = {k: v for k, v in plant.transitions.items() if rng.random() < 0.8}
             spec = accessible(Dfa(plant.states, alpha, plant.initial, strans,
                                   frozenset(plant.states)))
-            got = synthesize_supervisor(SynthesisProblem(spec, alpha, plant_dfa=plant))
+            got = learn_supervisor(SynthesisProblem(spec, alpha, plant_dfa=plant))
             oracle = sup_c(spec, plant)
+            fixed = _supc_fixed_point(minimize(spec), minimize(plant), alpha)
+            assert language_equal(oracle, fixed) is None
             if language_empty(oracle):
                 assert language_empty(got)
                 continue

@@ -4,6 +4,9 @@ rule, counterexample analysis, re-synthesis, and the refinement loop."""
 import itertools
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from cosynth.automata import (
     Dfa,
     EventAlphabet,
@@ -36,7 +39,14 @@ from cosynth.verification import (
     verify_and_refine,
     weakest_assumption,
 )
-from conftest import brute_accepts, lang_set, random_dfa, words_up_to
+from conftest import (
+    brute_accepts,
+    chain_dfa,
+    cycle_dfa,
+    lang_set,
+    random_dfa,
+    words_up_to,
+)
 
 AB = EventAlphabet(("a", "b"))
 SV = EventAlphabet(("s", "v"))
@@ -111,12 +121,21 @@ def test_weakest_assumption_excludes_enabling_context():
     assert not accepts(aw, ("s",))
 
 
-def test_learned_assumption_equals_weakest():
-    for module in (emitter(), Dfa(("0", "1"), SV, "0", {("0", "s"): "1"}, frozenset({"0", "1"}))):
-        iface = EventAlphabet(("s",))
-        aw = weakest_assumption(module, no_violation(), iface)
-        learned = learn_assumption(module, no_violation(), iface)
-        assert language_equal(learned, aw) is None
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    rng=st.randoms(use_true_random=False),
+    interface=st.sets(st.sampled_from(("a", "b", "s")), min_size=1),
+)
+def test_weakest_assumption_matches_cv_membership(rng, interface):
+    # the directly built weakest assumption admits exactly the words whose
+    # prefix language, used as an assumption, keeps the module safe
+    module = all_marked(random_dfa(rng, 3, ("a", "s")))
+    prop = random_dfa(rng, 3, ("a", "b", "s"))
+    iface = EventAlphabet(tuple(sorted(interface)))
+    aw = weakest_assumption(module, prop, iface)
+    for t in words_up_to(iface.events, 4):
+        assert brute_accepts(aw, t) == (cv_membership(t, module, prop, iface) == 1), t
+    assert learn_assumption(module, prop, iface) == aw
 
 
 def test_lemma_membership_characterisation():
@@ -245,6 +264,9 @@ def test_is_live_detects_cycles():
     loop = universal_dfa(alpha)
     assert not is_live(finite)
     assert is_live(loop)
+    # long chains and cycles are walked without recursion
+    assert not is_live(chain_dfa(("a",) * 3000, alpha, mark_all=True))
+    assert is_live(cycle_dfa(("a",) * 3000, alpha))
 
 
 # -- the verification pass ---------------------------------------------------------
