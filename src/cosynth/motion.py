@@ -12,19 +12,27 @@ word executable?) use stutter-closed runs: an agent may dwell in a region
 across steps, which the integrated plans produced here require at cycle
 boundaries.  Door realisation (which door words implement a region word?)
 uses strict runs: every region change costs exactly one door event.
+
+Replanning adapts an integrated plan to a real environment whose doors may
+differ from the nominal model.  It works on the plan automaton, never on
+its words: the plan is walked together with the agent's last region, every
+region change left without a door is spliced into a chain through the
+shortest real detour, and the result is determinised and minimised, so its
+cost is polynomial in plan states × regions.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from cosynth.automata import (
     Dfa,
     EventAlphabet,
     InputError,
     Word,
+    _determinize,
     empty_dfa,
     language_equal,
     language_subset,
@@ -358,9 +366,8 @@ def validate_integrated_clauses(
     regions = set(pi.regions)
     for e in lp.alphabet.events:
         first = lp.transitions.get((lp.initial, e))
-        assert first is None or e == initial_region, (
-            f"plan must start with the initial region, found {e!r}"
-        )
+        if first is not None and e != initial_region:
+            raise AssertionError(f"plan must start with the initial region, found {e!r}")
     # clause 2 on every word of bounded length, clause 1 covered above
     frontier: list[tuple[str, Optional[str]]] = [(lp.initial, None)]
     for _ in range(depth):
@@ -372,11 +379,12 @@ def validate_integrated_clauses(
                     continue
                 if e not in regions and previous is not None:
                     if previous in regions:
-                        assert previous in pi.of(e), (
-                            f"event {e!r} fired in region {previous!r} outside π({e!r})"
-                        )
-                    else:
-                        assert pi.of(previous) & pi.of(e), (
+                        if previous not in pi.of(e):
+                            raise AssertionError(
+                                f"event {e!r} fired in region {previous!r} outside π({e!r})"
+                            )
+                    elif not pi.of(previous) & pi.of(e):
+                        raise AssertionError(
                             f"consecutive events {previous!r},{e!r} disagree on their region"
                         )
                 nxt.append((to, e))
@@ -385,47 +393,15 @@ def validate_integrated_clauses(
         minimize(project(lp, pi.regions)),
         run_language(motion, stutter=True, regions=pi.regions),
     )
-    assert witness is None, f"motion component not executable at {' '.join(witness)}"
+    if witness is not None:
+        raise AssertionError(f"motion component not executable at {' '.join(witness)}")
 
 
 # -- replanning ------------------------------------------------------------
 
 
-@dataclass
-class _PlanWord:
-    symbols: list[str]
-    loop_to: Optional[int]  # prefix length at which the final transition re-enters
-
-
-def _enumerate_plan_words(dfa: Dfa, limit: int = 10_000) -> list[_PlanWord]:
-    """All maximal plan words; a cycle is truncated to one unrolling u·v."""
-    words: list[_PlanWord] = []
-
-    def walk(state: str, path: list[str], positions: dict[str, int]) -> None:
-        if len(words) > limit:
-            raise AssertionError("plan enumeration limit exceeded")
-        extended = False
-        for e in dfa.alphabet.events:
-            nxt = dfa.transitions.get((state, e))
-            if nxt is None:
-                continue
-            extended = True
-            if nxt in positions:
-                words.append(_PlanWord(path + [e], positions[nxt]))
-                continue
-            positions[nxt] = len(path) + 1
-            walk(nxt, path + [e], positions)
-            del positions[nxt]
-        if not extended:
-            words.append(_PlanWord(list(path), None))
-
-    walk(dfa.initial, [], {dfa.initial: 0})
-    return words
-
-
 def _shortest_region_path(env: Environment, source: str, target: str) -> Optional[list[str]]:
     """Shortest door-connected region path, ties broken lexicographically."""
-    usable = sorted(v2 for (v, v2), doors in env.door_map.items() if doors and v == source)
     parents: dict[str, Optional[str]] = {source: None}
     queue = deque([source])
     while queue:
@@ -443,6 +419,76 @@ def _shortest_region_path(env: Environment, source: str, target: str) -> Optiona
     return None
 
 
+_Node = tuple[str, Optional[str]]  # plan state, last region (None before the first)
+
+
+def _region_edges(dfa: Dfa, regions: set[str]) -> Iterator[tuple[_Node, str, _Node]]:
+    """Edges of the plan × last-region product, breadth-first from the start.
+
+    A region symbol sets the agent's last region and a mission event keeps
+    it.  The walk is lazy, so a caller that stops early allocates nothing
+    beyond the nodes seen so far.
+    """
+    start: _Node = (dfa.initial, None)
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        q, v = node = queue.popleft()
+        for e in dfa.alphabet.events:
+            q2 = dfa.transitions.get((q, e))
+            if q2 is None:
+                continue
+            nxt = (q2, e if e in regions else v)
+            yield node, e, nxt
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+
+
+def _door_lost(real_env: Environment, regions: set[str], v: Optional[str], e: str) -> bool:
+    """Whether the step ``e`` from last region ``v`` is a region change with no door."""
+    return e in regions and v is not None and e != v and not real_env.doors_between(v, e)
+
+
+def _splice(dfa: Dfa, regions: set[str], real_env: Environment) -> Dfa:
+    """The plan with every doorless region change bridged by a real path.
+
+    Each product edge ``cur → e`` whose regions lost all their doors becomes
+    a fresh chain through the intermediate regions of the shortest real path
+    from ``cur`` to ``e``.  An inserted region may collide with a region edge
+    already leaving the same state, so the chains form an NFA that the
+    subset construction determinises before minimisation.
+    """
+    names: dict[_Node, str] = {}
+
+    def name(node: _Node) -> str:
+        if node not in names:
+            names[node] = f"p{len(names)}"
+        return names[node]
+
+    nfa: dict[tuple[str, str], set[str]] = {}
+    paths: dict[tuple[str, str], list[str]] = {}
+    chain: list[str] = []
+    initial = name((dfa.initial, None))
+    for node, e, nxt in _region_edges(dfa, regions):
+        src, v = name(node), node[1]
+        if _door_lost(real_env, regions, v, e):
+            pair = (v, e)
+            if pair not in paths:
+                path = _shortest_region_path(real_env, *pair)
+                if path is None:
+                    raise ReplanInfeasible(pair)
+                paths[pair] = path
+            for mid in paths[pair][1:-1]:
+                hop = f"c{len(chain)}"
+                chain.append(hop)
+                nfa.setdefault((src, mid), set()).add(hop)
+                src = hop
+        nfa.setdefault((src, e), set()).add(name(nxt))
+    marked = {names[node] for node in names if node[0] in dfa.marked} | set(chain)
+    return minimize(_determinize(nfa, {initial}, marked, dfa.alphabet))
+
+
 def replan(lp: IntegratedPlan, nominal_motion: Dfa, real_env: Environment) -> IntegratedPlan:
     """Adapt an integrated plan to the real environment.
 
@@ -450,8 +496,11 @@ def replan(lp: IntegratedPlan, nominal_motion: Dfa, real_env: Environment) -> In
     door profile is simply recomputed against the real environment, which
     drops words through missing doors).  A region change with no door left
     is bridged by the shortest intermediate region path of the real
-    environment; the plan is rebuilt with the inserted regions.  Mission
-    event sequences are never altered.
+    environment, spliced into the plan automaton itself: the plan is walked
+    together with the agent's last region, each doorless edge becomes a
+    chain through the bridge, and the result is determinised and
+    minimised.  When no region change lost its door the plan is returned
+    as it is.  Mission event sequences are never altered.
     """
     if set(real_env.regions) != set(nominal_motion.states) or not set(
         nominal_motion.alphabet.events
@@ -460,76 +509,27 @@ def replan(lp: IntegratedPlan, nominal_motion: Dfa, real_env: Environment) -> In
     witness = language_subset(
         lp.motion_plan, run_language(nominal_motion, stutter=True, regions=lp.labeling.regions)
     )
-    assert witness is None, "plan was not adequate for its nominal motion model"
+    if witness is not None:
+        raise AssertionError("plan was not adequate for its nominal motion model")
     real = motion_dfa(real_env, lp.initial_region)
     regions = set(lp.labeling.regions)
-    words = _enumerate_plan_words(lp.dfa)
-    rebuilt: list[_PlanWord] = []
-    changed = False
-    for word in words:
-        symbols: list[str] = []
-        offsets: dict[int, int] = {0: 0}
-        current: Optional[str] = None
-        for idx, symbol in enumerate(word.symbols):
-            if symbol in regions and current is not None and symbol != current:
-                if not real_env.doors_between(current, symbol):
-                    path = _shortest_region_path(real_env, current, symbol)
-                    if path is None:
-                        raise ReplanInfeasible((current, symbol))
-                    symbols.extend(path[1:-1])
-                    changed = True
-            symbols.append(symbol)
-            if symbol in regions:
-                current = symbol
-            offsets[idx + 1] = len(symbols)
-        loop_to = None if word.loop_to is None else offsets[word.loop_to]
-        rebuilt.append(_PlanWord(symbols, loop_to))
-
-    if changed:
-        new_dfa = _plan_from_words(rebuilt, lp.dfa.alphabet)
+    if any(_door_lost(real_env, regions, v, e) for (_, v), e, _ in _region_edges(lp.dfa, regions)):
+        new_dfa = _splice(lp.dfa, regions, real_env)
         mission_back = minimize(project(new_dfa, lp.mission.alphabet.events))
-        delta = language_equal(mission_back, lp.mission)
-        assert delta is None, "replanning must preserve the mission projection"
+        if language_equal(mission_back, lp.mission) is not None:
+            raise AssertionError("replanning must preserve the mission projection")
     else:
         new_dfa = lp.dfa
     new_motion_plan = minimize(project(new_dfa, lp.labeling.regions))
     witness = language_subset(
         new_motion_plan, run_language(real, stutter=True, regions=lp.labeling.regions)
     )
-    assert witness is None, "replanned motion must be executable in the real environment"
+    if witness is not None:
+        raise AssertionError("replanned motion must be executable in the real environment")
     profile = door_profile(new_motion_plan, real)
     return IntegratedPlan(
         lp.agent, new_dfa, lp.mission, new_motion_plan, profile, lp.initial_region, lp.labeling
     )
-
-
-def _plan_from_words(words: Sequence[_PlanWord], alphabet: EventAlphabet) -> Dfa:
-    """Deterministic trie over the plan words, with cycle edges restored."""
-    root = "n0"
-    states = [root]
-    children: dict[tuple[str, str], str] = {}
-
-    def extend(state: str, symbol: str) -> str:
-        key = (state, symbol)
-        if key not in children:
-            name = f"n{len(states)}"
-            states.append(name)
-            children[key] = name
-        return children[key]
-
-    transitions: dict[tuple[str, str], str] = {}
-    for word in words:
-        node = root
-        path_nodes = [root]
-        for i, symbol in enumerate(word.symbols):
-            last = i == len(word.symbols) - 1
-            if last and word.loop_to is not None:
-                transitions[(node, symbol)] = path_nodes[word.loop_to]
-                break
-            node = extend(node, symbol)
-            transitions[(path_nodes[-1], symbol)] = node
-            path_nodes.append(node)
-    return minimize(Dfa(tuple(states), alphabet, root, transitions, frozenset(states)))
 
 
 # -- simulation -------------------------------------------------------------
@@ -597,13 +597,13 @@ def simulate(
     trace: list[str] = []
     fired_stop = False
 
-    def effective_env() -> Environment:
-        closed = {d for d, is_open in doors_open.items() if not is_open}
-        return env.without_doors(closed)
-
+    effective = env  # the environment with only its open doors
     for step in range(max_steps):
-        for door, state in timetable.get(step, ()):
+        changes = timetable.get(step, ())
+        for door, state in changes:
             doors_open[door] = state == "open"
+        if changes:
+            effective = env.without_doors({d for d, is_open in doors_open.items() if not is_open})
         if fired_stop:
             return SimulationResult(trace, True)
 
@@ -614,7 +614,7 @@ def simulate(
                     continue
                 believed = w.believed.get((w.region, v2), ())
                 if any(not doors_open[d] for d in believed):
-                    _replan_walker(w, step, effective_env(), nominal_motions[i], trace)
+                    _replan_walker(w, step, effective, nominal_motions[i], trace)
                     break
 
         moves: list[tuple[int, str]] = []
@@ -622,7 +622,7 @@ def simulate(
             for v2 in _next_region_moves(w, region_sets[i]):
                 if w.region is None or v2 == w.region:
                     moves.append((i, v2))
-                elif any(doors_open[d] for d in effective_env().doors_between(w.region, v2)):
+                elif effective.doors_between(w.region, v2):
                     moves.append((i, v2))
         if moves:
             i, v2 = moves[0]

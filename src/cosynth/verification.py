@@ -456,7 +456,8 @@ def verify_and_refine(
         if verdict.holds():
             return RefinementResult("holds", plans, supervisors, assumptions, rounds)
         ce = verdict.counterexample
-        assert ce is not None
+        if ce is None:
+            raise AssertionError("a failing verdict must carry a counterexample")
         while ce is not None:
             if len(record.repairs) >= max_rounds:
                 return RefinementResult("infeasible", plans, supervisors, assumptions, rounds, ce)
@@ -465,7 +466,8 @@ def verify_and_refine(
                 return RefinementResult("infeasible", plans, supervisors, assumptions, rounds, ce)
             agent, cut_word, new_spec = repair
             shrunk = language_subset(new_spec, plans[agent])
-            assert shrunk is None, "re-synthesis must shrink the mission"
+            if shrunk is not None:
+                raise AssertionError("re-synthesis must shrink the mission")
             specs[agent] = new_spec
             record.repairs.append((agent, cut_word))
             if language_empty(new_spec):
@@ -476,7 +478,8 @@ def verify_and_refine(
                 # not even the idle behaviour is enforceable for this agent
                 return RefinementResult("infeasible", plans, supervisors, assumptions, rounds, ce)
             shrunk = language_subset(new_plan, plans[agent])
-            assert shrunk is None, "mission plans must shrink monotonically"
+            if shrunk is not None:
+                raise AssertionError("mission plans must shrink monotonically")
             plans[agent] = new_plan
             ce = _direct_check(plans, prop)
     return RefinementResult("infeasible", plans, supervisors, assumptions, rounds,

@@ -13,7 +13,8 @@ from typing import Iterable, Iterator, Sequence
 
 import pytest
 
-from cosynth.automata import Dfa, EventAlphabet, Word
+from cosynth.automata import Dfa, EventAlphabet, Word, minimize
+from cosynth.motion import ReplanInfeasible
 
 
 def words_up_to(events: Sequence[str], length: int) -> Iterator[Word]:
@@ -141,3 +142,116 @@ def casestudy():
         "mission": mission,
         "specs": specs,
     }
+
+
+# -- replanning reference: bridge each enumerated plan word, rebuild a trie --
+
+
+def shortest_real_path(env, source: str, target: str):
+    """Breadth-first region path through doors that remain, ties broken by name."""
+    parents = {source: None}
+    frontier = [source]
+    while frontier:
+        if target in parents:
+            break
+        nxt = []
+        for v in frontier:
+            for v2 in sorted(b for (a, b), doors in env.door_map.items() if a == v and doors):
+                if v2 not in parents:
+                    parents[v2] = v
+                    nxt.append(v2)
+        frontier = nxt
+    if target not in parents:
+        return None
+    path = [target]
+    while parents[path[-1]] is not None:
+        path.append(parents[path[-1]])
+    return path[::-1]
+
+
+def plan_words(dfa: Dfa) -> list[tuple[list[str], int | None]]:
+    """Every maximal simple path of a plan, depth first in alphabet order.
+
+    A path that re-enters one of its own states ends there and records the
+    prefix length it loops back to; a path at a dead end records None.
+    """
+    words: list[tuple[list[str], int | None]] = []
+    path: list[str] = []
+    positions = {dfa.initial: 0}
+    stack = [(dfa.initial, iter(dfa.alphabet.events), [False])]
+    while stack:
+        state, events, extended = stack[-1]
+        for e in events:
+            nxt = dfa.transitions.get((state, e))
+            if nxt is None:
+                continue
+            extended[0] = True
+            if nxt in positions:
+                words.append((path + [e], positions[nxt]))
+                continue
+            positions[nxt] = len(path) + 1
+            path.append(e)
+            stack.append((nxt, iter(dfa.alphabet.events), [False]))
+            break
+        else:
+            if not extended[0]:
+                words.append((list(path), None))
+            stack.pop()
+            if stack:
+                del positions[state]
+                path.pop()
+    return words
+
+
+def reference_replan_dfa(lp, real_env) -> Dfa:
+    """The replanned plan automaton, built word by word.
+
+    Each plan word gets the shortest real path spliced in front of every
+    region change that lost all its doors; the bridged words form a trie
+    whose loop edges are restored before minimisation.  Returns the plan
+    unchanged when no word needed a bridge and raises ``ReplanInfeasible``
+    when a bridge does not exist.
+
+    A word that loops back continues from the trie node of the state it
+    re-enters, so the region it loops back from is lost.  That is sound for
+    integrated plans, which re-enter their entry state only from the initial
+    region, but not for an arbitrary minimised plan.
+    """
+    regions = set(lp.labeling.regions)
+    rebuilt = []
+    changed = False
+    for symbols, loop_to in plan_words(lp.dfa):
+        out: list[str] = []
+        offsets = {0: 0}
+        current = None
+        for i, symbol in enumerate(symbols):
+            if symbol in regions and current is not None and symbol != current:
+                if not real_env.doors_between(current, symbol):
+                    path = shortest_real_path(real_env, current, symbol)
+                    if path is None:
+                        raise ReplanInfeasible((current, symbol))
+                    out.extend(path[1:-1])
+                    changed = True
+            out.append(symbol)
+            if symbol in regions:
+                current = symbol
+            offsets[i + 1] = len(out)
+        rebuilt.append((out, None if loop_to is None else offsets[loop_to]))
+    if not changed:
+        return lp.dfa
+    states = ["n0"]
+    children: dict[tuple[str, str], str] = {}
+    transitions: dict[tuple[str, str], str] = {}
+    for symbols, loop_to in rebuilt:
+        nodes = ["n0"]
+        for i, symbol in enumerate(symbols):
+            if i == len(symbols) - 1 and loop_to is not None:
+                transitions[(nodes[-1], symbol)] = nodes[loop_to]
+                break
+            child = children.get((nodes[-1], symbol))
+            if child is None:
+                child = children[(nodes[-1], symbol)] = f"n{len(states)}"
+                states.append(child)
+            transitions[(nodes[-1], symbol)] = child
+            nodes.append(child)
+    return minimize(Dfa(tuple(states), lp.dfa.alphabet, "n0", transitions, frozenset(states)))

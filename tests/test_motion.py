@@ -1,8 +1,18 @@
 """Environment model, motion plans, integration, door profiles, replanning,
 and the discrete-event simulator."""
 
-import pytest
+import os
+import subprocess
+import sys
+import textwrap
+from dataclasses import replace
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import cosynth
 from cosynth.automata import (
     Dfa,
     EventAlphabet,
@@ -33,7 +43,14 @@ from cosynth.motion import (
     simulate,
     synthesize_motion_plan,
 )
-from conftest import REGIONS, brute_accepts, cycle_dfa, lang_set, words_up_to
+from conftest import (
+    REGIONS,
+    brute_accepts,
+    cycle_dfa,
+    lang_set,
+    reference_replan_dfa,
+    words_up_to,
+)
 
 
 def case_env() -> Environment:
@@ -300,6 +317,183 @@ def test_replan_infeasible_names_the_gap():
     with pytest.raises(ReplanInfeasible) as err:
         replan(lp, gm, real)
     assert set(err.value.pair) == {"R1", "R3"}
+
+
+def _random_patrol(rng):
+    """A ring or corridor of 3-5 rooms and the integrated plan of a patrol.
+
+    The patrol walks a random route out from R0 and back, choosing one of
+    one or two events in every room; some choices jump to another point of
+    the route whose room is next door, so plan states are reached from
+    different regions.  Some route points also offer a side trip to a
+    neighbouring room, so one plan state has two region moves, unless the
+    side trips leave the mission without a motion plan.
+    """
+    n = rng.randint(3, 5)
+    rooms = tuple(f"R{j}" for j in range(n))
+    links = [(j, j + 1) for j in range(n - 1)] + ([(n - 1, 0)] if rng.random() < 0.7 else [])
+    door_map: dict[tuple[str, str], tuple[str, ...]] = {}
+    for j, k in links:
+        doors = tuple(f"d{j}{x}" for x in "ab"[: rng.randint(1, 2)])
+        door_map[(rooms[j], rooms[k])] = doors
+        door_map[(rooms[k], rooms[j])] = doors
+    doors = tuple(sorted({d for ds in door_map.values() for d in ds}))
+    env = Environment(rooms, tuple(door_map), doors, door_map, {"bot": "R0"})
+
+    def near(a: str, b: str) -> bool:
+        return a == b or (a, b) in door_map
+
+    route = ["R0"]
+    for _ in range(rng.randint(1, 5)):
+        route.append(rng.choice([r for r in rooms if near(route[-1], r)]))
+    while not near(route[-1], "R0"):
+        route.append(rooms[int(route[-1][1:]) - 1])
+    labels, transitions = {}, {}
+    for i, room in enumerate(route):
+        for c in "xy"[: rng.randint(1, 2)]:
+            e = f"e{i}{c}"
+            labels[e] = frozenset({room})
+            targets = [t for t, r in enumerate(route) if near(room, r)]
+            nxt = (i + 1) % len(route)
+            transitions[(str(i), e)] = str(rng.choice(targets) if rng.random() < 0.3 else nxt)
+    side_trips = {
+        f"e{i}z": (str(i), rng.choice([r for r in rooms if r != room and near(room, r)]))
+        for i, room in enumerate(route) if rng.random() < 0.5
+    }
+    states = tuple(str(i) for i in range(len(route)))
+    gm = motion_dfa(env, "R0")
+    for trips in (side_trips, {}):
+        events = tuple(labels) + tuple(trips)
+        mission = Dfa(states, EventAlphabet(events, frozenset(events)), "0",
+                      {**transitions, **{(q, e): q for e, (q, _) in trips.items()}},
+                      frozenset(states))
+        pi = LabelingMap(rooms, {**labels, **{e: frozenset({r}) for e, (_, r) in trips.items()}})
+        try:
+            plan = synthesize_motion_plan(mission, pi, gm, "R0")
+        except MotionInfeasible:
+            continue
+        return integrate(mission, plan, pi, "R0", gm, agent="bot"), gm, env
+    raise AssertionError("a route without side trips always has a motion plan")
+
+
+def _cut(rng, env: Environment) -> Environment:
+    """Close a random door, or all doors of a random adjacency, or nothing."""
+    links = sorted({d[:-1] for d in env.doors})
+    choice = rng.choice(list(env.doors) + 3 * links + [None])
+    return env.without_doors({d for d in env.doors if choice in (d, d[:-1])})
+
+
+def _replan_and_reference(lp, gm, real):
+    """Both replanned automata, or (None, None) when both find a gap."""
+    try:
+        ref = reference_replan_dfa(lp, real)
+    except ReplanInfeasible:
+        ref = None
+    try:
+        new_lp = replan(lp, gm, real)
+    except ReplanInfeasible:
+        new_lp = None
+    assert (new_lp is None) == (ref is None)
+    assert new_lp is None or new_lp.dfa == ref
+    return new_lp
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_replan_splice_matches_word_enumeration(rng):
+    # the automaton-level splice builds the same plan as bridging every
+    # enumerated plan word, also when it replans an already replanned plan
+    lp, gm, env = _random_patrol(rng)
+    real = _cut(rng, env)
+    new_lp = _replan_and_reference(lp, gm, real)
+    if new_lp is not None:
+        _replan_and_reference(new_lp, gm, _cut(rng, real))
+
+
+def test_replan_tracks_the_last_region_into_merged_states():
+    # minimisation merges the plan's entry with the return to R0 after b,
+    # so one state is entered both before any region and from R1; only the
+    # entry from R1 lost its door and needs the detour through R2
+    door_map = {(a, b): (f"d{a[1]}{b[1]}",) for a in ("R0", "R1", "R2")
+                for b in ("R0", "R1", "R2") if a != b}
+    env = Environment(("R0", "R1", "R2"), tuple(door_map),
+                      tuple(d for ds in door_map.values() for d in ds), door_map, {"bot": "R0"})
+    alpha = EventAlphabet(("a", "b"), frozenset({"a", "b"}))
+    mission = cycle_dfa(("a", "b"), alpha)
+    pi = LabelingMap(("R0", "R1", "R2"), {"a": frozenset({"R0"}), "b": frozenset({"R1"})})
+    gm = motion_dfa(env, "R0")
+    lp = integrate(mission, synthesize_motion_plan(mission, pi, gm, "R0"), pi, "R0", gm)
+    merged = replace(lp, dfa=minimize(lp.dfa))
+    assert len(merged.dfa.states) < len(lp.dfa.states)
+    real = env.without_doors({"d10"})
+    new_lp = replan(merged, gm, real)
+    assert accepts(new_lp.dfa, ("R0", "a", "R1", "b", "R2", "R0", "a", "R1"))
+    assert not accepts(new_lp.dfa, ("R0", "a", "R1", "b", "R0"))
+    real_runs = run_language(motion_dfa(real, "R0"), stutter=True)
+    assert language_subset(new_lp.motion_plan, real_runs) is None
+
+
+def test_replan_scales_past_word_enumeration():
+    # a 16-room ring with two choices per room has 2^16 plan words
+    n = 16
+    rooms = tuple(f"R{j}" for j in range(n))
+    door_map = {}
+    for j in range(n):
+        a, b = rooms[j], rooms[(j + 1) % n]
+        door_map[(a, b)] = door_map[(b, a)] = (f"d{j}",)
+    env = Environment(rooms, tuple(door_map), tuple(f"d{j}" for j in range(n)), door_map,
+                      {"bot": "R0"})
+    events = [f"{c}{j}" for j in range(n) for c in "xy"] + ["r"]
+    transitions = {(str(j), f"{c}{j}"): str(j + 1) for j in range(n) for c in "xy"}
+    transitions[(str(n), "r")] = "0"
+    states = tuple(str(j) for j in range(n + 1))
+    mission = Dfa(states, EventAlphabet(tuple(events), frozenset(events)), "0", transitions,
+                  frozenset(states))
+    labels = {f"{c}{j}": frozenset({rooms[j]}) for j in range(n) for c in "xy"}
+    pi = LabelingMap(rooms, {**labels, "r": frozenset({"R0"})})
+    gm = motion_dfa(env, "R0")
+    lp = integrate(mission, synthesize_motion_plan(mission, pi, gm, "R0"), pi, "R0", gm)
+    real = env.without_doors({"d1"})  # R1 and R2 lose their only door
+    new_lp = replan(lp, gm, real)
+    assert language_equal(
+        minimize(project(new_lp.dfa, mission.alphabet.events)), minimize(mission)
+    ) is None
+    real_runs = run_language(motion_dfa(real, "R0"), stutter=True)
+    assert language_subset(new_lp.motion_plan, real_runs) is None
+    detour = ("R0", "x0", "R1", "x1") + ("R0",) + rooms[:1:-1] + ("x2",)
+    assert accepts(new_lp.dfa, detour)
+
+
+def test_replan_checks_adequacy_under_optimized_python():
+    # the adequacy check is an explicit raise, so ``python -O`` keeps it
+    script = textwrap.dedent("""
+        from cosynth.automata import Dfa, EventAlphabet
+        from cosynth.motion import (Environment, LabelingMap, integrate, motion_dfa,
+                                    replan, synthesize_motion_plan)
+
+        if __debug__:
+            raise SystemExit("not optimized")
+        door_map = {("A", "B"): ("d_ab",), ("A", "C"): ("d_ac",), ("C", "B"): ("d_cb",),
+                    ("B", "A"): ("d_ba",)}
+        env = Environment(("A", "B", "C"), tuple(door_map), ("d_ab", "d_ac", "d_cb", "d_ba"),
+                          door_map, {"bot": "A"})
+        alpha = EventAlphabet(("go", "back"), frozenset({"go", "back"}))
+        mission = Dfa(("0", "1"), alpha, "0", {("0", "go"): "1", ("1", "back"): "0"},
+                      frozenset({"0", "1"}))
+        pi = LabelingMap(("A", "B", "C"), {"go": frozenset({"B"}), "back": frozenset({"A"})})
+        gm = motion_dfa(env, "A")
+        lp = integrate(mission, synthesize_motion_plan(mission, pi, gm, "A"), pi, "A", gm)
+        # the plan's direct move A -> B is not in a nominal model without d_ab
+        detour = env.without_doors({"d_ab"})
+        replan(lp, motion_dfa(detour, "A"), detour)
+    """)
+    src = Path(cosynth.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1, done.stderr
+    assert "AssertionError: plan was not adequate for its nominal motion model" in done.stderr
 
 
 def test_simulate_empty_plan_set():
