@@ -686,7 +686,8 @@ def dfa_from_text(text: str, source: str = "<string>") -> Dfa:
     missing = set(_SECTIONS) - seen
     if missing:
         raise InputError(f"{source}: missing sections: {sorted(missing)}")
-    assert initial is not None
+    if initial is None:
+        raise AssertionError(f"{source}: parsed automaton has no initial state")
     try:
         return Dfa(tuple(states), EventAlphabet(tuple(events), frozenset(controllable)),
                    initial, transitions, frozenset(marked))

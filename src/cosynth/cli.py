@@ -26,7 +26,7 @@ from cosynth.motion import (
 )
 from cosynth.pipeline import PipelineConfig, run_pipeline
 from cosynth.synthesis import SynthesisProblem, learn_supervisor
-from cosynth.verification import verify
+from cosynth.verification import assume_guarantee
 from cosynth.automata import complement as _complement
 from cosynth.automata import parallel_compose as _compose
 
@@ -86,9 +86,9 @@ def cmd_learn(args) -> int:
 def cmd_verify(args) -> int:
     prop = load_dfa(args.property)
     modules = [load_dfa(p) for p in args.modules]
-    verdict, _assumptions, stats = verify(modules, prop)
+    verdict, _assumptions, fallback = assume_guarantee(modules, prop)
     sys.stdout.write(verdict.render())
-    if stats.fallback:
+    if fallback:
         sys.stdout.write("note: proof rule inconclusive; verdict from the direct product check\n")
     return 0 if verdict.holds() else 1
 
@@ -154,16 +154,6 @@ def cmd_pipeline(args) -> int:
     config = PipelineConfig.load(args.config)
     config.max_rounds = args.max_rounds
     config.check_depth = args.check_depth
-    for override in args.assumption_alphabet or ():
-        name, _, events = override.partition("=")
-        if not events:
-            raise InputError("--assumption-alphabet wants agent=ev1,ev2,...")
-        for agent in config.agents:
-            if agent.name == name:
-                agent.assumption_events = tuple(events.split(","))
-                break
-        else:
-            raise InputError(f"unknown agent {name!r} in --assumption-alphabet")
     report = run_pipeline(
         config,
         real_env_path=args.real_env,
@@ -213,7 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", help="write the MQ/EQ/CE learning trace to this file")
     p.set_defaults(func=cmd_learn)
 
-    p = sub.add_parser("verify", help="assume-guarantee check of modules against a property")
+    p = sub.add_parser("verify", help="check modules against a property by the symmetric "
+                       "assume-guarantee rule; the product check decides where the rule cannot")
     p.add_argument("property")
     p.add_argument("modules", nargs="+")
     p.set_defaults(func=cmd_verify)
@@ -254,8 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stop-event", default="r")
     p.add_argument("--max-rounds", type=int, default=100)
     p.add_argument("--check-depth", type=int, default=12)
-    p.add_argument("--assumption-alphabet", action="append",
-                   metavar="AGENT=EV1,EV2", help="override one agent's interface alphabet")
     p.add_argument("-v", "--verbose", action="store_true")
     p.set_defaults(func=cmd_pipeline)
     return parser

@@ -30,6 +30,7 @@ from cosynth.automata import (
     language_subset,
     minimize,
     parallel_compose_all,
+    prefix_closure,
     subtract,
     trim,
     _determinize,
@@ -218,7 +219,7 @@ def is_controllable(spec: "LanguageSpec | Dfa", plant: Dfa) -> Optional[Word]:
     bad = language_subset(spec_dfa, plant_gen)
     if bad is not None:
         raise InputError(f"spec language not contained in the plant: {' '.join(bad) or 'ε'}")
-    closure = _prefix_closure_marked(spec_dfa)
+    closure = prefix_closure(spec_dfa)
     uncontrollable = spec_dfa.alphabet.uncontrollable
     # walk closure × plant; a defined plant move on an uncontrollable event
     # that the closure cannot follow witnesses the violation
@@ -243,12 +244,6 @@ def is_controllable(spec: "LanguageSpec | Dfa", plant: Dfa) -> Optional[Word]:
     return None
 
 
-def _prefix_closure_marked(dfa: Dfa) -> Dfa:
-    from cosynth.automata import prefix_closure
-
-    return prefix_closure(dfa)
-
-
 def sup_c(spec: "LanguageSpec | Dfa", plant: Dfa) -> Dfa:
     """Supremal controllable sublanguage of a prefix-closed spec w.r.t. the plant.
 
@@ -260,7 +255,7 @@ def sup_c(spec: "LanguageSpec | Dfa", plant: Dfa) -> Dfa:
     spec_dfa = _as_marked(spec)
     if set(spec_dfa.alphabet.events) != set(plant.alphabet.events):
         raise InputError("spec and plant must share an alphabet")
-    if language_equal(spec_dfa, _prefix_closure_marked(spec_dfa)) is not None:
+    if language_equal(spec_dfa, prefix_closure(spec_dfa)) is not None:
         raise InputError("sup_c requires a prefix-closed spec")
     bad = language_subset(spec_dfa, all_marked(plant))
     if bad is not None:

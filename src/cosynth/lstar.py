@@ -67,17 +67,21 @@ class ObservationTable:
     T: dict[Word, int] = field(default_factory=dict)
 
     def check_invariants(self) -> None:
-        assert EPSILON in self.S and EPSILON in self.E
+        if EPSILON not in self.S or EPSILON not in self.E:
+            raise AssertionError("ε missing from S or E")
         s_set = set(self.S)
         for s in self.S:
             for i in range(len(s)):
-                assert s[:i] in s_set, f"S not prefix-closed at {s}"
+                if s[:i] not in s_set:
+                    raise AssertionError(f"S not prefix-closed at {s}")
         e_set = set(self.E)
         for e in self.E:
             for i in range(1, len(e) + 1):
-                assert e[i:] in e_set, f"E not suffix-closed at {e}"
+                if e[i:] not in e_set:
+                    raise AssertionError(f"E not suffix-closed at {e}")
         for w in self.domain():
-            assert w in self.T, f"T not total at {w}"
+            if w not in self.T:
+                raise AssertionError(f"T not total at {w}")
 
     def rows(self) -> list[Word]:
         out = list(self.S)
@@ -195,9 +199,8 @@ def conjecture_dfa(table: ObservationTable) -> Dfa:
     # consistency with T: delta(q0, s e) is marked iff T(s e) = 1
     for w in table.domain():
         state = run(dfa, w)
-        assert state is not None and (state in dfa.marked) == (table.T[w] == 1), (
-            f"conjecture inconsistent with the table at {' '.join(w) or 'ε'}"
-        )
+        if state is None or (state in dfa.marked) != (table.T[w] == 1):
+            raise AssertionError(f"conjecture inconsistent with the table at {' '.join(w) or 'ε'}")
     return dfa
 
 

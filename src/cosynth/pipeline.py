@@ -1,5 +1,5 @@
 """End-to-end synthesis pipeline: mission decomposition, supervisor synthesis,
-compositional verification with refinement, motion planning, and optional
+verification with refinement, motion planning, and optional
 replanning plus simulation against a real environment.
 
 All outputs are canonical automaton files plus one deterministic report:
@@ -48,7 +48,6 @@ class AgentConfig:
     name: str
     alphabet: EventAlphabet
     plant_path: Optional[Path] = None
-    assumption_events: Optional[tuple[str, ...]] = None
 
 
 @dataclass
@@ -68,7 +67,6 @@ class PipelineConfig:
         alphabets: dict[str, tuple[str, ...]] = {}
         uncontrollable: dict[str, set[str]] = {}
         plants: dict[str, Path] = {}
-        assumption: dict[str, tuple[str, ...]] = {}
         mission: list[Path] = []
         environment: Optional[Path] = None
         labeling: Optional[Path] = None
@@ -95,8 +93,6 @@ class PipelineConfig:
                 uncontrollable[key.split(None, 1)[1]] = set(values)
             elif key.startswith("plant "):
                 plants[key.split(None, 1)[1]] = base / values[0]
-            elif key.startswith("assumption-alphabet "):
-                assumption[key.split(None, 1)[1]] = tuple(values)
             else:
                 raise InputError(f"{path}:{lineno}: unknown key {key!r}")
         if not agent_names:
@@ -116,7 +112,6 @@ class PipelineConfig:
                     name,
                     EventAlphabet(events, frozenset(events) - uc),
                     plants.get(name),
-                    assumption.get(name),
                 )
             )
         return PipelineConfig(agents, mission, environment, labeling)
@@ -245,35 +240,22 @@ def run_pipeline(
         report.artifacts[f"{agent.name}_spec.aut"] = spec
     _log(log_stream, f"decomposition done at {time.monotonic() - started:.2f}s")
 
-    # supervisor synthesis + compositional verification with refinement
+    # supervisor synthesis + verification with refinement
     def synth(spec: Dfa, plant: Dfa) -> Dfa:
         return synthesize_supervisor(SynthesisProblem(spec, spec.alphabet, plant_dfa=plant))
 
-    interfaces = None
-    if any(a.assumption_events is not None for a in agents):
-        interfaces = []
-        for i, a in enumerate(agents):
-            if a.assumption_events is None:
-                from cosynth.verification import default_interface
-
-                interfaces.append(default_interface(i, specs, mission))
-            else:
-                interfaces.append(a.alphabet.restrict(a.assumption_events))
     result: RefinementResult = verify_and_refine(
-        specs, plants, mission, synth, interfaces=interfaces, max_rounds=config.max_rounds
+        specs, plants, mission, synth, max_rounds=config.max_rounds
     )
     report.add()
     report.add("verification")
     for i, rnd in enumerate(result.rounds, start=1):
-        note = " via-monolithic-fallback" if rnd.fallback else ""
         ce = rnd.verdict.counterexample
         report.add(f"  pass {i}: verdict={rnd.verdict.outcome}"
-                   + (f" counterexample=\"{_word(ce)}\"" if ce is not None else "")
-                   + note)
+                   + (f" counterexample=\"{_word(ce)}\"" if ce is not None else ""))
         for agent_idx, w in rnd.repairs:
             report.add(f"    repair {names[agent_idx]}: cut \"{_word(w)}\"")
-        report.add(f"    assumption-states: "
-                   + " ".join(f"{names[j]}={n}" for j, n in enumerate(rnd.assumption_states)))
+        report.add(f"    product-states: {rnd.product_states}")
     report.add(f"  refinement-rounds: {result.refinement_rounds}")
     report.refinement_rounds = result.refinement_rounds
     for rnd in result.rounds:
@@ -292,8 +274,6 @@ def run_pipeline(
         report.artifacts[f"{name}_supervisor.aut"] = sup
         report.artifacts[f"{name}_plan.aut"] = plan
         report.add(f"  supervisor {name}: {name}_supervisor.aut states={len(sup.states)}")
-    for name, assumption in zip(names, result.assumptions):
-        report.artifacts[f"{name}_assumption.aut"] = assumption
     _log(log_stream, f"mission layer done at {time.monotonic() - started:.2f}s")
 
     # the composed mission plans must satisfy the global mission

@@ -1,25 +1,27 @@
-"""Assume-guarantee verification with weakest assumptions and mission re-synthesis.
+"""Verification of the composed mission plans, with mission re-synthesis.
 
-One verification pass builds, per supervised agent, the weakest environment
-assumption over that agent's interface alphabet by the direct construction
-of Giannakopoulou, Păsăreanu and Barringer (ASE 2002), then discharges the
-symmetric n-module proof rule: if the composed complements of all
-assumptions stay inside the property, the composed system satisfies it.
+One verification pass is the direct product check: the agents' plans are
+composed and walked against the completed property, and the shortest
+violating word, realisable by every agent, is the counterexample.
+
+The paper's compositional mode is :func:`assume_guarantee`, which the
+``cosynth verify`` command runs.  It builds, per agent, the weakest
+environment assumption over that agent's interface alphabet by the direct
+construction of Giannakopoulou, Păsăreanu and Barringer (ASE 2002), then
+discharges the symmetric n-module proof rule: if the composed complements of
+all assumptions stay inside the property, the composed system satisfies it.
 When the rule produces a counterexample the word is simulated on every
 agent against the complemented property: a word every agent can follow is a
-genuine joint violation and triggers re-synthesis of the local missions; a
-word some agent rejects is an artefact of the proof rule.  The rule is
-sound but not complete for arbitrary interface alphabets, so an
-inconclusive pass falls back to the direct product check before any
-verdict is produced; verdicts therefore always agree with monolithic
-model checking.
+genuine joint violation; a word some agent rejects is an artefact of the
+proof rule.  The rule is sound but not complete for arbitrary interface
+alphabets, so an inconclusive pass falls back to the product check, and a
+concluded one is confirmed by it.
 
-Re-synthesis subtracts counterexample projections from the local missions
-and re-closes them under prefixes.  The pipeline applies the subtraction
-selectively (see :func:`choose_repair`): agents that observed nothing of
-the violation are exonerated, and among the involved agents the cut is
-placed, walking backwards from the event that committed the violation, on
-the first agent it does not reduce to a finite stub.
+Re-synthesis cuts counterexample projections from the local missions (see
+:func:`choose_repair`): agents that observed nothing of the violation are
+exonerated, and among the involved agents the cut is placed, walking
+backwards from the event that committed the violation, on the first agent it
+does not reduce to a finite stub.
 """
 
 from __future__ import annotations
@@ -45,10 +47,8 @@ from cosynth.automata import (
     minimize,
     parallel_compose_all,
     prefix_closure,
-    subtract,
     trim,
     word_dfa,
-    words_dfa,
     _determinize,
 )
 from cosynth.langops import (
@@ -57,13 +57,6 @@ from cosynth.langops import (
     satisfies,
     widen_alphabet,
 )
-
-
-@dataclass(frozen=True)
-class AssumeGuaranteeTriple:
-    assumption: Dfa
-    module: Dfa
-    property: Dfa
 
 
 @dataclass(frozen=True)
@@ -224,20 +217,6 @@ def analyze_counterexample(t: Word, modules: Sequence[Dfa], prop: Dfa) -> Verdic
     return Verdict("violated", counterexample=t)
 
 
-def resynthesize_specs(t: Word, plans: Sequence[Dfa]) -> list[Dfa]:
-    """Mission re-synthesis step: per agent, subtract the projected
-    counterexample and take the supremal prefix-closed sublanguage."""
-    out = []
-    for plan in plans:
-        w = project_word(t, plan.alphabet.events)
-        if not accepts(plan, w):
-            out.append(plan)
-            continue
-        removed = subtract(plan, words_dfa([w], plan.alphabet))
-        out.append(minimize(prefix_close_largest(removed)))
-    return out
-
-
 def is_live(dfa: Dfa) -> bool:
     """True if the trimmed automaton still contains a cycle (unbounded behaviour)."""
     t = trim(dfa)
@@ -318,69 +297,47 @@ def choose_repair(t: Word, plans: Sequence[Dfa]) -> Optional[tuple[int, Word, Df
     return fallback
 
 
-@dataclass
-class VerifyStats:
-    assumption_states: list[int] = field(default_factory=list)
-    premise_counterexample: Optional[Word] = None
-    analysis: Optional[str] = None
-    fallback: bool = False
+def verify(modules: Sequence[Dfa], prop: Dfa) -> tuple[Verdict, int]:
+    """One verification pass: the direct product check.
 
-
-def verify(
-    modules: Sequence[Dfa],
-    prop: Dfa,
-    interfaces: Optional[Sequence[EventAlphabet]] = None,
-) -> tuple[Verdict, list[Dfa], VerifyStats]:
-    """One assume-guarantee pass over the supervised agents.
-
-    Returns the verdict, the weakest assumptions, and pass statistics.
-    A holds verdict always coincides with the direct product check; a
-    violated verdict's counterexample is realisable by every agent.
+    Returns the verdict and the number of states of the agents' product.
+    A violated verdict's counterexample is realisable by every agent.
     """
-    if interfaces is None:
-        interfaces = [default_interface(i, modules, prop) for i in range(len(modules))]
-    else:
-        common = set(modules[0].alphabet.events)
-        for m in modules[1:]:
-            common &= set(m.alphabet.events)
-        admissible = common | set(prop.alphabet.events)
-        for i, interface in enumerate(interfaces):
-            if not set(interface.events) <= admissible:
-                raise InputError(
-                    f"interface alphabet of module {i + 1} must stay within the "
-                    f"common events plus the property alphabet"
-                )
-    stats = VerifyStats()
-    assumptions = []
-    for module, interface in zip(modules, interfaces):
-        a = learn_assumption(module, prop, interface)
-        assumptions.append(a)
-        stats.assumption_states.append(len(a.states))
-    premise = sym_n_check(assumptions, prop)
-    if premise is None:
-        confirm = _direct_check(modules, prop)
-        if confirm is not None:
-            raise AssertionError(
-                f"assume-guarantee concluded holds but the product violates the property "
-                f"at {' '.join(confirm) or 'ε'}"
-            )
-        return Verdict("holds"), assumptions, stats
-    stats.premise_counterexample = premise
-    verdict = analyze_counterexample(premise, modules, prop)
-    if verdict.outcome == "violated":
-        stats.analysis = "common violating word"
-        return verdict, assumptions, stats
-    # the rule was inconclusive: the assumptions are already weakest, so a
-    # spurious counterexample cannot be refined away; decide directly
-    stats.analysis = f"spurious for agent {verdict.agent + 1}"  # type: ignore[operator]
-    stats.fallback = True
-    direct = _direct_check(modules, prop)
-    if direct is None:
-        return Verdict("holds"), assumptions, stats
-    confirmed = analyze_counterexample(direct, modules, prop)
-    if confirmed.outcome != "violated":
+    witness, product_states = _direct_check(modules, prop)
+    if witness is None:
+        return Verdict("holds"), product_states
+    verdict = analyze_counterexample(witness, modules, prop)
+    if verdict.outcome != "violated":
         raise AssertionError("direct counterexample must be realisable")
-    return confirmed, assumptions, stats
+    return verdict, product_states
+
+
+def assume_guarantee(modules: Sequence[Dfa], prop: Dfa) -> tuple[Verdict, list[Dfa], bool]:
+    """One pass of the symmetric assume-guarantee rule over the agents.
+
+    Returns the verdict, the weakest assumptions over the default interface
+    alphabets, and whether the rule was inconclusive so that the product
+    check decided.  A holds verdict of the rule is confirmed by the product
+    check; a violated verdict's counterexample is realisable by every agent.
+    """
+    assumptions = [
+        learn_assumption(module, prop, default_interface(i, modules, prop))
+        for i, module in enumerate(modules)
+    ]
+    premise = sym_n_check(assumptions, prop)
+    if premise is not None:
+        verdict = analyze_counterexample(premise, modules, prop)
+        if verdict.outcome == "violated":
+            return verdict, assumptions, False
+    # the rule concluded holds, or was inconclusive: the assumptions are
+    # already weakest, so a spurious counterexample cannot be refined away
+    verdict, _ = verify(modules, prop)
+    if premise is None and not verdict.holds():
+        raise AssertionError(
+            f"assume-guarantee concluded holds but the product violates the property "
+            f"at {' '.join(verdict.counterexample or ()) or 'ε'}"
+        )
+    return verdict, assumptions, premise is not None
 
 
 def default_interface(i: int, modules: Sequence[Dfa], prop: Dfa) -> EventAlphabet:
@@ -400,18 +357,22 @@ def default_interface(i: int, modules: Sequence[Dfa], prop: Dfa) -> EventAlphabe
     return modules[i].alphabet.restrict(chosen)
 
 
-def _direct_check(modules: Sequence[Dfa], prop: Dfa) -> Optional[Word]:
+def _direct_check(modules: Sequence[Dfa], prop: Dfa) -> tuple[Optional[Word], int]:
+    """The shortest word of the agents' product that violates the property
+    (None if there is none), and the product's number of states."""
     product = parallel_compose_all(list(modules))
     alphabet = product.alphabet.union(prop.alphabet)
-    return satisfies(widen_alphabet(product, alphabet), prop)
+    return satisfies(widen_alphabet(product, alphabet), prop), len(product.states)
 
 
 @dataclass
 class RefinementRound:
     verdict: Verdict
-    assumption_states: list[int]
-    fallback: bool
+    product_states: int
     repairs: list[tuple[int, Word]] = field(default_factory=list)
+    # every pass is the product check, so none falls back to it from a proof
+    # rule; kept because the benchmark's tracer (perfbench/tracing.py) reads it
+    fallback = False
 
 
 @dataclass
@@ -419,7 +380,6 @@ class RefinementResult:
     status: str  # "holds" | "infeasible"
     plans: list[Dfa]
     supervisors: list[Dfa]
-    assumptions: list[Dfa]
     rounds: list[RefinementRound]
     counterexample: Optional[Word] = None
 
@@ -433,7 +393,6 @@ def verify_and_refine(
     plants: Sequence[Dfa],
     prop: Dfa,
     synthesize,
-    interfaces: Optional[Sequence[EventAlphabet]] = None,
     max_rounds: int = 100,
 ) -> RefinementResult:
     """The mission-layer loop: synthesise, verify, re-synthesise until clean.
@@ -450,20 +409,20 @@ def verify_and_refine(
     plans = [closed_loop(s, g) for s, g in zip(supervisors, plants)]
     rounds: list[RefinementRound] = []
     for _ in range(max_rounds):
-        verdict, assumptions, stats = verify(plans, prop, interfaces)
-        record = RefinementRound(verdict, stats.assumption_states, stats.fallback)
+        verdict, product_states = verify(plans, prop)
+        record = RefinementRound(verdict, product_states)
         rounds.append(record)
         if verdict.holds():
-            return RefinementResult("holds", plans, supervisors, assumptions, rounds)
+            return RefinementResult("holds", plans, supervisors, rounds)
         ce = verdict.counterexample
         if ce is None:
             raise AssertionError("a failing verdict must carry a counterexample")
         while ce is not None:
             if len(record.repairs) >= max_rounds:
-                return RefinementResult("infeasible", plans, supervisors, assumptions, rounds, ce)
+                return RefinementResult("infeasible", plans, supervisors, rounds, ce)
             repair = choose_repair(ce, plans)
             if repair is None:
-                return RefinementResult("infeasible", plans, supervisors, assumptions, rounds, ce)
+                return RefinementResult("infeasible", plans, supervisors, rounds, ce)
             agent, cut_word, new_spec = repair
             shrunk = language_subset(new_spec, plans[agent])
             if shrunk is not None:
@@ -471,18 +430,18 @@ def verify_and_refine(
             specs[agent] = new_spec
             record.repairs.append((agent, cut_word))
             if language_empty(new_spec):
-                return RefinementResult("infeasible", plans, supervisors, assumptions, rounds, ce)
+                return RefinementResult("infeasible", plans, supervisors, rounds, ce)
             supervisors[agent] = synthesize(new_spec, plants[agent])
             new_plan = closed_loop(supervisors[agent], plants[agent])
             if language_empty(new_plan):
                 # not even the idle behaviour is enforceable for this agent
-                return RefinementResult("infeasible", plans, supervisors, assumptions, rounds, ce)
+                return RefinementResult("infeasible", plans, supervisors, rounds, ce)
             shrunk = language_subset(new_plan, plans[agent])
             if shrunk is not None:
                 raise AssertionError("mission plans must shrink monotonically")
             plans[agent] = new_plan
-            ce = _direct_check(plans, prop)
-    return RefinementResult("infeasible", plans, supervisors, assumptions, rounds,
+            ce, _ = _direct_check(plans, prop)
+    return RefinementResult("infeasible", plans, supervisors, rounds,
                             rounds[-1].verdict.counterexample if rounds else None)
 
 

@@ -46,7 +46,7 @@ from cosynth.motion import (
 )
 from cosynth.pipeline import PipelineConfig, run_pipeline
 from cosynth.synthesis import SynthesisProblem, learn_supervisor, synthesize_supervisor
-from cosynth.verification import verify
+from cosynth.verification import assume_guarantee
 from conftest import brute_accepts, random_dfa, words_up_to
 
 
@@ -220,7 +220,7 @@ def test_criterion_7_compositional_soundness_suite():
         if language_empty(prop):
             continue
         done += 1
-        verdict, _assumptions, _stats = verify([m1, m2], prop)
+        verdict, _assumptions, _fallback = assume_guarantee([m1, m2], prop)
         product = parallel_compose_all([m1, m2])
         direct = satisfies(widen_alphabet(product, prop.alphabet), prop)
         assert verdict.holds() == (direct is None), done

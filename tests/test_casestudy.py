@@ -70,12 +70,15 @@ def test_initial_supervisors_equal_their_missions(casestudy):
 
 
 def test_pipeline_builds_every_language_without_learning(monkeypatch):
-    # supervisors, assumptions and motion plans come from direct constructions
+    # supervisors and motion plans come from direct constructions, and the
+    # product check decides every pass without the assume-guarantee rule
     def refuse(*args, **kwargs):
-        raise AssertionError("L* ran on the default pipeline path")
+        raise AssertionError("L* or the assume-guarantee rule ran on the default pipeline path")
 
     for module in (synthesis, verification, motion):
         monkeypatch.setattr(module, "learn", refuse, raising=False)
+    for name in ("weakest_assumption", "learn_assumption", "sym_n_check"):
+        monkeypatch.setattr(verification, name, refuse)
     config = PipelineConfig.load(fixture_path("casestudy.cfg"))
     report = run_pipeline(
         config, fixture_path("real_no_d3.env"), fixture_path("d3_closed.sched")

@@ -112,6 +112,23 @@ def test_verify_command_exit_codes(tmp_path):
     assert main(["verify", str(bad), str(m1), str(m2)]) == 1
 
 
+def test_verify_command_on_the_case_study_plans(tmp_path, capsys):
+    # the assume-guarantee rule is inconclusive on the case study, so the
+    # product check decides, and the command says so
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(fixture_path("casestudy.cfg")),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    plans = sorted(str(p) for p in out.glob("*_plan.aut"))
+    assert len(plans) == 3
+    assert main(["verify", str(out / "mission.aut"), *plans]) == 0
+    assert capsys.readouterr().out == (
+        "outcome: holds\n"
+        "note: proof rule inconclusive; verdict from the direct product check\n"
+    )
+    assert not list(out.glob("*_assumption.aut"))
+
+
 def test_parse_error_exits_2_and_names_the_line(tmp_path, capsys):
     bogus = tmp_path / "broken.aut"
     bogus.write_text("states: a\nwhat is this\n", encoding="utf-8")
@@ -201,16 +218,6 @@ def test_simulate_command(tmp_path, capsys):
     assert code == 0
     output = capsys.readouterr().out
     assert "replan" in output and " r mission" in output
-
-
-def test_assumption_alphabet_override(tmp_path):
-    cfg = str(fixture_path("casestudy.cfg"))
-    out = tmp_path / "run"
-    code = main([
-        "pipeline", "--config", cfg, "--out", str(out),
-        "--assumption-alphabet", "agent2=D1open,G2inR1,r",
-    ])
-    assert code == 0
 
 
 def test_pipeline_with_explicit_plant_files(tmp_path):

@@ -1,9 +1,15 @@
 """Observation-table learner: table mechanics, conjectures, and full sessions."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import cosynth
 from cosynth.automata import (
     Dfa,
     EventAlphabet,
@@ -39,6 +45,27 @@ def test_table_invariants_maintained():
     close_and_make_consistent(table, teacher)
     table.check_invariants()
     assert () in table.S and () in table.E
+
+
+def test_table_invariants_hold_under_optimized_python():
+    # the invariants are explicit raises, so ``python -O`` keeps them
+    script = textwrap.dedent("""
+        from cosynth.automata import EventAlphabet
+        from cosynth.lstar import ObservationTable
+
+        if __debug__:
+            raise SystemExit("not optimized")
+        table = ObservationTable(EventAlphabet(("a", "b")), S=[(), ("a", "b")], E=[()])
+        table.T = {w: 0 for w in table.domain()}
+        table.check_invariants()
+    """)
+    src = Path(cosynth.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1, done.stderr
+    assert "AssertionError: S not prefix-closed at ('a', 'b')" in done.stderr
 
 
 def test_closing_a_star_extends_s():

@@ -1,5 +1,6 @@
-"""Assume-guarantee machinery: triples, weakest assumptions, the symmetric
-rule, counterexample analysis, re-synthesis, and the refinement loop."""
+"""Verification: the product check, the assume-guarantee machinery (triples,
+weakest assumptions, the symmetric rule), counterexample analysis, mission
+repair, and the refinement loop."""
 
 import itertools
 import random
@@ -14,7 +15,6 @@ from cosynth.automata import (
     all_marked,
     empty_dfa,
     language_empty,
-    language_equal,
     language_subset,
     minimize,
     parallel_compose_all,
@@ -27,13 +27,13 @@ from cosynth.synthesis import SynthesisProblem, synthesize_supervisor
 from cosynth.verification import (
     Verdict,
     analyze_counterexample,
+    assume_guarantee,
     check_triple,
     choose_repair,
     cut_behavior,
     cv_membership,
     is_live,
     learn_assumption,
-    resynthesize_specs,
     sym_n_check,
     verify,
     verify_and_refine,
@@ -218,19 +218,7 @@ def test_analyze_common_violation():
     assert verdict.outcome == "violated"
 
 
-# -- re-synthesis ------------------------------------------------------------------
-
-
-def test_resynthesize_non_member_projection_unchanged():
-    plan = words_dfa([(), ("a",)], AB)
-    out = resynthesize_specs(("b",), [plan])
-    assert language_equal(out[0], plan) is None
-
-
-def test_resynthesize_subtracts_and_recloses():
-    plan = words_dfa([(), ("a",), ("a", "b")], AB)
-    out = resynthesize_specs(("a", "b"), [plan])
-    assert lang_set(out[0], 3) == {(), ("a",)}
+# -- mission repair ----------------------------------------------------------------
 
 
 def test_cut_behavior_removes_the_decision_everywhere():
@@ -276,17 +264,19 @@ def test_verify_independent_modules_hold():
     m1 = universal_dfa(EventAlphabet(("x",)))
     m2 = universal_dfa(EventAlphabet(("y",)))
     prop = universal_dfa(EventAlphabet(("x", "y")))
-    verdict, assumptions, stats = verify([m1, m2], prop)
+    verdict, assumptions, fallback = assume_guarantee([m1, m2], prop)
     assert verdict.holds()
     assert len(assumptions) == 2
+    assert verify([m1, m2], prop) == (verdict, 1)
 
 
 def test_verify_detects_joint_violation():
     m1 = universal_dfa(EventAlphabet(("x",)))
     m2 = universal_dfa(EventAlphabet(("y",)))
     prop = words_dfa([(), ("x",), ("y",)], EventAlphabet(("x", "y")))
-    verdict, _, _ = verify([m1, m2], prop)
+    verdict, product_states = verify([m1, m2], prop)
     assert verdict.outcome == "violated"
+    assert product_states == 1
     ce = verdict.counterexample
     assert ce is not None
     assert not brute_accepts(prop, ce)
@@ -304,7 +294,7 @@ def test_verify_agrees_with_monolithic_on_random_instances():
         prop = all_marked(random_dfa(rng, 4, prop_events, density=0.85))
         if language_empty(prop):
             continue
-        verdict, _, _ = verify([m1, m2], prop)
+        verdict, _, _ = assume_guarantee([m1, m2], prop)
         product = parallel_compose_all([m1, m2])
         direct = satisfies(widen_alphabet(product, prop.alphabet), prop)
         assert verdict.holds() == (direct is None)
