@@ -7,8 +7,10 @@ automata are frozen after construction and every transformation returns a
 new automaton, so shared instances are safe to use concurrently.
 
 Determinism of every constructed automaton is enforced in the constructor.
-Completion (adding an absorbing error state) is always explicit because the
-error state is load-bearing for the satisfaction checks built on top.
+Completion (adding an absorbing error state) is explicit where an operation
+needs a total automaton, as complementation does; minimisation and the
+language comparisons walk the partial automaton and send every missing
+transition to an implicit, absorbing, unmarked sink instead.
 """
 
 from __future__ import annotations
@@ -94,6 +96,13 @@ class Dfa:
             raise InputError(f"initial state {self.initial!r} not among states")
         if not marked <= state_set:
             raise InputError("marked states must be a subset of states")
+        if not transitions:
+            return
+        sources, events = zip(*transitions)
+        if (state_set.issuperset(sources) and state_set.issuperset(transitions.values())
+                and self.alphabet._index.keys() >= set(events)):  # type: ignore[attr-defined]
+            return
+        # some inclusion failed: name the first offending transition
         for (src, event), dst in transitions.items():
             if src not in state_set or dst not in state_set:
                 raise InputError(f"transition ({src},{event})->{dst} references unknown state")
@@ -439,67 +448,106 @@ def minimize(dfa: Dfa) -> Dfa:
     events explored in alphabet order, so two automata over the same alphabet
     accept the same language iff their minimised forms are structurally equal.
     The empty language canonicalises to one unmarked state with no transitions.
-    """
-    comp, _ = complete(accessible(dfa))
-    # Moore partition refinement starting from the marked/unmarked split
-    block: dict[str, int] = {q: (1 if q in comp.marked else 0) for q in comp.states}
-    while True:
-        signature = {
-            q: (block[q],) + tuple(block[comp.transitions[(q, e)]] for e in comp.alphabet.events)
-            for q in comp.states
-        }
-        renumber: dict[tuple, int] = {}
-        new_block = {}
-        for q in comp.states:
-            sig = signature[q]
-            if sig not in renumber:
-                renumber[sig] = len(renumber)
-            new_block[q] = renumber[sig]
-        if new_block == block:
-            break
-        block = new_block
 
-    class_of = {q: block[q] for q in comp.states}
-    reps: dict[int, str] = {}
-    for q in comp.states:
-        reps.setdefault(class_of[q], q)
-    marked_classes = {class_of[q] for q in comp.marked}
-    trans_classes = {
-        (class_of[q], e): class_of[comp.transitions[(q, e)]]
-        for q in comp.states
-        for e in comp.alphabet.events
-    }
-    # a class is dead if no marked class is reachable from it
-    live: set[int] = set(marked_classes)
-    changed = True
-    while changed:
-        changed = False
-        for (c, _e), d in trans_classes.items():
-            if d in live and c not in live:
-                live.add(c)
-                changed = True
-    init_class = class_of[comp.initial]
-    if init_class not in live:
+    Hopcroft's partition refinement on the partial automaton (Valmari and
+    Lehtinen, STACS 2008): states are numbered breadth first, the states
+    that cannot reach a marked state are dropped, and every missing
+    transition leads to an implicit dead sink.  The sink is a class of its
+    own and never serves as a splitter, so each splitter walks only the
+    defined transitions into it and the work grows with the transitions,
+    not with states times events.
+    """
+    events = dfa.alphabet.events
+    event_index = {e: i for i, e in enumerate(events)}
+    moves: dict[str, list[tuple[int, str]]] = {}
+    for (src, e), dst in dfa.transitions.items():
+        moves.setdefault(src, []).append((event_index[e], dst))
+    for out in moves.values():
+        out.sort()
+
+    # number the reachable states breadth first, events in alphabet order
+    number = {dfa.initial: 0}
+    order = [dfa.initial]
+    for q in order:
+        for _, dst in moves.get(q, ()):
+            if dst not in number:
+                number[dst] = len(order)
+                order.append(dst)
+    succ = [[(a, number[dst]) for a, dst in moves.get(q, ())] for q in order]
+    marked = [q in dfa.marked for q in order]
+
+    # keep the live states, those from which a marked state is reachable
+    back: list[list[tuple[int, int]]] = [[] for _ in order]
+    for p, out in enumerate(succ):
+        for a, q in out:
+            back[q].append((a, p))
+    live = marked[:]
+    stack = [q for q, m in enumerate(marked) if m]
+    while stack:
+        q = stack.pop()
+        for _, p in back[q]:
+            if not live[p]:
+                live[p] = True
+                stack.append(p)
+    if not live[0]:
         return empty_dfa(dfa.alphabet)
 
-    order = [init_class]
-    names = {init_class: "0"}
-    queue = deque(order)
+    # refine {marked, unmarked} over the live states; a waiting block splits
+    # every block by its predecessors under each event at once
+    blocks: list[set[int]] = []
+    block_of = [-1] * len(order)
+    for flag in (True, False):
+        members = {q for q in range(len(order)) if live[q] and marked[q] == flag}
+        if members:
+            for q in members:
+                block_of[q] = len(blocks)
+            blocks.append(members)
+    waiting = list(range(len(blocks)))
+    in_waiting = set(waiting)
+    while waiting:
+        splitter = waiting.pop()
+        in_waiting.discard(splitter)
+        preimages: dict[int, list[int]] = {}
+        for q in tuple(blocks[splitter]):
+            for a, p in back[q]:
+                preimages.setdefault(a, []).append(p)
+        for sources in preimages.values():
+            touched: dict[int, list[int]] = {}
+            for p in sources:
+                touched.setdefault(block_of[p], []).append(p)
+            for b, part in touched.items():
+                if len(part) == len(blocks[b]):
+                    continue
+                blocks[b].difference_update(part)
+                new = len(blocks)
+                blocks.append(set(part))
+                for p in part:
+                    block_of[p] = new
+                if b in in_waiting or len(part) <= len(blocks[b]):
+                    waiting.append(new)
+                    in_waiting.add(new)
+                else:
+                    waiting.append(b)
+                    in_waiting.add(b)
+
+    # canonical form: the classes in breadth-first order from the initial one
+    names = {block_of[0]: "0"}
+    queue = deque([block_of[0]])
     transitions: dict[tuple[str, str], str] = {}
     while queue:
         c = queue.popleft()
-        for e in comp.alphabet.events:
-            d = trans_classes[(c, e)]
-            if d not in live:
+        rep = next(iter(blocks[c]))
+        for a, q in succ[rep]:
+            if not live[q]:
                 continue
+            d = block_of[q]
             if d not in names:
                 names[d] = str(len(names))
-                order.append(d)
                 queue.append(d)
-            transitions[(names[c], e)] = names[d]
-    states = tuple(names[c] for c in order)
-    marked = frozenset(names[c] for c in order if c in marked_classes)
-    return Dfa(states, dfa.alphabet, names[init_class], transitions, marked)
+            transitions[(names[c], events[a])] = names[d]
+    states = tuple(names.values())
+    accepting = frozenset(name for c, name in names.items() if marked[next(iter(blocks[c]))])
+    return Dfa(states, dfa.alphabet, "0", transitions, accepting)
 
 
 # -- language comparisons ------------------------------------------------
@@ -537,19 +585,19 @@ def language_subset(a: Dfa, b: Dfa) -> Optional[Word]:
     """
     if set(a.alphabet.events) != set(b.alphabet.events):
         raise InputError("language comparison requires identical event sets")
-    cb, _ = complete(b)
-    start = (a.initial, cb.initial)
-    if a.initial in a.marked and cb.initial not in b.marked:
+    # b's missing transitions lead to an implicit, absorbing, unmarked sink: None
+    start = (a.initial, b.initial)
+    if a.initial in a.marked and b.initial not in b.marked:
         return EPSILON
     seen = {start}
-    queue: deque[tuple[tuple[str, str], Word]] = deque([(start, EPSILON)])
+    queue: deque[tuple[tuple[str, Optional[str]], Word]] = deque([(start, EPSILON)])
     while queue:
         (qa, qb), word = queue.popleft()
         for e in a.alphabet.events:
             na = a.transitions.get((qa, e))
             if na is None:
                 continue
-            nb = cb.transitions[(qb, e)]
+            nb = b.transitions.get((qb, e))
             w = word + (e,)
             if na in a.marked and nb not in b.marked:
                 return w

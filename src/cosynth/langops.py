@@ -23,7 +23,6 @@ from cosynth.automata import (
     InputError,
     Word,
     all_marked,
-    complete,
     empty_dfa,
     extend_closure,
     language_equal,
@@ -299,26 +298,26 @@ def satisfies(m: Dfa, p: Dfa) -> Optional[Word]:
     """None if every accepted word of m projects into L_m(p); else a witness.
 
     Requires Σ_P ⊆ Σ_M.  Implemented by running m in parallel with the
-    completed property and searching for an accepted m-word whose property
-    component is unmarked (the error state, in the prefix-closed case).
+    property and searching for an accepted m-word whose property component
+    is unmarked.  A missing property transition leads to an implicit,
+    absorbing, unmarked sink (None), the error state of the completion.
     """
     for e in p.alphabet.events:
         if e not in m.alphabet:
             raise InputError("property alphabet must be contained in the system alphabet")
-    comp, _qe = complete(p)
     prop_events = set(p.alphabet.events)
-    start = (m.initial, comp.initial)
-    if m.initial in m.marked and comp.initial not in p.marked:
+    start = (m.initial, p.initial)
+    if m.initial in m.marked and p.initial not in p.marked:
         return EPSILON
     seen = {start}
-    queue: deque[tuple[tuple[str, str], Word]] = deque([(start, EPSILON)])
+    queue: deque[tuple[tuple[str, Optional[str]], Word]] = deque([(start, EPSILON)])
     while queue:
         (qm, qp), word = queue.popleft()
         for e in m.alphabet.events:
             nm = m.transitions.get((qm, e))
             if nm is None:
                 continue
-            np_ = comp.transitions[(qp, e)] if e in prop_events else qp
+            np_ = p.transitions.get((qp, e)) if e in prop_events else qp
             w = word + (e,)
             if nm in m.marked and np_ not in p.marked:
                 return w

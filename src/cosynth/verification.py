@@ -1,8 +1,11 @@
 """Verification of the composed mission plans, with mission re-synthesis.
 
-One verification pass is the direct product check: the agents' plans are
-composed and walked against the completed property, and the shortest
-violating word, realisable by every agent, is the counterexample.
+One verification pass is the direct product check: the agents' plans and
+the property are walked together on the fly, breadth first over tuples of
+plan states and a property state, without building the product automaton;
+a missing property transition leads to an implicit, absorbing, unmarked
+sink.  The shortest violating word, realisable by every agent, is the
+counterexample.
 
 The paper's compositional mode is :func:`assume_guarantee`, which the
 ``cosynth verify`` command runs.  It builds, per agent, the weakest
@@ -309,7 +312,7 @@ def verify(modules: Sequence[Dfa], prop: Dfa) -> tuple[Verdict, int]:
     verdict = analyze_counterexample(witness, modules, prop)
     if verdict.outcome != "violated":
         raise AssertionError("direct counterexample must be realisable")
-    return verdict, product_states
+    return verdict, _product_states(modules)
 
 
 def assume_guarantee(modules: Sequence[Dfa], prop: Dfa) -> tuple[Verdict, list[Dfa], bool]:
@@ -357,12 +360,130 @@ def default_interface(i: int, modules: Sequence[Dfa], prop: Dfa) -> EventAlphabe
     return modules[i].alphabet.restrict(chosen)
 
 
+def _columns(dfa: Dfa, events: Sequence[str], missing) -> tuple[dict[str, int], dict[str, list]]:
+    """State numbers of *dfa*, and for each of *events* that it owns the
+    next-state number by state number (*missing* where undefined), with one
+    spare slot at the end that maps to *missing*."""
+    number = {q: i for i, q in enumerate(dfa.states)}
+    columns = {e: [missing] * (len(dfa.states) + 1) for e in events if e in dfa.alphabet}
+    for (src, e), dst in dfa.transitions.items():
+        column = columns.get(e)
+        if column is not None:
+            column[number[src]] = number[dst]
+    return number, columns
+
+
+class _PlanProduct:
+    """The agents' product, explored on the fly over tuples of plan states.
+
+    Events follow the union of the plans' alphabets in agent order, the
+    order of :func:`parallel_compose_all`; an event moves every plan that
+    owns it and needs all of them to define it.  Each tuple's moves and
+    marking are computed once.
+    """
+
+    def __init__(self, modules: Sequence[Dfa]) -> None:
+        if not modules:
+            raise InputError("need at least one automaton")
+        events: list[str] = []
+        for m in modules:
+            events.extend(e for e in m.alphabet.events if e not in events)
+        self.events = events
+        # per event: (plan, next state by state number) for every plan owning it
+        self.owners: list[list[tuple[int, list[Optional[int]]]]] = [[] for _ in events]
+        self.marked: list[list[bool]] = []
+        initial = []
+        for i, m in enumerate(modules):
+            number, columns = _columns(m, events, None)
+            for a, e in enumerate(events):
+                if e in columns:
+                    self.owners[a].append((i, columns[e]))
+            self.marked.append([q in m.marked for q in m.states])
+            initial.append(number[m.initial])
+        self.initial = tuple(initial)
+        self._moves: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
+        self._is_marked: dict[tuple[int, ...], bool] = {}
+
+    def is_marked(self, t: tuple[int, ...]) -> bool:
+        """Whether every plan is marked in t."""
+        flag = self._is_marked.get(t)
+        if flag is None:
+            flag = self._is_marked[t] = all(marked[q] for marked, q in zip(self.marked, t))
+        return flag
+
+    def moves(self, t: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+        """(event index, next tuple) for each move of t, in event order."""
+        out = self._moves.get(t)
+        if out is None:
+            out = []
+            for a, owners in enumerate(self.owners):
+                nxt: Optional[list[int]] = None
+                for i, column in owners:
+                    q = column[t[i]]
+                    if q is None:
+                        break
+                    if nxt is None:
+                        nxt = list(t)
+                    nxt[i] = q
+                else:
+                    out.append((a, tuple(nxt)))
+            self._moves[t] = out
+        return out
+
+    def expanded(self) -> int:
+        """Number of tuples whose moves were computed."""
+        return len(self._moves)
+
+
+def _product_states(modules: Sequence[Dfa]) -> int:
+    """Number of reachable states of the agents' product."""
+    product = _PlanProduct(modules)
+    seen = {product.initial}
+    stack = [product.initial]
+    while stack:
+        for _, nt in product.moves(stack.pop()):
+            if nt not in seen:
+                seen.add(nt)
+                stack.append(nt)
+    return len(seen)
+
+
 def _direct_check(modules: Sequence[Dfa], prop: Dfa) -> tuple[Optional[Word], int]:
-    """The shortest word of the agents' product that violates the property
-    (None if there is none), and the product's number of states."""
-    product = parallel_compose_all(list(modules))
-    alphabet = product.alphabet.union(prop.alphabet)
-    return satisfies(widen_alphabet(product, alphabet), prop), len(product.states)
+    """The shortest, lexicographically least word of the agents' product that
+    violates the property (None if there is none), and the number of plan
+    tuples the walk expanded: all of the product's states when there is none.
+
+    A breadth-first walk over (plan tuple, property state); a missing
+    property transition leads to an implicit, absorbing, unmarked sink.  A
+    word violates when every plan is marked and the property is not.
+    """
+    product = _PlanProduct(modules)
+    sink = len(prop.states)
+    prop_number, columns = _columns(prop, product.events, sink)
+    prop_columns = [columns.get(e) for e in product.events]
+    prop_marked = [q in prop.marked for q in prop.states] + [False]
+    start = (product.initial, prop_number[prop.initial])
+    if product.is_marked(product.initial) and not prop_marked[start[1]]:
+        return EPSILON, 0
+    parent: dict[tuple[tuple[int, ...], int], Optional[tuple]] = {start: None}
+    queue = deque([start])
+    while queue:
+        pair = queue.popleft()
+        t, qp = pair
+        for a, nt in product.moves(t):
+            column = prop_columns[a]
+            np_ = qp if column is None else column[qp]
+            if not prop_marked[np_] and product.is_marked(nt):
+                word = [product.events[a]]
+                while parent[pair] is not None:
+                    pair, a = parent[pair]
+                    word.append(product.events[a])
+                return tuple(reversed(word)), product.expanded()
+            nxt = (nt, np_)
+            if nxt not in parent:
+                parent[nxt] = (pair, a)
+                queue.append(nxt)
+    return None, product.expanded()
 
 
 @dataclass

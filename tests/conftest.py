@@ -9,11 +9,20 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from typing import Iterable, Iterator, Sequence
 
 import pytest
 
-from cosynth.automata import Dfa, EventAlphabet, Word, minimize
+from cosynth.automata import (
+    Dfa,
+    EventAlphabet,
+    Word,
+    accessible,
+    complete,
+    empty_dfa,
+    minimize,
+)
 from cosynth.motion import ReplanInfeasible
 
 
@@ -75,6 +84,63 @@ def chain_dfa(symbols: Sequence[str], alphabet: EventAlphabet, mark_all: bool = 
     transitions = {(str(i), e): str(i + 1) for i, e in enumerate(symbols)}
     marked = frozenset(states) if mark_all else frozenset({states[-1]})
     return Dfa(states, alphabet, "0", transitions, marked)
+
+
+def reference_minimize(dfa: Dfa) -> Dfa:
+    """Moore refinement over the completed accessible automaton, O(n²·k).
+
+    The reference for :func:`cosynth.automata.minimize`: the classes that
+    reach a marked class, renumbered breadth first from the initial class
+    with events in alphabet order; the empty language gives one unmarked
+    state with no transitions.
+    """
+    comp, _ = complete(accessible(dfa))
+    block: dict[str, int] = {q: (1 if q in comp.marked else 0) for q in comp.states}
+    while True:
+        signature = {
+            q: (block[q],) + tuple(block[comp.transitions[(q, e)]] for e in comp.alphabet.events)
+            for q in comp.states
+        }
+        renumber: dict[tuple, int] = {}
+        new_block = {}
+        for q in comp.states:
+            new_block[q] = renumber.setdefault(signature[q], len(renumber))
+        if new_block == block:
+            break
+        block = new_block
+    marked_classes = {block[q] for q in comp.marked}
+    trans_classes = {
+        (block[q], e): block[comp.transitions[(q, e)]]
+        for q in comp.states
+        for e in comp.alphabet.events
+    }
+    live: set[int] = set(marked_classes)
+    changed = True
+    while changed:
+        changed = False
+        for (c, _e), d in trans_classes.items():
+            if d in live and c not in live:
+                live.add(c)
+                changed = True
+    init_class = block[comp.initial]
+    if init_class not in live:
+        return empty_dfa(dfa.alphabet)
+    names = {init_class: "0"}
+    queue = deque([init_class])
+    transitions: dict[tuple[str, str], str] = {}
+    while queue:
+        c = queue.popleft()
+        for e in comp.alphabet.events:
+            d = trans_classes[(c, e)]
+            if d not in live:
+                continue
+            if d not in names:
+                names[d] = str(len(names))
+                queue.append(d)
+            transitions[(names[c], e)] = names[d]
+    states = tuple(names.values())
+    marked = frozenset(names[c] for c in names if c in marked_classes)
+    return Dfa(states, dfa.alphabet, "0", transitions, marked)
 
 
 # -- case-study definitions, transcribed from the coordination scenario -----

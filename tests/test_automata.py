@@ -1,8 +1,11 @@
 """Core automata operations against brute-force enumeration oracles."""
 
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cosynth.automata import (
     Dfa,
@@ -29,9 +32,11 @@ from conftest import (
     brute_accepts,
     brute_generates,
     brute_project,
+    chain_dfa,
     cycle_dfa,
     lang_set,
     random_dfa,
+    reference_minimize,
     words_up_to,
 )
 
@@ -54,10 +59,17 @@ def test_alphabet_invariants():
 def test_dfa_constructor_rejects_bad_input():
     with pytest.raises(InputError):
         Dfa(("0",), AB, "1", {}, frozenset())
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=re.escape("transition event 'c' not in alphabet")):
         Dfa(("0",), AB, "0", {("0", "c"): "0"}, frozenset())
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=re.escape("transition (0,a)->1 references unknown state")):
         Dfa(("0",), AB, "0", {("0", "a"): "1"}, frozenset())
+    # with several offenders the first transition in insertion order is named
+    with pytest.raises(InputError, match=re.escape("transition (0,b)->2 references unknown state")):
+        Dfa(("0", "1"), AB, "0", {("0", "a"): "1", ("0", "b"): "2", ("1", "c"): "0"},
+            frozenset())
+    with pytest.raises(InputError, match=re.escape("transition event 'c' not in alphabet")):
+        Dfa(("0", "1"), AB, "0", {("0", "a"): "1", ("1", "c"): "0", ("0", "b"): "2"},
+            frozenset())
 
 
 def test_run_empty_word_is_initial():
@@ -188,6 +200,43 @@ def test_minimize_collapses_duplicate_states():
         frozenset({"0", "1", "1bis", "2"}),
     )
     assert len(minimize(d).states) == 2
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_events=st.integers(min_value=1, max_value=5),
+    density=st.sampled_from((0.2, 0.5, 0.8, 1.0)),
+    marked_p=st.sampled_from((0.0, 0.2, 0.5, 1.0)),
+)
+def test_minimize_matches_moore_reference(seed, n_events, density, marked_p):
+    # partition refinement on the partial automaton gives the same canonical
+    # text as Moore refinement over the completion, also for unreachable
+    # states, automata without marked states and the empty language
+    rng = random.Random(seed)
+    events = ("a", "b", "c", "d", "e")[:n_events]
+    d = random_dfa(rng, 12, events, density=density, marked_p=marked_p)
+    assert dfa_to_text(minimize(d)) == dfa_to_text(reference_minimize(d))
+
+
+def test_minimize_long_chain_and_cycle():
+    one = EventAlphabet(("a",))
+    chain = minimize(chain_dfa(("a",) * 3000, one))
+    assert len(chain.states) == 3001 and chain.marked == {"3000"}
+    cycle = cycle_dfa(("a",) * 3000, one)
+    once_round = Dfa(cycle.states, one, "0", cycle.transitions, frozenset({"0"}))
+    assert len(minimize(once_round).states) == 3000
+    assert len(minimize(cycle).states) == 1
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_language_subset_sink_matches_completion(seed):
+    # walking b with an implicit sink finds the witness of its completion
+    rng = random.Random(seed)
+    a = random_dfa(rng, 5, ("a", "b", "c"))
+    b = random_dfa(rng, 5, ("a", "b", "c"), density=0.5)
+    assert language_subset(a, b) == language_subset(a, complete(b)[0])
 
 
 def test_language_subset_reflexive_and_witness():

@@ -12,7 +12,9 @@ from cosynth.automata import (
     Dfa,
     EventAlphabet,
     accepts,
+    accessible,
     all_marked,
+    complete,
     empty_dfa,
     language_empty,
     language_subset,
@@ -26,6 +28,7 @@ from cosynth.langops import project_word, satisfies, widen_alphabet
 from cosynth.synthesis import SynthesisProblem, synthesize_supervisor
 from cosynth.verification import (
     Verdict,
+    _direct_check,
     analyze_counterexample,
     assume_guarantee,
     check_triple,
@@ -300,6 +303,51 @@ def test_verify_agrees_with_monolithic_on_random_instances():
         assert verdict.holds() == (direct is None)
         agree += 1
     assert agree >= 20
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    mode=st.sampled_from(("random property", "own product", "cut product")),
+)
+def test_direct_check_matches_composed_product(seed, mode):
+    # the on-the-fly walk finds the witness of composing the plans, widening
+    # the product and checking it against the property, and counts the
+    # product's states; the properties are partial, so that the implicit sink
+    # is reached, and the modules have unmarked states
+    rng = random.Random(seed)
+    pool = ["a", "b", "c", "s", "t"]
+    modules = []
+    for _ in range(rng.randint(1, 4)):
+        events = rng.sample(pool, rng.randint(1, len(pool)))
+        modules.append(random_dfa(rng, 3, events, density=0.7, marked_p=0.7))
+    product = parallel_compose_all(modules)
+    if mode == "random property":
+        owned = list(product.alphabet.events) + ["z"]
+        prop = random_dfa(rng, 4, rng.sample(owned, rng.randint(1, len(owned))), density=0.6)
+    else:
+        prop = product
+        if mode == "cut product" and product.transitions:
+            transitions = dict(product.transitions)
+            del transitions[rng.choice(sorted(transitions))]
+            prop = Dfa(product.states, product.alphabet, product.initial, transitions,
+                       product.marked)
+    widened = widen_alphabet(product, product.alphabet.union(prop.alphabet))
+    expected = satisfies(widened, prop)
+    assert expected == satisfies(widened, complete(prop)[0])
+    if mode == "own product":
+        assert expected is None
+    # one module is its own product, unreachable states included; the walk
+    # counts reachable states only
+    reachable = len(accessible(product).states)
+    witness, expanded = _direct_check(modules, prop)
+    assert witness == expected
+    verdict, product_states = verify(modules, prop)
+    assert product_states == reachable
+    if expected is None:
+        assert verdict.holds() and expanded == reachable
+    else:
+        assert verdict.outcome == "violated" and verdict.counterexample == expected
 
 
 def test_verdict_serialisation():
