@@ -14,13 +14,13 @@ from cosynth.automata import InputError, dfa_to_text, language_equal, load_dfa, 
 from cosynth.langops import project, widen_like
 from cosynth.lstar import DfaTeacher, LearnLog, learn
 from cosynth.motion import (
+    IntegratedPlan,
     environment_from_text,
     integrate,
     labeling_from_text,
     motion_dfa,
     replan,
     simulate,
-    synthesize_motion_plan,
     MotionInfeasible,
     ReplanInfeasible,
 )
@@ -93,9 +93,9 @@ def cmd_verify(args) -> int:
     return 0 if verdict.holds() else 1
 
 
-def cmd_plan(args) -> int:
+def _agent_plan(args, env) -> IntegratedPlan:
+    """The integrated plan of ``args.agent``'s mission in the nominal environment."""
     mission = load_dfa(args.mission)
-    env = _load_env(args.env)
     labelings = labeling_from_text(
         Path(args.labeling).read_text(encoding="utf-8"), env.regions, source=args.labeling
     )
@@ -104,28 +104,23 @@ def cmd_plan(args) -> int:
     if args.agent not in env.initial_regions:
         raise InputError(f"environment lacks an initial region for {args.agent!r}")
     v0 = env.initial_regions[args.agent]
-    gm = motion_dfa(env, v0)
-    motion_plan = synthesize_motion_plan(mission, labelings[args.agent], gm, v0)
-    lp = integrate(mission, motion_plan, labelings[args.agent], v0, gm, agent=args.agent)
+    return integrate(mission, labelings[args.agent], v0, motion_dfa(env, v0), agent=args.agent)
+
+
+def cmd_plan(args) -> int:
+    lp = _agent_plan(args, _load_env(args.env))
     prefix = Path(args.out_prefix)
-    save_dfa(motion_plan, prefix.with_name(prefix.name + "_motion.aut"))
+    save_dfa(lp.motion_plan, prefix.with_name(prefix.name + "_motion.aut"))
     save_dfa(lp.dfa, prefix.with_name(prefix.name + "_integrated.aut"))
     save_dfa(lp.profile, prefix.with_name(prefix.name + "_profile.aut"))
     return 0
 
 
 def cmd_replan(args) -> int:
-    mission = load_dfa(args.mission)
     env = _load_env(args.env)
     real_env = _load_env(args.real_env)
-    labelings = labeling_from_text(
-        Path(args.labeling).read_text(encoding="utf-8"), env.regions, source=args.labeling
-    )
-    v0 = env.initial_regions[args.agent]
-    gm = motion_dfa(env, v0)
-    motion_plan = synthesize_motion_plan(mission, labelings[args.agent], gm, v0)
-    lp = integrate(mission, motion_plan, labelings[args.agent], v0, gm, agent=args.agent)
-    new_lp = replan(lp, gm, real_env)
+    lp = _agent_plan(args, env)
+    new_lp = replan(lp, motion_dfa(env, lp.initial_region), real_env)
     prefix = Path(args.out_prefix)
     save_dfa(new_lp.dfa, prefix.with_name(prefix.name + "_integrated.aut"))
     save_dfa(new_lp.profile, prefix.with_name(prefix.name + "_profile.aut"))
@@ -135,7 +130,6 @@ def cmd_replan(args) -> int:
 def cmd_simulate(args) -> int:
     config = PipelineConfig.load(args.config)
     config.max_rounds = args.max_rounds
-    config.check_depth = args.check_depth
     report = run_pipeline(
         config,
         real_env_path=args.real_env,
@@ -153,7 +147,6 @@ def cmd_simulate(args) -> int:
 def cmd_pipeline(args) -> int:
     config = PipelineConfig.load(args.config)
     config.max_rounds = args.max_rounds
-    config.check_depth = args.check_depth
     report = run_pipeline(
         config,
         real_env_path=args.real_env,
@@ -233,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-out")
     p.add_argument("--stop-event", default="r")
     p.add_argument("--max-rounds", type=int, default=100)
-    p.add_argument("--check-depth", type=int, default=12)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("pipeline", help="full synthesis pipeline from a configuration file")
@@ -244,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-out")
     p.add_argument("--stop-event", default="r")
     p.add_argument("--max-rounds", type=int, default=100)
-    p.add_argument("--check-depth", type=int, default=12)
     p.add_argument("-v", "--verbose", action="store_true")
     p.set_defaults(func=cmd_pipeline)
     return parser

@@ -2,10 +2,10 @@
 
 Regions and doors live in a partitioned environment; an agent's motion
 capabilities are the trim automaton whose states are regions and whose
-events are doors.  Motion plans are region-sequence languages, built
-directly as the region itinerary of a mission plan (its lifted mission)
-and checked against the motion model; an integrated plan interleaves them
-with the mission events they enable.
+events are doors.  An integrated plan interleaves a mission plan with the
+region moves its events need, in one pass over the mission automaton.
+Its region projection is the motion plan, the mission's region itinerary,
+which must be executable in the motion model.
 
 Two run semantics coexist deliberately.  Containment checks (is a region
 word executable?) use stutter-closed runs: an agent may dwell in a region
@@ -239,13 +239,6 @@ def _interleave(mission: Dfa, pi: LabelingMap, initial_region: str) -> Dfa:
     return trim(dfa)
 
 
-def lift_mission_to_regions(mission: Dfa, pi: LabelingMap, initial_region: str) -> Dfa:
-    """Region itinerary of a mission plan: substitute events by their regions,
-    merge consecutive duplicates, and anchor each cycle at the initial region."""
-    lp = _interleave(mission, pi, initial_region)
-    return minimize(project(lp, pi.regions))
-
-
 def _first_unconnected(word: Word, motion: Dfa) -> tuple[str, str]:
     steps = {(v, motion.transitions[(v, d)]) for (v, d) in motion.transitions}
     previous: Optional[str] = None
@@ -258,34 +251,12 @@ def _first_unconnected(word: Word, motion: Dfa) -> tuple[str, str]:
     raise AssertionError(f"no unconnected pair in {word}")
 
 
-def synthesize_motion_plan(
-    mission: Dfa,
-    pi: LabelingMap,
-    motion: Dfa,
-    initial_region: str,
-) -> Dfa:
-    """The adequate motion plan of a mission plan: its lifted region itinerary.
-
-    The lifted mission satisfies itself and, once it lies within the
-    stutter-closed runs of the motion model, both adequacy clauses hold.
-    Raises :class:`MotionInfeasible` when the lifted mission requires a
-    region change the motion model cannot perform.
-    """
-    lifted = lift_mission_to_regions(mission, pi, initial_region)
-    runs = run_language(motion, stutter=True, regions=lifted.alphabet.events)
-    witness = language_subset(lifted, runs)
-    if witness is not None:
-        raise MotionInfeasible(_first_unconnected(witness, motion))
-    return lifted
-
-
 def door_profile(motion_plan: Dfa, motion: Dfa) -> Dfa:
-    """Door words whose strict runs trace a region word of the motion plan."""
-    witness = language_subset(
-        motion_plan, run_language(motion, stutter=True, regions=motion_plan.alphabet.events)
-    )
-    if witness is not None:
-        raise InputError(f"motion plan leaves the motion model at {' '.join(witness)}")
+    """Door words whose strict runs trace a region word of the motion plan.
+
+    The motion plan must lie within the stutter-closed runs of ``motion``;
+    :func:`integrate` and :func:`replan` check that before they call this.
+    """
     p0 = motion_plan.transitions.get((motion_plan.initial, motion.initial))
     if p0 is None or p0 not in motion_plan.marked:
         return empty_dfa(motion.alphabet)
@@ -332,69 +303,68 @@ class IntegratedPlan:
 
 def integrate(
     mission: Dfa,
-    motion_plan: Dfa,
     pi: LabelingMap,
     initial_region: str,
     motion: Dfa,
     agent: str = "agent",
-    check_depth: int = 12,
 ) -> IntegratedPlan:
-    """Interleave a mission plan with region moves into an integrated plan.
+    """The integrated plan of a mission plan, with its motion plan and door profile.
 
-    The projections of the result recover both inputs exactly, and the
-    three defining clauses are validated (clause two by walking every plan
-    word up to the check depth).
+    The mission plan is interleaved once with the region moves its events
+    need.  The motion plan is the region projection of the result: the
+    mission's region itinerary, consecutive duplicates merged and each
+    cycle anchored at the initial region.  Raises :class:`MotionInfeasible`
+    when that itinerary needs a region change the motion model cannot
+    perform.  The mission projection must give the mission back, and
+    :func:`validate_integrated_clauses` checks the plan's other clauses.
     """
     lp = _interleave(mission, pi, initial_region)
-    mission_back = minimize(project(lp, mission.alphabet.events))
-    delta = language_equal(mission_back, mission)
+    motion_plan = project(lp, pi.regions)
+    witness = language_subset(motion_plan, run_language(motion, stutter=True, regions=pi.regions))
+    if witness is not None:
+        raise MotionInfeasible(_first_unconnected(witness, motion))
+    delta = language_equal(project(lp, mission.alphabet.events), mission)
     if delta is not None:
         raise AssertionError(f"integration altered the mission at {' '.join(delta) or 'ε'}")
-    motion_back = minimize(project(lp, pi.regions))
-    delta = language_equal(motion_back, motion_plan)
-    if delta is not None:
-        raise AssertionError(f"motion plan inadequate for the mission at {' '.join(delta) or 'ε'}")
-    validate_integrated_clauses(lp, pi, initial_region, motion, check_depth)
+    validate_integrated_clauses(lp, pi, initial_region)
     profile = door_profile(motion_plan, motion)
     return IntegratedPlan(agent, lp, mission, motion_plan, profile, initial_region, pi)
 
 
-def validate_integrated_clauses(
-    lp: Dfa, pi: LabelingMap, initial_region: str, motion: Dfa, depth: int
-) -> None:
-    """Check the three integrated-plan clauses; raises AssertionError on failure."""
+def validate_integrated_clauses(lp: Dfa, pi: LabelingMap, initial_region: str) -> None:
+    """Check that a plan starts in its initial region and fires events where π allows.
+
+    A mission event right after a region symbol must be labelled with that
+    region; one right after another mission event must share a region with
+    it.  The walk visits every reachable (state, last symbol) pair once, so
+    it covers plans of any length.  Raises AssertionError on failure.
+    """
     regions = set(pi.regions)
     for e in lp.alphabet.events:
-        first = lp.transitions.get((lp.initial, e))
-        if first is not None and e != initial_region:
+        if e != initial_region and (lp.initial, e) in lp.transitions:
             raise AssertionError(f"plan must start with the initial region, found {e!r}")
-    # clause 2 on every word of bounded length, clause 1 covered above
-    frontier: list[tuple[str, Optional[str]]] = [(lp.initial, None)]
-    for _ in range(depth):
-        nxt: list[tuple[str, Optional[str]]] = []
-        for state, previous in frontier:
-            for e in lp.alphabet.events:
-                to = lp.transitions.get((state, e))
-                if to is None:
-                    continue
-                if e not in regions and previous is not None:
-                    if previous in regions:
-                        if previous not in pi.of(e):
-                            raise AssertionError(
-                                f"event {e!r} fired in region {previous!r} outside π({e!r})"
-                            )
-                    elif not pi.of(previous) & pi.of(e):
+    start: tuple[str, Optional[str]] = (lp.initial, None)
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        state, previous = queue.popleft()
+        for e in lp.alphabet.events:
+            to = lp.transitions.get((state, e))
+            if to is None:
+                continue
+            if e not in regions and previous is not None:
+                if previous in regions:
+                    if previous not in pi.of(e):
                         raise AssertionError(
-                            f"consecutive events {previous!r},{e!r} disagree on their region"
+                            f"event {e!r} fired in region {previous!r} outside π({e!r})"
                         )
-                nxt.append((to, e))
-        frontier = nxt
-    witness = language_subset(
-        minimize(project(lp, pi.regions)),
-        run_language(motion, stutter=True, regions=pi.regions),
-    )
-    if witness is not None:
-        raise AssertionError(f"motion component not executable at {' '.join(witness)}")
+                elif not pi.of(previous) & pi.of(e):
+                    raise AssertionError(
+                        f"consecutive events {previous!r},{e!r} disagree on their region"
+                    )
+            if (to, e) not in seen:
+                seen.add((to, e))
+                queue.append((to, e))
 
 
 # -- replanning ------------------------------------------------------------
@@ -515,12 +485,11 @@ def replan(lp: IntegratedPlan, nominal_motion: Dfa, real_env: Environment) -> In
     regions = set(lp.labeling.regions)
     if any(_door_lost(real_env, regions, v, e) for (_, v), e, _ in _region_edges(lp.dfa, regions)):
         new_dfa = _splice(lp.dfa, regions, real_env)
-        mission_back = minimize(project(new_dfa, lp.mission.alphabet.events))
-        if language_equal(mission_back, lp.mission) is not None:
+        if language_equal(project(new_dfa, lp.mission.alphabet.events), lp.mission) is not None:
             raise AssertionError("replanning must preserve the mission projection")
     else:
         new_dfa = lp.dfa
-    new_motion_plan = minimize(project(new_dfa, lp.labeling.regions))
+    new_motion_plan = project(new_dfa, lp.labeling.regions)
     witness = language_subset(
         new_motion_plan, run_language(real, stutter=True, regions=lp.labeling.regions)
     )

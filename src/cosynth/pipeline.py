@@ -37,7 +37,6 @@ from cosynth.motion import (
     replan,
     schedule_from_text,
     simulate,
-    synthesize_motion_plan,
 )
 from cosynth.synthesis import SynthesisProblem, synthesize_supervisor
 from cosynth.verification import RefinementResult, verify_and_refine
@@ -57,7 +56,6 @@ class PipelineConfig:
     environment_path: Optional[Path] = None
     labeling_path: Optional[Path] = None
     max_rounds: int = 100
-    check_depth: int = 12
 
     @staticmethod
     def load(path: "Path | str") -> "PipelineConfig":
@@ -220,7 +218,7 @@ def run_pipeline(
     plants: list[Dfa] = []
     report.add()
     for agent in agents:
-        spec = widen_like(minimize(project(mission, agent.alphabet.events)), agent.alphabet)
+        spec = widen_like(project(mission, agent.alphabet.events), agent.alphabet)
         specs.append(spec)
         if agent.plant_path is not None:
             plant = widen_like(load_dfa(agent.plant_path), agent.alphabet)
@@ -308,17 +306,13 @@ def run_pipeline(
                 raise InputError(f"environment lacks an initial region for {name!r}")
             v0 = env.initial_regions[name]
             gm = motion_dfa(env, v0)
-            motion_plan = synthesize_motion_plan(mission_plan, labelings[name], gm, v0)
-            lp = integrate(
-                mission_plan, motion_plan, labelings[name], v0, gm,
-                agent=name, check_depth=config.check_depth,
-            )
+            lp = integrate(mission_plan, labelings[name], v0, gm, agent=name)
             plans.append(lp)
-            report.artifacts[f"{name}_motion.aut"] = motion_plan
+            report.artifacts[f"{name}_motion.aut"] = lp.motion_plan
             report.artifacts[f"{name}_integrated.aut"] = lp.dfa
             report.artifacts[f"{name}_profile.aut"] = lp.profile
             report.add(
-                f"  {name}: motion={len(motion_plan.states)} integrated={len(lp.dfa.states)}"
+                f"  {name}: motion={len(lp.motion_plan.states)} integrated={len(lp.dfa.states)}"
                 f" profile={len(lp.profile.states)} initial-region={v0}"
             )
         report.plans = plans

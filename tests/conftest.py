@@ -54,6 +54,19 @@ def lang_set(dfa: Dfa, length: int) -> set[Word]:
     return {w for w in words_up_to(dfa.alphabet.events, length) if brute_accepts(dfa, w)}
 
 
+def generated_up_to(dfa: Dfa, length: int) -> Iterator[Word]:
+    """Every word the automaton generates, up to a length, by stepping its table."""
+    stack: list[tuple[str, Word]] = [(dfa.initial, ())]
+    while stack:
+        state, word = stack.pop()
+        yield word
+        if len(word) < length:
+            for e in dfa.alphabet.events:
+                nxt = dfa.transitions.get((state, e))
+                if nxt is not None:
+                    stack.append((nxt, word + (e,)))
+
+
 def brute_project(word: Word, target: Iterable[str]) -> Word:
     keep = set(target)
     return tuple(s for s in word if s in keep)

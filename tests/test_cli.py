@@ -87,6 +87,29 @@ def test_plan_command_infeasible_exits_1(tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["plan", "replan"])
+@pytest.mark.parametrize("missing", ["labeling", "initial"])
+def test_plan_and_replan_name_an_unknown_agent(tmp_path, capsys, command, missing):
+    mission = cycle_dfa(("go",), EventAlphabet(("go",)))
+    save_dfa(mission, tmp_path / "m.aut")
+    labels = "bot go R1\n" if missing == "initial" else "other go R1\n"
+    (tmp_path / "labels.pi").write_text(labels, encoding="utf-8")
+    initial = "bot R1\n" if missing == "labeling" else "other R1\n"
+    env = tmp_path / "env.env"
+    env.write_text("regions: R1 R2\ndoors: d\nadjacency:\nR1 R2\ndoormap:\nR1 R2 d\n"
+                   "initial:\n" + initial, encoding="utf-8")
+    argv = [command, str(tmp_path / "m.aut"), "--env", str(env),
+            "--labeling", str(tmp_path / "labels.pi"), "--agent", "bot",
+            "-o", str(tmp_path / "bot")]
+    if command == "replan":
+        argv += ["--real-env", str(env)]
+    assert main(argv) == 2
+    expected = ("labeling file lacks agent 'bot'" if missing == "labeling"
+                else "environment lacks an initial region for 'bot'")
+    assert capsys.readouterr().err == f"error: {expected}\n"
+    assert not list(tmp_path.glob("bot_*"))
+
+
 def test_learn_command_with_trace(tmp_path, chain_files):
     spec_p, _ = chain_files
     out = tmp_path / "learned.aut"

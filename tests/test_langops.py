@@ -103,6 +103,7 @@ def test_project_matches_subset_construction_oracle():
     for _ in range(15):
         d = random_dfa(rng, 4, ("a", "b", "c"))
         got = project(d, ("a", "c"))
+        assert minimize(got) == got  # already canonical
         for w in words_up_to(("a", "c"), 5):
             assert brute_accepts(got, w) == _brute_projection_membership(d, ("a", "c"), w), w
 

@@ -35,19 +35,22 @@ from cosynth.motion import (
     integrate,
     labeling_from_text,
     labeling_to_text,
-    lift_mission_to_regions,
     motion_dfa,
     replan,
     run_language,
     schedule_from_text,
     simulate,
-    synthesize_motion_plan,
+    validate_integrated_clauses,
 )
 from conftest import (
     REGIONS,
     brute_accepts,
+    brute_project,
+    chain_dfa,
     cycle_dfa,
+    generated_up_to,
     lang_set,
+    random_dfa,
     reference_replan_dfa,
     words_up_to,
 )
@@ -116,13 +119,13 @@ def test_lift_single_region_mission():
     alpha = EventAlphabet(("a", "b"))
     mission = cycle_dfa(("a", "b"), alpha)
     pi = LabelingMap(REGIONS, {"a": frozenset({"R1"}), "b": frozenset({"R1"})})
-    lifted = lift_mission_to_regions(mission, pi, "R1")
+    lifted = integrate(mission, pi, "R1", motion_dfa(case_env(), "R1")).motion_plan
     assert lang_set(lifted, 3) == {(), ("R1",), ("R1", "R1"), ("R1", "R1", "R1")}
 
 
 def test_lift_case_study_agent2():
     mission, pi = fire_mission()
-    lifted = lift_mission_to_regions(mission, pi, "R1")
+    lifted = integrate(mission, pi, "R1", motion_dfa(case_env(), "R1")).motion_plan
     expected = minimize(cycle_dfa(("R1", "R2", "R1"), EventAlphabet(REGIONS)))
     assert language_equal(lifted, expected) is None
 
@@ -132,7 +135,7 @@ def test_lift_requires_labels_for_every_event():
     mission = cycle_dfa(("a", "b"), alpha)
     pi = LabelingMap(REGIONS, {"a": frozenset({"R1"})})
     with pytest.raises(InputError):
-        lift_mission_to_regions(mission, pi, "R1")
+        integrate(mission, pi, "R1", motion_dfa(case_env(), "R1"))
 
 
 def test_run_language_semantics():
@@ -148,7 +151,7 @@ def test_run_language_semantics():
 def test_synthesize_motion_plan_case_study():
     mission, pi = fire_mission()
     gm = motion_dfa(case_env(), "R1")
-    plan = synthesize_motion_plan(mission, pi, gm, "R1")
+    plan = integrate(mission, pi, "R1", gm).motion_plan
     expected = minimize(cycle_dfa(("R1", "R2", "R1"), EventAlphabet(REGIONS)))
     assert language_equal(plan, expected) is None
 
@@ -158,7 +161,7 @@ def test_synthesize_motion_plan_stay_home():
     mission = cycle_dfa(("a",), alpha)
     pi = LabelingMap(REGIONS, {"a": frozenset({"R1"})})
     gm = motion_dfa(case_env(), "R1")
-    plan = synthesize_motion_plan(mission, pi, gm, "R1")
+    plan = integrate(mission, pi, "R1", gm).motion_plan
     assert language_equal(plan, Dfa(("0",), EventAlphabet(REGIONS), "0",
                                     {("0", "R1"): "0"}, frozenset({"0"}))) is None
 
@@ -169,7 +172,7 @@ def test_synthesize_motion_plan_infeasible_names_pair():
     pi = LabelingMap(REGIONS, {"a": frozenset({"R2"}), "b": frozenset({"R3"})})
     gm = motion_dfa(case_env(), "R1")
     with pytest.raises(MotionInfeasible) as err:
-        synthesize_motion_plan(mission, pi, gm, "R1")
+        integrate(mission, pi, "R1", gm)
     assert err.value.pair == ("R2", "R3")
 
 
@@ -201,7 +204,7 @@ def test_door_profile_soundness_enumeration():
     # every profile word, run on the motion model, traces a plan word
     mission, pi = fire_mission()
     gm = motion_dfa(case_env(), "R1")
-    plan = synthesize_motion_plan(mission, pi, gm, "R1")
+    plan = integrate(mission, pi, "R1", gm).motion_plan
     profile = door_profile(plan, gm)
     for w in words_up_to(gm.alphabet.events, 8):
         if not brute_accepts(profile, w):
@@ -217,14 +220,15 @@ def test_door_profile_soundness_enumeration():
 def test_integrate_case_study_agent2():
     mission, pi = fire_mission()
     gm = motion_dfa(case_env(), "R1")
-    plan = synthesize_motion_plan(mission, pi, gm, "R1")
-    lp = integrate(mission, plan, pi, "R1", gm, agent="a2")
+    lp = integrate(mission, pi, "R1", gm, agent="a2")
     expected = cycle_dfa(("R1", "h2", "R2", "F", "D1open", "R1", "G2inR1", "r"),
                          lp.dfa.alphabet)
     assert language_equal(lp.dfa, expected) is None
     # projection coherence
     assert language_equal(minimize(project(lp.dfa, mission.alphabet.events)), minimize(mission)) is None
-    assert language_equal(minimize(project(lp.dfa, REGIONS)), plan) is None
+    itinerary = minimize(cycle_dfa(("R1", "R2", "R1"), EventAlphabet(REGIONS)))
+    assert language_equal(minimize(project(lp.dfa, REGIONS)), itinerary) is None
+    assert lp.motion_plan == project(lp.dfa, REGIONS)
 
 
 def test_integrate_empty_mission():
@@ -232,9 +236,99 @@ def test_integrate_empty_mission():
     mission = Dfa(("0",), alpha, "0", {}, frozenset({"0"}))
     pi = LabelingMap(REGIONS, {"a": frozenset({"R1"})})
     gm = motion_dfa(case_env(), "R1")
-    plan = synthesize_motion_plan(mission, pi, gm, "R1")
-    lp = integrate(mission, plan, pi, "R1", gm)
+    lp = integrate(mission, pi, "R1", gm)
     assert lang_set(lp.dfa, 2) == {(), ("R1",)}
+
+
+def test_integrate_interleaves_once(monkeypatch):
+    import cosynth.motion as motion
+
+    calls = []
+    original = motion._interleave
+    monkeypatch.setattr(motion, "_interleave", lambda *args: calls.append(args) or original(*args))
+    mission, pi = fire_mission()
+    integrate(mission, pi, "R1", motion_dfa(case_env(), "R1"))
+    assert len(calls) == 1
+
+
+def test_clause_walk_has_no_depth():
+    # 13 events in R1 and then one in R2 with no region move between them:
+    # the clause-2 breach is the 15th symbol of the only plan word
+    alpha = EventAlphabet(REGIONS + ("a", "b"))
+    pi = LabelingMap(REGIONS, {"a": frozenset({"R1"}), "b": frozenset({"R2"})})
+    good = ("R1",) + ("a",) * 13
+    validate_integrated_clauses(chain_dfa(good, alpha, mark_all=True), pi, "R1")
+    with pytest.raises(AssertionError, match="disagree on their region"):
+        validate_integrated_clauses(chain_dfa(good + ("b",), alpha, mark_all=True), pi, "R1")
+    with pytest.raises(AssertionError, match="outside"):
+        validate_integrated_clauses(chain_dfa(good + ("R3", "b"), alpha, mark_all=True), pi, "R1")
+
+
+def corridor_env() -> Environment:
+    door_map = {("C0", "C1"): ("k01",), ("C1", "C0"): ("k01",),
+                ("C1", "C2"): ("k12",), ("C2", "C1"): ("k12",)}
+    return Environment(("C0", "C1", "C2"), tuple(door_map), ("k01", "k12"), door_map, {})
+
+
+def _lifted_gap(mission: Dfa, pi: LabelingMap, v0: str, env: Environment, bound: int):
+    """A region change without a door in a lifted mission word of at most ``bound`` events.
+
+    The agent starts in ``v0``; before each event it stays, if π labels the
+    event with its region, or moves to any other region π labels it with.
+    """
+    frontier = {(mission.initial, v0)}
+    for _ in range(bound):
+        nxt = set()
+        for q, v in frontier:
+            for e in mission.alphabet.events:
+                q2 = mission.transitions.get((q, e))
+                if q2 is None:
+                    continue
+                for v2 in pi.of(e):
+                    if v2 != v and not env.doors_between(v, v2):
+                        return v, v2
+                    nxt.add((q2, v2))
+        frontier = nxt
+    return None
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_integrate_matches_word_oracles(rng):
+    env = rng.choice([case_env(), corridor_env()])
+    events = ("a", "b", "c")[: rng.randint(1, 3)]
+    mission = random_dfa(rng, 3, events, marked_p=1.0)
+    pi = LabelingMap(env.regions, {
+        e: frozenset(rng.sample(env.regions, rng.randint(1, 2))) for e in events
+    })
+    v0 = rng.choice(env.regions)
+    # every (mission state, region) pair is reached within this many events
+    gap = _lifted_gap(mission, pi, v0, env, len(mission.states) * len(env.regions))
+    try:
+        lp = integrate(mission, pi, v0, motion_dfa(env, v0))
+    except MotionInfeasible as err:
+        assert gap is not None
+        v, v2 = err.pair
+        assert v != v2 and not env.doors_between(v, v2)
+        return
+    assert gap is None
+    regions = set(env.regions)
+    erased = set()
+    for w in generated_up_to(lp.dfa, 6):
+        mission_word = brute_project(w, events)
+        assert brute_accepts(mission, mission_word), w
+        erased.add(mission_word)
+        region = None
+        for symbol in w:
+            if symbol in regions:
+                region = symbol
+            else:
+                assert region in pi.of(symbol), w
+    # a mission word of n events needs at most 3n symbols in the plan
+    assert {m for m in erased if len(m) <= 2} == lang_set(mission, 2)
+    for w in generated_up_to(lp.motion_plan, 6):
+        assert w[:1] in ((), (v0,)), w
+        assert all(v == v2 or env.doors_between(v, v2) for v, v2 in zip(w, w[1:])), w
 
 
 def _agent3_plan():
@@ -251,8 +345,7 @@ def _agent3_plan():
         "D1close": frozenset({"R3"}), "G3inR1": frozenset({"R1"}), "r": frozenset({"R1"}),
     })
     gm = motion_dfa(case_env(), "R1")
-    plan = synthesize_motion_plan(mission, pi, gm, "R1")
-    return integrate(mission, plan, pi, "R1", gm, agent="a3"), gm
+    return integrate(mission, pi, "R1", gm, agent="a3"), gm
 
 
 def test_replan_identity_when_real_matches_nominal():
@@ -297,8 +390,7 @@ def test_replan_splices_intermediate_regions():
     mission = cycle_dfa(("go", "back"), alpha)
     pi = LabelingMap(("A", "B", "C"), {"go": frozenset({"B"}), "back": frozenset({"A"})})
     gm = motion_dfa(env, "A")
-    plan = synthesize_motion_plan(mission, pi, gm, "A")
-    lp = integrate(mission, plan, pi, "A", gm, agent="bot")
+    lp = integrate(mission, pi, "A", gm, agent="bot")
     real = env.without_doors({"d_ab"})
     new_lp = replan(lp, gm, real)
     assert accepts(new_lp.dfa, ("A", "C", "B", "go"))
@@ -369,10 +461,9 @@ def _random_patrol(rng):
                       frozenset(states))
         pi = LabelingMap(rooms, {**labels, **{e: frozenset({r}) for e, (_, r) in trips.items()}})
         try:
-            plan = synthesize_motion_plan(mission, pi, gm, "R0")
+            return integrate(mission, pi, "R0", gm, agent="bot"), gm, env
         except MotionInfeasible:
             continue
-        return integrate(mission, plan, pi, "R0", gm, agent="bot"), gm, env
     raise AssertionError("a route without side trips always has a motion plan")
 
 
@@ -422,7 +513,7 @@ def test_replan_tracks_the_last_region_into_merged_states():
     mission = cycle_dfa(("a", "b"), alpha)
     pi = LabelingMap(("R0", "R1", "R2"), {"a": frozenset({"R0"}), "b": frozenset({"R1"})})
     gm = motion_dfa(env, "R0")
-    lp = integrate(mission, synthesize_motion_plan(mission, pi, gm, "R0"), pi, "R0", gm)
+    lp = integrate(mission, pi, "R0", gm)
     merged = replace(lp, dfa=minimize(lp.dfa))
     assert len(merged.dfa.states) < len(lp.dfa.states)
     real = env.without_doors({"d10"})
@@ -452,7 +543,7 @@ def test_replan_scales_past_word_enumeration():
     labels = {f"{c}{j}": frozenset({rooms[j]}) for j in range(n) for c in "xy"}
     pi = LabelingMap(rooms, {**labels, "r": frozenset({"R0"})})
     gm = motion_dfa(env, "R0")
-    lp = integrate(mission, synthesize_motion_plan(mission, pi, gm, "R0"), pi, "R0", gm)
+    lp = integrate(mission, pi, "R0", gm)
     real = env.without_doors({"d1"})  # R1 and R2 lose their only door
     new_lp = replan(lp, gm, real)
     assert language_equal(
@@ -469,7 +560,7 @@ def test_replan_checks_adequacy_under_optimized_python():
     script = textwrap.dedent("""
         from cosynth.automata import Dfa, EventAlphabet
         from cosynth.motion import (Environment, LabelingMap, integrate, motion_dfa,
-                                    replan, synthesize_motion_plan)
+                                    replan)
 
         if __debug__:
             raise SystemExit("not optimized")
@@ -482,7 +573,7 @@ def test_replan_checks_adequacy_under_optimized_python():
                       frozenset({"0", "1"}))
         pi = LabelingMap(("A", "B", "C"), {"go": frozenset({"B"}), "back": frozenset({"A"})})
         gm = motion_dfa(env, "A")
-        lp = integrate(mission, synthesize_motion_plan(mission, pi, gm, "A"), pi, "A", gm)
+        lp = integrate(mission, pi, "A", gm)
         # the plan's direct move A -> B is not in a nominal model without d_ab
         detour = env.without_doors({"d_ab"})
         replan(lp, motion_dfa(detour, "A"), detour)
@@ -529,8 +620,8 @@ def test_simulate_deadlock_reported():
     pi = LabelingMap(("A",), {"solo": frozenset({"A"}), "sync": frozenset({"A"})})
     pi2 = LabelingMap(("A",), {"sync": frozenset({"A"})})
     gm = motion_dfa(env, "A")
-    lp1 = integrate(m1, synthesize_motion_plan(m1, pi, gm, "A"), pi, "A", gm, agent="one")
-    lp2 = integrate(m2, synthesize_motion_plan(m2, pi2, gm, "A"), pi2, "A", gm, agent="two")
+    lp1 = integrate(m1, pi, "A", gm, agent="one")
+    lp2 = integrate(m2, pi2, "A", gm, agent="two")
     result = simulate([lp1, lp2], env, max_steps=20)
     assert not result.completed and result.deadlock is not None
 
