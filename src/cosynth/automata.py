@@ -147,7 +147,13 @@ def accepts(dfa: Dfa, word: Sequence[str]) -> bool:
 
 
 def all_marked(dfa: Dfa) -> Dfa:
-    """The generated-language view: every state marked."""
+    """The generated-language view: every state marked.
+
+    An automaton whose states are all marked already is returned as it is,
+    so a minimised one keeps its canonical record (see :func:`minimize`).
+    """
+    if len(dfa.marked) == len(dfa.states):
+        return dfa
     return Dfa(dfa.states, dfa.alphabet, dfa.initial, dfa.transitions, frozenset(dfa.states))
 
 
@@ -449,6 +455,11 @@ def minimize(dfa: Dfa) -> Dfa:
     accept the same language iff their minimised forms are structurally equal.
     The empty language canonicalises to one unmarked state with no transitions.
 
+    The result records that it is canonical, in a hidden attribute as
+    :class:`EventAlphabet` keeps its index, and a recorded input is returned
+    unchanged.  Automata are immutable, so the record stays true; any new
+    ``Dfa`` built from a recorded one carries none.
+
     Hopcroft's partition refinement on the partial automaton (Valmari and
     Lehtinen, STACS 2008): states are numbered breadth first, the states
     that cannot reach a marked state are dropped, and every missing
@@ -457,6 +468,8 @@ def minimize(dfa: Dfa) -> Dfa:
     defined transitions into it and the work grows with the transitions,
     not with states times events.
     """
+    if getattr(dfa, "_canonical", False):
+        return dfa
     events = dfa.alphabet.events
     event_index = {e: i for i, e in enumerate(events)}
     moves: dict[str, list[tuple[int, str]]] = {}
@@ -490,7 +503,7 @@ def minimize(dfa: Dfa) -> Dfa:
                 live[p] = True
                 stack.append(p)
     if not live[0]:
-        return empty_dfa(dfa.alphabet)
+        return _canonical(empty_dfa(dfa.alphabet))
 
     # refine {marked, unmarked} over the live states; a waiting block splits
     # every block by its predecessors under each event at once
@@ -547,7 +560,13 @@ def minimize(dfa: Dfa) -> Dfa:
             transitions[(names[c], events[a])] = names[d]
     states = tuple(names.values())
     accepting = frozenset(name for c, name in names.items() if marked[next(iter(blocks[c]))])
-    return Dfa(states, dfa.alphabet, "0", transitions, accepting)
+    return _canonical(Dfa(states, dfa.alphabet, "0", transitions, accepting))
+
+
+def _canonical(dfa: Dfa) -> Dfa:
+    """Record that *dfa* is the output of :func:`minimize`."""
+    object.__setattr__(dfa, "_canonical", True)
+    return dfa
 
 
 # -- language comparisons ------------------------------------------------

@@ -12,9 +12,9 @@ counterexample word otherwise.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from cosynth.automata import (
     EPSILON,
@@ -77,10 +77,11 @@ def project_word(word: Sequence[str], target: Sequence[str]) -> Word:
 
 
 def project(dfa: Dfa, spec: "ProjectionSpec | Sequence[str]") -> Dfa:
-    """DFA for { P(w) : w in L_m(dfa) } over the target alphabet.
+    """Canonical minimal DFA for { P(w) : w in L_m(dfa) } over the target alphabet.
 
-    Out-of-target events are erased (become epsilon moves) and the result is
-    determinised by subset construction, then minimised.
+    The target keeps the automaton's event order.  Out-of-target events are
+    erased (become epsilon moves), the result is determinised by subset
+    construction and minimised once.
     """
     if isinstance(spec, ProjectionSpec):
         target = spec.target
@@ -91,17 +92,69 @@ def project(dfa: Dfa, spec: "ProjectionSpec | Sequence[str]") -> Dfa:
         for e in target:
             if e not in dfa.alphabet:
                 raise InputError(f"projection target event {e!r} not in source alphabet")
-    target_alphabet = EventAlphabet(
-        tuple(e for e in dfa.alphabet.events if e in set(target)),
-        dfa.alphabet.controllable & set(target),
-    )
+    return minimize(_erase(dfa, target))
+
+
+def _erase(dfa: Dfa, target: Iterable[str]) -> Dfa:
+    """Subset construction for the projection onto *target*, not minimised.
+
+    An automaton that loses no event is returned as it is.
+    """
+    target_alphabet = dfa.alphabet.restrict(target)
+    if len(target_alphabet.events) == len(dfa.alphabet.events):
+        return dfa
     nfa: dict[tuple[str, Optional[str]], set[str]] = {}
-    keep = set(target)
     for (src, e), dst in dfa.transitions.items():
-        label = e if e in keep else None
+        label = e if e in target_alphabet else None
         nfa.setdefault((src, label), set()).add(dst)
-    det = _determinize(nfa, {dfa.initial}, set(dfa.marked), target_alphabet)
-    return minimize(det)
+    return _determinize(nfa, {dfa.initial}, set(dfa.marked), target_alphabet)
+
+
+@dataclass(frozen=True)
+class Decomposition:
+    """Each agent's local spec and the size of the local product it came from."""
+
+    specs: list[Dfa]
+    product_states: list[int]
+
+
+def decompose(
+    components: Sequence[Dfa],
+    agent_alphabets: Sequence[EventAlphabet],
+    global_alphabet: EventAlphabet,
+) -> Decomposition:
+    """Each agent's projection of the mission L_1 ‖ … ‖ L_m, built from its components.
+
+    Spec i is P_{Σ_i}(L_1 ‖ … ‖ L_m) over the global alphabet, minimised and
+    reindexed over ``agent_alphabets[i]``.  It never builds the mission: if
+    Σ' holds every event shared by two or more components, then
+    P_{Σ'}(L_1 ‖ … ‖ L_m) = ‖_j P_{Σ'∩Σ_j}(L_j) (Wonham and Cai,
+    *Supervisory Control of Discrete-Event Systems*, 2019), so with
+    Σ' = Σ_i ∪ Σ_shared each component is erased on its own, the small
+    results are composed, and the product is projected onto Σ_i.  Agent
+    events that no component uses never occur, as in the widened mission.
+    Minimising over the global event order gives the same canonical
+    automaton as projecting the minimised mission.
+    """
+    owners = Counter(e for comp in components for e in comp.alphabet.events)
+    shared = {e for e, n in owners.items() if n > 1}
+    erased: dict[tuple[int, frozenset[str]], Dfa] = {}
+    specs: list[Dfa] = []
+    sizes: list[int] = []
+    for alphabet in agent_alphabets:
+        keep = shared.union(alphabet.events)
+        parts = []
+        for j, comp in enumerate(components):
+            kept = frozenset(e for e in comp.alphabet.events if e in keep)
+            if (j, kept) not in erased:
+                erased[(j, kept)] = _erase(comp, kept)
+            parts.append(erased[(j, kept)])
+        product = parallel_compose_all(parts)
+        sizes.append(len(product.states))
+        events = set(product.alphabet.events).union(alphabet.events)
+        product = widen_alphabet(product, global_alphabet.restrict(events))
+        specs.append(widen_like(minimize(_erase(product, alphabet.events)), alphabet))
+    return Decomposition(specs, sizes)
 
 
 def widen_alphabet(dfa: Dfa, alphabet: EventAlphabet) -> Dfa:
@@ -266,7 +319,13 @@ def sup_c(spec: "LanguageSpec | Dfa", plant: Dfa) -> Dfa:
 
 
 def widen_like(dfa: Dfa, alphabet: EventAlphabet) -> Dfa:
-    """Same language, reindexed over an alphabet with identical event set."""
+    """Same language, reindexed over an alphabet with identical event set.
+
+    An automaton already over *alphabet* is returned as it is, so a
+    minimised one keeps its canonical record.
+    """
+    if dfa.alphabet == alphabet:
+        return dfa
     if set(dfa.alphabet.events) != set(alphabet.events):
         raise InputError("alphabets must contain the same events")
     return Dfa(dfa.states, alphabet, dfa.initial, dfa.transitions, dfa.marked)

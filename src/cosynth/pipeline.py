@@ -27,7 +27,7 @@ from cosynth.automata import (
     minimize,
     parallel_compose_all,
 )
-from cosynth.langops import project, satisfies, widen_alphabet, widen_like
+from cosynth.langops import decompose, satisfies, widen_alphabet, widen_like
 from cosynth.motion import (
     IntegratedPlan,
     environment_from_text,
@@ -62,6 +62,8 @@ class PipelineConfig:
         path = Path(path)
         base = path.parent
         agent_names: list[str] = []
+        agents_line = 0
+        keyed: list[tuple[int, str, str]] = []  # (line, key, agent) of agent-keyed lines
         alphabets: dict[str, tuple[str, ...]] = {}
         uncontrollable: dict[str, set[str]] = {}
         plants: dict[str, Path] = {}
@@ -78,23 +80,32 @@ class PipelineConfig:
             key = key.strip()
             values = rest.split()
             if key == "agents":
-                agent_names = values
+                agent_names, agents_line = values, lineno
             elif key == "mission":
                 mission = [base / v for v in values]
             elif key == "environment":
                 environment = base / values[0]
             elif key == "labeling":
                 labeling = base / values[0]
-            elif key.startswith("alphabet "):
-                alphabets[key.split(None, 1)[1]] = tuple(values)
-            elif key.startswith("uncontrollable "):
-                uncontrollable[key.split(None, 1)[1]] = set(values)
-            elif key.startswith("plant "):
-                plants[key.split(None, 1)[1]] = base / values[0]
+            elif key.startswith(("alphabet ", "uncontrollable ", "plant ")):
+                kind, name = key.split(None, 1)
+                keyed.append((lineno, kind, name))
+                if kind == "alphabet":
+                    alphabets[name] = tuple(values)
+                elif kind == "uncontrollable":
+                    uncontrollable[name] = set(values)
+                else:
+                    plants[name] = base / values[0]
             else:
                 raise InputError(f"{path}:{lineno}: unknown key {key!r}")
         if not agent_names:
             raise InputError(f"{path}: no agents declared")
+        for name in agent_names:
+            if agent_names.count(name) > 1:
+                raise InputError(f"{path}:{agents_line}: agent {name!r} listed twice")
+        for lineno, kind, name in keyed:
+            if name not in agent_names:
+                raise InputError(f"{path}:{lineno}: {kind} of undeclared agent {name!r}")
         if not mission:
             raise InputError(f"{path}: no mission components declared")
         agents = []
@@ -213,13 +224,13 @@ def run_pipeline(
                          "a non-empty separable sublanguage is not guaranteed")
     report.artifacts["mission.aut"] = mission
 
-    # mission decomposition: local specs are the projections
-    specs: list[Dfa] = []
+    # mission decomposition: each local spec is the mission's projection onto
+    # the agent's events, built from the components without the mission
+    decomposition = decompose(components, [a.alphabet for a in agents], global_alphabet)
+    specs = decomposition.specs
     plants: list[Dfa] = []
     report.add()
-    for agent in agents:
-        spec = widen_like(project(mission, agent.alphabet.events), agent.alphabet)
-        specs.append(spec)
+    for agent, spec in zip(agents, specs):
         if agent.plant_path is not None:
             plant = widen_like(load_dfa(agent.plant_path), agent.alphabet)
             below = language_subset(spec, minimize(plant))
@@ -236,7 +247,8 @@ def run_pipeline(
         report.add(f"  uncontrollable: {' '.join(sorted(agent.alphabet.uncontrollable))}")
         report.add(f"  decomposed-spec: {agent.name}_spec.aut states={len(spec.states)}")
         report.artifacts[f"{agent.name}_spec.aut"] = spec
-    _log(log_stream, f"decomposition done at {time.monotonic() - started:.2f}s")
+    _log(log_stream, f"decomposition done at {time.monotonic() - started:.2f}s"
+                     f" (largest local product: {max(decomposition.product_states)} states)")
 
     # supervisor synthesis + verification with refinement
     def synth(spec: Dfa, plant: Dfa) -> Dfa:

@@ -22,7 +22,9 @@ from cosynth.automata import (
     complete,
     empty_dfa,
     minimize,
+    parallel_compose_all,
 )
+from cosynth.langops import project, widen_alphabet, widen_like
 from cosynth.motion import ReplanInfeasible
 
 
@@ -156,6 +158,17 @@ def reference_minimize(dfa: Dfa) -> Dfa:
     return Dfa(states, dfa.alphabet, "0", transitions, marked)
 
 
+def reference_decompose(components: Sequence[Dfa], agent_alphabets: Sequence[EventAlphabet],
+                        global_alphabet: EventAlphabet) -> list[Dfa]:
+    """The monolithic route, the reference for :func:`cosynth.langops.decompose`.
+
+    Composes the components into the mission, minimises it over the global
+    alphabet and projects it once per agent.
+    """
+    mission = minimize(widen_alphabet(parallel_compose_all(components), global_alphabet))
+    return [widen_like(project(mission, a.events), a) for a in agent_alphabets]
+
+
 # -- case-study definitions, transcribed from the coordination scenario -----
 
 AGENT1_EVENTS = ("Close", "D1close", "D1open", "G1inR1", "G1inR3", "G2inR1", "Open", "h1", "r")
@@ -200,9 +213,8 @@ def branching_mission(first: str, branch_a: Sequence[str], branch_b: Sequence[st
 
 @pytest.fixture(scope="session")
 def casestudy():
-    """Pipeline config, mission DFA, and decomposed specs for the case study."""
-    from cosynth.automata import minimize, parallel_compose_all, load_dfa
-    from cosynth.langops import project, widen_alphabet, widen_like
+    """Pipeline config, mission DFA, components, and decomposed specs for the case study."""
+    from cosynth.automata import load_dfa
     from cosynth.fixtures import fixture_path
     from cosynth.pipeline import PipelineConfig
 
@@ -213,11 +225,12 @@ def casestudy():
     global_alphabet = EventAlphabet(global_events, frozenset(global_events) & controlled)
     components = [load_dfa(p) for p in config.mission_paths]
     mission = minimize(widen_alphabet(parallel_compose_all(components), global_alphabet))
-    specs = [widen_like(minimize(project(mission, a.events)), a) for a in alphabets]
+    specs = reference_decompose(components, alphabets, global_alphabet)
     return {
         "config": config,
         "alphabets": alphabets,
         "global_alphabet": global_alphabet,
+        "components": components,
         "mission": mission,
         "specs": specs,
     }

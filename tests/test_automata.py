@@ -28,6 +28,7 @@ from cosynth.automata import (
     word_dfa,
     words_dfa,
 )
+from cosynth.langops import widen_like
 from conftest import (
     brute_accepts,
     brute_generates,
@@ -115,6 +116,26 @@ def test_parallel_compose_matches_projection_rule():
                 b, brute_project(w, ("b", "c"))
             )
             assert brute_accepts(composed, w) == expected, w
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    left=st.sampled_from((("a", "b"), ("b", "c"), ("c",), ("a", "b", "c"))),
+    right=st.sampled_from((("b", "a"), ("c",), ("a",), ("c", "b", "a"))),
+)
+def test_parallel_compose_matches_marked_projection_oracle(seed, left, right):
+    # a word is accepted by the composition iff each operand accepts its
+    # projection, for shared, disjoint and equal alphabets
+    rng = random.Random(seed)
+    a = random_dfa(rng, 4, left)
+    b = random_dfa(rng, 4, right)
+    composed = parallel_compose(a, b)
+    expected = {
+        w for w in words_up_to(composed.alphabet.events, 5)
+        if brute_accepts(a, brute_project(w, left)) and brute_accepts(b, brute_project(w, right))
+    }
+    assert lang_set(composed, 5) == expected
 
 
 def test_complete_total_input_gains_unreachable_error_state():
@@ -217,6 +238,38 @@ def test_minimize_matches_moore_reference(seed, n_events, density, marked_p):
     events = ("a", "b", "c", "d", "e")[:n_events]
     d = random_dfa(rng, 12, events, density=density, marked_p=marked_p)
     assert dfa_to_text(minimize(d)) == dfa_to_text(reference_minimize(d))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_events=st.integers(min_value=1, max_value=3),
+    marked_p=st.sampled_from((0.0, 0.3, 0.6, 1.0)),
+)
+def test_minimize_returns_its_own_output_unchanged(seed, n_events, marked_p):
+    rng = random.Random(seed)
+    events = ("a", "b", "c")[:n_events]
+    d = random_dfa(rng, 8, events, marked_p=marked_p)
+    m = minimize(d)
+    assert dfa_to_text(m) == dfa_to_text(reference_minimize(d))
+    assert minimize(m) is m
+    assert minimize(widen_like(m, m.alphabet)) is m
+    g = minimize(all_marked(d))
+    assert minimize(all_marked(g)) is g
+    # automata derived from a minimised one are minimised afresh
+    derived = []
+    if len(m.marked) < len(m.states):
+        derived.append(all_marked(m))
+    if n_events > 1:
+        derived.append(widen_like(m, EventAlphabet(events[::-1], m.alphabet.controllable)))
+    if m.transitions:
+        cut = rng.choice(sorted(m.transitions))
+        kept = {k: v for k, v in m.transitions.items() if k != cut}
+        derived.append(Dfa(m.states, m.alphabet, m.initial, kept, m.marked))
+    for x in derived:
+        got = minimize(x)
+        assert got is not x
+        assert dfa_to_text(got) == dfa_to_text(reference_minimize(x))
 
 
 def test_minimize_long_chain_and_cycle():

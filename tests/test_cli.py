@@ -291,6 +291,34 @@ def test_pipeline_separable_mission_needs_no_refinement(tmp_path):
     assert "refinement-rounds: 0" in report
 
 
+@pytest.mark.parametrize("edit, line, message", [
+    (("uncontrollable agent2:", "uncontrollable agnet2:"), 9,
+     "uncontrollable of undeclared agent 'agnet2'"),
+    (("alphabet agent3:", "alphabet agent4:"), 10, "alphabet of undeclared agent 'agent4'"),
+    (("labeling: labels.pi", "labeling: labels.pi\nplant agent9: Lspe1.aut"), 6,
+     "plant of undeclared agent 'agent9'"),
+    (("agents: agent1 agent2 agent3", "agents: agent1 agent2 agent3 agent2"), 2,
+     "agent 'agent2' listed twice"),
+])
+def test_pipeline_config_names_an_undeclared_or_repeated_agent(tmp_path, capsys, edit, line,
+                                                                message):
+    # a typo in an agent-keyed line used to drop it silently, and a repeated
+    # agent let its artifacts overwrite each other
+    fixtures = fixture_path("casestudy.cfg").parent
+    text = fixture_path("casestudy.cfg").read_text(encoding="utf-8")
+    old, new = edit
+    assert old in text
+    config = tmp_path / "casestudy.cfg"
+    config.write_text(text.replace(old, new), encoding="utf-8")
+    for name in ("Lspe1.aut", "Lspe2.aut", "nominal.env", "labels.pi"):
+        (tmp_path / name).write_text((fixtures / name).read_text(encoding="utf-8"),
+                                     encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {config}:{line}: {message}\n"
+    assert not out.exists()
+
+
 def test_shipped_fixture_files_are_canonical():
     for name in ("Lspe1.aut", "Lspe2.aut"):
         path = fixture_path(name)

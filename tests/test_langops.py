@@ -4,6 +4,8 @@ controllability, supC, satisfaction, and prefix-closed sublanguages."""
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cosynth.automata import (
     Dfa,
@@ -11,6 +13,7 @@ from cosynth.automata import (
     InputError,
     accepts,
     all_marked,
+    dfa_to_text,
     language_empty,
     language_equal,
     language_subset,
@@ -22,6 +25,7 @@ from cosynth.automata import (
 from cosynth.langops import (
     LanguageSpec,
     ProjectionSpec,
+    decompose,
     inverse_project_intersect,
     is_controllable,
     is_separable,
@@ -37,6 +41,7 @@ from conftest import (
     brute_project,
     lang_set,
     random_dfa,
+    reference_decompose,
     words_up_to,
 )
 
@@ -98,14 +103,56 @@ def _brute_projection_membership(d: Dfa, target: tuple[str, ...], word: tuple[st
     return bool(current & d.marked)
 
 
-def test_project_matches_subset_construction_oracle():
-    rng = random.Random(21)
-    for _ in range(15):
-        d = random_dfa(rng, 4, ("a", "b", "c"))
-        got = project(d, ("a", "c"))
-        assert minimize(got) == got  # already canonical
-        for w in words_up_to(("a", "c"), 5):
-            assert brute_accepts(got, w) == _brute_projection_membership(d, ("a", "c"), w), w
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    target=st.sampled_from(((), ("a",), ("a", "c"), ("c", "b"), ("a", "b", "c"))),
+)
+def test_project_matches_subset_construction_oracle(seed, target):
+    d = random_dfa(random.Random(seed), 4, ("a", "b", "c"))
+    got = project(d, target)
+    assert minimize(got) == got  # already canonical
+    for w in words_up_to(target, 5):
+        assert brute_accepts(got, w) == _brute_projection_membership(d, target, w), w
+    # every accepted word projects into the result
+    assert {brute_project(w, target) for w in lang_set(d, 5)} <= lang_set(got, 5)
+
+
+POOL = ("d", "a", "c", "b")  # components draw from these, not in sorted order
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    component_events=st.lists(st.sets(st.sampled_from(POOL), min_size=1), min_size=1, max_size=4),
+    agent_events=st.lists(st.sets(st.sampled_from(POOL + ("x", "y"))), min_size=1, max_size=3),
+)
+# the first agent owns x, which no component uses, and shares no event with {b, d}
+@example(seed=5, component_events=[{"a", "c"}, {"b", "d"}], agent_events=[{"a", "x"}, {"c"}])
+# no two components share an event, and the first agent shares none with any
+@example(seed=9, component_events=[{"a"}, {"b"}, {"c", "d"}], agent_events=[{"y"}, {"a", "b"}])
+def test_decompose_matches_the_monolithic_route(seed, component_events, agent_events):
+    rng = random.Random(seed)
+    components = []
+    for events in component_events:
+        order = sorted(events)
+        rng.shuffle(order)
+        components.append(random_dfa(rng, 3, order))
+    # every component event belongs to some agent: the last agent takes the rest
+    owned = [sorted(events) for events in agent_events]
+    owned[-1] += sorted(set().union(*component_events) - set().union(*agent_events))
+    alphabets = []
+    for events in owned:
+        rng.shuffle(events)
+        alphabets.append(EventAlphabet(tuple(events), frozenset(rng.sample(events, len(events) // 2))))
+    global_events = tuple(sorted({e for a in alphabets for e in a.events}))
+    controlled = frozenset(e for a in alphabets for e in a.controllable)
+    global_alphabet = EventAlphabet(global_events, controlled)
+
+    got = decompose(components, alphabets, global_alphabet)
+    expected = reference_decompose(components, alphabets, global_alphabet)
+    assert len(got.product_states) == len(alphabets)
+    assert [dfa_to_text(s) for s in got.specs] == [dfa_to_text(s) for s in expected]
 
 
 def test_inverse_project_single_operand():
