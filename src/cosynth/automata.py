@@ -28,6 +28,14 @@ class InputError(ValueError):
     """Raised when an operation is called with arguments violating its contract."""
 
 
+class InvariantError(AssertionError):
+    """Raised when an internal invariant fails: a defect of the program, not of its input.
+
+    Invariants are explicit raises, not ``assert`` statements, so they also
+    hold under ``python -O``.
+    """
+
+
 @dataclass(frozen=True)
 class EventAlphabet:
     """An ordered event set with a controllable/uncontrollable partition."""
@@ -310,6 +318,76 @@ def parallel_compose_all(dfas: Sequence[Dfa]) -> Dfa:
     return result
 
 
+def _columns(dfa: Dfa, events: Sequence[str], missing) -> tuple[dict[str, int], dict[str, list]]:
+    """State numbers of *dfa*, and for each of *events* that it owns the
+    next-state number by state number (*missing* where undefined), with one
+    spare slot at the end that maps to *missing*."""
+    number = {q: i for i, q in enumerate(dfa.states)}
+    columns = {e: [missing] * (len(dfa.states) + 1) for e in events if e in dfa.alphabet}
+    for (src, e), dst in dfa.transitions.items():
+        column = columns.get(e)
+        if column is not None:
+            column[number[src]] = number[dst]
+    return number, columns
+
+
+def minimal_product(dfas: Sequence[Dfa], alphabet: EventAlphabet) -> Dfa:
+    """The canonical minimal automaton of the product of *dfas* over *alphabet*.
+
+    The result is ``minimize(widen_alphabet(parallel_compose_all(dfas),
+    alphabet))``: every operand event must be in *alphabet*, and an event of
+    *alphabet* that no operand owns never occurs.  It is built in one
+    breadth-first walk over tuples of integer states, events in *alphabet*
+    order; an event moves every operand that owns it and needs all of them
+    to define it.  The successor lists go straight to the integer core of
+    :func:`minimize`, so no product state is named and no intermediate
+    automaton is built.
+    """
+    if not dfas:
+        raise InputError("need at least one automaton")
+    for dfa in dfas:
+        for e in dfa.alphabet.events:
+            if e not in alphabet:
+                raise InputError(f"event {e!r} missing from the wider alphabet")
+    # per event: (operand, next state by state number) for every operand owning it
+    owners: list[list[tuple[int, list[Optional[int]]]]] = [[] for _ in alphabet.events]
+    initial = []
+    accepting = []
+    for i, dfa in enumerate(dfas):
+        number, columns = _columns(dfa, alphabet.events, None)
+        for a, e in enumerate(alphabet.events):
+            if e in columns:
+                owners[a].append((i, columns[e]))
+        initial.append(number[dfa.initial])
+        accepting.append([q in dfa.marked for q in dfa.states])
+    moving = [(a, own) for a, own in enumerate(owners) if own]
+    start = tuple(initial)
+    number_of = {start: 0}
+    order = [start]
+    succ: list[list[tuple[int, int]]] = []
+    for t in order:
+        out = []
+        for a, own in moving:
+            nxt: Optional[list[int]] = None
+            for i, column in own:
+                q = column[t[i]]
+                if q is None:
+                    break
+                if nxt is None:
+                    nxt = list(t)
+                nxt[i] = q
+            else:
+                nt = tuple(nxt)
+                n = number_of.get(nt)
+                if n is None:
+                    n = number_of[nt] = len(order)
+                    order.append(nt)
+                out.append((a, n))
+        succ.append(out)
+    marked = [all(flags[q] for flags, q in zip(accepting, t)) for t in order]
+    return _minimize_numbered(succ, marked, alphabet)
+
+
 def _same_alphabet(a: Dfa, b: Dfa) -> EventAlphabet:
     if a.alphabet.events != b.alphabet.events:
         raise InputError("operands must share one alphabet (same events, same order)")
@@ -460,18 +538,12 @@ def minimize(dfa: Dfa) -> Dfa:
     unchanged.  Automata are immutable, so the record stays true; any new
     ``Dfa`` built from a recorded one carries none.
 
-    Hopcroft's partition refinement on the partial automaton (Valmari and
-    Lehtinen, STACS 2008): states are numbered breadth first, the states
-    that cannot reach a marked state are dropped, and every missing
-    transition leads to an implicit dead sink.  The sink is a class of its
-    own and never serves as a splitter, so each splitter walks only the
-    defined transitions into it and the work grows with the transitions,
-    not with states times events.
+    This is the string front end: it numbers the reachable states breadth
+    first and hands their successor lists to :func:`_minimize_numbered`.
     """
     if getattr(dfa, "_canonical", False):
         return dfa
-    events = dfa.alphabet.events
-    event_index = {e: i for i, e in enumerate(events)}
+    event_index = {e: i for i, e in enumerate(dfa.alphabet.events)}
     moves: dict[str, list[tuple[int, str]]] = {}
     for (src, e), dst in dfa.transitions.items():
         moves.setdefault(src, []).append((event_index[e], dst))
@@ -487,10 +559,29 @@ def minimize(dfa: Dfa) -> Dfa:
                 number[dst] = len(order)
                 order.append(dst)
     succ = [[(a, number[dst]) for a, dst in moves.get(q, ())] for q in order]
-    marked = [q in dfa.marked for q in order]
+    return _minimize_numbered(succ, [q in dfa.marked for q in order], dfa.alphabet)
 
+
+def _minimize_numbered(succ: list[list[tuple[int, int]]], marked: list[bool],
+                       alphabet: EventAlphabet) -> Dfa:
+    """The integer core of :func:`minimize`.
+
+    State 0 is initial; ``succ[p]`` lists the (event index, state) moves of
+    state p in event order, and ``marked[p]`` whether p is marked.
+
+    Hopcroft's partition refinement on the partial automaton (Valmari and
+    Lehtinen, STACS 2008): the states that cannot reach a marked state are
+    dropped, and every missing transition leads to an implicit dead sink.
+    The sink is a class of its own and never serves as a splitter, so each
+    splitter walks only the defined transitions into it and the work grows
+    with the transitions, not with states times events.  The classes are
+    then named breadth first from the initial one, events in alphabet
+    order, which makes the result independent of how the states were
+    numbered.
+    """
+    n = len(succ)
     # keep the live states, those from which a marked state is reachable
-    back: list[list[tuple[int, int]]] = [[] for _ in order]
+    back: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for p, out in enumerate(succ):
         for a, q in out:
             back[q].append((a, p))
@@ -503,14 +594,14 @@ def minimize(dfa: Dfa) -> Dfa:
                 live[p] = True
                 stack.append(p)
     if not live[0]:
-        return _canonical(empty_dfa(dfa.alphabet))
+        return _canonical(empty_dfa(alphabet))
 
     # refine {marked, unmarked} over the live states; a waiting block splits
     # every block by its predecessors under each event at once
     blocks: list[set[int]] = []
-    block_of = [-1] * len(order)
+    block_of = [-1] * n
     for flag in (True, False):
-        members = {q for q in range(len(order)) if live[q] and marked[q] == flag}
+        members = {q for q in range(n) if live[q] and marked[q] == flag}
         if members:
             for q in members:
                 block_of[q] = len(blocks)
@@ -544,6 +635,7 @@ def minimize(dfa: Dfa) -> Dfa:
                     in_waiting.add(b)
 
     # canonical form: the classes in breadth-first order from the initial one
+    events = alphabet.events
     names = {block_of[0]: "0"}
     queue = deque([block_of[0]])
     transitions: dict[tuple[str, str], str] = {}
@@ -560,7 +652,7 @@ def minimize(dfa: Dfa) -> Dfa:
             transitions[(names[c], events[a])] = names[d]
     states = tuple(names.values())
     accepting = frozenset(name for c, name in names.items() if marked[next(iter(blocks[c]))])
-    return _canonical(Dfa(states, dfa.alphabet, "0", transitions, accepting))
+    return _canonical(Dfa(states, alphabet, "0", transitions, accepting))
 
 
 def _canonical(dfa: Dfa) -> Dfa:
@@ -689,7 +781,8 @@ def dfa_to_text(dfa: Dfa) -> str:
     their original relative order so the round trip is bit-exact.
     """
     order = _bfs_order(dfa)
-    rest = [q for q in dfa.states if q not in set(order)]
+    reached = set(order)
+    rest = [q for q in dfa.states if q not in reached]
     states = order + rest
     pos = {q: i for i, q in enumerate(states)}
     lines = [
@@ -754,7 +847,7 @@ def dfa_from_text(text: str, source: str = "<string>") -> Dfa:
     if missing:
         raise InputError(f"{source}: missing sections: {sorted(missing)}")
     if initial is None:
-        raise AssertionError(f"{source}: parsed automaton has no initial state")
+        raise InvariantError(f"{source}: parsed automaton has no initial state")
     try:
         return Dfa(tuple(states), EventAlphabet(tuple(events), frozenset(controllable)),
                    initial, transitions, frozenset(marked))

@@ -10,7 +10,14 @@ import argparse
 import sys
 from pathlib import Path
 
-from cosynth.automata import InputError, dfa_to_text, language_equal, load_dfa, minimize, save_dfa
+from cosynth.automata import (
+    InputError,
+    dfa_to_text,
+    language_equal,
+    load_dfa,
+    minimal_product,
+    save_dfa,
+)
 from cosynth.langops import project, widen_like
 from cosynth.lstar import DfaTeacher, LearnLog, learn
 from cosynth.motion import (
@@ -44,8 +51,12 @@ def _load_env(path: str):
 
 
 def cmd_compose(args) -> int:
-    result = _compose(load_dfa(args.left), load_dfa(args.right))
-    _write(minimize(result) if args.minimize else result, args.out)
+    left, right = load_dfa(args.left), load_dfa(args.right)
+    if args.minimize:
+        result = minimal_product([left, right], left.alphabet.union(right.alphabet))
+    else:
+        result = _compose(left, right)
+    _write(result, args.out)
     return 0
 
 

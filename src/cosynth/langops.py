@@ -14,13 +14,14 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from cosynth.automata import (
     EPSILON,
     Dfa,
     EventAlphabet,
     InputError,
+    InvariantError,
     Word,
     all_marked,
     empty_dfa,
@@ -30,8 +31,10 @@ from cosynth.automata import (
     minimize,
     parallel_compose_all,
     prefix_closure,
+    shortest_marked,
     subtract,
     trim,
+    words_dfa,
     _determinize,
 )
 
@@ -110,6 +113,34 @@ def _erase(dfa: Dfa, target: Iterable[str]) -> Dfa:
     return _determinize(nfa, {dfa.initial}, set(dfa.marked), target_alphabet)
 
 
+def _lemma_products(automata: Sequence[Dfa]) -> Callable[[Iterable[str]], Dfa]:
+    """For an event set Σ', a function giving ‖_j P_{Σ'∩Σ_j}(A_j) over Σ' ∪ Σ_shared.
+
+    Σ_shared holds every event that two or more of *automata* own.  By the
+    projection lemma, if Σ' holds Σ_shared then P_{Σ'}(A_1 ‖ … ‖ A_m) =
+    ‖_j P_{Σ'∩Σ_j}(A_j) (Wonham and Cai, *Supervisory Control of
+    Discrete-Event Systems*, 2019), so the function erases each automaton on
+    its own onto (Σ' ∪ Σ_shared) ∩ Σ_j and composes the small results; the
+    product is P_{Σ'∪Σ_shared}(A_1 ‖ … ‖ A_m).  Each automaton is erased
+    once per kept event set.
+    """
+    owners = Counter(e for a in automata for e in a.alphabet.events)
+    shared = {e for e, n in owners.items() if n > 1}
+    erased: dict[tuple[int, frozenset[str]], Dfa] = {}
+
+    def product(events: Iterable[str]) -> Dfa:
+        keep = shared.union(events)
+        parts = []
+        for j, a in enumerate(automata):
+            kept = frozenset(e for e in a.alphabet.events if e in keep)
+            if (j, kept) not in erased:
+                erased[(j, kept)] = _erase(a, kept)
+            parts.append(erased[(j, kept)])
+        return parallel_compose_all(parts)
+
+    return product
+
+
 @dataclass(frozen=True)
 class Decomposition:
     """Each agent's local spec and the size of the local product it came from."""
@@ -126,35 +157,69 @@ def decompose(
     """Each agent's projection of the mission L_1 ‖ … ‖ L_m, built from its components.
 
     Spec i is P_{Σ_i}(L_1 ‖ … ‖ L_m) over the global alphabet, minimised and
-    reindexed over ``agent_alphabets[i]``.  It never builds the mission: if
-    Σ' holds every event shared by two or more components, then
-    P_{Σ'}(L_1 ‖ … ‖ L_m) = ‖_j P_{Σ'∩Σ_j}(L_j) (Wonham and Cai,
-    *Supervisory Control of Discrete-Event Systems*, 2019), so with
-    Σ' = Σ_i ∪ Σ_shared each component is erased on its own, the small
-    results are composed, and the product is projected onto Σ_i.  Agent
-    events that no component uses never occur, as in the widened mission.
-    Minimising over the global event order gives the same canonical
-    automaton as projecting the minimised mission.
+    reindexed over ``agent_alphabets[i]``.  It never builds the mission: the
+    components are erased onto Σ_i and the events they share, the results
+    composed (:func:`_lemma_products`), and the product is projected onto
+    Σ_i.  Agent events that no component uses never occur, as in the
+    widened mission.  Minimising over the global event order gives the same
+    canonical automaton as projecting the minimised mission.
     """
-    owners = Counter(e for comp in components for e in comp.alphabet.events)
-    shared = {e for e, n in owners.items() if n > 1}
-    erased: dict[tuple[int, frozenset[str]], Dfa] = {}
+    local_product = _lemma_products(components)
     specs: list[Dfa] = []
     sizes: list[int] = []
     for alphabet in agent_alphabets:
-        keep = shared.union(alphabet.events)
-        parts = []
-        for j, comp in enumerate(components):
-            kept = frozenset(e for e in comp.alphabet.events if e in keep)
-            if (j, kept) not in erased:
-                erased[(j, kept)] = _erase(comp, kept)
-            parts.append(erased[(j, kept)])
-        product = parallel_compose_all(parts)
+        product = local_product(alphabet.events)
         sizes.append(len(product.states))
         events = set(product.alphabet.events).union(alphabet.events)
         product = widen_alphabet(product, global_alphabet.restrict(events))
         specs.append(widen_like(minimize(_erase(product, alphabet.events)), alphabet))
     return Decomposition(specs, sizes)
+
+
+def satisfies_modular(plans: Sequence[Dfa], components: Sequence[Dfa],
+                      alphabet: EventAlphabet) -> Optional[Word]:
+    """``satisfies(‖plans, mission)`` for the mission ‖components over *alphabet*,
+    decided component by component without building either product.
+
+    The mission forbids the events of *alphabet* that no component owns,
+    so it is the product of the components and one more that accepts only ε
+    over those events.  A language satisfies a product iff its projection
+    onto each factor's alphabet stays inside that factor (the conjunctive
+    modular check of de Queiroz and Cury, WODES 2000), and the projection
+    of ‖plans onto Σ_j comes from the plans erased onto Σ_j and the events
+    they share (:func:`_lemma_products`).  Every component event must be in
+    *alphabet*, and every event of *alphabet* in some plan.
+
+    Returns None if the plans satisfy the mission.  Otherwise it returns a
+    word accepted by ‖plans whose projection leaves the first violated
+    factor: the local check's shortest, lexicographically least witness,
+    lifted to the least word of ‖plans that projects onto it.
+    """
+    owned = {e for c in components for e in c.alphabet.events}
+    for e in owned:
+        if e not in alphabet:
+            raise InputError(f"event {e!r} missing from the wider alphabet")
+    plan_events = {e for p in plans for e in p.alphabet.events}
+    for e in alphabet.events:
+        if e not in plan_events:
+            raise InputError("property alphabet must be contained in the system alphabet")
+    free = alphabet.restrict(e for e in alphabet.events if e not in owned)
+    factors = list(components)
+    if free.events:
+        factors.append(Dfa(("0",), free, "0", {}, frozenset(("0",))))
+    local_product = _lemma_products(plans)
+    for factor in factors:
+        product = local_product(factor.alphabet.events)
+        witness = satisfies(product, factor)
+        if witness is not None:
+            # the witness is a word of P_{Σ'}(‖plans): lift it to ‖plans
+            lifted = shortest_marked(
+                parallel_compose_all([*plans, words_dfa([witness], product.alphabet)]))
+            if lifted is None:
+                raise InvariantError(f"projected witness {' '.join(witness) or 'ε'} "
+                                     f"has no preimage in the plans' product")
+            return lifted
+    return None
 
 
 def widen_alphabet(dfa: Dfa, alphabet: EventAlphabet) -> Dfa:
@@ -350,7 +415,7 @@ def _supc_fixed_point(spec: Dfa, plant_gen: Dfa, alphabet: EventAlphabet) -> Dfa
         if language_equal(nxt, current) is None:
             return nxt
         current = nxt
-    raise AssertionError(f"supC fixed point did not stabilise within {bound} iterations")
+    raise InvariantError(f"supC fixed point did not stabilise within {bound} iterations")
 
 
 def satisfies(m: Dfa, p: Dfa) -> Optional[Word]:

@@ -17,6 +17,7 @@ from cosynth.automata import (
     EPSILON,
     Dfa,
     EventAlphabet,
+    InvariantError,
     Word,
     accepts,
     language_equal,
@@ -68,20 +69,20 @@ class ObservationTable:
 
     def check_invariants(self) -> None:
         if EPSILON not in self.S or EPSILON not in self.E:
-            raise AssertionError("ε missing from S or E")
+            raise InvariantError("ε missing from S or E")
         s_set = set(self.S)
         for s in self.S:
             for i in range(len(s)):
                 if s[:i] not in s_set:
-                    raise AssertionError(f"S not prefix-closed at {s}")
+                    raise InvariantError(f"S not prefix-closed at {s}")
         e_set = set(self.E)
         for e in self.E:
             for i in range(1, len(e) + 1):
                 if e[i:] not in e_set:
-                    raise AssertionError(f"E not suffix-closed at {e}")
+                    raise InvariantError(f"E not suffix-closed at {e}")
         for w in self.domain():
             if w not in self.T:
-                raise AssertionError(f"T not total at {w}")
+                raise InvariantError(f"T not total at {w}")
 
     def rows(self) -> list[Word]:
         out = list(self.S)
@@ -200,7 +201,7 @@ def conjecture_dfa(table: ObservationTable) -> Dfa:
     for w in table.domain():
         state = run(dfa, w)
         if state is None or (state in dfa.marked) != (table.T[w] == 1):
-            raise AssertionError(f"conjecture inconsistent with the table at {' '.join(w) or 'ε'}")
+            raise InvariantError(f"conjecture inconsistent with the table at {' '.join(w) or 'ε'}")
     return dfa
 
 

@@ -31,6 +31,7 @@ from cosynth.automata import (
     Dfa,
     EventAlphabet,
     InputError,
+    InvariantError,
     Word,
     _determinize,
     empty_dfa,
@@ -248,7 +249,7 @@ def _first_unconnected(word: Word, motion: Dfa) -> tuple[str, str]:
         previous = v
     if word and word[0] != motion.initial:
         return motion.initial, word[0]
-    raise AssertionError(f"no unconnected pair in {word}")
+    raise InvariantError(f"no unconnected pair in {word}")
 
 
 def door_profile(motion_plan: Dfa, motion: Dfa) -> Dfa:
@@ -325,7 +326,7 @@ def integrate(
         raise MotionInfeasible(_first_unconnected(witness, motion))
     delta = language_equal(project(lp, mission.alphabet.events), mission)
     if delta is not None:
-        raise AssertionError(f"integration altered the mission at {' '.join(delta) or 'ε'}")
+        raise InvariantError(f"integration altered the mission at {' '.join(delta) or 'ε'}")
     validate_integrated_clauses(lp, pi, initial_region)
     profile = door_profile(motion_plan, motion)
     return IntegratedPlan(agent, lp, mission, motion_plan, profile, initial_region, pi)
@@ -337,12 +338,12 @@ def validate_integrated_clauses(lp: Dfa, pi: LabelingMap, initial_region: str) -
     A mission event right after a region symbol must be labelled with that
     region; one right after another mission event must share a region with
     it.  The walk visits every reachable (state, last symbol) pair once, so
-    it covers plans of any length.  Raises AssertionError on failure.
+    it covers plans of any length.  Raises InvariantError on failure.
     """
     regions = set(pi.regions)
     for e in lp.alphabet.events:
         if e != initial_region and (lp.initial, e) in lp.transitions:
-            raise AssertionError(f"plan must start with the initial region, found {e!r}")
+            raise InvariantError(f"plan must start with the initial region, found {e!r}")
     start: tuple[str, Optional[str]] = (lp.initial, None)
     seen = {start}
     queue = deque([start])
@@ -355,11 +356,11 @@ def validate_integrated_clauses(lp: Dfa, pi: LabelingMap, initial_region: str) -
             if e not in regions and previous is not None:
                 if previous in regions:
                     if previous not in pi.of(e):
-                        raise AssertionError(
+                        raise InvariantError(
                             f"event {e!r} fired in region {previous!r} outside π({e!r})"
                         )
                 elif not pi.of(previous) & pi.of(e):
-                    raise AssertionError(
+                    raise InvariantError(
                         f"consecutive events {previous!r},{e!r} disagree on their region"
                     )
             if (to, e) not in seen:
@@ -480,13 +481,13 @@ def replan(lp: IntegratedPlan, nominal_motion: Dfa, real_env: Environment) -> In
         lp.motion_plan, run_language(nominal_motion, stutter=True, regions=lp.labeling.regions)
     )
     if witness is not None:
-        raise AssertionError("plan was not adequate for its nominal motion model")
+        raise InvariantError("plan was not adequate for its nominal motion model")
     real = motion_dfa(real_env, lp.initial_region)
     regions = set(lp.labeling.regions)
     if any(_door_lost(real_env, regions, v, e) for (_, v), e, _ in _region_edges(lp.dfa, regions)):
         new_dfa = _splice(lp.dfa, regions, real_env)
         if language_equal(project(new_dfa, lp.mission.alphabet.events), lp.mission) is not None:
-            raise AssertionError("replanning must preserve the mission projection")
+            raise InvariantError("replanning must preserve the mission projection")
     else:
         new_dfa = lp.dfa
     new_motion_plan = project(new_dfa, lp.labeling.regions)
@@ -494,7 +495,7 @@ def replan(lp: IntegratedPlan, nominal_motion: Dfa, real_env: Environment) -> In
         new_motion_plan, run_language(real, stutter=True, regions=lp.labeling.regions)
     )
     if witness is not None:
-        raise AssertionError("replanned motion must be executable in the real environment")
+        raise InvariantError("replanned motion must be executable in the real environment")
     profile = door_profile(new_motion_plan, real)
     return IntegratedPlan(
         lp.agent, new_dfa, lp.mission, new_motion_plan, profile, lp.initial_region, lp.labeling
@@ -651,7 +652,7 @@ def _replan_walker(
                 if e in set(new_plan.labeling.regions) and (state, e) in new_plan.dfa.transitions
             ]
             if not inserted:
-                raise AssertionError("cannot resume the replanned plan")
+                raise InvariantError("cannot resume the replanned plan")
             state = new_plan.dfa.transitions[(state, inserted[0])]
             nxt = new_plan.dfa.transitions.get((state, symbol))
         state = nxt

@@ -18,16 +18,17 @@ from cosynth.automata import (
     Dfa,
     EventAlphabet,
     InputError,
+    InvariantError,
     Word,
     dfa_to_text,
     language_empty,
     language_equal,
     language_subset,
     load_dfa,
+    minimal_product,
     minimize,
-    parallel_compose_all,
 )
-from cosynth.langops import decompose, satisfies, widen_alphabet, widen_like
+from cosynth.langops import decompose, satisfies_modular, widen_like
 from cosynth.motion import (
     IntegratedPlan,
     environment_from_text,
@@ -70,6 +71,13 @@ class PipelineConfig:
         mission: list[Path] = []
         environment: Optional[Path] = None
         labeling: Optional[Path] = None
+
+        def one_file(lineno: int, key: str, values: list[str]) -> Path:
+            if len(values) != 1:
+                raise InputError(f"{path}:{lineno}: {key} wants exactly one file,"
+                                 f" got {len(values)}")
+            return base / values[0]
+
         for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -84,9 +92,9 @@ class PipelineConfig:
             elif key == "mission":
                 mission = [base / v for v in values]
             elif key == "environment":
-                environment = base / values[0]
+                environment = one_file(lineno, key, values)
             elif key == "labeling":
-                labeling = base / values[0]
+                labeling = one_file(lineno, key, values)
             elif key.startswith(("alphabet ", "uncontrollable ", "plant ")):
                 kind, name = key.split(None, 1)
                 keyed.append((lineno, kind, name))
@@ -95,7 +103,7 @@ class PipelineConfig:
                 elif kind == "uncontrollable":
                     uncontrollable[name] = set(values)
                 else:
-                    plants[name] = base / values[0]
+                    plants[name] = one_file(lineno, key, values)
             else:
                 raise InputError(f"{path}:{lineno}: unknown key {key!r}")
         if not agent_names:
@@ -185,6 +193,14 @@ def independence_transitive(alphabets: Sequence[EventAlphabet]) -> bool:
     return True
 
 
+def global_alphabet_of(agents: Sequence[AgentConfig]) -> EventAlphabet:
+    """The agents' events in sorted order; an event is controllable iff some
+    agent controls it."""
+    events = tuple(sorted({e for a in agents for e in a.alphabet.events}))
+    controlled = {e for a in agents for e in a.alphabet.controllable}
+    return EventAlphabet(events, frozenset(events) & controlled)
+
+
 def run_pipeline(
     config: PipelineConfig,
     real_env_path: "Path | str | None" = None,
@@ -192,7 +208,14 @@ def run_pipeline(
     log_stream=None,
     stop_event: Optional[str] = "r",
 ) -> PipelineReport:
-    """Execute the full synthesis pipeline and return the report."""
+    """Execute the full synthesis pipeline and return the report.
+
+    The global mission is the product of the mission components over the
+    agents' events.  Its minimal automaton, built in one integer walk by
+    :func:`minimal_product`, is written as ``mission.aut`` and is the
+    property each verification pass checks.  The decomposition and the
+    final check work on the components themselves.
+    """
     started = time.monotonic()
     report = PipelineReport()
     agents = config.agents
@@ -200,15 +223,13 @@ def run_pipeline(
 
     # global mission: synchronous product of the components over the global
     # alphabet; an event is uncontrollable iff no agent controls it
-    global_events = tuple(sorted({e for a in agents for e in a.alphabet.events}))
-    controlled = {e for a in agents for e in a.alphabet.controllable}
-    global_alphabet = EventAlphabet(global_events, frozenset(global_events) & controlled)
+    global_alphabet = global_alphabet_of(agents)
+    global_events = global_alphabet.events
     components = [load_dfa(p) for p in config.mission_paths]
     for comp in components:
         if not set(comp.alphabet.events) <= set(global_events):
             raise InputError("mission component alphabet outside the agents' global alphabet")
-    composed = parallel_compose_all(components)
-    mission = minimize(widen_alphabet(composed, global_alphabet))
+    mission = minimal_product(components, global_alphabet)
     if language_empty(mission):
         raise InputError("the global mission language is empty")
 
@@ -286,11 +307,11 @@ def run_pipeline(
         report.add(f"  supervisor {name}: {name}_supervisor.aut states={len(sup.states)}")
     _log(log_stream, f"mission layer done at {time.monotonic() - started:.2f}s")
 
-    # the composed mission plans must satisfy the global mission
-    product = widen_like(parallel_compose_all(result.plans), global_alphabet)
-    witness = satisfies(product, mission)
+    # the composed mission plans must satisfy the global mission, checked
+    # against each component on the plans' projections
+    witness = satisfies_modular(result.plans, components, global_alphabet)
     if witness is not None:
-        raise AssertionError(f"pipeline postcondition failed at {_word(witness)}")
+        raise InvariantError(f"pipeline postcondition failed at {_word(witness)}")
     report.add("  final-check: holds")
 
     # motion planning

@@ -36,6 +36,7 @@ from cosynth.automata import (
     Dfa,
     EventAlphabet,
     InputError,
+    InvariantError,
     Word,
     accepts,
     all_marked,
@@ -208,7 +209,7 @@ class SupervisorTeacher:
                 break
             self._record(found)
         else:
-            raise AssertionError("illegal-behaviour audit did not stabilise")
+            raise InvariantError("illegal-behaviour audit did not stabilise")
         return ls_counterexample(dfa, self.k)
 
     # -- discovery of uncontrollably illegal words ----------------------
@@ -393,7 +394,7 @@ def _as_supervisor(language: Dfa, alphabet: EventAlphabet) -> Dfa:
         warnings.warn("supremal controllable sublanguage is empty; returning the empty supervisor")
         return empty_dfa(alphabet)
     if set(supervisor.marked) != set(supervisor.states):
-        raise AssertionError("supervisor states must all be marked")
+        raise InvariantError("supervisor states must all be marked")
     return supervisor
 
 

@@ -38,6 +38,7 @@ from cosynth.automata import (
     Dfa,
     EventAlphabet,
     InputError,
+    InvariantError,
     Word,
     accepts,
     all_marked,
@@ -52,6 +53,7 @@ from cosynth.automata import (
     prefix_closure,
     trim,
     word_dfa,
+    _columns,
     _determinize,
 )
 from cosynth.langops import (
@@ -188,7 +190,7 @@ def learn_assumption(module: Dfa, prop: Dfa, interface: EventAlphabet) -> Dfa:
         # holds vacuously; the product check only applies to the other case
         violation = check_triple(assumption, module, prop)
         if violation is not None:
-            raise AssertionError(
+            raise InvariantError(
                 f"weakest assumption fails its own premise at {' '.join(violation) or 'ε'}"
             )
     return assumption
@@ -311,7 +313,7 @@ def verify(modules: Sequence[Dfa], prop: Dfa) -> tuple[Verdict, int]:
         return Verdict("holds"), product_states
     verdict = analyze_counterexample(witness, modules, prop)
     if verdict.outcome != "violated":
-        raise AssertionError("direct counterexample must be realisable")
+        raise InvariantError("direct counterexample must be realisable")
     return verdict, _product_states(modules)
 
 
@@ -336,7 +338,7 @@ def assume_guarantee(modules: Sequence[Dfa], prop: Dfa) -> tuple[Verdict, list[D
     # already weakest, so a spurious counterexample cannot be refined away
     verdict, _ = verify(modules, prop)
     if premise is None and not verdict.holds():
-        raise AssertionError(
+        raise InvariantError(
             f"assume-guarantee concluded holds but the product violates the property "
             f"at {' '.join(verdict.counterexample or ()) or 'ε'}"
         )
@@ -358,19 +360,6 @@ def default_interface(i: int, modules: Sequence[Dfa], prop: Dfa) -> EventAlphabe
     admissible = common | set(prop.alphabet.events)
     chosen = ((own & others) | set(prop.alphabet.events)) & own & admissible
     return modules[i].alphabet.restrict(chosen)
-
-
-def _columns(dfa: Dfa, events: Sequence[str], missing) -> tuple[dict[str, int], dict[str, list]]:
-    """State numbers of *dfa*, and for each of *events* that it owns the
-    next-state number by state number (*missing* where undefined), with one
-    spare slot at the end that maps to *missing*."""
-    number = {q: i for i, q in enumerate(dfa.states)}
-    columns = {e: [missing] * (len(dfa.states) + 1) for e in events if e in dfa.alphabet}
-    for (src, e), dst in dfa.transitions.items():
-        column = columns.get(e)
-        if column is not None:
-            column[number[src]] = number[dst]
-    return number, columns
 
 
 class _PlanProduct:
@@ -537,7 +526,7 @@ def verify_and_refine(
             return RefinementResult("holds", plans, supervisors, rounds)
         ce = verdict.counterexample
         if ce is None:
-            raise AssertionError("a failing verdict must carry a counterexample")
+            raise InvariantError("a failing verdict must carry a counterexample")
         while ce is not None:
             if len(record.repairs) >= max_rounds:
                 return RefinementResult("infeasible", plans, supervisors, rounds, ce)
@@ -547,7 +536,7 @@ def verify_and_refine(
             agent, cut_word, new_spec = repair
             shrunk = language_subset(new_spec, plans[agent])
             if shrunk is not None:
-                raise AssertionError("re-synthesis must shrink the mission")
+                raise InvariantError("re-synthesis must shrink the mission")
             specs[agent] = new_spec
             record.repairs.append((agent, cut_word))
             if language_empty(new_spec):
@@ -559,7 +548,7 @@ def verify_and_refine(
                 return RefinementResult("infeasible", plans, supervisors, rounds, ce)
             shrunk = language_subset(new_plan, plans[agent])
             if shrunk is not None:
-                raise AssertionError("mission plans must shrink monotonically")
+                raise InvariantError("mission plans must shrink monotonically")
             plans[agent] = new_plan
             ce, _ = _direct_check(plans, prop)
     return RefinementResult("infeasible", plans, supervisors, rounds,

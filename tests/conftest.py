@@ -158,6 +158,15 @@ def reference_minimize(dfa: Dfa) -> Dfa:
     return Dfa(states, dfa.alphabet, "0", transitions, marked)
 
 
+def reference_mission(components: Sequence[Dfa], alphabet: EventAlphabet) -> Dfa:
+    """The pairwise route, the reference for :func:`cosynth.automata.minimal_product`.
+
+    Composes the components pairwise into a string-named product, widens it
+    to the alphabet and minimises it.
+    """
+    return minimize(widen_alphabet(parallel_compose_all(components), alphabet))
+
+
 def reference_decompose(components: Sequence[Dfa], agent_alphabets: Sequence[EventAlphabet],
                         global_alphabet: EventAlphabet) -> list[Dfa]:
     """The monolithic route, the reference for :func:`cosynth.langops.decompose`.
@@ -165,7 +174,7 @@ def reference_decompose(components: Sequence[Dfa], agent_alphabets: Sequence[Eve
     Composes the components into the mission, minimises it over the global
     alphabet and projects it once per agent.
     """
-    mission = minimize(widen_alphabet(parallel_compose_all(components), global_alphabet))
+    mission = reference_mission(components, global_alphabet)
     return [widen_like(project(mission, a.events), a) for a in agent_alphabets]
 
 
@@ -216,15 +225,13 @@ def casestudy():
     """Pipeline config, mission DFA, components, and decomposed specs for the case study."""
     from cosynth.automata import load_dfa
     from cosynth.fixtures import fixture_path
-    from cosynth.pipeline import PipelineConfig
+    from cosynth.pipeline import PipelineConfig, global_alphabet_of
 
     config = PipelineConfig.load(fixture_path("casestudy.cfg"))
     alphabets = [a.alphabet for a in config.agents]
-    global_events = tuple(sorted({e for a in alphabets for e in a.events}))
-    controlled = {e for a in alphabets for e in a.controllable}
-    global_alphabet = EventAlphabet(global_events, frozenset(global_events) & controlled)
+    global_alphabet = global_alphabet_of(config.agents)
     components = [load_dfa(p) for p in config.mission_paths]
-    mission = minimize(widen_alphabet(parallel_compose_all(components), global_alphabet))
+    mission = reference_mission(components, global_alphabet)
     specs = reference_decompose(components, alphabets, global_alphabet)
     return {
         "config": config,

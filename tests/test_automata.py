@@ -4,7 +4,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cosynth.automata import (
@@ -20,6 +20,7 @@ from cosynth.automata import (
     language_empty,
     language_equal,
     language_subset,
+    minimal_product,
     minimize,
     parallel_compose,
     run,
@@ -38,6 +39,7 @@ from conftest import (
     lang_set,
     random_dfa,
     reference_minimize,
+    reference_mission,
     words_up_to,
 )
 
@@ -184,6 +186,22 @@ def test_complement_membership_flips():
             assert brute_accepts(co, w) != brute_accepts(d, w)
 
 
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_events=st.integers(min_value=1, max_value=3),
+    marked_p=st.sampled_from((0.0, 0.3, 0.6, 1.0)),
+)
+def test_complement_matches_word_enumeration(seed, n_events, marked_p):
+    rng = random.Random(seed)
+    events = ("a", "b", "c")[:n_events]
+    d = random_dfa(rng, 4, events, density=rng.choice((0.3, 0.7, 1.0)), marked_p=marked_p)
+    co = complement(d)
+    assert co.alphabet == d.alphabet and co.is_total()
+    everything = set(words_up_to(events, 5))
+    assert lang_set(co, 5) == everything - lang_set(d, 5)
+
+
 def test_trim_fixpoint():
     d = trim(ab_star_prefixes())
     again = trim(d)
@@ -238,6 +256,52 @@ def test_minimize_matches_moore_reference(seed, n_events, density, marked_p):
     events = ("a", "b", "c", "d", "e")[:n_events]
     d = random_dfa(rng, 12, events, density=density, marked_p=marked_p)
     assert dfa_to_text(minimize(d)) == dfa_to_text(reference_minimize(d))
+
+
+PRODUCT_POOL = ("d", "a", "c", "b")  # components draw from these, not in sorted order
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    component_events=st.lists(st.sets(st.sampled_from(PRODUCT_POOL), min_size=1),
+                              min_size=1, max_size=4),
+    free=st.sets(st.sampled_from(("x", "y"))),
+    marked_p=st.sampled_from((0.0, 0.3, 0.6, 1.0)),
+)
+# partially overlapping components and a global event no component owns
+@example(seed=3, component_events=[{"a", "c"}, {"c", "d"}, {"b", "d"}], free={"x"}, marked_p=0.6)
+# a component that marks nothing: the product language is empty
+@example(seed=1, component_events=[{"a"}, {"a", "b"}], free=set(), marked_p=0.0)
+def test_minimal_product_matches_the_pairwise_route(seed, component_events, free, marked_p):
+    rng = random.Random(seed)
+    components = []
+    for events in component_events:
+        order = sorted(events)
+        rng.shuffle(order)  # an event order unlike the global one
+        components.append(random_dfa(rng, 3, order, marked_p=marked_p))
+    events = sorted(set().union(*component_events) | free)
+    rng.shuffle(events)
+    alphabet = EventAlphabet(tuple(events), frozenset(rng.sample(events, len(events) // 2)))
+    got = minimal_product(components, alphabet)
+    assert dfa_to_text(got) == dfa_to_text(reference_mission(components, alphabet))
+    assert got.alphabet == alphabet
+    assert minimize(got) is got  # recorded as canonical
+
+
+def test_minimal_product_of_an_empty_language_is_the_canonical_empty_dfa():
+    ab = EventAlphabet(("a", "b"))
+    left = Dfa(("0",), ab, "0", {("0", "a"): "0"}, frozenset({"0"}))
+    right = Dfa(("0", "1"), ab, "0", {("0", "b"): "1"}, frozenset({"1"}))  # left never moves on b
+    got = minimal_product([left, right], ab)
+    assert dfa_to_text(got) == "states: 0\nalphabet: a b\ncontrollable: \ninitial: 0\nmarked: \ntransitions:\n"
+
+
+def test_minimal_product_rejects_events_outside_the_alphabet():
+    with pytest.raises(InputError, match="missing from the wider alphabet"):
+        minimal_product([word_dfa(("a",), AB)], EventAlphabet(("a",)))
+    with pytest.raises(InputError, match="at least one"):
+        minimal_product([], AB)
 
 
 @settings(max_examples=200, deadline=None, database=None)

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from cosynth.automata import (
     Dfa,
     EventAlphabet,
     accepts,
+    dfa_to_text,
     language_equal,
     load_dfa,
     save_dfa,
@@ -19,7 +21,7 @@ from cosynth.automata import (
 )
 from cosynth.cli import main
 from cosynth.fixtures import fixture_path
-from conftest import cycle_dfa, lang_set
+from conftest import cycle_dfa, lang_set, reference_mission
 
 AU = EventAlphabet(("a", "u"), frozenset({"a"}))
 
@@ -41,6 +43,20 @@ def test_compose_self_is_language_equal(tmp_path, chain_files):
     out = tmp_path / "out.aut"
     assert main(["compose", str(spec_p), str(spec_p), "-o", str(out)]) == 0
     assert language_equal(load_dfa(out), load_dfa(spec_p)) is None
+
+
+def test_compose_minimize_writes_the_minimal_product(tmp_path):
+    left = Dfa(("0", "1"), EventAlphabet(("b", "a"), frozenset({"a"})), "0",
+               {("0", "a"): "1", ("1", "b"): "0"}, frozenset({"0"}))
+    right = Dfa(("0", "1"), EventAlphabet(("c", "a")), "0",
+                {("0", "c"): "1", ("1", "a"): "0", ("0", "a"): "0"}, frozenset({"0", "1"}))
+    save_dfa(left, tmp_path / "left.aut")
+    save_dfa(right, tmp_path / "right.aut")
+    out = tmp_path / "out.aut"
+    assert main(["compose", str(tmp_path / "left.aut"), str(tmp_path / "right.aut"),
+                 "--minimize", "-o", str(out)]) == 0
+    expected = reference_mission([left, right], left.alphabet.union(right.alphabet))
+    assert out.read_text(encoding="utf-8") == dfa_to_text(expected)
 
 
 def test_project_command(tmp_path):
@@ -317,6 +333,49 @@ def test_pipeline_config_names_an_undeclared_or_repeated_agent(tmp_path, capsys,
     assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {config}:{line}: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, old, line", [
+    ("environment", "environment: nominal.env", 4),
+    ("labeling", "labeling: labels.pi", 5),
+    ("plant agent2", "labeling: labels.pi", 6),
+])
+@pytest.mark.parametrize("values", ["", " nominal.env labels.pi"])
+def test_pipeline_config_wants_exactly_one_file_per_key(tmp_path, capsys, key, old, line, values):
+    # an empty value used to raise IndexError, and extra values were dropped
+    text = fixture_path("casestudy.cfg").read_text(encoding="utf-8")
+    assert old in text
+    entry = f"{key}:{values}"
+    new = f"{old}\n{entry}" if key.startswith("plant ") else entry
+    config = tmp_path / "casestudy.cfg"
+    config.write_text(text.replace(old, new), encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 2
+    count = len(values.split())
+    assert capsys.readouterr().err == (
+        f"error: {config}:{line}: {key} wants exactly one file, got {count}\n")
+    assert not out.exists()
+
+
+def test_pipeline_postcondition_is_an_invariant_error_under_optimized_python(tmp_path):
+    # the final check is an explicit raise of the typed invariant, so
+    # ``python -O`` keeps it; a check that finds a word must stop the run
+    script = textwrap.dedent(f"""
+        from cosynth import pipeline
+        from cosynth.fixtures import fixture_path
+
+        if __debug__:
+            raise SystemExit("not optimized")
+        pipeline.satisfies_modular = lambda plans, components, alphabet: ("r",)
+        pipeline.run_pipeline(pipeline.PipelineConfig.load(fixture_path("casestudy.cfg")))
+    """)
+    src = Path(cosynth.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1, done.stderr
+    assert "cosynth.automata.InvariantError: pipeline postcondition failed at r" in done.stderr
 
 
 def test_shipped_fixture_files_are_canonical():

@@ -18,6 +18,7 @@ from cosynth.automata import (
     language_equal,
     language_subset,
     minimize,
+    parallel_compose_all,
     universal_dfa,
     word_dfa,
     words_dfa,
@@ -33,6 +34,7 @@ from cosynth.langops import (
     project,
     quotient,
     satisfies,
+    satisfies_modular,
     sup_c,
     widen_like,
 )
@@ -42,6 +44,7 @@ from conftest import (
     lang_set,
     random_dfa,
     reference_decompose,
+    reference_mission,
     words_up_to,
 )
 
@@ -345,6 +348,122 @@ def test_satisfies_counterexample():
 def test_satisfies_requires_alphabet_containment():
     with pytest.raises(InputError):
         satisfies(word_dfa(("a",), EventAlphabet(("a",))), universal_dfa(AB))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    target=st.sampled_from(((), ("a",), ("c", "b"), ("b", "a", "c"))),
+    marked_p=st.sampled_from((0.0, 0.3, 0.6, 1.0)),
+)
+def test_satisfies_matches_word_enumeration(seed, target, marked_p):
+    # the witness is the shortest, lexicographically least violating word in
+    # the system's event order, which need not be the property's
+    rng = random.Random(seed)
+    events = ["a", "b", "c"]
+    rng.shuffle(events)
+    m = random_dfa(rng, 4, events, marked_p=marked_p)
+    p = random_dfa(rng, 3, target, density=rng.choice((0.4, 0.8)), marked_p=0.6)
+    violations = [w for w in words_up_to(m.alphabet.events, 5)
+                  if brute_accepts(m, w) and not brute_accepts(p, brute_project(w, target))]
+    got = satisfies(m, p)
+    if violations:
+        assert got == violations[0]
+    elif got is not None:
+        assert len(got) > 5
+        assert brute_accepts(m, got) and not brute_accepts(p, brute_project(got, target))
+
+
+def _plans_and_components(seed, plan_events, component_events, derived):
+    """Random plans over their own event orders, components over events the
+    plans own, and the plans' global alphabet in yet another order.  Derived
+    components are the plans' own projections, so the check mostly holds."""
+    rng = random.Random(seed)
+    owned = [sorted(events) for events in plan_events]
+    owned[-1] += sorted(set().union(*component_events) - set().union(*plan_events))
+    plans = []
+    for events in owned:
+        rng.shuffle(events)
+        plans.append(random_dfa(rng, 3, events, marked_p=0.7))
+    events = sorted(set().union(*owned))
+    rng.shuffle(events)
+    alphabet = EventAlphabet(tuple(events))
+    components = []
+    product = parallel_compose_all(plans)
+    for events in component_events:
+        order = sorted(events)
+        rng.shuffle(order)
+        if derived:
+            components.append(widen_like(project(product, order), EventAlphabet(tuple(order))))
+        else:
+            components.append(random_dfa(rng, 3, order, marked_p=0.7))
+    return plans, components, alphabet
+
+
+MODULAR_POOL = ("d", "a", "c", "b")
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    plan_events=st.lists(st.sets(st.sampled_from(MODULAR_POOL + ("x",)), min_size=1),
+                         min_size=1, max_size=3),
+    component_events=st.lists(st.sets(st.sampled_from(MODULAR_POOL), min_size=1),
+                              min_size=1, max_size=3),
+    derived=st.booleans(),
+)
+# the plans share c, which the component on {a, b} does not own
+@example(seed=5, plan_events=[{"a", "c"}, {"b", "c"}], component_events=[{"a", "b"}],
+         derived=True)
+# x belongs to a plan but to no component: only the ε-component checks it
+@example(seed=4, plan_events=[{"a", "x"}, {"a", "b"}], component_events=[{"a"}, {"b"}],
+         derived=True)
+def test_satisfies_modular_agrees_with_the_monolithic_check(seed, plan_events,
+                                                            component_events, derived):
+    plans, components, alphabet = _plans_and_components(seed, plan_events, component_events,
+                                                        derived)
+    mission = reference_mission(components, alphabet)
+    expected = satisfies(widen_like(parallel_compose_all(plans), alphabet), mission)
+    got = satisfies_modular(plans, components, alphabet)
+    assert (got is None) == (expected is None)
+    if got is not None:
+        # a word of the plans' product whose projection leaves some factor
+        assert set(got) <= set(alphabet.events)
+        assert all(brute_accepts(p, brute_project(got, p.alphabet.events)) for p in plans)
+        owned = {e for c in components for e in c.alphabet.events}
+        assert (brute_project(got, set(alphabet.events) - owned)
+                or any(not brute_accepts(c, brute_project(got, c.alphabet.events))
+                       for c in components))
+        assert not brute_accepts(mission, got)
+
+
+def test_satisfies_modular_lifts_the_local_witness_to_the_plans_product():
+    sa = EventAlphabet(("a", "s"))
+    sb = EventAlphabet(("s", "b"))
+    plans = [words_dfa([("a", "s")], sa), words_dfa([("s", "b")], sb)]
+    anything = universal_dfa(sa)
+    only_eps = Dfa(("0",), EventAlphabet(("b",)), "0", {}, frozenset({"0"}))
+    alphabet = EventAlphabet(("a", "b", "s"))
+    # locally the violation is "s b"; in the product it needs the a first
+    assert satisfies_modular(plans, [anything, only_eps], alphabet) == ("a", "s", "b")
+    b_once = word_dfa(("b",), EventAlphabet(("b",)))
+    assert satisfies_modular(plans, [anything, b_once], alphabet) is None
+
+
+def test_satisfies_modular_forbids_events_of_no_component():
+    ax = EventAlphabet(("a", "x"))
+    plan = words_dfa([("a",), ("a", "x")], ax)
+    a_star = universal_dfa(EventAlphabet(("a",)))
+    assert satisfies_modular([plan], [a_star], ax) == ("a", "x")
+    assert satisfies_modular([plan], [a_star], EventAlphabet(("a",))) is None
+
+
+def test_satisfies_modular_rejects_alphabets_it_cannot_check():
+    plan = word_dfa(("a",), EventAlphabet(("a",)))
+    with pytest.raises(InputError, match="missing from the wider alphabet"):
+        satisfies_modular([plan], [universal_dfa(AB)], EventAlphabet(("a",)))
+    with pytest.raises(InputError, match="contained in the system alphabet"):
+        satisfies_modular([plan], [universal_dfa(EventAlphabet(("a",)))], AB)
 
 
 # -- prefix-closed sublanguage -------------------------------------------------

@@ -65,7 +65,7 @@ def test_table_invariants_hold_under_optimized_python():
     done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 1, done.stderr
-    assert "AssertionError: S not prefix-closed at ('a', 'b')" in done.stderr
+    assert "cosynth.automata.InvariantError: S not prefix-closed at ('a', 'b')" in done.stderr
 
 
 def test_closing_a_star_extends_s():

@@ -584,7 +584,7 @@ def test_replan_checks_adequacy_under_optimized_python():
     done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 1, done.stderr
-    assert "AssertionError: plan was not adequate for its nominal motion model" in done.stderr
+    assert "cosynth.automata.InvariantError: plan was not adequate for its nominal motion model" in done.stderr
 
 
 def test_simulate_empty_plan_set():
