@@ -11,6 +11,13 @@ Completion (adding an absorbing error state) is explicit where an operation
 needs a total automaton, as complementation does; minimisation and the
 language comparisons walk the partial automaton and send every missing
 transition to an implicit, absorbing, unmarked sink instead.
+
+Every synchronous product is one breadth-first walk over tuples of integer
+operand states (``_Product``): :func:`parallel_compose_all`, with
+:func:`parallel_compose` its two-operand case, names the tuples it reaches;
+:func:`minimal_product` feeds them to the integer core of :func:`minimize`;
+and the plan check of :mod:`cosynth.verification` walks them next to the
+property.
 """
 
 from __future__ import annotations
@@ -268,56 +275,6 @@ def complement(dfa: Dfa) -> Dfa:
 # -- products over a shared or merged alphabet ---------------------------
 
 
-def parallel_compose(a: Dfa, b: Dfa) -> Dfa:
-    """Parallel composition: shared events synchronise, private events interleave.
-
-    The result is over the union alphabet, trimmed to accessible states,
-    with marked states the product of the operand marked sets and composed
-    state ids named "⟨left,right⟩".
-    """
-    alphabet = a.alphabet.union(b.alphabet)
-    in_a = {e: e in a.alphabet for e in alphabet.events}
-    in_b = {e: e in b.alphabet for e in alphabet.events}
-
-    def name(pa: str, pb: str) -> str:
-        return f"⟨{pa},{pb}⟩"
-
-    init = (a.initial, b.initial)
-    order: list[tuple[str, str]] = [init]
-    seen = {init}
-    transitions: dict[tuple[str, str], str] = {}
-    marked = set()
-    queue = deque(order)
-    while queue:
-        qa, qb = queue.popleft()
-        if qa in a.marked and qb in b.marked:
-            marked.add(name(qa, qb))
-        for e in alphabet.events:
-            na = a.transitions.get((qa, e)) if in_a[e] else qa
-            nb = b.transitions.get((qb, e)) if in_b[e] else qb
-            if in_a[e] and na is None:
-                continue
-            if in_b[e] and nb is None:
-                continue
-            nxt = (na, nb)
-            transitions[(name(qa, qb), e)] = name(na, nb)
-            if nxt not in seen:
-                seen.add(nxt)
-                order.append(nxt)
-                queue.append(nxt)
-    states = tuple(name(qa, qb) for qa, qb in order)
-    return Dfa(states, alphabet, name(*init), transitions, frozenset(marked))
-
-
-def parallel_compose_all(dfas: Sequence[Dfa]) -> Dfa:
-    if not dfas:
-        raise InputError("need at least one automaton")
-    result = dfas[0]
-    for other in dfas[1:]:
-        result = parallel_compose(result, other)
-    return result
-
-
 def _columns(dfa: Dfa, events: Sequence[str], missing) -> tuple[dict[str, int], dict[str, list]]:
     """State numbers of *dfa*, and for each of *events* that it owns the
     next-state number by state number (*missing* where undefined), with one
@@ -331,45 +288,61 @@ def _columns(dfa: Dfa, events: Sequence[str], missing) -> tuple[dict[str, int], 
     return number, columns
 
 
-def minimal_product(dfas: Sequence[Dfa], alphabet: EventAlphabet) -> Dfa:
-    """The canonical minimal automaton of the product of *dfas* over *alphabet*.
-
-    The result is ``minimize(widen_alphabet(parallel_compose_all(dfas),
-    alphabet))``: every operand event must be in *alphabet*, and an event of
-    *alphabet* that no operand owns never occurs.  It is built in one
-    breadth-first walk over tuples of integer states, events in *alphabet*
-    order; an event moves every operand that owns it and needs all of them
-    to define it.  The successor lists go straight to the integer core of
-    :func:`minimize`, so no product state is named and no intermediate
-    automaton is built.
-    """
+def _union_events(dfas: Sequence[Dfa]) -> tuple[str, ...]:
+    """The events of *dfas*, each once, in operand order."""
     if not dfas:
         raise InputError("need at least one automaton")
-    for dfa in dfas:
-        for e in dfa.alphabet.events:
-            if e not in alphabet:
-                raise InputError(f"event {e!r} missing from the wider alphabet")
-    # per event: (operand, next state by state number) for every operand owning it
-    owners: list[list[tuple[int, list[Optional[int]]]]] = [[] for _ in alphabet.events]
-    initial = []
-    accepting = []
-    for i, dfa in enumerate(dfas):
-        number, columns = _columns(dfa, alphabet.events, None)
-        for a, e in enumerate(alphabet.events):
-            if e in columns:
-                owners[a].append((i, columns[e]))
-        initial.append(number[dfa.initial])
-        accepting.append([q in dfa.marked for q in dfa.states])
-    moving = [(a, own) for a, own in enumerate(owners) if own]
-    start = tuple(initial)
-    number_of = {start: 0}
-    order = [start]
-    succ: list[list[tuple[int, int]]] = []
-    for t in order:
+    return tuple(dict.fromkeys(e for dfa in dfas for e in dfa.alphabet.events))
+
+
+class _Product:
+    """The synchronous product of *dfas* over *events*, walked over tuples of
+    integer operand states without naming them.
+
+    Operand i's state number is its position in ``dfas[i].states``.  An
+    event moves every operand that owns it and needs all of them to define
+    it; an event no operand owns never occurs.  A tuple is marked when every
+    operand is marked in it.  :meth:`moves` and :meth:`is_marked` remember
+    what they computed, for walks that visit a tuple more than once.
+    """
+
+    def __init__(self, dfas: Sequence[Dfa], events: Sequence[str]) -> None:
+        self.events = events
+        # per event: (operand, next state by state number) for every operand owning it
+        owners: list[list[tuple[int, list[Optional[int]]]]] = [[] for _ in self.events]
+        self._accepting: list[list[bool]] = []
+        initial = []
+        for i, dfa in enumerate(dfas):
+            number, columns = _columns(dfa, self.events, None)
+            for a, e in enumerate(self.events):
+                if e in columns:
+                    owners[a].append((i, columns[e]))
+            self._accepting.append([q in dfa.marked for q in dfa.states])
+            initial.append(number[dfa.initial])
+        self._owners = [(a, own) for a, own in enumerate(owners) if own]
+        self.initial = tuple(initial)
+        self._moves: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
+        self._is_marked: dict[tuple[int, ...], bool] = {}
+
+    def is_marked(self, t: tuple[int, ...]) -> bool:
+        """Whether every operand is marked in t."""
+        flag = self._is_marked.get(t)
+        if flag is None:
+            flag = self._is_marked[t] = all(flags[q] for flags, q in zip(self._accepting, t))
+        return flag
+
+    def moves(self, t: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+        """(event index, next tuple) for each move of t, in event order."""
+        out = self._moves.get(t)
+        if out is None:
+            out = self._moves[t] = self._step(t)
+        return out
+
+    def _step(self, t: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
         out = []
-        for a, own in moving:
+        for a, owners in self._owners:
             nxt: Optional[list[int]] = None
-            for i, column in own:
+            for i, column in owners:
                 q = column[t[i]]
                 if q is None:
                     break
@@ -377,15 +350,89 @@ def minimal_product(dfas: Sequence[Dfa], alphabet: EventAlphabet) -> Dfa:
                     nxt = list(t)
                 nxt[i] = q
             else:
-                nt = tuple(nxt)
-                n = number_of.get(nt)
+                out.append((a, tuple(nxt)))
+        return out
+
+    def expanded(self) -> int:
+        """Number of tuples whose moves :meth:`moves` computed."""
+        return len(self._moves)
+
+    def explore(self) -> tuple[list[tuple[int, ...]], list[list[tuple[int, int]]]]:
+        """The reachable tuples, numbered breadth first from the initial one
+        with events in the product's order, and the (event index, tuple
+        number) moves of each in that order."""
+        number = {self.initial: 0}
+        order = [self.initial]
+        succ: list[list[tuple[int, int]]] = []
+        for t in order:
+            out = []
+            for a, nt in self._step(t):
+                n = number.get(nt)
                 if n is None:
-                    n = number_of[nt] = len(order)
+                    n = number[nt] = len(order)
                     order.append(nt)
                 out.append((a, n))
-        succ.append(out)
-    marked = [all(flags[q] for flags, q in zip(accepting, t)) for t in order]
-    return _minimize_numbered(succ, marked, alphabet)
+            succ.append(out)
+        return order, succ
+
+
+def parallel_compose(a: Dfa, b: Dfa) -> Dfa:
+    """Parallel composition: shared events synchronise, private events interleave.
+
+    The result is over the union alphabet, trimmed to accessible states,
+    with marked states the product of the operand marked sets and composed
+    state ids named "⟨left,right⟩".  It is the two-operand case of
+    :func:`parallel_compose_all`.
+    """
+    return parallel_compose_all((a, b))
+
+
+def parallel_compose_all(dfas: Sequence[Dfa]) -> Dfa:
+    """The parallel composition of *dfas*, in one breadth-first walk of their product.
+
+    The result equals :func:`parallel_compose` folded from the left: it is
+    over the union of the operand alphabets in operand order, holds the
+    accessible states in breadth-first order, marks the tuples in which every
+    operand is marked, and names each tuple once, left-nested as
+    "⟨⟨a,b⟩,c⟩".  One operand is returned as it is.
+    """
+    events = _union_events(dfas)
+    if len(dfas) == 1:
+        return dfas[0]
+    product = _Product(dfas, events)
+    order, succ = product.explore()
+    first, *rest = [dfa.states for dfa in dfas]
+    names = []
+    for t in order:
+        name = first[t[0]]
+        for states, q in zip(rest, t[1:]):
+            name = f"⟨{name},{states[q]}⟩"
+        names.append(name)
+    transitions = {(names[p], events[a]): names[n] for p, out in enumerate(succ) for a, n in out}
+    marked = frozenset(name for name, t in zip(names, order) if product.is_marked(t))
+    controllable = frozenset().union(*(dfa.alphabet.controllable for dfa in dfas))
+    return Dfa(tuple(names), EventAlphabet(events, controllable), names[0], transitions, marked)
+
+
+def minimal_product(dfas: Sequence[Dfa], alphabet: EventAlphabet) -> Dfa:
+    """The canonical minimal automaton of the product of *dfas* over *alphabet*.
+
+    The result is ``minimize(widen_alphabet(parallel_compose_all(dfas),
+    alphabet))``: every operand event must be in *alphabet*, and an event of
+    *alphabet* that no operand owns never occurs.  The product's walk
+    numbers the tuples breadth first, events in *alphabet* order, and its
+    successor lists go straight to the integer core of :func:`minimize`, so
+    no product state is named and no intermediate automaton is built.
+    """
+    if not dfas:
+        raise InputError("need at least one automaton")
+    for dfa in dfas:
+        for e in dfa.alphabet.events:
+            if e not in alphabet:
+                raise InputError(f"event {e!r} missing from the wider alphabet")
+    product = _Product(dfas, alphabet.events)
+    order, succ = product.explore()
+    return _minimize_numbered(succ, [product.is_marked(t) for t in order], alphabet)
 
 
 def _same_alphabet(a: Dfa, b: Dfa) -> EventAlphabet:
@@ -397,24 +444,20 @@ def _same_alphabet(a: Dfa, b: Dfa) -> EventAlphabet:
 def intersect(a: Dfa, b: Dfa) -> Dfa:
     """Accepts L_m(a) ∩ L_m(b); both operands over the same alphabet."""
     _same_alphabet(a, b)
-    prod = parallel_compose(a, b)
-    return accessible(prod)
+    return parallel_compose(a, b)
 
 
 def union_lang(a: Dfa, b: Dfa) -> Dfa:
-    """Accepts L_m(a) ∪ L_m(b); both operands over the same alphabet."""
+    """Accepts L_m(a) ∪ L_m(b); both operands over the same alphabet.
+
+    The product of the two complements is complete, and a tuple is marked in
+    it exactly when neither operand accepts, so the union is its unmarked
+    states.
+    """
     alphabet = _same_alphabet(a, b)
-    ca, _ = complete(a)
-    cb, _ = complete(b)
-    prod = parallel_compose(ca, cb)
-    marked = set()
-    for qa in ca.states:
-        for qb in cb.states:
-            if qa in a.marked or qb in b.marked:
-                marked.add(f"⟨{qa},{qb}⟩")
-    fixed = Dfa(prod.states, alphabet, prod.initial, prod.transitions,
-                frozenset(marked) & set(prod.states))
-    return accessible(fixed)
+    neither = parallel_compose(complement(a), complement(b))
+    return Dfa(neither.states, alphabet, neither.initial, neither.transitions,
+               frozenset(neither.states) - neither.marked)
 
 
 def subtract(a: Dfa, b: Dfa) -> Dfa:

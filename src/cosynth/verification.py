@@ -55,6 +55,8 @@ from cosynth.automata import (
     word_dfa,
     _columns,
     _determinize,
+    _Product,
+    _union_events,
 )
 from cosynth.langops import (
     prefix_close_largest,
@@ -362,79 +364,10 @@ def default_interface(i: int, modules: Sequence[Dfa], prop: Dfa) -> EventAlphabe
     return modules[i].alphabet.restrict(chosen)
 
 
-class _PlanProduct:
-    """The agents' product, explored on the fly over tuples of plan states.
-
-    Events follow the union of the plans' alphabets in agent order, the
-    order of :func:`parallel_compose_all`; an event moves every plan that
-    owns it and needs all of them to define it.  Each tuple's moves and
-    marking are computed once.
-    """
-
-    def __init__(self, modules: Sequence[Dfa]) -> None:
-        if not modules:
-            raise InputError("need at least one automaton")
-        events: list[str] = []
-        for m in modules:
-            events.extend(e for e in m.alphabet.events if e not in events)
-        self.events = events
-        # per event: (plan, next state by state number) for every plan owning it
-        self.owners: list[list[tuple[int, list[Optional[int]]]]] = [[] for _ in events]
-        self.marked: list[list[bool]] = []
-        initial = []
-        for i, m in enumerate(modules):
-            number, columns = _columns(m, events, None)
-            for a, e in enumerate(events):
-                if e in columns:
-                    self.owners[a].append((i, columns[e]))
-            self.marked.append([q in m.marked for q in m.states])
-            initial.append(number[m.initial])
-        self.initial = tuple(initial)
-        self._moves: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
-        self._is_marked: dict[tuple[int, ...], bool] = {}
-
-    def is_marked(self, t: tuple[int, ...]) -> bool:
-        """Whether every plan is marked in t."""
-        flag = self._is_marked.get(t)
-        if flag is None:
-            flag = self._is_marked[t] = all(marked[q] for marked, q in zip(self.marked, t))
-        return flag
-
-    def moves(self, t: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
-        """(event index, next tuple) for each move of t, in event order."""
-        out = self._moves.get(t)
-        if out is None:
-            out = []
-            for a, owners in enumerate(self.owners):
-                nxt: Optional[list[int]] = None
-                for i, column in owners:
-                    q = column[t[i]]
-                    if q is None:
-                        break
-                    if nxt is None:
-                        nxt = list(t)
-                    nxt[i] = q
-                else:
-                    out.append((a, tuple(nxt)))
-            self._moves[t] = out
-        return out
-
-    def expanded(self) -> int:
-        """Number of tuples whose moves were computed."""
-        return len(self._moves)
-
-
 def _product_states(modules: Sequence[Dfa]) -> int:
     """Number of reachable states of the agents' product."""
-    product = _PlanProduct(modules)
-    seen = {product.initial}
-    stack = [product.initial]
-    while stack:
-        for _, nt in product.moves(stack.pop()):
-            if nt not in seen:
-                seen.add(nt)
-                stack.append(nt)
-    return len(seen)
+    order, _ = _Product(modules, _union_events(modules)).explore()
+    return len(order)
 
 
 def _direct_check(modules: Sequence[Dfa], prop: Dfa) -> tuple[Optional[Word], int]:
@@ -442,11 +375,12 @@ def _direct_check(modules: Sequence[Dfa], prop: Dfa) -> tuple[Optional[Word], in
     violates the property (None if there is none), and the number of plan
     tuples the walk expanded: all of the product's states when there is none.
 
-    A breadth-first walk over (plan tuple, property state); a missing
-    property transition leads to an implicit, absorbing, unmarked sink.  A
-    word violates when every plan is marked and the property is not.
+    A breadth-first walk over (plan tuple, property state), events in the
+    order of :func:`parallel_compose_all`; a missing property transition
+    leads to an implicit, absorbing, unmarked sink.  A word violates when
+    every plan is marked and the property is not.
     """
-    product = _PlanProduct(modules)
+    product = _Product(modules, _union_events(modules))
     sink = len(prop.states)
     prop_number, columns = _columns(prop, product.events, sink)
     prop_columns = [columns.get(e) for e in product.events]

@@ -22,7 +22,6 @@ from cosynth.automata import (
     complete,
     empty_dfa,
     minimize,
-    parallel_compose_all,
 )
 from cosynth.langops import project, widen_alphabet, widen_like
 from cosynth.motion import ReplanInfeasible
@@ -158,13 +157,61 @@ def reference_minimize(dfa: Dfa) -> Dfa:
     return Dfa(states, dfa.alphabet, "0", transitions, marked)
 
 
+def _reference_pair(a: Dfa, b: Dfa) -> Dfa:
+    alphabet = a.alphabet.union(b.alphabet)
+    in_a = {e: e in a.alphabet for e in alphabet.events}
+    in_b = {e: e in b.alphabet for e in alphabet.events}
+
+    def name(pa: str, pb: str) -> str:
+        return f"⟨{pa},{pb}⟩"
+
+    init = (a.initial, b.initial)
+    order: list[tuple[str, str]] = [init]
+    seen = {init}
+    transitions: dict[tuple[str, str], str] = {}
+    marked = set()
+    queue = deque(order)
+    while queue:
+        qa, qb = queue.popleft()
+        if qa in a.marked and qb in b.marked:
+            marked.add(name(qa, qb))
+        for e in alphabet.events:
+            na = a.transitions.get((qa, e)) if in_a[e] else qa
+            nb = b.transitions.get((qb, e)) if in_b[e] else qb
+            if in_a[e] and na is None:
+                continue
+            if in_b[e] and nb is None:
+                continue
+            nxt = (na, nb)
+            transitions[(name(qa, qb), e)] = name(na, nb)
+            if nxt not in seen:
+                seen.add(nxt)
+                order.append(nxt)
+                queue.append(nxt)
+    states = tuple(name(qa, qb) for qa, qb in order)
+    return Dfa(states, alphabet, name(*init), transitions, frozenset(marked))
+
+
+def reference_compose(dfas: Sequence[Dfa]) -> Dfa:
+    """The pairwise route, the reference for :func:`cosynth.automata.parallel_compose_all`.
+
+    Folds from the left a breadth-first walk over pairs of named states, each
+    pair named "⟨left,right⟩", over the union alphabet with events in operand
+    order.  One operand is returned as it is.
+    """
+    result = dfas[0]
+    for other in dfas[1:]:
+        result = _reference_pair(result, other)
+    return result
+
+
 def reference_mission(components: Sequence[Dfa], alphabet: EventAlphabet) -> Dfa:
     """The pairwise route, the reference for :func:`cosynth.automata.minimal_product`.
 
     Composes the components pairwise into a string-named product, widens it
     to the alphabet and minimises it.
     """
-    return minimize(widen_alphabet(parallel_compose_all(components), alphabet))
+    return minimize(widen_alphabet(reference_compose(components), alphabet))
 
 
 def reference_decompose(components: Sequence[Dfa], agent_alphabets: Sequence[EventAlphabet],

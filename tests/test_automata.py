@@ -23,6 +23,7 @@ from cosynth.automata import (
     minimal_product,
     minimize,
     parallel_compose,
+    parallel_compose_all,
     run,
     trim,
     universal_dfa,
@@ -38,6 +39,7 @@ from conftest import (
     cycle_dfa,
     lang_set,
     random_dfa,
+    reference_compose,
     reference_minimize,
     reference_mission,
     words_up_to,
@@ -259,6 +261,34 @@ def test_minimize_matches_moore_reference(seed, n_events, density, marked_p):
 
 
 PRODUCT_POOL = ("d", "a", "c", "b")  # components draw from these, not in sorted order
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    operand_events=st.lists(st.sets(st.sampled_from(PRODUCT_POOL), min_size=1),
+                            min_size=1, max_size=4),
+    marked_p=st.sampled_from((0.0, 0.5, 1.0)),
+)
+# partly overlapping alphabets, each in its own order, and unmarked states
+@example(seed=5, operand_events=[{"a", "c"}, {"c", "d"}, {"b", "d", "a"}], marked_p=0.5)
+def test_parallel_compose_all_matches_the_pairwise_fold(seed, operand_events, marked_p):
+    # sparse operands with up to four states, so that some states are
+    # unreachable; a single operand comes back as it is
+    rng = random.Random(seed)
+    operands = []
+    for events in operand_events:
+        order = sorted(events)
+        rng.shuffle(order)
+        d = random_dfa(rng, 4, order, density=0.6, marked_p=marked_p)
+        alphabet = EventAlphabet(tuple(order), frozenset(rng.sample(order, len(order) // 2)))
+        operands.append(Dfa(d.states, alphabet, d.initial, d.transitions, d.marked))
+    got = parallel_compose_all(operands)
+    expected = reference_compose(operands)
+    assert dfa_to_text(got) == dfa_to_text(expected)
+    assert got.states == expected.states  # the same breadth-first order
+    if len(operands) == 2:
+        assert dfa_to_text(parallel_compose(*operands)) == dfa_to_text(expected)
 
 
 @settings(max_examples=200, deadline=None, database=None)

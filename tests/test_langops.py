@@ -40,11 +40,13 @@ from cosynth.langops import (
 )
 from conftest import (
     brute_accepts,
+    brute_generates,
     brute_project,
     lang_set,
     random_dfa,
     reference_decompose,
     reference_mission,
+    step_word,
     words_up_to,
 )
 
@@ -295,6 +297,68 @@ def test_supc_supremality_against_sampled_controllable_sublanguages():
                 continue
             if is_controllable(k, plant) is None:
                 assert language_subset(k, supremal) is None
+
+
+def escapes_uncontrollably(plant: Dfa, spec: Dfa, word, uncontrollable, bound: int) -> bool:
+    """Whether word·u is a plant word outside the spec for some uncontrollable
+    word u with |u| ≤ bound.
+
+    Brute force over the uncontrollable words, shortest first: a word that
+    leaves the plant has no extension in it, and of the words that reach one
+    pair of plant and spec states only the first is extended, since they
+    have the same futures.
+    """
+    frontier = [tuple(word)]
+    seen = {(step_word(plant, word), step_word(spec, word))}
+    for _ in range(bound + 1):
+        extended = []
+        for w in frontier:
+            if not brute_generates(plant, w):
+                continue
+            if not brute_accepts(spec, w):
+                return True
+            for e in uncontrollable:
+                longer = w + (e,)
+                pair = (step_word(plant, longer), step_word(spec, longer))
+                if pair not in seen:
+                    seen.add(pair)
+                    extended.append(longer)
+        frontier = extended
+    return False
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    uncontrollable=st.sets(st.sampled_from(("a", "b", "u")), min_size=1, max_size=2),
+)
+@example(seed=0, uncontrollable={"u"})  # cuts 11 of the 19 spec words up to length 4
+def test_supc_matches_the_brute_force_supremal_words(seed, uncontrollable):
+    # for a prefix-closed K ⊆ L(G), supC(K) holds the words s of K such that
+    # no prefix s′ of s and no uncontrollable u put s′u in L(G)∖K; a shortest
+    # such u repeats no pair of plant and spec states, so |u| ≤ |G|·|K|
+    rng = random.Random(seed)
+    events = ("a", "b", "u")
+    alphabet = EventAlphabet(events, frozenset(events) - uncontrollable)
+    plant = widen_like(all_marked(random_dfa(rng, 5, events, density=0.7)), alphabet)
+    # the spec unfolds the plant into two copies and keeps part of it, so it
+    # can tell apart words that reach one plant state
+    transitions = {}
+    for q in plant.states:
+        for copy in "01":
+            for e in events:
+                nq = plant.transitions.get((q, e))
+                if nq is not None and rng.random() < 0.8:
+                    transitions[(q + copy, e)] = nq + rng.choice("01")
+    states = tuple(q + copy for q in plant.states for copy in "01")
+    spec = Dfa(states, alphabet, plant.initial + "0", transitions, frozenset(states))
+    bound = len(plant.states) * len(spec.states)
+    uc = sorted(uncontrollable)
+    # the spec is prefix-closed, so every prefix of a spec word is a key here
+    escapes = {w: escapes_uncontrollably(plant, spec, w, uc, bound)
+               for w in words_up_to(events, 4) if brute_accepts(spec, w)}
+    expected = {s for s in escapes if not any(escapes[s[:i]] for i in range(len(s) + 1))}
+    assert lang_set(sup_c(spec, plant), 4) == expected
 
 
 def test_theorem_separate_controllability_implies_global():

@@ -48,6 +48,7 @@ from conftest import (
     cycle_dfa,
     lang_set,
     random_dfa,
+    reference_compose,
     words_up_to,
 )
 
@@ -321,7 +322,7 @@ def test_direct_check_matches_composed_product(seed, mode):
     for _ in range(rng.randint(1, 4)):
         events = rng.sample(pool, rng.randint(1, len(pool)))
         modules.append(random_dfa(rng, 3, events, density=0.7, marked_p=0.7))
-    product = parallel_compose_all(modules)
+    product = reference_compose(modules)
     if mode == "random property":
         owned = list(product.alphabet.events) + ["z"]
         prop = random_dfa(rng, 4, rng.sample(owned, rng.randint(1, len(owned))), density=0.6)
