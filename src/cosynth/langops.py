@@ -36,6 +36,7 @@ from cosynth.automata import (
     trim,
     words_dfa,
     _determinize,
+    _minimize_numbered,
 )
 
 
@@ -312,12 +313,6 @@ def _nonempty_intersection(a: Dfa, b: Dfa) -> bool:
     return False
 
 
-def _uncontrollable_star(alphabet: EventAlphabet) -> Dfa:
-    """DFA over the full alphabet accepting exactly the uncontrollable words."""
-    transitions = {("0", e): "0" for e in alphabet.events if e in alphabet.uncontrollable}
-    return Dfa(("0",), alphabet, "0", transitions, frozenset(("0",)))
-
-
 def _uncontrollable_step(alphabet: EventAlphabet) -> Dfa:
     """DFA accepting exactly the length-one uncontrollable words."""
     transitions = {("0", e): "1" for e in alphabet.events if e in alphabet.uncontrollable}
@@ -364,23 +359,35 @@ def is_controllable(spec: "LanguageSpec | Dfa", plant: Dfa) -> Optional[Word]:
 def sup_c(spec: "LanguageSpec | Dfa", plant: Dfa) -> Dfa:
     """Supremal controllable sublanguage of a prefix-closed spec w.r.t. the plant.
 
-    Computed by the closed form L − [(L(G) − L)/Σ_uc*]Σ* (Wonham and
-    Ramadge, SIAM J. Control Optim. 1987).  The fixed point
-    K_{j+1} = K_j − [(L(G) − K_j)/Σ_uc]Σ* of :func:`_supc_fixed_point`
-    yields the same language and serves as the tests' reference.
+    Built in one walk of the plant × spec product with a backward sweep over
+    its uncontrollable moves (:func:`_supc_walk`).  It is the language of the
+    closed form L − [(L(G) − L)/Σ_uc*]Σ* (Wonham and Ramadge, SIAM J.
+    Control Optim. 1987) and of the fixed point
+    K_{j+1} = K_j − [(L(G) − K_j)/Σ_uc]Σ* of :func:`_supc_fixed_point`,
+    which the tests compare it against.  The result is minimal and
+    canonical.
     """
     spec_dfa = _as_marked(spec)
     if set(spec_dfa.alphabet.events) != set(plant.alphabet.events):
         raise InputError("spec and plant must share an alphabet")
-    if language_equal(spec_dfa, prefix_closure(spec_dfa)) is not None:
+    minimal = minimize(spec_dfa)
+    if not _minimal_is_prefix_closed(minimal):
         raise InputError("sup_c requires a prefix-closed spec")
-    bad = language_subset(spec_dfa, all_marked(plant))
+    bad = language_subset(minimal, all_marked(plant))
     if bad is not None:
         raise InputError(f"spec language not contained in the plant: {' '.join(bad) or 'ε'}")
+    return _supc_walk(minimal, plant, spec_dfa.alphabet)
 
-    alphabet = spec_dfa.alphabet
-    plant_gen = minimize(all_marked(widen_like(plant, alphabet)))
-    return _supc_closed_form(minimize(spec_dfa), plant_gen, alphabet)
+
+def _minimal_is_prefix_closed(minimal: Dfa) -> bool:
+    """Whether the output of :func:`minimize` accepts a prefix-closed language.
+
+    Every state of a minimal automaton reaches a marked one, so a word that
+    reaches an unmarked state is the prefix of an accepted word: the
+    language is prefix-closed iff no state is marked (it is empty) or every
+    state is.
+    """
+    return not minimal.marked or len(minimal.marked) == len(minimal.states)
 
 
 def widen_like(dfa: Dfa, alphabet: EventAlphabet) -> Dfa:
@@ -396,11 +403,61 @@ def widen_like(dfa: Dfa, alphabet: EventAlphabet) -> Dfa:
     return Dfa(dfa.states, alphabet, dfa.initial, dfa.transitions, dfa.marked)
 
 
-def _supc_closed_form(spec: Dfa, plant_gen: Dfa, alphabet: EventAlphabet) -> Dfa:
-    illegal = subtract(plant_gen, spec)
-    stripped = quotient(illegal, _uncontrollable_star(alphabet))
-    cut = extend_closure(stripped)
-    return minimize(subtract(spec, cut))
+def _supc_walk(spec: Dfa, plant: Dfa, alphabet: EventAlphabet) -> Dfa:
+    """supC(K) for a minimal prefix-closed spec K ⊆ L(G), in one walk of G × K.
+
+    The walk goes breadth first over the reachable (plant state, spec state)
+    pairs, events in *alphabet* order, and follows the plant moves that the
+    spec also takes.  A pair is bad when the plant enables an uncontrollable
+    event there that the spec does not take, and a backward sweep over the
+    uncontrollable moves marks every pair that reaches a bad one.  A word s
+    of K lies in (L(G) − K)/Σ_uc* exactly when its pair is bad, so the good
+    pairs, all marked, are supC(K); the bad pairs go to the integer core of
+    :func:`minimize` unmarked and without moves, which drops them together
+    with the moves into them (Cassandras and Lafortune, *Introduction to
+    Discrete Event Systems*, 2008, §3.5).
+    """
+    if spec.initial not in spec.marked:
+        return spec  # K is empty, and a minimal empty K is the canonical empty automaton
+    events = alphabet.events
+    uncontrollable = [e not in alphabet.controllable for e in events]
+    plant_moves, spec_moves = plant.transitions, spec.transitions
+    start = (plant.initial, spec.initial)
+    number = {start: 0}
+    order = [start]
+    succ: list[list[tuple[int, int]]] = []
+    bad: list[bool] = []
+    # for each pair, the pairs that reach it by one uncontrollable move
+    back: list[list[int]] = [[]]
+    for p, (g, k) in enumerate(order):
+        out = []
+        escapes = False
+        for a, e in enumerate(events):
+            ng = plant_moves.get((g, e))
+            if ng is None:
+                continue
+            nk = spec_moves.get((k, e))
+            if nk is None:
+                escapes = escapes or uncontrollable[a]
+                continue
+            n = number.get((ng, nk))
+            if n is None:
+                n = number[(ng, nk)] = len(order)
+                order.append((ng, nk))
+                back.append([])
+            out.append((a, n))
+            if uncontrollable[a]:
+                back[n].append(p)
+        succ.append(out)
+        bad.append(escapes)
+    stack = [p for p, flag in enumerate(bad) if flag]
+    while stack:
+        for p in back[stack.pop()]:
+            if not bad[p]:
+                bad[p] = True
+                stack.append(p)
+    return _minimize_numbered([[] if flag else out for flag, out in zip(bad, succ)],
+                              [not flag for flag in bad], alphabet)
 
 
 def _supc_fixed_point(spec: Dfa, plant_gen: Dfa, alphabet: EventAlphabet) -> Dfa:

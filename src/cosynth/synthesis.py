@@ -2,13 +2,13 @@
 
 The supervisor for a prefix-closed local mission is the supremal
 controllable sublanguage of the mission w.r.t. the plant.  When the plant
-is given as an automaton, :func:`synthesize_supervisor` builds it by the
-closed form of :func:`cosynth.langops.sup_c`.  When the plant is known only
-through a membership oracle, or when the paper's learning trace is wanted
-(``cosynth supc``), :func:`learn_supervisor` learns it with L*: the teacher
-answers membership against the mission language and dynamically cuts
-behaviours that a growing set of uncontrollably illegal words proves
-unenforceable:
+is given as an automaton, :func:`synthesize_supervisor` builds it with
+:func:`cosynth.langops.sup_c`, in one walk of the plant × mission product.
+When the plant is known only through a membership oracle, or when the
+paper's learning trace is wanted (``cosynth supc``), :func:`learn_supervisor`
+learns it with L*: the teacher answers membership against the mission
+language and dynamically cuts behaviours that a growing set of
+uncontrollably illegal words proves unenforceable:
 
   round 1      answer = t in L_i
   round j > 1  answer = previous answer and t not in D_ui(C_j) Σ*
@@ -49,7 +49,7 @@ from cosynth.automata import (
     subtract,
     words_dfa,
 )
-from cosynth.langops import LanguageSpec, _as_marked, prefix_close_largest, sup_c, widen_like
+from cosynth.langops import LanguageSpec, _as_marked, _minimal_is_prefix_closed, sup_c, widen_like
 from cosynth.lstar import LearnLog, learn
 
 
@@ -381,7 +381,7 @@ class SupervisorTeacher:
 
 def _checked_spec(problem: SynthesisProblem) -> Dfa:
     spec_dfa = minimize(widen_like(_as_marked(problem.spec), problem.alphabet))
-    if language_equal(spec_dfa, prefix_close_largest(spec_dfa)) is not None:
+    if not _minimal_is_prefix_closed(spec_dfa):
         raise InputError("supervisor synthesis requires a prefix-closed mission spec")
     if language_empty(spec_dfa):
         raise InputError("supervisor synthesis requires a non-empty mission spec")
@@ -401,8 +401,8 @@ def _as_supervisor(language: Dfa, alphabet: EventAlphabet) -> Dfa:
 def synthesize_supervisor(problem: SynthesisProblem) -> Dfa:
     """Supervisor whose closed-loop behaviour is supC of the mission.
 
-    With a plant DFA the language is built directly by the closed form of
-    :func:`sup_c`; with a bare plant membership oracle it is learned by
+    With a plant DFA the language is built directly by :func:`sup_c`; with
+    a bare plant membership oracle it is learned by
     :func:`learn_supervisor`.  The returned automaton has every state
     marked (supervisor convention).  An empty result is returned with a
     warning rather than an error.

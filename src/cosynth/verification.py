@@ -29,6 +29,7 @@ does not reduce to a finite stub.
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -370,6 +371,23 @@ def _product_states(modules: Sequence[Dfa]) -> int:
     return len(order)
 
 
+def _property_table(prop: Dfa) -> tuple[int, dict[str, list[int]], list[bool]]:
+    """The property's initial state number, for each of its events the next
+    state number by state number, and whether each state is marked; state
+    ``len(prop.states)`` is the implicit, absorbing, unmarked sink."""
+    sink = len(prop.states)
+    number, columns = _columns(prop, prop.alphabet.events, sink)
+    return number[prop.initial], columns, [q in prop.marked for q in prop.states] + [False]
+
+
+def _with_table(prop: Dfa) -> Dfa:
+    """A copy of *prop* that carries its :func:`_property_table`, which
+    :func:`_direct_check` then reads instead of building it again."""
+    tabled = copy.copy(prop)
+    object.__setattr__(tabled, "_table", _property_table(prop))
+    return tabled
+
+
 def _direct_check(modules: Sequence[Dfa], prop: Dfa) -> tuple[Optional[Word], int]:
     """The shortest, lexicographically least word of the agents' product that
     violates the property (None if there is none), and the number of plan
@@ -378,14 +396,13 @@ def _direct_check(modules: Sequence[Dfa], prop: Dfa) -> tuple[Optional[Word], in
     A breadth-first walk over (plan tuple, property state), events in the
     order of :func:`parallel_compose_all`; a missing property transition
     leads to an implicit, absorbing, unmarked sink.  A word violates when
-    every plan is marked and the property is not.
+    every plan is marked and the property is not.  A property from
+    :func:`_with_table` brings its table; any other is tabled on each call.
     """
     product = _Product(modules, _union_events(modules))
-    sink = len(prop.states)
-    prop_number, columns = _columns(prop, product.events, sink)
+    prop_initial, columns, prop_marked = prop.__dict__.get("_table") or _property_table(prop)
     prop_columns = [columns.get(e) for e in product.events]
-    prop_marked = [q in prop.marked for q in prop.states] + [False]
-    start = (product.initial, prop_number[prop.initial])
+    start = (product.initial, prop_initial)
     if product.is_marked(product.initial) and not prop_marked[start[1]]:
         return EPSILON, 0
     parent: dict[tuple[tuple[int, ...], int], Optional[tuple]] = {start: None}
@@ -449,6 +466,9 @@ def verify_and_refine(
     as refinement rounds.
     """
     specs = list(specs)
+    # every pass and every repair re-check walks the same property, so its
+    # table is built once, on a copy that the caller never sees
+    prop = _with_table(prop)
     supervisors = [synthesize(spec, plant) for spec, plant in zip(specs, plants)]
     plans = [closed_loop(s, g) for s, g in zip(supervisors, plants)]
     rounds: list[RefinementRound] = []

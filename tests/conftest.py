@@ -21,9 +21,11 @@ from cosynth.automata import (
     accessible,
     complete,
     empty_dfa,
+    extend_closure,
     minimize,
+    subtract,
 )
-from cosynth.langops import project, widen_alphabet, widen_like
+from cosynth.langops import project, quotient, widen_alphabet, widen_like
 from cosynth.motion import ReplanInfeasible
 
 
@@ -223,6 +225,22 @@ def reference_decompose(components: Sequence[Dfa], agent_alphabets: Sequence[Eve
     """
     mission = reference_mission(components, global_alphabet)
     return [widen_like(project(mission, a.events), a) for a in agent_alphabets]
+
+
+def reference_supc_closed_form(spec: Dfa, plant_gen: Dfa, alphabet: EventAlphabet) -> Dfa:
+    """The closed form K − [(L(G) − K)/Σ_uc*]Σ* (Wonham and Ramadge, 1987), built
+    from complements, products and a quotient; the reference for
+    :func:`cosynth.langops.sup_c`.
+
+    *spec* is a prefix-closed K ⊆ L(G) and *plant_gen* accepts L(G), both
+    over *alphabet*.
+    """
+    uncontrollable = {("0", e): "0" for e in alphabet.events if e in alphabet.uncontrollable}
+    uncontrollable_star = Dfa(("0",), alphabet, "0", uncontrollable, frozenset(("0",)))
+    illegal = subtract(plant_gen, spec)
+    stripped = quotient(illegal, uncontrollable_star)
+    cut = extend_closure(stripped)
+    return minimize(subtract(spec, cut))
 
 
 # -- case-study definitions, transcribed from the coordination scenario -----

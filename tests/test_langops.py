@@ -12,8 +12,10 @@ from cosynth.automata import (
     EventAlphabet,
     InputError,
     accepts,
+    accessible,
     all_marked,
     dfa_to_text,
+    empty_dfa,
     language_empty,
     language_equal,
     language_subset,
@@ -46,6 +48,7 @@ from conftest import (
     random_dfa,
     reference_decompose,
     reference_mission,
+    reference_supc_closed_form,
     step_word,
     words_up_to,
 )
@@ -327,6 +330,23 @@ def escapes_uncontrollably(plant: Dfa, spec: Dfa, word, uncontrollable, bound: i
     return False
 
 
+def unfolded_spec(rng: random.Random, plant: Dfa) -> Dfa:
+    """A random prefix-closed spec inside L(plant).
+
+    It unfolds the plant into two copies and keeps part of it, so it can
+    tell apart words that reach one plant state.
+    """
+    transitions = {}
+    for q in plant.states:
+        for copy in "01":
+            for e in plant.alphabet.events:
+                nq = plant.transitions.get((q, e))
+                if nq is not None and rng.random() < 0.8:
+                    transitions[(q + copy, e)] = nq + rng.choice("01")
+    states = tuple(q + copy for q in plant.states for copy in "01")
+    return Dfa(states, plant.alphabet, plant.initial + "0", transitions, frozenset(states))
+
+
 @settings(max_examples=100, deadline=None, database=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -341,17 +361,7 @@ def test_supc_matches_the_brute_force_supremal_words(seed, uncontrollable):
     events = ("a", "b", "u")
     alphabet = EventAlphabet(events, frozenset(events) - uncontrollable)
     plant = widen_like(all_marked(random_dfa(rng, 5, events, density=0.7)), alphabet)
-    # the spec unfolds the plant into two copies and keeps part of it, so it
-    # can tell apart words that reach one plant state
-    transitions = {}
-    for q in plant.states:
-        for copy in "01":
-            for e in events:
-                nq = plant.transitions.get((q, e))
-                if nq is not None and rng.random() < 0.8:
-                    transitions[(q + copy, e)] = nq + rng.choice("01")
-    states = tuple(q + copy for q in plant.states for copy in "01")
-    spec = Dfa(states, alphabet, plant.initial + "0", transitions, frozenset(states))
+    spec = unfolded_spec(rng, plant)
     bound = len(plant.states) * len(spec.states)
     uc = sorted(uncontrollable)
     # the spec is prefix-closed, so every prefix of a spec word is a key here
@@ -359,6 +369,74 @@ def test_supc_matches_the_brute_force_supremal_words(seed, uncontrollable):
                for w in words_up_to(events, 4) if brute_accepts(spec, w)}
     expected = {s for s in escapes if not any(escapes[s[:i]] for i in range(len(s) + 1))}
     assert lang_set(sup_c(spec, plant), 4) == expected
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    events=st.sampled_from((("a", "b"), ("a", "b", "u"))),
+    controllable=st.sets(st.sampled_from(("a", "b", "u"))),
+)
+def test_supc_walk_matches_the_closed_form(seed, events, controllable):
+    rng = random.Random(seed)
+    alphabet = EventAlphabet(events, frozenset(controllable) & frozenset(events))
+    # the plant's marking is arbitrary: supC reads its generated language
+    plant = widen_like(random_dfa(rng, 6, events, density=0.9, marked_p=rng.random()), alphabet)
+    spec = unfolded_spec(rng, plant)
+    closed_form = reference_supc_closed_form(minimize(spec), minimize(all_marked(plant)), alphabet)
+    assert dfa_to_text(sup_c(spec, plant)) == dfa_to_text(closed_form)
+
+
+ABU = EventAlphabet(("a", "b", "u"), frozenset({"a", "b"}))
+
+
+def test_supc_cuts_an_escape_three_uncontrollable_steps_deep():
+    # after a the plant can run u u u, but the spec stops after u u, so the
+    # pairs reached by a, a u and a u u are bad; a b leads from a bad pair
+    # back to the initial one, which stays good, and so does b
+    moves = {("0", "a"): "1", ("1", "u"): "2", ("2", "u"): "3", ("3", "u"): "4",
+             ("1", "b"): "0", ("0", "b"): "5"}
+    states = ("0", "1", "2", "3", "4", "5")
+    plant = Dfa(states, ABU, "0", moves, frozenset(states))
+    del moves[("3", "u")]
+    spec = accessible(Dfa(states, ABU, "0", moves, frozenset(states)))
+    got = sup_c(spec, plant)
+    assert dfa_to_text(got) == dfa_to_text(minimize(words_dfa([(), ("b",)], ABU)))
+
+
+def test_supc_is_empty_when_the_initial_pair_is_bad():
+    plant = Dfa(("0", "1", "2"), ABU, "0", {("0", "a"): "1", ("0", "u"): "2"},
+                frozenset({"0", "1", "2"}))
+    spec = word_dfa(("a",), ABU)
+    assert dfa_to_text(sup_c(spec, plant)) == dfa_to_text(minimize(empty_dfa(ABU)))
+    # the empty spec takes no pair at all, even where the plant cannot
+    # escape uncontrollably
+    assert dfa_to_text(sup_c(empty_dfa(AU), chain_plant())) == dfa_to_text(minimize(empty_dfa(AU)))
+
+
+def test_supc_of_the_plant_itself_is_the_plant(casestudy):
+    # plant-free mode: with no plant model the pipeline passes each decomposed
+    # mission as its own plant, and supC must return it unchanged
+    for spec in casestudy["specs"]:
+        assert any(e not in spec.alphabet.controllable for e in spec.alphabet.events)
+        assert dfa_to_text(sup_c(spec, spec)) == dfa_to_text(minimize(spec))
+
+
+def test_supc_accepts_a_prefix_closed_spec_with_a_dead_state():
+    # {ε, a} with an unmarked state after a·u: prefix-closed, though not
+    # every state is marked
+    spec = Dfa(("0", "1", "d"), AU, "0", {("0", "a"): "1", ("1", "u"): "d"},
+               frozenset({"0", "1"}))
+    assert lang_set(sup_c(spec, chain_plant()), 3) == {()}
+
+
+def test_supc_input_errors_keep_their_messages():
+    with pytest.raises(InputError, match="sup_c requires a prefix-closed spec"):
+        sup_c(Dfa(("0", "1"), AU, "0", {("0", "a"): "1"}, frozenset({"1"})), chain_plant())
+    with pytest.raises(InputError, match="spec language not contained in the plant: u"):
+        sup_c(word_dfa(("u",), AU), chain_plant())
+    with pytest.raises(InputError, match="spec and plant must share an alphabet"):
+        sup_c(word_dfa(("a",), ABU), chain_plant())
 
 
 def test_theorem_separate_controllability_implies_global():

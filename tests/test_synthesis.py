@@ -11,6 +11,7 @@ from cosynth.automata import (
     InputError,
     accessible,
     all_marked,
+    empty_dfa,
     language_empty,
     language_equal,
     language_subset,
@@ -110,8 +111,10 @@ def test_supervisor_chain_plant_cuts_to_epsilon():
 
 def test_supervisor_requires_prefix_closed_nonempty_spec():
     not_closed = Dfa(("0", "1"), AU, "0", {("0", "a"): "1"}, frozenset({"1"}))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="requires a prefix-closed mission spec"):
         synthesize_supervisor(SynthesisProblem(not_closed, AU, plant_dfa=chain_plant()))
+    with pytest.raises(InputError, match="requires a non-empty mission spec"):
+        synthesize_supervisor(SynthesisProblem(empty_dfa(AU), AU, plant_dfa=chain_plant()))
 
 
 def test_k_sequence_monotonically_decreasing():

@@ -26,9 +26,11 @@ from cosynth.automata import (
 )
 from cosynth.langops import project_word, satisfies, widen_alphabet
 from cosynth.synthesis import SynthesisProblem, synthesize_supervisor
+from cosynth import verification
 from cosynth.verification import (
     Verdict,
     _direct_check,
+    _with_table,
     analyze_counterexample,
     assume_guarantee,
     check_triple,
@@ -343,12 +345,34 @@ def test_direct_check_matches_composed_product(seed, mode):
     reachable = len(accessible(product).states)
     witness, expanded = _direct_check(modules, prop)
     assert witness == expected
+    assert _direct_check(modules, _with_table(prop)) == (witness, expanded)
     verdict, product_states = verify(modules, prop)
     assert product_states == reachable
     if expected is None:
         assert verdict.holds() and expanded == reachable
     else:
         assert verdict.outcome == "violated" and verdict.counterexample == expected
+
+
+def test_refine_builds_the_property_table_once(monkeypatch):
+    # two passes and one repair re-check walk the property, from one table
+    calls = {"table": 0, "check": 0}
+    build, check = verification._property_table, verification._direct_check
+
+    def counted_build(prop):
+        calls["table"] += 1
+        return build(prop)
+
+    def counted_check(modules, prop):
+        calls["check"] += 1
+        return check(modules, prop)
+
+    monkeypatch.setattr(verification, "_property_table", counted_build)
+    monkeypatch.setattr(verification, "_direct_check", counted_check)
+    p1, p2, prop = conflicting_choice()
+    result = verify_and_refine([p1, p2], [p1, p2], prop, _synth)
+    assert result.status == "holds" and len(result.rounds) == 2
+    assert calls == {"table": 1, "check": 3}
 
 
 def test_verdict_serialisation():
@@ -402,8 +426,9 @@ def test_refine_unsatisfiable_joint_mission_is_infeasible():
     assert result.counterexample is not None
 
 
-def test_refine_prunes_conflicting_choice():
-    # agent 1 may pick g (safe) or s (forbidden jointly with agent 2's t)
+def conflicting_choice() -> tuple[Dfa, Dfa, Dfa]:
+    """Two plans and a property: agent 1 may pick g (safe) or s (forbidden
+    jointly with agent 2's t)."""
     a1 = EventAlphabet(("g", "s", "r"), frozenset({"g", "s", "r"}))
     a2 = EventAlphabet(("t", "r"), frozenset({"t", "r"}))
     p1 = Dfa(("0", "1"), a1, "0", {("0", "g"): "1", ("0", "s"): "1", ("1", "r"): "0"},
@@ -416,7 +441,11 @@ def test_refine_prunes_conflicting_choice():
             {("0", "g"): "1", ("1", "r"): "0"}, frozenset(("0", "1"))),
         p2,
     ])
-    prop = widen_alphabet(minimize(good), glob)
+    return p1, p2, widen_alphabet(minimize(good), glob)
+
+
+def test_refine_prunes_conflicting_choice():
+    p1, p2, prop = conflicting_choice()
     result = verify_and_refine([p1, p2], [p1, p2], prop, _synth)
     assert result.status == "holds"
     assert result.refinement_rounds == 1
