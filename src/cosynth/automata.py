@@ -16,12 +16,17 @@ Every synchronous product is one breadth-first walk over tuples of integer
 operand states (``_Product``): :func:`parallel_compose_all`, with
 :func:`parallel_compose` its two-operand case, names the tuples it reaches;
 :func:`minimal_product` feeds them to the integer core of :func:`minimize`;
-and the plan check of :mod:`cosynth.verification` walks them next to the
-property.
+and :func:`product_violation` walks them next to a property to find the
+shortest, lexicographically least accepted word that leaves it.  That walk
+is the core's one answer to "does this product satisfy the property?":
+:func:`cosynth.langops.satisfies` asks it of one operand; in
+:mod:`cosynth.verification` the plan check asks it of the plans, and the
+symmetric rule's last premise of the complemented assumptions.
 """
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
@@ -433,6 +438,63 @@ def minimal_product(dfas: Sequence[Dfa], alphabet: EventAlphabet) -> Dfa:
     product = _Product(dfas, alphabet.events)
     order, succ = product.explore()
     return _minimize_numbered(succ, [product.is_marked(t) for t in order], alphabet)
+
+
+def _property_table(prop: Dfa) -> tuple[int, dict[str, list[int]], list[bool]]:
+    """The property's initial state number, for each of its events the next
+    state number by state number, and whether each state is marked; state
+    ``len(prop.states)`` is the implicit, absorbing, unmarked sink."""
+    sink = len(prop.states)
+    number, columns = _columns(prop, prop.alphabet.events, sink)
+    return number[prop.initial], columns, [q in prop.marked for q in prop.states] + [False]
+
+
+def _with_table(prop: Dfa) -> Dfa:
+    """A copy of *prop* that carries its :func:`_property_table`, which
+    :func:`product_violation` then reads instead of building it again."""
+    tabled = copy.copy(prop)
+    object.__setattr__(tabled, "_table", _property_table(prop))
+    return tabled
+
+
+def product_violation(dfas: Sequence[Dfa], prop: Dfa) -> tuple[Optional[Word], int]:
+    """The shortest, lexicographically least word of the product of *dfas*
+    that leaves the property's marked language (None if there is none), and
+    the number of operand tuples the walk expanded: all of the product's
+    states when there is none.
+
+    A breadth-first walk over (operand tuple, property state), events in the
+    order of :func:`parallel_compose_all`; an event the property does not own
+    leaves it where it is, and a missing property transition leads to an
+    implicit, absorbing, unmarked sink.  A word violates when every operand
+    is marked and the property is not.  A property from :func:`_with_table`
+    brings its table; any other is tabled on each call.
+    """
+    product = _Product(dfas, _union_events(dfas))
+    prop_initial, columns, prop_marked = prop.__dict__.get("_table") or _property_table(prop)
+    prop_columns = [columns.get(e) for e in product.events]
+    start = (product.initial, prop_initial)
+    if product.is_marked(product.initial) and not prop_marked[start[1]]:
+        return EPSILON, 0
+    parent: dict[tuple[tuple[int, ...], int], Optional[tuple]] = {start: None}
+    queue = deque([start])
+    while queue:
+        pair = queue.popleft()
+        t, qp = pair
+        for a, nt in product.moves(t):
+            column = prop_columns[a]
+            np_ = qp if column is None else column[qp]
+            if not prop_marked[np_] and product.is_marked(nt):
+                word = [product.events[a]]
+                while parent[pair] is not None:
+                    pair, a = parent[pair]
+                    word.append(product.events[a])
+                return tuple(reversed(word)), product.expanded()
+            nxt = (nt, np_)
+            if nxt not in parent:
+                parent[nxt] = (pair, a)
+                queue.append(nxt)
+    return None, product.expanded()
 
 
 def _same_alphabet(a: Dfa, b: Dfa) -> EventAlphabet:

@@ -31,6 +31,7 @@ from cosynth.automata import (
     minimize,
     parallel_compose_all,
     prefix_closure,
+    product_violation,
     shortest_marked,
     subtract,
     trim,
@@ -478,35 +479,14 @@ def _supc_fixed_point(spec: Dfa, plant_gen: Dfa, alphabet: EventAlphabet) -> Dfa
 def satisfies(m: Dfa, p: Dfa) -> Optional[Word]:
     """None if every accepted word of m projects into L_m(p); else a witness.
 
-    Requires Σ_P ⊆ Σ_M.  Implemented by running m in parallel with the
-    property and searching for an accepted m-word whose property component
-    is unmarked.  A missing property transition leads to an implicit,
-    absorbing, unmarked sink (None), the error state of the completion.
+    Requires Σ_P ⊆ Σ_M.  The witness is the shortest, lexicographically
+    least one in m's event order, found by
+    :func:`cosynth.automata.product_violation` on m alone.
     """
     for e in p.alphabet.events:
         if e not in m.alphabet:
             raise InputError("property alphabet must be contained in the system alphabet")
-    prop_events = set(p.alphabet.events)
-    start = (m.initial, p.initial)
-    if m.initial in m.marked and p.initial not in p.marked:
-        return EPSILON
-    seen = {start}
-    queue: deque[tuple[tuple[str, Optional[str]], Word]] = deque([(start, EPSILON)])
-    while queue:
-        (qm, qp), word = queue.popleft()
-        for e in m.alphabet.events:
-            nm = m.transitions.get((qm, e))
-            if nm is None:
-                continue
-            np_ = p.transitions.get((qp, e)) if e in prop_events else qp
-            w = word + (e,)
-            if nm in m.marked and np_ not in p.marked:
-                return w
-            nxt = (nm, np_)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append((nxt, w))
-    return None
+    return product_violation([m], p)[0]
 
 
 def prefix_close_largest(l: Dfa) -> Dfa:

@@ -299,11 +299,12 @@ def run_pipeline(
         report.add()
         report.add("status: infeasible")
         return report
-    report.supervisors = list(result.supervisors)
+    # each supervisor is its own closed loop with the plant: the mission plan
+    report.supervisors = list(result.plans)
     report.mission_plans = list(result.plans)
-    for name, sup, plan in zip(names, result.supervisors, result.plans):
+    for name, sup in zip(names, result.plans):
         report.artifacts[f"{name}_supervisor.aut"] = sup
-        report.artifacts[f"{name}_plan.aut"] = plan
+        report.artifacts[f"{name}_plan.aut"] = sup
         report.add(f"  supervisor {name}: {name}_supervisor.aut states={len(sup.states)}")
     _log(log_stream, f"mission layer done at {time.monotonic() - started:.2f}s")
 

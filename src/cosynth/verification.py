@@ -5,7 +5,11 @@ the property are walked together on the fly, breadth first over tuples of
 plan states and a property state, without building the product automaton;
 a missing property transition leads to an implicit, absorbing, unmarked
 sink.  The shortest violating word, realisable by every agent, is the
-counterexample.
+counterexample.  The walk is the DFA core's one violation walk,
+:func:`cosynth.automata.product_violation`; :func:`sym_n_check` runs it on
+the complemented assumptions.  The plans the refinement loop verifies are
+the supervisors themselves: each is supC(K) ⊆ K ⊆ L(G), so its closed loop
+with the plant G is the supervisor.
 
 The paper's compositional mode is :func:`assume_guarantee`, which the
 ``cosynth verify`` command runs.  It builds, per agent, the weakest
@@ -29,7 +33,6 @@ does not reduce to a finite stub.
 
 from __future__ import annotations
 
-import copy
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -42,29 +45,22 @@ from cosynth.automata import (
     InvariantError,
     Word,
     accepts,
-    all_marked,
     complement,
     complete,
-    empty_dfa,
     extend_closure,
     language_empty,
     language_subset,
     minimize,
-    parallel_compose_all,
     prefix_closure,
+    product_violation,
     trim,
     word_dfa,
-    _columns,
     _determinize,
     _Product,
     _union_events,
+    _with_table,
 )
-from cosynth.langops import (
-    prefix_close_largest,
-    project_word,
-    satisfies,
-    widen_alphabet,
-)
+from cosynth.langops import prefix_close_largest, project_word
 
 
 @dataclass(frozen=True)
@@ -204,10 +200,7 @@ def sym_n_check(assumptions: Sequence[Dfa], prop: Dfa) -> Optional[Word]:
     must stay inside the property; None if they do, else a witness word."""
     if not assumptions:
         raise InputError("need at least one assumption")
-    complements = [complement(a) for a in assumptions]
-    composed = parallel_compose_all(complements)
-    alphabet = composed.alphabet.union(prop.alphabet)
-    return satisfies(widen_alphabet(composed, alphabet), prop)
+    return product_violation([complement(a) for a in assumptions], prop)[0]
 
 
 def analyze_counterexample(t: Word, modules: Sequence[Dfa], prop: Dfa) -> Verdict:
@@ -311,7 +304,7 @@ def verify(modules: Sequence[Dfa], prop: Dfa) -> tuple[Verdict, int]:
     Returns the verdict and the number of states of the agents' product.
     A violated verdict's counterexample is realisable by every agent.
     """
-    witness, product_states = _direct_check(modules, prop)
+    witness, product_states = product_violation(modules, prop)
     if witness is None:
         return Verdict("holds"), product_states
     verdict = analyze_counterexample(witness, modules, prop)
@@ -371,61 +364,6 @@ def _product_states(modules: Sequence[Dfa]) -> int:
     return len(order)
 
 
-def _property_table(prop: Dfa) -> tuple[int, dict[str, list[int]], list[bool]]:
-    """The property's initial state number, for each of its events the next
-    state number by state number, and whether each state is marked; state
-    ``len(prop.states)`` is the implicit, absorbing, unmarked sink."""
-    sink = len(prop.states)
-    number, columns = _columns(prop, prop.alphabet.events, sink)
-    return number[prop.initial], columns, [q in prop.marked for q in prop.states] + [False]
-
-
-def _with_table(prop: Dfa) -> Dfa:
-    """A copy of *prop* that carries its :func:`_property_table`, which
-    :func:`_direct_check` then reads instead of building it again."""
-    tabled = copy.copy(prop)
-    object.__setattr__(tabled, "_table", _property_table(prop))
-    return tabled
-
-
-def _direct_check(modules: Sequence[Dfa], prop: Dfa) -> tuple[Optional[Word], int]:
-    """The shortest, lexicographically least word of the agents' product that
-    violates the property (None if there is none), and the number of plan
-    tuples the walk expanded: all of the product's states when there is none.
-
-    A breadth-first walk over (plan tuple, property state), events in the
-    order of :func:`parallel_compose_all`; a missing property transition
-    leads to an implicit, absorbing, unmarked sink.  A word violates when
-    every plan is marked and the property is not.  A property from
-    :func:`_with_table` brings its table; any other is tabled on each call.
-    """
-    product = _Product(modules, _union_events(modules))
-    prop_initial, columns, prop_marked = prop.__dict__.get("_table") or _property_table(prop)
-    prop_columns = [columns.get(e) for e in product.events]
-    start = (product.initial, prop_initial)
-    if product.is_marked(product.initial) and not prop_marked[start[1]]:
-        return EPSILON, 0
-    parent: dict[tuple[tuple[int, ...], int], Optional[tuple]] = {start: None}
-    queue = deque([start])
-    while queue:
-        pair = queue.popleft()
-        t, qp = pair
-        for a, nt in product.moves(t):
-            column = prop_columns[a]
-            np_ = qp if column is None else column[qp]
-            if not prop_marked[np_] and product.is_marked(nt):
-                word = [product.events[a]]
-                while parent[pair] is not None:
-                    pair, a = parent[pair]
-                    word.append(product.events[a])
-                return tuple(reversed(word)), product.expanded()
-            nxt = (nt, np_)
-            if nxt not in parent:
-                parent[nxt] = (pair, a)
-                queue.append(nxt)
-    return None, product.expanded()
-
-
 @dataclass
 class RefinementRound:
     verdict: Verdict
@@ -439,8 +377,9 @@ class RefinementRound:
 @dataclass
 class RefinementResult:
     status: str  # "holds" | "infeasible"
+    # the supervisors: each is supC(K) ⊆ K ⊆ L(G), so its closed loop with
+    # the plant G is the supervisor itself
     plans: list[Dfa]
-    supervisors: list[Dfa]
     rounds: list[RefinementRound]
     counterexample: Optional[Word] = None
 
@@ -458,35 +397,35 @@ def verify_and_refine(
 ) -> RefinementResult:
     """The mission-layer loop: synthesise, verify, re-synthesise until clean.
 
-    ``synthesize(spec, plant)`` must return the supervisor for one agent.
-    A violated verdict opens a repair phase that eliminates joint
-    violations one counterexample at a time (each repair cuts exactly one
-    agent's mission and strictly shrinks it); the updated supervisors then
-    go through verification again.  Rounds with at least one repair count
-    as refinement rounds.
+    ``synthesize(spec, plant)`` must return the supervisor for one agent,
+    whose language lies inside the plant's; the supervisors are verified as
+    the agents' plans.  A violated verdict opens a repair phase that
+    eliminates joint violations one counterexample at a time (each repair
+    cuts exactly one agent's mission and strictly shrinks it); the updated
+    supervisors then go through verification again.  Rounds with at least
+    one repair count as refinement rounds.
     """
     specs = list(specs)
     # every pass and every repair re-check walks the same property, so its
     # table is built once, on a copy that the caller never sees
     prop = _with_table(prop)
-    supervisors = [synthesize(spec, plant) for spec, plant in zip(specs, plants)]
-    plans = [closed_loop(s, g) for s, g in zip(supervisors, plants)]
+    plans = [synthesize(spec, plant) for spec, plant in zip(specs, plants)]
     rounds: list[RefinementRound] = []
     for _ in range(max_rounds):
         verdict, product_states = verify(plans, prop)
         record = RefinementRound(verdict, product_states)
         rounds.append(record)
         if verdict.holds():
-            return RefinementResult("holds", plans, supervisors, rounds)
+            return RefinementResult("holds", plans, rounds)
         ce = verdict.counterexample
         if ce is None:
             raise InvariantError("a failing verdict must carry a counterexample")
         while ce is not None:
             if len(record.repairs) >= max_rounds:
-                return RefinementResult("infeasible", plans, supervisors, rounds, ce)
+                return RefinementResult("infeasible", plans, rounds, ce)
             repair = choose_repair(ce, plans)
             if repair is None:
-                return RefinementResult("infeasible", plans, supervisors, rounds, ce)
+                return RefinementResult("infeasible", plans, rounds, ce)
             agent, cut_word, new_spec = repair
             shrunk = language_subset(new_spec, plans[agent])
             if shrunk is not None:
@@ -494,24 +433,15 @@ def verify_and_refine(
             specs[agent] = new_spec
             record.repairs.append((agent, cut_word))
             if language_empty(new_spec):
-                return RefinementResult("infeasible", plans, supervisors, rounds, ce)
-            supervisors[agent] = synthesize(new_spec, plants[agent])
-            new_plan = closed_loop(supervisors[agent], plants[agent])
+                return RefinementResult("infeasible", plans, rounds, ce)
+            new_plan = synthesize(new_spec, plants[agent])
             if language_empty(new_plan):
                 # not even the idle behaviour is enforceable for this agent
-                return RefinementResult("infeasible", plans, supervisors, rounds, ce)
+                return RefinementResult("infeasible", plans, rounds, ce)
             shrunk = language_subset(new_plan, plans[agent])
             if shrunk is not None:
                 raise InvariantError("mission plans must shrink monotonically")
             plans[agent] = new_plan
-            ce, _ = _direct_check(plans, prop)
-    return RefinementResult("infeasible", plans, supervisors, rounds,
+            ce, _ = product_violation(plans, prop)
+    return RefinementResult("infeasible", plans, rounds,
                             rounds[-1].verdict.counterexample if rounds else None)
-
-
-def closed_loop(supervisor: Dfa, plant: Dfa) -> Dfa:
-    """Generated behaviour of the plant under supervision, as an all-marked DFA."""
-    if language_empty(supervisor):
-        return empty_dfa(supervisor.alphabet)
-    composed = parallel_compose_all([supervisor, plant])
-    return minimize(all_marked(composed))

@@ -207,6 +207,38 @@ def reference_compose(dfas: Sequence[Dfa]) -> Dfa:
     return result
 
 
+def reference_satisfies(m: Dfa, p: Dfa) -> Word | None:
+    """The string-keyed route, the reference for
+    :func:`cosynth.automata.product_violation` and :func:`cosynth.langops.satisfies`.
+
+    Walks m and p together breadth first over pairs of named states, events
+    in m's order, and returns the first accepted m-word whose p component is
+    unmarked (None if there is none); p's missing transitions lead to an
+    implicit, absorbing, unmarked sink (None).  Requires Σ_P ⊆ Σ_M.
+    """
+    prop_events = set(p.alphabet.events)
+    start = (m.initial, p.initial)
+    if m.initial in m.marked and p.initial not in p.marked:
+        return ()
+    seen = {start}
+    queue: deque[tuple[tuple[str, str | None], Word]] = deque([(start, ())])
+    while queue:
+        (qm, qp), word = queue.popleft()
+        for e in m.alphabet.events:
+            nm = m.transitions.get((qm, e))
+            if nm is None:
+                continue
+            np_ = p.transitions.get((qp, e)) if e in prop_events else qp
+            w = word + (e,)
+            if nm in m.marked and np_ not in p.marked:
+                return w
+            nxt = (nm, np_)
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append((nxt, w))
+    return None
+
+
 def reference_mission(components: Sequence[Dfa], alphabet: EventAlphabet) -> Dfa:
     """The pairwise route, the reference for :func:`cosynth.automata.minimal_product`.
 

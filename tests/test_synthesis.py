@@ -11,6 +11,7 @@ from cosynth.automata import (
     InputError,
     accessible,
     all_marked,
+    dfa_to_text,
     empty_dfa,
     language_empty,
     language_equal,
@@ -30,7 +31,7 @@ from cosynth.synthesis import (
     ls_membership,
     synthesize_supervisor,
 )
-from conftest import lang_set, random_dfa
+from conftest import lang_set, random_dfa, reference_compose
 
 AU = EventAlphabet(("a", "u"), frozenset({"a"}))
 
@@ -149,7 +150,7 @@ def test_supervisor_with_bare_membership_oracle():
 
 def test_random_instances_match_direct_supc_and_are_controllable():
     rng = random.Random(41)
-    nonempty = 0
+    empty = nonempty = 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for _ in range(40):
@@ -164,11 +165,19 @@ def test_random_instances_match_direct_supc_and_are_controllable():
             oracle = sup_c(spec, plant)
             fixed = _supc_fixed_point(minimize(spec), minimize(plant), alpha)
             assert language_equal(oracle, fixed) is None
+            # the closed loop S ‖ G is S itself, so the mission layer verifies
+            # S as the plan; an empty S is the canonical empty automaton, the
+            # closed loop in which not even idling is enforceable
+            supervisor = synthesize_supervisor(SynthesisProblem(spec, alpha, plant_dfa=plant))
+            closed = (empty_dfa(alpha) if language_empty(supervisor)
+                      else minimize(all_marked(reference_compose([supervisor, plant]))))
+            assert dfa_to_text(closed) == dfa_to_text(supervisor)
             if language_empty(oracle):
                 assert language_empty(got)
+                empty += 1
                 continue
             nonempty += 1
             closed_loop = all_marked(parallel_compose(got, plant))
             assert language_equal(closed_loop, oracle) is None
             assert is_controllable(closed_loop, plant) is None
-    assert nonempty >= 10
+    assert nonempty >= 10 and empty >= 1

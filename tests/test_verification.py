@@ -14,23 +14,24 @@ from cosynth.automata import (
     accepts,
     accessible,
     all_marked,
+    complement,
     complete,
     empty_dfa,
     language_empty,
     language_subset,
     minimize,
     parallel_compose_all,
+    product_violation,
     universal_dfa,
     word_dfa,
     words_dfa,
 )
 from cosynth.langops import project_word, satisfies, widen_alphabet
 from cosynth.synthesis import SynthesisProblem, synthesize_supervisor
-from cosynth import verification
+from cosynth import automata, verification
+from cosynth.automata import _with_table
 from cosynth.verification import (
     Verdict,
-    _direct_check,
-    _with_table,
     analyze_counterexample,
     assume_guarantee,
     check_triple,
@@ -51,6 +52,7 @@ from conftest import (
     lang_set,
     random_dfa,
     reference_compose,
+    reference_satisfies,
     words_up_to,
 )
 
@@ -311,21 +313,25 @@ def test_verify_agrees_with_monolithic_on_random_instances():
 @settings(max_examples=200, deadline=None, database=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
-    mode=st.sampled_from(("random property", "own product", "cut product")),
+    mode=st.sampled_from(("random property", "own product", "cut product", "symmetric rule")),
 )
 def test_direct_check_matches_composed_product(seed, mode):
     # the on-the-fly walk finds the witness of composing the plans, widening
     # the product and checking it against the property, and counts the
     # product's states; the properties are partial, so that the implicit sink
-    # is reached, and the modules have unmarked states
+    # is reached, and the modules have unmarked states.  In the symmetric
+    # rule's last premise the walked operands are the assumptions' complements
     rng = random.Random(seed)
     pool = ["a", "b", "c", "s", "t"]
     modules = []
     for _ in range(rng.randint(1, 4)):
         events = rng.sample(pool, rng.randint(1, len(pool)))
         modules.append(random_dfa(rng, 3, events, density=0.7, marked_p=0.7))
+    if mode == "symmetric rule":
+        assumptions = modules
+        modules = [complement(a) for a in assumptions]
     product = reference_compose(modules)
-    if mode == "random property":
+    if mode in ("random property", "symmetric rule"):
         owned = list(product.alphabet.events) + ["z"]
         prop = random_dfa(rng, 4, rng.sample(owned, rng.randint(1, len(owned))), density=0.6)
     else:
@@ -336,16 +342,19 @@ def test_direct_check_matches_composed_product(seed, mode):
             prop = Dfa(product.states, product.alphabet, product.initial, transitions,
                        product.marked)
     widened = widen_alphabet(product, product.alphabet.union(prop.alphabet))
-    expected = satisfies(widened, prop)
-    assert expected == satisfies(widened, complete(prop)[0])
+    expected = reference_satisfies(widened, prop)
+    assert expected == reference_satisfies(widened, complete(prop)[0])
+    assert satisfies(widened, prop) == expected
     if mode == "own product":
         assert expected is None
+    if mode == "symmetric rule":
+        assert sym_n_check(assumptions, prop) == expected
     # one module is its own product, unreachable states included; the walk
     # counts reachable states only
     reachable = len(accessible(product).states)
-    witness, expanded = _direct_check(modules, prop)
+    witness, expanded = product_violation(modules, prop)
     assert witness == expected
-    assert _direct_check(modules, _with_table(prop)) == (witness, expanded)
+    assert product_violation(modules, _with_table(prop)) == (witness, expanded)
     verdict, product_states = verify(modules, prop)
     assert product_states == reachable
     if expected is None:
@@ -357,7 +366,7 @@ def test_direct_check_matches_composed_product(seed, mode):
 def test_refine_builds_the_property_table_once(monkeypatch):
     # two passes and one repair re-check walk the property, from one table
     calls = {"table": 0, "check": 0}
-    build, check = verification._property_table, verification._direct_check
+    build, check = automata._property_table, verification.product_violation
 
     def counted_build(prop):
         calls["table"] += 1
@@ -367,8 +376,8 @@ def test_refine_builds_the_property_table_once(monkeypatch):
         calls["check"] += 1
         return check(modules, prop)
 
-    monkeypatch.setattr(verification, "_property_table", counted_build)
-    monkeypatch.setattr(verification, "_direct_check", counted_check)
+    monkeypatch.setattr(automata, "_property_table", counted_build)
+    monkeypatch.setattr(verification, "product_violation", counted_check)
     p1, p2, prop = conflicting_choice()
     result = verify_and_refine([p1, p2], [p1, p2], prop, _synth)
     assert result.status == "holds" and len(result.rounds) == 2
