@@ -12,8 +12,16 @@ needs a total automaton, as complementation does; minimisation and the
 language comparisons walk the partial automaton and send every missing
 transition to an implicit, absorbing, unmarked sink instead.
 
+Walks over partial automata follow each state's own moves instead of
+scanning the alphabet for it, so they cost the moves they take, not
+states × events.  The string walks (breadth-first order, subset
+construction, the numbering in :func:`minimize`, :func:`shortest_marked`
+and :func:`language_subset`) gather each state's moves in event order in
+one pass over the transitions (``_out_edges``).
+
 Every synchronous product is one breadth-first walk over tuples of integer
-operand states (``_Product``): :func:`parallel_compose_all`, with
+operand states (``_Product``), which steps a tuple through the moves that
+its operands' states have: :func:`parallel_compose_all`, with
 :func:`parallel_compose` its two-operand case, names the tuples it reaches;
 :func:`minimal_product` feeds them to the integer core of :func:`minimize`;
 and :func:`product_violation` walks them next to a property to find the
@@ -180,19 +188,34 @@ def all_marked(dfa: Dfa) -> Dfa:
 # -- reachability and trimming -----------------------------------------
 
 
+def _out_edges(dfa: Dfa,
+               alphabet: Optional[EventAlphabet] = None) -> dict[str, list[tuple[int, str, str]]]:
+    """The (event index, event, next state) moves of each state that has
+    any, in the order of *alphabet*: by default the automaton's own, else
+    one that holds all of its events.
+
+    Gathered in one pass over the transitions, so a walk that follows them
+    pays for the moves it has and not for states × events.
+    """
+    index = (alphabet or dfa.alphabet)._index  # type: ignore[attr-defined]
+    edges: dict[str, list[tuple[int, str, str]]] = {}
+    for (src, e), dst in dfa.transitions.items():
+        edges.setdefault(src, []).append((index[e], e, dst))
+    for out in edges.values():
+        out.sort()
+    return edges
+
+
 def _bfs_order(dfa: Dfa) -> list[str]:
     """States reachable from the initial state in BFS order, events in alphabet order."""
+    edges = _out_edges(dfa)
     order = [dfa.initial]
     seen = {dfa.initial}
-    queue = deque(order)
-    while queue:
-        q = queue.popleft()
-        for e in dfa.alphabet.events:
-            nxt = dfa.transitions.get((q, e))
-            if nxt is not None and nxt not in seen:
+    for q in order:
+        for _, _, nxt in edges.get(q, ()):
+            if nxt not in seen:
                 seen.add(nxt)
                 order.append(nxt)
-                queue.append(nxt)
     return order
 
 
@@ -280,19 +303,6 @@ def complement(dfa: Dfa) -> Dfa:
 # -- products over a shared or merged alphabet ---------------------------
 
 
-def _columns(dfa: Dfa, events: Sequence[str], missing) -> tuple[dict[str, int], dict[str, list]]:
-    """State numbers of *dfa*, and for each of *events* that it owns the
-    next-state number by state number (*missing* where undefined), with one
-    spare slot at the end that maps to *missing*."""
-    number = {q: i for i, q in enumerate(dfa.states)}
-    columns = {e: [missing] * (len(dfa.states) + 1) for e in events if e in dfa.alphabet}
-    for (src, e), dst in dfa.transitions.items():
-        column = columns.get(e)
-        if column is not None:
-            column[number[src]] = number[dst]
-    return number, columns
-
-
 def _union_events(dfas: Sequence[Dfa]) -> tuple[str, ...]:
     """The events of *dfas*, each once, in operand order."""
     if not dfas:
@@ -309,22 +319,51 @@ class _Product:
     it; an event no operand owns never occurs.  A tuple is marked when every
     operand is marked in it.  :meth:`moves` and :meth:`is_marked` remember
     what they computed, for walks that visit a tuple more than once.
+
+    Each event is listed under its first owner in operand order: for each
+    state number, that operand keeps the (event index, next state, other
+    owners' columns) of its moves on those events.  A step walks the lists
+    of the tuple's operand states, keeps a move when every other owner's
+    column defines it, and sorts the few moves it keeps by event index, so
+    it costs the operands' moves and not the product alphabet.
     """
 
     def __init__(self, dfas: Sequence[Dfa], events: Sequence[str]) -> None:
         self.events = events
-        # per event: (operand, next state by state number) for every operand owning it
-        owners: list[list[tuple[int, list[Optional[int]]]]] = [[] for _ in self.events]
+        index = {e: a for a, e in enumerate(events)}
+        # per event: the operands owning it, in operand order
+        owners: list[list[int]] = [[] for _ in events]
+        for i, dfa in enumerate(dfas):
+            for e in dfa.alphabet.events:
+                owners[index[e]].append(i)
+        # per event: (operand, next state by state number) for each owner but
+        # the first; the first owner's moves hold this very list, so owners
+        # numbered after it still join it
+        others: list[list[tuple[int, list[Optional[int]]]]] = [[] for _ in events]
+        # per operand and state number: the (event index, next state, other
+        # owners) moves on the events that the operand owns first
+        self._out: list[list[list[tuple[int, int, list]]]] = []
         self._accepting: list[list[bool]] = []
         initial = []
         for i, dfa in enumerate(dfas):
-            number, columns = _columns(dfa, self.events, None)
-            for a, e in enumerate(self.events):
-                if e in columns:
-                    owners[a].append((i, columns[e]))
+            number = {q: n for n, q in enumerate(dfa.states)}
+            columns: dict[str, list[Optional[int]]] = {}
+            for e in dfa.alphabet.events:
+                a = index[e]
+                if owners[a][0] != i:
+                    columns[e] = [None] * len(dfa.states)
+                    others[a].append((i, columns[e]))
+            out: list[list[tuple[int, int, list]]] = [[] for _ in dfa.states]
+            for (src, e), dst in dfa.transitions.items():
+                column = columns.get(e)
+                if column is None:
+                    a = index[e]
+                    out[number[src]].append((a, number[dst], others[a]))
+                else:
+                    column[number[src]] = number[dst]
+            self._out.append(out)
             self._accepting.append([q in dfa.marked for q in dfa.states])
             initial.append(number[dfa.initial])
-        self._owners = [(a, own) for a, own in enumerate(owners) if own]
         self.initial = tuple(initial)
         self._moves: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
         self._is_marked: dict[tuple[int, ...], bool] = {}
@@ -345,17 +384,18 @@ class _Product:
 
     def _step(self, t: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
         out = []
-        for a, owners in self._owners:
-            nxt: Optional[list[int]] = None
-            for i, column in owners:
-                q = column[t[i]]
-                if q is None:
-                    break
-                if nxt is None:
-                    nxt = list(t)
-                nxt[i] = q
-            else:
-                out.append((a, tuple(nxt)))
+        for i, q in enumerate(t):
+            for a, nq, others in self._out[i][q]:
+                nxt = list(t)
+                nxt[i] = nq
+                for j, column in others:
+                    qj = column[t[j]]
+                    if qj is None:
+                        break
+                    nxt[j] = qj
+                else:
+                    out.append((a, tuple(nxt)))
+        out.sort()
         return out
 
     def expanded(self) -> int:
@@ -445,7 +485,10 @@ def _property_table(prop: Dfa) -> tuple[int, dict[str, list[int]], list[bool]]:
     state number by state number, and whether each state is marked; state
     ``len(prop.states)`` is the implicit, absorbing, unmarked sink."""
     sink = len(prop.states)
-    number, columns = _columns(prop, prop.alphabet.events, sink)
+    number = {q: i for i, q in enumerate(prop.states)}
+    columns = {e: [sink] * (sink + 1) for e in prop.alphabet.events}
+    for (src, e), dst in prop.transitions.items():
+        columns[e][number[src]] = number[dst]
     return number[prop.initial], columns, [q in prop.marked for q in prop.states] + [False]
 
 
@@ -603,25 +646,33 @@ def _determinize(
                     stack.append(nxt)
         return frozenset(out)
 
+    # each NFA state's labelled moves, which a subset groups by event index
+    event_index = alphabet._index  # type: ignore[attr-defined]
+    labelled: dict[str, list[tuple[int, set[str]]]] = {}
+    for (q, e), targets in nfa.items():
+        if e in event_index:
+            labelled.setdefault(q, []).append((event_index[e], targets))
+    events = alphabet.events
     start = closure(frozenset(initials))
     order = [start]
     index = {start: "0"}
     transitions: dict[tuple[str, str], str] = {}
-    queue = deque(order)
-    while queue:
-        cur = queue.popleft()
-        for e in alphabet.events:
-            moved = set()
-            for q in cur:
-                moved |= nfa.get((q, e), set())
-            if not moved:
+    for cur in order:
+        moved: dict[int, set[str]] = {}
+        for q in cur:
+            for a, targets in labelled.get(q, ()):
+                if a in moved:
+                    moved[a] |= targets
+                else:
+                    moved[a] = set(targets)
+        for a in sorted(moved):
+            if not moved[a]:
                 continue
-            nxt = closure(frozenset(moved))
+            nxt = closure(frozenset(moved[a]))
             if nxt not in index:
                 index[nxt] = str(len(index))
                 order.append(nxt)
-                queue.append(nxt)
-            transitions[(index[cur], e)] = index[nxt]
+            transitions[(index[cur], events[a])] = index[nxt]
     states = tuple(index[s] for s in order)
     accept = frozenset(index[s] for s in order if s & marked)
     return Dfa(states, alphabet, index[start], transitions, accept)
@@ -648,22 +699,17 @@ def minimize(dfa: Dfa) -> Dfa:
     """
     if getattr(dfa, "_canonical", False):
         return dfa
-    event_index = {e: i for i, e in enumerate(dfa.alphabet.events)}
-    moves: dict[str, list[tuple[int, str]]] = {}
-    for (src, e), dst in dfa.transitions.items():
-        moves.setdefault(src, []).append((event_index[e], dst))
-    for out in moves.values():
-        out.sort()
+    moves = _out_edges(dfa)
 
     # number the reachable states breadth first, events in alphabet order
     number = {dfa.initial: 0}
     order = [dfa.initial]
     for q in order:
-        for _, dst in moves.get(q, ()):
+        for _, _, dst in moves.get(q, ()):
             if dst not in number:
                 number[dst] = len(order)
                 order.append(dst)
-    succ = [[(a, number[dst]) for a, dst in moves.get(q, ())] for q in order]
+    succ = [[(a, number[dst]) for a, _, dst in moves.get(q, ())] for q in order]
     return _minimize_numbered(succ, [q in dfa.marked for q in order], dfa.alphabet)
 
 
@@ -773,13 +819,13 @@ def shortest_marked(dfa: Dfa) -> Optional[Word]:
     """Shortest accepted word, ties broken lexicographically by event order."""
     if dfa.initial in dfa.marked:
         return EPSILON
+    edges = _out_edges(dfa)
     seen = {dfa.initial}
     queue: deque[tuple[str, Word]] = deque([(dfa.initial, EPSILON)])
     while queue:
         q, word = queue.popleft()
-        for e in dfa.alphabet.events:
-            nxt = dfa.transitions.get((q, e))
-            if nxt is None or nxt in seen:
+        for _, e, nxt in edges.get(q, ()):
+            if nxt in seen:
                 continue
             w = word + (e,)
             if nxt in dfa.marked:
@@ -805,14 +851,12 @@ def language_subset(a: Dfa, b: Dfa) -> Optional[Word]:
     start = (a.initial, b.initial)
     if a.initial in a.marked and b.initial not in b.marked:
         return EPSILON
+    edges = _out_edges(a)
     seen = {start}
     queue: deque[tuple[tuple[str, Optional[str]], Word]] = deque([(start, EPSILON)])
     while queue:
         (qa, qb), word = queue.popleft()
-        for e in a.alphabet.events:
-            na = a.transitions.get((qa, e))
-            if na is None:
-                continue
+        for _, e, na in edges.get(qa, ()):
             nb = b.transitions.get((qb, e))
             w = word + (e,)
             if na in a.marked and nb not in b.marked:

@@ -38,6 +38,7 @@ from cosynth.automata import (
     words_dfa,
     _determinize,
     _minimize_numbered,
+    _out_edges,
 )
 
 
@@ -284,26 +285,24 @@ def quotient(l1: Dfa, l2: Dfa) -> Dfa:
     """
     if set(l1.alphabet.events) != set(l2.alphabet.events):
         raise InputError("quotient requires a shared alphabet")
-    marked = set()
-    for q in l1.states:
-        probe = Dfa(l1.states, l1.alphabet, q, l1.transitions, l1.marked)
-        if _nonempty_intersection(probe, l2):
-            marked.add(q)
-    return trim(Dfa(l1.states, l1.alphabet, l1.initial, l1.transitions, frozenset(marked)))
+    edges = _out_edges(l1)
+    marked = frozenset(q for q in l1.states if _nonempty_intersection(l1, q, edges, l2))
+    return trim(Dfa(l1.states, l1.alphabet, l1.initial, l1.transitions, marked))
 
 
-def _nonempty_intersection(a: Dfa, b: Dfa) -> bool:
-    start = (a.initial, b.initial)
-    if a.initial in a.marked and b.initial in b.marked:
+def _nonempty_intersection(a: Dfa, source: str, edges: dict, b: Dfa) -> bool:
+    """Whether one word leads a from *source* and b from its initial state
+    both to marked states; *edges* are a's :func:`_out_edges`."""
+    start = (source, b.initial)
+    if source in a.marked and b.initial in b.marked:
         return True
     seen = {start}
     queue = deque([start])
     while queue:
         qa, qb = queue.popleft()
-        for e in a.alphabet.events:
-            na = a.transitions.get((qa, e))
+        for _, e, na in edges.get(qa, ()):
             nb = b.transitions.get((qb, e))
-            if na is None or nb is None:
+            if nb is None:
                 continue
             if na in a.marked and nb in b.marked:
                 return True
@@ -336,15 +335,13 @@ def is_controllable(spec: "LanguageSpec | Dfa", plant: Dfa) -> Optional[Word]:
     uncontrollable = spec_dfa.alphabet.uncontrollable
     # walk closure × plant; a defined plant move on an uncontrollable event
     # that the closure cannot follow witnesses the violation
+    plant_edges = _out_edges(plant, spec_dfa.alphabet)
     start = (closure.initial, plant.initial)
     seen = {start}
     queue: deque[tuple[tuple[str, str], Word]] = deque([(start, EPSILON)])
     while queue:
         (qc, qp), word = queue.popleft()
-        for e in spec_dfa.alphabet.events:
-            np_ = plant.transitions.get((qp, e))
-            if np_ is None:
-                continue
+        for _, e, np_ in plant_edges.get(qp, ()):
             nc = closure.transitions.get((qc, e))
             if nc is None:
                 if e in uncontrollable:
@@ -420,9 +417,8 @@ def _supc_walk(spec: Dfa, plant: Dfa, alphabet: EventAlphabet) -> Dfa:
     """
     if spec.initial not in spec.marked:
         return spec  # K is empty, and a minimal empty K is the canonical empty automaton
-    events = alphabet.events
-    uncontrollable = [e not in alphabet.controllable for e in events]
-    plant_moves, spec_moves = plant.transitions, spec.transitions
+    uncontrollable = [e not in alphabet.controllable for e in alphabet.events]
+    plant_edges, spec_moves = _out_edges(plant, alphabet), spec.transitions
     start = (plant.initial, spec.initial)
     number = {start: 0}
     order = [start]
@@ -433,10 +429,7 @@ def _supc_walk(spec: Dfa, plant: Dfa, alphabet: EventAlphabet) -> Dfa:
     for p, (g, k) in enumerate(order):
         out = []
         escapes = False
-        for a, e in enumerate(events):
-            ng = plant_moves.get((g, e))
-            if ng is None:
-                continue
+        for a, e, ng in plant_edges.get(g, ()):
             nk = spec_moves.get((k, e))
             if nk is None:
                 escapes = escapes or uncontrollable[a]

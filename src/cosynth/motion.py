@@ -34,6 +34,7 @@ from cosynth.automata import (
     InvariantError,
     Word,
     _determinize,
+    _out_edges,
     empty_dfa,
     language_equal,
     language_subset,
@@ -199,6 +200,7 @@ def _interleave(mission: Dfa, pi: LabelingMap, initial_region: str) -> Dfa:
     def move_node(q: str, v: str, v2: str) -> str:
         return f"{q}@{v}>{v2}"
 
+    mission_edges = _out_edges(mission)
     transitions: dict[tuple[str, str], str] = {(entry, initial_region): node(*home)}
     states = {entry, node(*home)}
     queue = deque([home])
@@ -216,23 +218,19 @@ def _interleave(mission: Dfa, pi: LabelingMap, initial_region: str) -> Dfa:
     while queue:
         q, v = queue.popleft()
         src = node(q, v)
-        moves: dict[str, list[str]] = {}
-        for e in mission.alphabet.events:
-            q2 = mission.transitions.get((q, e))
-            if q2 is None:
-                continue
+        moves: dict[str, list[tuple[str, str]]] = {}
+        for _, e, q2 in mission_edges.get(q, ()):
             placements = pi.ordered(e)
             if v in placements:
                 transitions[(src, e)] = target(q2, v)
             for v2 in placements:
                 if v2 != v:
-                    moves.setdefault(v2, []).append(e)
-        for v2, events in moves.items():
+                    moves.setdefault(v2, []).append((e, q2))
+        for v2, steps in moves.items():
             mid = move_node(q, v, v2)
             states.add(mid)
             transitions[(src, v2)] = mid
-            for e in events:
-                q2 = mission.transitions[(q, e)]
+            for e, q2 in steps:
                 transitions[(mid, e)] = target(q2, v2)
     states |= {node(q, v) for q, v in seen}
     ordered = (entry,) + tuple(sorted(states - {entry}))
@@ -261,6 +259,7 @@ def door_profile(motion_plan: Dfa, motion: Dfa) -> Dfa:
     p0 = motion_plan.transitions.get((motion_plan.initial, motion.initial))
     if p0 is None or p0 not in motion_plan.marked:
         return empty_dfa(motion.alphabet)
+    motion_edges = _out_edges(motion)
     start = (motion.initial, p0)
     order = [start]
     seen = {start}
@@ -272,10 +271,7 @@ def door_profile(motion_plan: Dfa, motion: Dfa) -> Dfa:
 
     while queue:
         v, p = queue.popleft()
-        for d in motion.alphabet.events:
-            v2 = motion.transitions.get((v, d))
-            if v2 is None:
-                continue
+        for _, d, v2 in motion_edges.get(v, ()):
             p2 = motion_plan.transitions.get((p, v2))
             if p2 is None or p2 not in motion_plan.marked:
                 continue
@@ -341,18 +337,16 @@ def validate_integrated_clauses(lp: Dfa, pi: LabelingMap, initial_region: str) -
     it covers plans of any length.  Raises InvariantError on failure.
     """
     regions = set(pi.regions)
-    for e in lp.alphabet.events:
-        if e != initial_region and (lp.initial, e) in lp.transitions:
+    edges = _out_edges(lp)
+    for _, e, _ in edges.get(lp.initial, ()):
+        if e != initial_region:
             raise InvariantError(f"plan must start with the initial region, found {e!r}")
     start: tuple[str, Optional[str]] = (lp.initial, None)
     seen = {start}
     queue = deque([start])
     while queue:
         state, previous = queue.popleft()
-        for e in lp.alphabet.events:
-            to = lp.transitions.get((state, e))
-            if to is None:
-                continue
+        for _, e, to in edges.get(state, ()):
             if e not in regions and previous is not None:
                 if previous in regions:
                     if previous not in pi.of(e):
@@ -398,17 +392,15 @@ def _region_edges(dfa: Dfa, regions: set[str]) -> Iterator[tuple[_Node, str, _No
 
     A region symbol sets the agent's last region and a mission event keeps
     it.  The walk is lazy, so a caller that stops early allocates nothing
-    beyond the nodes seen so far.
+    beyond the plan's out-edges and the nodes seen so far.
     """
+    edges = _out_edges(dfa)
     start: _Node = (dfa.initial, None)
     seen = {start}
     queue = deque([start])
     while queue:
         q, v = node = queue.popleft()
-        for e in dfa.alphabet.events:
-            q2 = dfa.transitions.get((q, e))
-            if q2 is None:
-                continue
+        for _, e, q2 in edges.get(q, ()):
             nxt = (q2, e if e in regions else v)
             yield node, e, nxt
             if nxt not in seen:

@@ -402,8 +402,10 @@ def verify_and_refine(
     the agents' plans.  A violated verdict opens a repair phase that
     eliminates joint violations one counterexample at a time (each repair
     cuts exactly one agent's mission and strictly shrinks it); the updated
-    supervisors then go through verification again.  Rounds with at least
-    one repair count as refinement rounds.
+    supervisors then go through verification again, and when the repair
+    phase's last re-check found no violation it has already decided that
+    pass, which is recorded as holding without walking the product again.
+    Rounds with at least one repair count as refinement rounds.
     """
     specs = list(specs)
     # every pass and every repair re-check walks the same property, so its
@@ -411,8 +413,14 @@ def verify_and_refine(
     prop = _with_table(prop)
     plans = [synthesize(spec, plant) for spec, plant in zip(specs, plants)]
     rounds: list[RefinementRound] = []
+    # the expanded count of a repair phase's last re-check, which found no
+    # violation and so already decided the next pass
+    clean: Optional[int] = None
     for _ in range(max_rounds):
-        verdict, product_states = verify(plans, prop)
+        if clean is None:
+            verdict, product_states = verify(plans, prop)
+        else:
+            verdict, product_states = Verdict("holds"), clean
         record = RefinementRound(verdict, product_states)
         rounds.append(record)
         if verdict.holds():
@@ -442,6 +450,6 @@ def verify_and_refine(
             if shrunk is not None:
                 raise InvariantError("mission plans must shrink monotonically")
             plans[agent] = new_plan
-            ce, _ = product_violation(plans, prop)
+            ce, clean = product_violation(plans, prop)
     return RefinementResult("infeasible", plans, rounds,
                             rounds[-1].verdict.counterexample if rounds else None)

@@ -25,6 +25,7 @@ from cosynth.automata import (
     parallel_compose,
     parallel_compose_all,
     run,
+    shortest_marked,
     trim,
     universal_dfa,
     word_dfa,
@@ -37,6 +38,7 @@ from conftest import (
     brute_project,
     chain_dfa,
     cycle_dfa,
+    generated_up_to,
     lang_set,
     random_dfa,
     reference_compose,
@@ -477,3 +479,88 @@ def test_minimize_canonical_equality_for_equal_languages():
         frozenset(("0", "1", "2", "3")),
     )
     assert dfa_to_text(minimize(a)) == dfa_to_text(minimize(b))
+
+
+# -- walks that follow out-edges -----------------------------------------------------
+
+
+def _scrambled(rng: random.Random, dfa: Dfa, order: list[str]) -> Dfa:
+    """The same automaton over *order*, its transitions stored in a random order,
+    so that no walk can lean on the table listing moves in event order."""
+    moves = list(dfa.transitions.items())
+    rng.shuffle(moves)
+    alphabet = EventAlphabet(tuple(order), frozenset(rng.sample(order, len(order) // 2)))
+    return Dfa(dfa.states, alphabet, dfa.initial, dict(moves), dfa.marked)
+
+
+def _least(words, alphabet: EventAlphabet):
+    """The shortest, lexicographically least of *words* in the alphabet's order."""
+    return min(words, key=lambda w: (len(w), [alphabet.index(s) for s in w]), default=None)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    shared=st.sets(st.sampled_from(("s", "t")), min_size=1),
+    private=st.lists(st.sets(st.sampled_from(("a", "b")), max_size=2), min_size=2, max_size=4),
+    marked_p=st.sampled_from((0.0, 0.5, 1.0)),
+)
+# three operands that all own one event, each with a private event of its own
+@example(seed=2, shared={"s"}, private=[{"a"}, {"b"}, set()], marked_p=0.5)
+def test_parallel_compose_all_follows_out_edges_in_event_order(seed, shared, private, marked_p):
+    # every operand owns the shared events, each lists its events in its own
+    # order and stores its transitions in a random one; private events are
+    # renamed per operand, so each operand is the first owner of some events
+    rng = random.Random(seed)
+    operands = []
+    for i, own in enumerate(private):
+        order = sorted(shared) + [f"{e}{i}" for e in sorted(own)]
+        rng.shuffle(order)
+        d = random_dfa(rng, 4, order, density=0.7, marked_p=marked_p)
+        operands.append(_scrambled(rng, d, order))
+    got = parallel_compose_all(operands)
+    expected = reference_compose(operands)
+    assert dfa_to_text(got) == dfa_to_text(expected)
+    assert got.states == expected.states
+
+
+LENGTH = 6  # the brute-force oracles enumerate words up to this length
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    marked_p=st.sampled_from((0.2, 0.5, 1.0)),
+)
+def test_language_subset_matches_brute_force_words(seed, marked_p):
+    # a and b list the same events in different orders and store their
+    # transitions scrambled; the witness is the least word in a's order
+    rng = random.Random(seed)
+    events = ["a", "b", "c"]
+    a_order, b_order = rng.sample(events, 3), rng.sample(events, 3)
+    a = _scrambled(rng, random_dfa(rng, 4, a_order, density=0.6, marked_p=marked_p), a_order)
+    b = _scrambled(rng, random_dfa(rng, 4, b_order, density=0.6, marked_p=marked_p), b_order)
+    witness = language_subset(a, b)
+    difference = [w for w in generated_up_to(a, LENGTH)
+                  if brute_accepts(a, w) and not brute_accepts(b, w)]
+    if witness is None or len(witness) > LENGTH:
+        assert not difference
+    else:
+        assert witness == _least(difference, a.alphabet)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    marked_p=st.sampled_from((0.1, 0.3, 0.6)),
+)
+def test_shortest_marked_matches_brute_force_words(seed, marked_p):
+    rng = random.Random(seed)
+    order = rng.sample(["a", "b", "c"], 3)
+    dfa = _scrambled(rng, random_dfa(rng, 5, order, density=0.5, marked_p=marked_p), order)
+    word = shortest_marked(dfa)
+    accepted = [w for w in generated_up_to(dfa, LENGTH) if brute_accepts(dfa, w)]
+    if word is None or len(word) > LENGTH:
+        assert not accepted
+    else:
+        assert word == _least(accepted, dfa.alphabet)

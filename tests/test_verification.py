@@ -364,7 +364,8 @@ def test_direct_check_matches_composed_product(seed, mode):
 
 
 def test_refine_builds_the_property_table_once(monkeypatch):
-    # two passes and one repair re-check walk the property, from one table
+    # the first pass and one repair re-check walk the property, from one table;
+    # the clean re-check decides the second pass
     calls = {"table": 0, "check": 0}
     build, check = automata._property_table, verification.product_violation
 
@@ -381,7 +382,7 @@ def test_refine_builds_the_property_table_once(monkeypatch):
     p1, p2, prop = conflicting_choice()
     result = verify_and_refine([p1, p2], [p1, p2], prop, _synth)
     assert result.status == "holds" and len(result.rounds) == 2
-    assert calls == {"table": 1, "check": 3}
+    assert calls == {"table": 1, "check": 2}
 
 
 def test_verdict_serialisation():
@@ -462,3 +463,24 @@ def test_refine_prunes_conflicting_choice():
     assert accepts(result.plans[0], ("g",))
     # monotone shrinkage held round over round
     assert language_subset(result.plans[0], p1) is None
+
+
+def test_refine_out_of_rounds_after_a_clean_recheck_stays_infeasible():
+    # the repair's clean re-check would decide the next pass, but no round is
+    # left for it: the result is the last recorded verdict's counterexample
+    p1, p2, prop = conflicting_choice()
+    result = verify_and_refine([p1, p2], [p1, p2], prop, _synth, max_rounds=1)
+    assert result.status == "infeasible" and len(result.rounds) == 1
+    assert result.rounds[0].repairs
+    assert result.counterexample == result.rounds[0].verdict.counterexample
+    assert product_violation(result.plans, prop)[0] is None
+
+
+def test_refine_records_the_clean_recheck_as_the_next_pass():
+    # the pass after a repair phase holds with the product size the
+    # re-check expanded, which a fresh verify of the same plans reports too
+    p1, p2, prop = conflicting_choice()
+    result = verify_and_refine([p1, p2], [p1, p2], prop, _synth)
+    last = result.rounds[-1]
+    assert last.verdict == Verdict("holds") and not last.repairs
+    assert (last.verdict, last.product_states) == verify(result.plans, prop)
