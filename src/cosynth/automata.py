@@ -91,13 +91,23 @@ class EventAlphabet:
         return event in self._index  # type: ignore[attr-defined]
 
     def union(self, other: "EventAlphabet") -> "EventAlphabet":
-        merged = list(self.events) + [e for e in other.events if e not in self]
-        return EventAlphabet(tuple(merged), self.controllable | other.controllable)
+        merged = self.events + tuple(e for e in other.events if e not in self)
+        return EventAlphabet._derived(merged, self.controllable | other.controllable)
 
     def restrict(self, events: Iterable[str]) -> "EventAlphabet":
         keep = set(events)
         kept = tuple(e for e in self.events if e in keep)
-        return EventAlphabet(kept, self.controllable & keep)
+        return EventAlphabet._derived(kept, self.controllable & keep)
+
+    @classmethod
+    def _derived(cls, events: tuple[str, ...], controllable: frozenset[str]) -> "EventAlphabet":
+        """The alphabet of *events*, distinct events drawn from checked
+        alphabets, with *controllable* among them: no event is checked again."""
+        alphabet = object.__new__(cls)
+        object.__setattr__(alphabet, "events", events)
+        object.__setattr__(alphabet, "controllable", controllable)
+        object.__setattr__(alphabet, "_index", {e: i for i, e in enumerate(events)})
+        return alphabet
 
 
 @dataclass(frozen=True)

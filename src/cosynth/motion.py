@@ -511,6 +511,8 @@ class SimulationResult:
 class _Walker:
     plan: IntegratedPlan
     state: str
+    # _region_moves(plan), gathered again whenever the plan is replaced
+    region_moves: dict[str, list[str]]
     region: Optional[str] = None
     consumed: list[str] = field(default_factory=list)
     believed: dict[tuple[str, str], tuple[str, ...]] = field(default_factory=dict)
@@ -546,7 +548,8 @@ def simulate(
     if not plans:
         return SimulationResult([], True)
     walkers = [
-        _Walker(lp, lp.dfa.initial, believed=dict(env.door_map)) for lp in plans
+        _Walker(lp, lp.dfa.initial, _region_moves(lp), believed=dict(env.door_map))
+        for lp in plans
     ]
     nominal_motions = [
         nominal_motion or motion_dfa(env, lp.initial_region) for lp in plans
@@ -555,7 +558,6 @@ def simulate(
     for i, lp in enumerate(plans):
         for e in lp.mission.alphabet.events:
             mission_owners.setdefault(e, []).append(i)
-    region_sets = [set(lp.labeling.regions) for lp in plans]
     trace: list[str] = []
     fired_stop = False
 
@@ -571,7 +573,7 @@ def simulate(
 
         # replan any agent whose believed doors for its next move are stale
         for i, w in enumerate(walkers):
-            for v2 in _next_region_moves(w, region_sets[i]):
+            for v2 in w.region_moves.get(w.state, ()):
                 if w.region is None or v2 == w.region:
                     continue
                 believed = w.believed.get((w.region, v2), ())
@@ -581,7 +583,7 @@ def simulate(
 
         moves: list[tuple[int, str]] = []
         for i, w in enumerate(walkers):
-            for v2 in _next_region_moves(w, region_sets[i]):
+            for v2 in w.region_moves.get(w.state, ()):
                 if w.region is None or v2 == w.region:
                     moves.append((i, v2))
                 elif effective.doors_between(w.region, v2):
@@ -618,12 +620,11 @@ def simulate(
     return SimulationResult(trace, fired_stop or stop_event is None)
 
 
-def _next_region_moves(w: _Walker, regions: set[str]) -> list[str]:
-    return [
-        e
-        for e in w.plan.dfa.alphabet.events
-        if e in regions and (w.state, e) in w.plan.dfa.transitions
-    ]
+def _region_moves(lp: IntegratedPlan) -> dict[str, list[str]]:
+    """The region symbols that each state of the plan moves on, in the
+    plan's alphabet order, gathered in one pass over its transitions."""
+    regions = set(lp.labeling.regions)
+    return {q: [e for _, e, _ in out if e in regions] for q, out in _out_edges(lp.dfa).items()}
 
 
 def _replan_walker(
@@ -634,21 +635,20 @@ def _replan_walker(
     trace: list[str],
 ) -> None:
     new_plan = replan(w.plan, nominal_motion, effective)
+    region_moves = _region_moves(new_plan)
     state = new_plan.dfa.initial
     for symbol in w.consumed:
         nxt = new_plan.dfa.transitions.get((state, symbol))
         while nxt is None:
             # fast-forward through regions spliced behind the agent
-            inserted = [
-                e for e in new_plan.dfa.alphabet.events
-                if e in set(new_plan.labeling.regions) and (state, e) in new_plan.dfa.transitions
-            ]
+            inserted = region_moves.get(state)
             if not inserted:
                 raise InvariantError("cannot resume the replanned plan")
             state = new_plan.dfa.transitions[(state, inserted[0])]
             nxt = new_plan.dfa.transitions.get((state, symbol))
         state = nxt
     w.plan = new_plan
+    w.region_moves = region_moves
     w.state = state
     w.believed = dict(effective.door_map)
     w.replans += 1

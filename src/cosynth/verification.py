@@ -56,8 +56,6 @@ from cosynth.automata import (
     trim,
     word_dfa,
     _determinize,
-    _Product,
-    _union_events,
     _with_table,
 )
 from cosynth.langops import prefix_close_largest, project_word
@@ -299,18 +297,21 @@ def choose_repair(t: Word, plans: Sequence[Dfa]) -> Optional[tuple[int, Word, Df
 
 
 def verify(modules: Sequence[Dfa], prop: Dfa) -> tuple[Verdict, int]:
-    """One verification pass: the direct product check.
+    """One verification pass: the direct product check, in one walk that
+    stops at its first witness.
 
-    Returns the verdict and the number of states of the agents' product.
-    A violated verdict's counterexample is realisable by every agent.
+    Returns the verdict and the number of states of the agents' product
+    that the walk expanded before it decided: all of the reachable ones
+    when the pass holds.  A violated verdict's counterexample is
+    realisable by every agent.
     """
-    witness, product_states = product_violation(modules, prop)
+    witness, expanded = product_violation(modules, prop)
     if witness is None:
-        return Verdict("holds"), product_states
+        return Verdict("holds"), expanded
     verdict = analyze_counterexample(witness, modules, prop)
     if verdict.outcome != "violated":
         raise InvariantError("direct counterexample must be realisable")
-    return verdict, _product_states(modules)
+    return verdict, expanded
 
 
 def assume_guarantee(modules: Sequence[Dfa], prop: Dfa) -> tuple[Verdict, list[Dfa], bool]:
@@ -358,14 +359,12 @@ def default_interface(i: int, modules: Sequence[Dfa], prop: Dfa) -> EventAlphabe
     return modules[i].alphabet.restrict(chosen)
 
 
-def _product_states(modules: Sequence[Dfa]) -> int:
-    """Number of reachable states of the agents' product."""
-    order, _ = _Product(modules, _union_events(modules)).explore()
-    return len(order)
-
-
 @dataclass
 class RefinementRound:
+    """One verification pass: its verdict, the number of plan-product states
+    its walk expanded before it decided (all of the reachable ones when it
+    holds), and the (agent, cut word) repairs of the phase it opened."""
+
     verdict: Verdict
     product_states: int
     repairs: list[tuple[int, Word]] = field(default_factory=list)
@@ -405,6 +404,8 @@ def verify_and_refine(
     supervisors then go through verification again, and when the repair
     phase's last re-check found no violation it has already decided that
     pass, which is recorded as holding without walking the product again.
+    Every pass and re-check is one walk of the plan product that stops at
+    its first witness; each round records the tuples its walk expanded.
     Rounds with at least one repair count as refinement rounds.
     """
     specs = list(specs)

@@ -63,6 +63,24 @@ def test_alphabet_invariants():
         EventAlphabet(("a ", "b"))
 
 
+_alphabets = st.lists(st.sampled_from("abcdef"), unique=True).flatmap(
+    lambda events: st.builds(EventAlphabet, st.just(tuple(events)),
+                             st.frozensets(st.sampled_from(events)) if events else st.just(frozenset())))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(left=_alphabets, right=_alphabets, keep=st.frozensets(st.sampled_from("abcdefg")))
+def test_derived_alphabets_equal_checked_ones(left, right, keep):
+    # restrict and union skip the checks their operands passed, yet build the
+    # same alphabet, index included, as checked construction from scratch
+    for derived in (left.restrict(keep), left.union(right)):
+        rebuilt = EventAlphabet(derived.events, derived.controllable)
+        assert derived == rebuilt and derived._index == rebuilt._index
+        assert type(derived.events) is tuple and type(derived.controllable) is frozenset
+    assert left.union(right).events == tuple(dict.fromkeys(left.events + right.events))
+    assert left.restrict(keep).controllable == left.controllable & keep
+
+
 def test_dfa_constructor_rejects_bad_input():
     with pytest.raises(InputError):
         Dfa(("0",), AB, "1", {}, frozenset())

@@ -610,6 +610,24 @@ def test_simulate_door_failure_triggers_one_replan():
     assert len(replans) == 1 and " a3 " in replans[0]
 
 
+def test_simulate_moves_in_alphabet_order_whatever_the_transition_order():
+    # from A the plan may enter B or C; with its transitions stored backwards
+    # the walker still takes the region that comes first in the alphabet
+    pairs = [(a, b) for a in "ABC" for b in "ABC" if a != b]
+    door_map = {(a, b): (f"d_{a}{b}",) for a, b in pairs}
+    env = Environment(("A", "B", "C"), tuple(pairs), tuple(d for (d,) in door_map.values()),
+                      door_map, {"bot": "A"})
+    alpha = EventAlphabet(("go",), frozenset({"go"}))
+    mission = Dfa(("0",), alpha, "0", {("0", "go"): "0"}, frozenset({"0"}))
+    pi = LabelingMap(("A", "B", "C"), {"go": frozenset({"B", "C"})})
+    lp = integrate(mission, pi, "A", motion_dfa(env, "A"), agent="bot")
+    backwards = dict(reversed(list(lp.dfa.transitions.items())))
+    reordered = replace(lp, dfa=replace(lp.dfa, transitions=backwards))
+    trace = simulate([lp], env, max_steps=6).trace
+    assert trace[:2] == ["0 bot A region", "1 bot B region"]
+    assert simulate([reordered], env, max_steps=6).trace == trace
+
+
 def test_simulate_deadlock_reported():
     # an agent whose mission waits for a shared event no one else offers
     alpha1 = EventAlphabet(("sync", "solo"))

@@ -318,9 +318,11 @@ def test_verify_agrees_with_monolithic_on_random_instances():
 def test_direct_check_matches_composed_product(seed, mode):
     # the on-the-fly walk finds the witness of composing the plans, widening
     # the product and checking it against the property, and counts the
-    # product's states; the properties are partial, so that the implicit sink
-    # is reached, and the modules have unmarked states.  In the symmetric
-    # rule's last premise the walked operands are the assumptions' complements
+    # product states it expanded: all of the reachable ones when the property
+    # holds, and no more than those when it stops at a witness.  The
+    # properties are partial, so that the implicit sink is reached, and the
+    # modules have unmarked states.  In the symmetric rule's last premise the
+    # walked operands are the assumptions' complements
     rng = random.Random(seed)
     pool = ["a", "b", "c", "s", "t"]
     modules = []
@@ -356,11 +358,29 @@ def test_direct_check_matches_composed_product(seed, mode):
     assert witness == expected
     assert product_violation(modules, _with_table(prop)) == (witness, expanded)
     verdict, product_states = verify(modules, prop)
-    assert product_states == reachable
+    assert product_states == expanded <= reachable
     if expected is None:
         assert verdict.holds() and expanded == reachable
     else:
         assert verdict.outcome == "violated" and verdict.counterexample == expected
+
+
+def test_violated_verify_walks_the_product_once(monkeypatch):
+    # the walk that finds the witness also gives the pass its size, so a
+    # violated pass builds one product and expands fewer tuples than it has
+    p1, p2, prop = conflicting_choice()
+    reachable = len(accessible(parallel_compose_all([p1, p2])).states)
+    built = []
+    init = automata._Product.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(automata._Product, "__init__", counted)
+    verdict, product_states = verify([p1, p2], prop)
+    assert verdict.outcome == "violated" and len(built) == 1
+    assert product_states == built[0].expanded() < reachable
 
 
 def test_refine_builds_the_property_table_once(monkeypatch):
