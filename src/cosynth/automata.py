@@ -611,13 +611,8 @@ def extend_closure(dfa: Dfa) -> Dfa:
 
 def prefix_closure(dfa: Dfa) -> Dfa:
     """Accepts every prefix of every accepted word."""
-    acc = accessible(dfa)
-    good = _coreachable(acc)
-    if acc.initial not in good:
-        return empty_dfa(dfa.alphabet)
-    states = tuple(q for q in acc.states if q in good)
-    transitions = {k: v for k, v in acc.transitions.items() if k[0] in good and v in good}
-    return Dfa(states, acc.alphabet, acc.initial, transitions, frozenset(states))
+    t = trim(dfa)
+    return all_marked(t) if t.marked else t
 
 
 def star_words(dfa: Dfa) -> Dfa:

@@ -7,14 +7,18 @@ region moves its events need, in one pass over the mission automaton.
 Its region projection is the motion plan, the mission's region itinerary,
 which must be executable in the motion model.
 
-Two run semantics coexist deliberately.  Containment checks (is a region
-word executable?) use stutter-closed runs: an agent may dwell in a region
-across steps, which the integrated plans produced here require at cycle
-boundaries.  Door realisation (which door words implement a region word?)
-uses strict runs: every region change costs exactly one door event.
+Two run semantics coexist deliberately.  Adequacy (is every region word
+of a motion plan executable?) uses stutter-closed runs: an agent may dwell
+in a region across steps, which the integrated plans produced here require
+at cycle boundaries.  One walk over the motion plan with the agent's last
+region decides it and names the first region change no door makes.  Door
+realisation (which door words implement a region word?) uses strict runs:
+every region change costs exactly one door event; :func:`door_profile`
+builds those door words.
 
 Replanning adapts an integrated plan to a real environment whose doors may
-differ from the nominal model.  It works on the plan automaton, never on
+differ from the nominal model.  A plan the real environment still serves is
+kept as it is.  Otherwise replanning works on the plan automaton, never on
 its words: the plan is walked together with the agent's last region, every
 region change left without a door is spliced into a chain through the
 shortest real detour, and the result is determinised and minimised, so its
@@ -32,12 +36,10 @@ from cosynth.automata import (
     EventAlphabet,
     InputError,
     InvariantError,
-    Word,
     _determinize,
     _out_edges,
     empty_dfa,
     language_equal,
-    language_subset,
     minimize,
     trim,
 )
@@ -142,33 +144,6 @@ def motion_dfa(env: Environment, initial_region: str) -> Dfa:
     return trim(dfa)
 
 
-def run_language(motion: Dfa, stutter: bool, regions: Optional[Sequence[str]] = None) -> Dfa:
-    """Region words realisable as runs of the motion automaton.
-
-    With ``stutter`` the agent may repeat its current region (dwell);
-    without it every consecutive region pair must be door-connected.
-    The empty word is always included.  ``regions`` may name a larger
-    alphabet than the motion model reaches (unreachable regions then have
-    no runs).
-    """
-    if regions is None:
-        regions = motion.states
-    elif not set(motion.states) <= set(regions):
-        raise InputError("the region alphabet must cover the motion model's states")
-    alphabet = EventAlphabet(tuple(regions))
-    regions = motion.states
-    start = "@start"
-    transitions: dict[tuple[str, str], str] = {(start, motion.initial): motion.initial}
-    steps = {(v, motion.transitions[(v, d)]) for (v, d) in motion.transitions}
-    for v, v2 in steps:
-        transitions[(v, v2)] = v2
-    if stutter:
-        for v in regions:
-            transitions[(v, v)] = v
-    return Dfa((start,) + regions, alphabet, start, transitions,
-               frozenset((start,) + regions))
-
-
 # -- integrated-plan construction -----------------------------------------
 
 
@@ -238,16 +213,48 @@ def _interleave(mission: Dfa, pi: LabelingMap, initial_region: str) -> Dfa:
     return trim(dfa)
 
 
-def _first_unconnected(word: Word, motion: Dfa) -> tuple[str, str]:
-    steps = {(v, motion.transitions[(v, d)]) for (v, d) in motion.transitions}
-    previous: Optional[str] = None
-    for v in word:
-        if previous is not None and v != previous and (previous, v) not in steps:
-            return previous, v
-        previous = v
-    if word and word[0] != motion.initial:
-        return motion.initial, word[0]
-    raise InvariantError(f"no unconnected pair in {word}")
+_Node = tuple[str, Optional[str]]  # plan state, last region (None before the first)
+
+
+def _region_edges(dfa: Dfa, regions: set[str]) -> Iterator[tuple[_Node, str, _Node]]:
+    """Edges of the plan × last-region product, breadth-first from the start.
+
+    A region symbol sets the agent's last region and a mission event keeps
+    it.  The walk is lazy, so a caller that stops early allocates nothing
+    beyond the plan's out-edges and the nodes seen so far.
+    """
+    edges = _out_edges(dfa)
+    start: _Node = (dfa.initial, None)
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        q, v = node = queue.popleft()
+        for _, e, q2 in edges.get(q, ()):
+            nxt = (q2, e if e in regions else v)
+            yield node, e, nxt
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+
+
+def _motion_gap(motion_plan: Dfa, motion: Dfa) -> Optional[tuple[str, str]]:
+    """The first region change of the motion plan that ``motion`` cannot make.
+
+    The plan is walked breadth first together with the agent's last region,
+    each state's moves in the plan's event order; dwelling in the last
+    region is always allowed.  Returns ``(motion.initial, e)`` when the plan
+    starts in another region e, ``(v, e)`` for the first move from v to e
+    that no door makes, and None when every region word of the plan is a
+    stutter-closed run of ``motion``.
+    """
+    steps = {(v, v2) for (v, _), v2 in motion.transitions.items()}
+    for (_, v), e, _ in _region_edges(motion_plan, set(motion_plan.alphabet.events)):
+        if v is None:
+            if e != motion.initial:
+                return motion.initial, e
+        elif e != v and (v, e) not in steps:
+            return v, e
+    return None
 
 
 def door_profile(motion_plan: Dfa, motion: Dfa) -> Dfa:
@@ -287,7 +294,12 @@ def door_profile(motion_plan: Dfa, motion: Dfa) -> Dfa:
 
 @dataclass(frozen=True)
 class IntegratedPlan:
-    """A mission-motion plan with its projections and door profile."""
+    """A mission-motion plan with its projections and door profile.
+
+    ``motion_plan`` is the canonical region projection of ``dfa``
+    (``project(dfa, labeling.regions)``); :func:`replan` returns it as it is
+    when the real environment still serves the plan.
+    """
 
     agent: str
     dfa: Dfa
@@ -317,9 +329,9 @@ def integrate(
     """
     lp = _interleave(mission, pi, initial_region)
     motion_plan = project(lp, pi.regions)
-    witness = language_subset(motion_plan, run_language(motion, stutter=True, regions=pi.regions))
-    if witness is not None:
-        raise MotionInfeasible(_first_unconnected(witness, motion))
+    gap = _motion_gap(motion_plan, motion)
+    if gap is not None:
+        raise MotionInfeasible(gap)
     delta = language_equal(project(lp, mission.alphabet.events), mission)
     if delta is not None:
         raise InvariantError(f"integration altered the mission at {' '.join(delta) or 'ε'}")
@@ -384,30 +396,6 @@ def _shortest_region_path(env: Environment, source: str, target: str) -> Optiona
     return None
 
 
-_Node = tuple[str, Optional[str]]  # plan state, last region (None before the first)
-
-
-def _region_edges(dfa: Dfa, regions: set[str]) -> Iterator[tuple[_Node, str, _Node]]:
-    """Edges of the plan × last-region product, breadth-first from the start.
-
-    A region symbol sets the agent's last region and a mission event keeps
-    it.  The walk is lazy, so a caller that stops early allocates nothing
-    beyond the plan's out-edges and the nodes seen so far.
-    """
-    edges = _out_edges(dfa)
-    start: _Node = (dfa.initial, None)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        q, v = node = queue.popleft()
-        for _, e, q2 in edges.get(q, ()):
-            nxt = (q2, e if e in regions else v)
-            yield node, e, nxt
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-
-
 def _door_lost(real_env: Environment, regions: set[str], v: Optional[str], e: str) -> bool:
     """Whether the step ``e`` from last region ``v`` is a region change with no door."""
     return e in regions and v is not None and e != v and not real_env.doors_between(v, e)
@@ -455,42 +443,35 @@ def _splice(dfa: Dfa, regions: set[str], real_env: Environment) -> Dfa:
 def replan(lp: IntegratedPlan, nominal_motion: Dfa, real_env: Environment) -> IntegratedPlan:
     """Adapt an integrated plan to the real environment.
 
-    Region changes that keep at least one door are left untouched (the
-    door profile is simply recomputed against the real environment, which
-    drops words through missing doors).  A region change with no door left
-    is bridged by the shortest intermediate region path of the real
-    environment, spliced into the plan automaton itself: the plan is walked
-    together with the agent's last region, each doorless edge becomes a
-    chain through the bridge, and the result is determinised and
-    minimised.  When no region change lost its door the plan is returned
-    as it is.  Mission event sequences are never altered.
+    The plan must be adequate for ``nominal_motion``, and the real
+    environment must hold the nominal model's regions and doors and name no
+    region the plan's labeling does not.  When the real environment still
+    serves the motion plan, the plan and its motion plan are returned as
+    they are, with the door profile recomputed against the real environment
+    (which drops words through missing doors).  Otherwise each region change
+    with no door left is bridged by the shortest intermediate region path of
+    the real environment, spliced into the plan automaton itself: the plan
+    is walked together with the agent's last region, each doorless edge
+    becomes a chain through the bridge, and the result is determinised and
+    minimised.  Mission event sequences are never altered.
     """
-    if set(real_env.regions) != set(nominal_motion.states) or not set(
-        nominal_motion.alphabet.events
-    ) <= set(real_env.doors):
+    if not (set(nominal_motion.states) <= set(real_env.regions) <= set(lp.labeling.regions)
+            and set(nominal_motion.alphabet.events) <= set(real_env.doors)):
         raise InputError("real environment must share regions and doors with the nominal model")
-    witness = language_subset(
-        lp.motion_plan, run_language(nominal_motion, stutter=True, regions=lp.labeling.regions)
-    )
-    if witness is not None:
+    if _motion_gap(lp.motion_plan, nominal_motion) is not None:
         raise InvariantError("plan was not adequate for its nominal motion model")
     real = motion_dfa(real_env, lp.initial_region)
-    regions = set(lp.labeling.regions)
-    if any(_door_lost(real_env, regions, v, e) for (_, v), e, _ in _region_edges(lp.dfa, regions)):
-        new_dfa = _splice(lp.dfa, regions, real_env)
-        if language_equal(project(new_dfa, lp.mission.alphabet.events), lp.mission) is not None:
-            raise InvariantError("replanning must preserve the mission projection")
-    else:
-        new_dfa = lp.dfa
-    new_motion_plan = project(new_dfa, lp.labeling.regions)
-    witness = language_subset(
-        new_motion_plan, run_language(real, stutter=True, regions=lp.labeling.regions)
-    )
-    if witness is not None:
+    if _motion_gap(lp.motion_plan, real) is None:
+        return replace(lp, profile=door_profile(lp.motion_plan, real))
+    new_dfa = _splice(lp.dfa, set(lp.labeling.regions), real_env)
+    if language_equal(project(new_dfa, lp.mission.alphabet.events), lp.mission) is not None:
+        raise InvariantError("replanning must preserve the mission projection")
+    motion_plan = project(new_dfa, lp.labeling.regions)
+    if _motion_gap(motion_plan, real) is not None:
         raise InvariantError("replanned motion must be executable in the real environment")
-    profile = door_profile(new_motion_plan, real)
+    profile = door_profile(motion_plan, real)
     return IntegratedPlan(
-        lp.agent, new_dfa, lp.mission, new_motion_plan, profile, lp.initial_region, lp.labeling
+        lp.agent, new_dfa, lp.mission, motion_plan, profile, lp.initial_region, lp.labeling
     )
 
 
@@ -525,7 +506,6 @@ def simulate(
     schedule: Sequence[tuple[int, str, str]] = (),
     max_steps: int = 200,
     stop_event: Optional[str] = None,
-    nominal_motion: Optional[Dfa] = None,
 ) -> SimulationResult:
     """Step the integrated plans against the environment and a door schedule.
 
@@ -551,9 +531,7 @@ def simulate(
         _Walker(lp, lp.dfa.initial, _region_moves(lp), believed=dict(env.door_map))
         for lp in plans
     ]
-    nominal_motions = [
-        nominal_motion or motion_dfa(env, lp.initial_region) for lp in plans
-    ]
+    nominal_motions = [motion_dfa(env, lp.initial_region) for lp in plans]
     mission_owners: dict[str, list[int]] = {}
     for i, lp in enumerate(plans):
         for e in lp.mission.alphabet.events:

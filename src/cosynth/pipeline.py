@@ -142,7 +142,6 @@ class PipelineReport:
     refinement_rounds: int = 0
     first_counterexample: Optional[Word] = None
     plans: list[IntegratedPlan] = field(default_factory=list)
-    supervisors: list[Dfa] = field(default_factory=list)
     mission_plans: list[Dfa] = field(default_factory=list)
     trace: Optional[str] = None
 
@@ -300,7 +299,6 @@ def run_pipeline(
         report.add("status: infeasible")
         return report
     # each supervisor is its own closed loop with the plant: the mission plan
-    report.supervisors = list(result.plans)
     report.mission_plans = list(result.plans)
     for name, sup in zip(names, result.plans):
         report.artifacts[f"{name}_supervisor.aut"] = sup
@@ -333,6 +331,7 @@ def run_pipeline(
         report.add()
         report.add("motion")
         plans: list[IntegratedPlan] = []
+        motions: list[Dfa] = []
         for name, mission_plan in zip(names, result.plans):
             if name not in labelings:
                 raise InputError(f"labeling file lacks agent {name!r}")
@@ -342,6 +341,7 @@ def run_pipeline(
             gm = motion_dfa(env, v0)
             lp = integrate(mission_plan, labelings[name], v0, gm, agent=name)
             plans.append(lp)
+            motions.append(gm)
             report.artifacts[f"{name}_motion.aut"] = lp.motion_plan
             report.artifacts[f"{name}_integrated.aut"] = lp.dfa
             report.artifacts[f"{name}_profile.aut"] = lp.profile
@@ -359,8 +359,7 @@ def run_pipeline(
             report.add()
             report.add("replanning")
             replanned: list[IntegratedPlan] = []
-            for lp in plans:
-                gm = motion_dfa(env, lp.initial_region)
+            for lp, gm in zip(plans, motions):
                 new_lp = replan(lp, gm, real_env)
                 replanned.append(new_lp)
                 same = language_equal(new_lp.dfa, lp.dfa) is None

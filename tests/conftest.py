@@ -10,13 +10,14 @@ from __future__ import annotations
 import itertools
 import random
 from collections import deque
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import pytest
 
 from cosynth.automata import (
     Dfa,
     EventAlphabet,
+    InputError,
     Word,
     accessible,
     complete,
@@ -341,6 +342,33 @@ def casestudy():
 
 
 # -- replanning reference: bridge each enumerated plan word, rebuild a trie --
+
+
+def reference_run_language(motion: Dfa, stutter: bool, regions: Optional[Sequence[str]] = None) -> Dfa:
+    """Region words realisable as runs of the motion automaton.
+
+    With ``stutter`` the agent may repeat its current region (dwell);
+    without it every consecutive region pair must be door-connected.
+    The empty word is always included.  ``regions`` may name a larger
+    alphabet than the motion model reaches (unreachable regions then have
+    no runs).
+    """
+    if regions is None:
+        regions = motion.states
+    elif not set(motion.states) <= set(regions):
+        raise InputError("the region alphabet must cover the motion model's states")
+    alphabet = EventAlphabet(tuple(regions))
+    regions = motion.states
+    start = "@start"
+    transitions: dict[tuple[str, str], str] = {(start, motion.initial): motion.initial}
+    steps = {(v, motion.transitions[(v, d)]) for (v, d) in motion.transitions}
+    for v, v2 in steps:
+        transitions[(v, v2)] = v2
+    if stutter:
+        for v in regions:
+            transitions[(v, v)] = v
+    return Dfa((start,) + regions, alphabet, start, transitions,
+               frozenset((start,) + regions))
 
 
 def shortest_real_path(env, source: str, target: str):

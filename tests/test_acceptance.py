@@ -41,13 +41,18 @@ from cosynth.motion import (
     labeling_from_text,
     motion_dfa,
     replan,
-    run_language,
     validate_integrated_clauses,
 )
 from cosynth.pipeline import PipelineConfig, run_pipeline
 from cosynth.synthesis import SynthesisProblem, learn_supervisor, synthesize_supervisor
 from cosynth.verification import assume_guarantee
-from conftest import brute_accepts, random_dfa, reference_supc_closed_form, words_up_to
+from conftest import (
+    brute_accepts,
+    random_dfa,
+    reference_run_language,
+    reference_supc_closed_form,
+    words_up_to,
+)
 
 
 def _report(criterion: int, message: str) -> None:
@@ -252,7 +257,8 @@ def test_criterion_8_adequacy_and_clause_suite(pipeline_run):
         nominal = motion_dfa(env, lp.initial_region)
         lifted = integrate(lp.mission, lp.labeling, lp.initial_region, nominal).motion_plan
         assert satisfies(lp.motion_plan, lifted) is None  # adequacy clause 1
-        assert language_subset(lp.motion_plan, run_language(gm, stutter=True)) is None  # clause 2
+        runs = reference_run_language(gm, stutter=True)
+        assert language_subset(lp.motion_plan, runs) is None  # adequacy clause 2
         validate_integrated_clauses(lp.dfa, lp.labeling, lp.initial_region)
         checked += 1
     assert checked == 9

@@ -24,6 +24,7 @@ from cosynth.automata import (
     minimize,
     parallel_compose,
     parallel_compose_all,
+    prefix_closure,
     run,
     shortest_marked,
     trim,
@@ -221,7 +222,14 @@ def test_complement_matches_word_enumeration(seed, n_events, marked_p):
     co = complement(d)
     assert co.alphabet == d.alphabet and co.is_total()
     everything = set(words_up_to(events, 5))
-    assert lang_set(co, 5) == everything - lang_set(d, 5)
+    accepted = lang_set(d, 5)
+    assert lang_set(co, 5) == everything - accepted
+    # a word of length 2 or less that leads to a co-reachable state of the
+    # four-state DFA extends to an accepted word of length 5 or less
+    closure = prefix_closure(d)
+    prefixes = {w[:i] for w in accepted for i in range(len(w) + 1)}
+    assert lang_set(closure, 2) == {w for w in prefixes if len(w) <= 2}
+    assert prefixes <= lang_set(closure, 5)
 
 
 def test_trim_fixpoint():

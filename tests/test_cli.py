@@ -250,6 +250,20 @@ def test_pipeline_with_real_env_and_schedule(tmp_path):
     assert "replanning" in body and "simulation" in body
 
 
+def test_replan_command_matches_the_pipeline_replanning(tmp_path):
+    out = tmp_path / "out"
+    nominal, real = str(fixture_path("nominal.env")), str(fixture_path("real_no_d3.env"))
+    assert main(["pipeline", "--config", str(fixture_path("casestudy.cfg")), "--out", str(out),
+                 "--real-env", real]) == 0
+    for agent in ("agent1", "agent2", "agent3"):
+        assert main(["replan", str(out / f"{agent}_plan.aut"), "--env", nominal,
+                     "--real-env", real, "--labeling", str(fixture_path("labels.pi")),
+                     "--agent", agent, "-o", str(tmp_path / agent)]) == 0
+        for mine, pipeline_file in (("integrated", "replanned"), ("profile", "replanned_profile")):
+            assert ((tmp_path / f"{agent}_{mine}.aut").read_bytes()
+                    == (out / f"{agent}_{pipeline_file}.aut").read_bytes())
+
+
 def test_simulate_command(tmp_path, capsys):
     cfg = str(fixture_path("casestudy.cfg"))
     code = main(["simulate", "--config", cfg,

@@ -29,6 +29,7 @@ from cosynth.motion import (
     LabelingMap,
     MotionInfeasible,
     ReplanInfeasible,
+    _motion_gap,
     door_profile,
     environment_from_text,
     environment_to_text,
@@ -37,7 +38,6 @@ from cosynth.motion import (
     labeling_to_text,
     motion_dfa,
     replan,
-    run_language,
     schedule_from_text,
     simulate,
     validate_integrated_clauses,
@@ -52,6 +52,7 @@ from conftest import (
     lang_set,
     random_dfa,
     reference_replan_dfa,
+    reference_run_language,
     words_up_to,
 )
 
@@ -140,8 +141,8 @@ def test_lift_requires_labels_for_every_event():
 
 def test_run_language_semantics():
     gm = motion_dfa(case_env(), "R1")
-    strict = run_language(gm, stutter=False)
-    stutter = run_language(gm, stutter=True)
+    strict = reference_run_language(gm, stutter=False)
+    stutter = reference_run_language(gm, stutter=True)
     assert brute_accepts(strict, ("R1", "R2", "R1"))
     assert not brute_accepts(strict, ("R1", "R1"))
     assert brute_accepts(stutter, ("R1", "R1"))
@@ -331,6 +332,23 @@ def test_integrate_matches_word_oracles(rng):
         assert all(v == v2 or env.doors_between(v, v2) for v, v2 in zip(w, w[1:])), w
 
 
+@settings(max_examples=300, deadline=None, database=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_motion_gap_is_the_last_pair_of_the_run_language_witness(rng):
+    # the gap walk stops where the subset check against the stutter-closed
+    # run language does, whatever the plan's event order
+    door_map = {(a, b): (f"d{a[1]}{b[1]}",) for a in REGIONS for b in REGIONS
+                if a != b and rng.random() < 0.5}
+    env = Environment(REGIONS, tuple(door_map),
+                      tuple(d for ds in door_map.values() for d in ds), door_map)
+    gm = motion_dfa(env, rng.choice(REGIONS))
+    plan = random_dfa(rng, 5, rng.sample(REGIONS, len(REGIONS)),
+                      density=rng.choice((0.3, 0.6, 0.9)), marked_p=1.0)
+    w = language_subset(plan, reference_run_language(gm, stutter=True, regions=REGIONS))
+    expected = None if w is None else (gm.initial, w[0]) if len(w) == 1 else w[-2:]
+    assert _motion_gap(plan, gm) == expected
+
+
 def _agent3_plan():
     alpha = EventAlphabet(
         ("Close", "D1close", "D1open", "G2inR1", "G3inR1", "G3inR3", "Open", "h3", "r"),
@@ -367,6 +385,34 @@ def test_replan_closed_door_with_alternative():
     assert accepts(new_lp.profile, ("D1l", "D1l"))
 
 
+def test_replan_keeps_a_plan_the_real_environment_still_serves(monkeypatch):
+    import cosynth.motion as motion
+
+    lp, gm = _agent3_plan()
+    calls = []
+    original = motion.project
+    monkeypatch.setattr(motion, "project", lambda *args: calls.append(args) or original(*args))
+    new_lp = replan(lp, gm, case_env().without_doors({"D3"}))
+    assert new_lp.dfa is lp.dfa and new_lp.motion_plan is lp.motion_plan
+    assert calls == []  # nothing is projected again
+
+
+def test_replan_accepts_regions_the_start_cannot_reach():
+    # R3 has a door out but none in, so the motion model from R1 trims it
+    door_map = {("R1", "R2"): ("d12",), ("R2", "R1"): ("d21",), ("R3", "R1"): ("d31",)}
+    env = Environment(REGIONS, tuple(door_map), ("d12", "d21", "d31"), door_map, {"bot": "R1"})
+    alpha = EventAlphabet(("go", "back"), frozenset({"go", "back"}))
+    pi = LabelingMap(REGIONS, {"go": frozenset({"R2"}), "back": frozenset({"R1"})})
+    gm = motion_dfa(env, "R1")
+    assert set(gm.states) == {"R1", "R2"}
+    lp = integrate(cycle_dfa(("go", "back"), alpha), pi, "R1", gm, agent="bot")
+    assert replan(lp, gm, env).dfa is lp.dfa
+    # a real region the plan's labeling cannot name is still refused
+    wider = replace(env, regions=REGIONS + ("R4",))
+    with pytest.raises(InputError, match="must share regions and doors"):
+        replan(lp, gm, wider)
+
+
 def test_replan_mission_projection_is_never_altered():
     lp, gm = _agent3_plan()
     for closed in ({"D3"}, {"D1l"}, {"D2"}):
@@ -399,8 +445,8 @@ def test_replan_splices_intermediate_regions():
         minimize(project(new_lp.dfa, ("go", "back"))), minimize(mission)
     ) is None
     # replanned motion is executable in the real environment
-    real_motion = motion_dfa(real, "A")
-    assert language_subset(new_lp.motion_plan, run_language(real_motion, stutter=True)) is None
+    real_runs = reference_run_language(motion_dfa(real, "A"), stutter=True)
+    assert language_subset(new_lp.motion_plan, real_runs) is None
 
 
 def test_replan_infeasible_names_the_gap():
@@ -520,7 +566,7 @@ def test_replan_tracks_the_last_region_into_merged_states():
     new_lp = replan(merged, gm, real)
     assert accepts(new_lp.dfa, ("R0", "a", "R1", "b", "R2", "R0", "a", "R1"))
     assert not accepts(new_lp.dfa, ("R0", "a", "R1", "b", "R0"))
-    real_runs = run_language(motion_dfa(real, "R0"), stutter=True)
+    real_runs = reference_run_language(motion_dfa(real, "R0"), stutter=True)
     assert language_subset(new_lp.motion_plan, real_runs) is None
 
 
@@ -549,7 +595,7 @@ def test_replan_scales_past_word_enumeration():
     assert language_equal(
         minimize(project(new_lp.dfa, mission.alphabet.events)), minimize(mission)
     ) is None
-    real_runs = run_language(motion_dfa(real, "R0"), stutter=True)
+    real_runs = reference_run_language(motion_dfa(real, "R0"), stutter=True)
     assert language_subset(new_lp.motion_plan, real_runs) is None
     detour = ("R0", "x0", "R1", "x1") + ("R0",) + rooms[:1:-1] + ("x2",)
     assert accepts(new_lp.dfa, detour)
