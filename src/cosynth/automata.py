@@ -23,13 +23,17 @@ Every synchronous product is one breadth-first walk over tuples of integer
 operand states (``_Product``), which steps a tuple through the moves that
 its operands' states have: :func:`parallel_compose_all`, with
 :func:`parallel_compose` its two-operand case, names the tuples it reaches;
-:func:`minimal_product` feeds them to the integer core of :func:`minimize`;
-and :func:`product_violation` walks them next to a property to find the
-shortest, lexicographically least accepted word that leaves it.  That walk
-is the core's one answer to "does this product satisfy the property?":
-:func:`cosynth.langops.satisfies` asks it of one operand; in
-:mod:`cosynth.verification` the plan check asks it of the plans, and the
-symmetric rule's last premise of the complemented assumptions.
+:func:`minimal_product` feeds them to the integer core of :func:`minimize`,
+as the supervisor teacher of :mod:`cosynth.synthesis` does for its
+reference language; and :func:`product_violation` walks them next to a
+property to find the shortest, lexicographically least accepted word that
+leaves it.  That walk is the core's one answer to "does this product
+satisfy the property?": :func:`cosynth.langops.satisfies` asks it of one
+operand; in :mod:`cosynth.verification` the plan check asks it of the
+plans, the assume-guarantee triple of the prefix-closed assumption and
+module, and the symmetric rule's last premise of the complemented
+assumptions.  The weakest assumption steps the same product next to the
+property's table (``_property_table``) to build its violation automaton.
 """
 
 from __future__ import annotations
@@ -148,12 +152,6 @@ class Dfa:
                 raise InputError(f"transition event {event!r} not in alphabet")
 
     # -- basic queries -------------------------------------------------
-
-    def step(self, state: str, event: str) -> Optional[str]:
-        return self.transitions.get((state, event))
-
-    def next_events(self, state: str) -> list[str]:
-        return [e for e in self.alphabet.events if (state, e) in self.transitions]
 
     def is_total(self) -> bool:
         return all((q, e) in self.transitions for q in self.states for e in self.alphabet.events)

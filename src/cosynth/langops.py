@@ -25,7 +25,6 @@ from cosynth.automata import (
     Word,
     all_marked,
     empty_dfa,
-    extend_closure,
     language_equal,
     language_subset,
     minimize,
@@ -33,7 +32,6 @@ from cosynth.automata import (
     prefix_closure,
     product_violation,
     shortest_marked,
-    subtract,
     trim,
     words_dfa,
     _determinize,
@@ -313,12 +311,6 @@ def _nonempty_intersection(a: Dfa, source: str, edges: dict, b: Dfa) -> bool:
     return False
 
 
-def _uncontrollable_step(alphabet: EventAlphabet) -> Dfa:
-    """DFA accepting exactly the length-one uncontrollable words."""
-    transitions = {("0", e): "1" for e in alphabet.events if e in alphabet.uncontrollable}
-    return Dfa(("0", "1"), alphabet, "0", transitions, frozenset(("1",)))
-
-
 def is_controllable(spec: "LanguageSpec | Dfa", plant: Dfa) -> Optional[Word]:
     """None if closure(L) Σ_uc ∩ L(plant) ⊆ closure(L); else a witness s·σ_uc.
 
@@ -361,9 +353,8 @@ def sup_c(spec: "LanguageSpec | Dfa", plant: Dfa) -> Dfa:
     its uncontrollable moves (:func:`_supc_walk`).  It is the language of the
     closed form L − [(L(G) − L)/Σ_uc*]Σ* (Wonham and Ramadge, SIAM J.
     Control Optim. 1987) and of the fixed point
-    K_{j+1} = K_j − [(L(G) − K_j)/Σ_uc]Σ* of :func:`_supc_fixed_point`,
-    which the tests compare it against.  The result is minimal and
-    canonical.
+    K_{j+1} = K_j − [(L(G) − K_j)/Σ_uc]Σ*, which the tests compare it
+    against.  The result is minimal and canonical.
     """
     spec_dfa = _as_marked(spec)
     if set(spec_dfa.alphabet.events) != set(plant.alphabet.events):
@@ -452,21 +443,6 @@ def _supc_walk(spec: Dfa, plant: Dfa, alphabet: EventAlphabet) -> Dfa:
                 stack.append(p)
     return _minimize_numbered([[] if flag else out for flag, out in zip(bad, succ)],
                               [not flag for flag in bad], alphabet)
-
-
-def _supc_fixed_point(spec: Dfa, plant_gen: Dfa, alphabet: EventAlphabet) -> Dfa:
-    bound = len(spec.states) * len(plant_gen.states) + 1
-    step = _uncontrollable_step(alphabet)
-    current = spec
-    for _ in range(bound):
-        illegal = subtract(plant_gen, current)
-        stripped = quotient(illegal, step)
-        cut = extend_closure(stripped)
-        nxt = minimize(subtract(current, cut))
-        if language_equal(nxt, current) is None:
-            return nxt
-        current = nxt
-    raise InvariantError(f"supC fixed point did not stabilise within {bound} iterations")
 
 
 def satisfies(m: Dfa, p: Dfa) -> Optional[Word]:

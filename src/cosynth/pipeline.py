@@ -22,7 +22,6 @@ from cosynth.automata import (
     Word,
     dfa_to_text,
     language_empty,
-    language_equal,
     language_subset,
     load_dfa,
     minimal_product,
@@ -362,7 +361,9 @@ def run_pipeline(
             for lp, gm in zip(plans, motions):
                 new_lp = replan(lp, gm, real_env)
                 replanned.append(new_lp)
-                same = language_equal(new_lp.dfa, lp.dfa) is None
+                # replan returns a plan it keeps as it is, and a splice always
+                # removes the word through the lost doors
+                same = new_lp.dfa is lp.dfa
                 report.artifacts[f"{new_lp.agent}_replanned.aut"] = new_lp.dfa
                 report.artifacts[f"{new_lp.agent}_replanned_profile.aut"] = new_lp.profile
                 report.add(f"  {new_lp.agent}: plan-{'unchanged' if same else 'rerouted'}"

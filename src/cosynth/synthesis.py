@@ -43,11 +43,14 @@ from cosynth.automata import (
     complete,
     empty_dfa,
     extend_closure,
+    generates,
     language_empty,
     language_equal,
     minimize,
     subtract,
     words_dfa,
+    _minimize_numbered,
+    _Product,
 )
 from cosynth.langops import LanguageSpec, _as_marked, _minimal_is_prefix_closed, sup_c, widen_like
 from cosynth.lstar import LearnLog, learn
@@ -133,18 +136,8 @@ class SynthesisProblem:
             return self.plant_membership
         if self.plant_dfa is not None:
             plant = self.plant_dfa
-            return lambda w: all(s in plant.alphabet for s in w) and _generated(plant, w)
+            return lambda w: all(s in plant.alphabet for s in w) and generates(plant, w)
         raise InputError("a plant membership source or plant DFA is required")
-
-
-def _generated(dfa: Dfa, word: Word) -> bool:
-    state = dfa.initial
-    for s in word:
-        nxt = dfa.transitions.get((state, s))
-        if nxt is None:
-            return False
-        state = nxt
-    return True
 
 
 class SupervisorTeacher:
@@ -273,34 +266,16 @@ class SupervisorTeacher:
                 if cut == 0 or w[cut - 1] not in uncontrollable:
                     break
                 cut -= 1
-        # cut automaton: every word whose plant/spec observation class was
-        # condemned, together with all its continuations
-        marked = set()
-        order = [(plant.initial, specc.initial)]
-        seen = {order[0]}
-        transitions: dict[tuple[str, str], str] = {}
-        queue = list(order)
-        while queue:
-            g, l = queue.pop()
-            for e in self.alphabet.events:
-                nxt = (plant.transitions[(g, e)], specc.transitions[(l, e)])
-                transitions[(f"{g}|{l}", e)] = f"{nxt[0]}|{nxt[1]}"
-                if nxt not in seen:
-                    seen.add(nxt)
-                    order.append(nxt)
-                    queue.append(nxt)
-        for g, l in seen:
-            if (g, l) in self._cut_classes:
-                marked.add(f"{g}|{l}")
-        product = Dfa(
-            tuple(f"{g}|{l}" for g, l in order),
-            self.alphabet,
-            f"{plant.initial}|{specc.initial}",
-            transitions,
-            frozenset(marked),
-        )
-        self._cut = extend_closure(product)
-        self.k = minimize(subtract(self.spec, self._cut))
+        # K_j: the spec's words none of whose prefixes reaches a condemned
+        # plant/spec class; the condemned pairs get no moves and no mark
+        plant_number = {q: n for n, q in enumerate(plant.states)}
+        spec_number = {q: n for n, q in enumerate(specc.states)}
+        condemned = {(plant_number[g], spec_number[l]) for g, l in self._cut_classes}
+        order, succ = _Product((plant, specc), self.alphabet.events).explore()
+        self.k = _minimize_numbered(
+            [[] if t in condemned else out for t, out in zip(order, succ)],
+            [t not in condemned and specc.states[t[1]] in self.spec.marked for t in order],
+            self.alphabet)
 
     def _audit(self) -> Optional[Word]:
         """Shortest word s·u with s in K, u uncontrollable and non-empty,
@@ -312,8 +287,8 @@ class SupervisorTeacher:
         return self._audit_bounded()
 
     def _audit_exact(self) -> Optional[Word]:
-        plant, plant_qe = complete(widen_like(all_marked(self.plant_dfa), self.alphabet))
-        spec_c, spec_qe = complete(self.spec)
+        plant, plant_qe = self._plant_completion
+        spec_c, spec_qe = self._spec_completion
         k_c, _ = complete(self.k)
         uncontrollable = self.alphabet.uncontrollable
         start = (plant.initial, spec_c.initial, k_c.initial, 0)
@@ -346,7 +321,7 @@ class SupervisorTeacher:
 
     def _audit_bounded(self) -> Optional[Word]:
         depth = 2 * len(self.spec.states) + 2
-        spec_c, spec_qe = complete(self.spec)
+        spec_c, spec_qe = self._spec_completion
         k_c, _ = complete(self.k)
         uncontrollable = self.alphabet.uncontrollable
         start = (spec_c.initial, k_c.initial, 0)

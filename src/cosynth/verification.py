@@ -6,15 +6,17 @@ plan states and a property state, without building the product automaton;
 a missing property transition leads to an implicit, absorbing, unmarked
 sink.  The shortest violating word, realisable by every agent, is the
 counterexample.  The walk is the DFA core's one violation walk,
-:func:`cosynth.automata.product_violation`; :func:`sym_n_check` runs it on
-the complemented assumptions.  The plans the refinement loop verifies are
-the supervisors themselves: each is supC(K) ⊆ K ⊆ L(G), so its closed loop
-with the plant G is the supervisor.
+:func:`cosynth.automata.product_violation`; :func:`check_triple` runs it on
+an assumption and a module, and :func:`sym_n_check` on the complemented
+assumptions.  The plans the refinement loop verifies are the supervisors
+themselves: each is supC(K) ⊆ K ⊆ L(G), so its closed loop with the plant G
+is the supervisor.
 
 The paper's compositional mode is :func:`assume_guarantee`, which the
 ``cosynth verify`` command runs.  It builds, per agent, the weakest
 environment assumption over that agent's interface alphabet by the direct
-construction of Giannakopoulou, Păsăreanu and Barringer (ASE 2002), then
+construction of Giannakopoulou, Păsăreanu and Barringer (ASE 2002), from the
+core's product steps of the module next to the property's table, then
 discharges the symmetric n-module proof rule: if the composed complements of
 all assumptions stay inside the property, the composed system satisfies it.
 When the rule produces a counterexample the word is simulated on every
@@ -33,20 +35,18 @@ does not reduce to a finite stub.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from cosynth.automata import (
-    EPSILON,
     Dfa,
     EventAlphabet,
     InputError,
     InvariantError,
     Word,
     accepts,
+    all_marked,
     complement,
-    complete,
     extend_closure,
     language_empty,
     language_subset,
@@ -54,8 +54,12 @@ from cosynth.automata import (
     prefix_closure,
     product_violation,
     trim,
+    universal_dfa,
     word_dfa,
     _determinize,
+    _Product,
+    _property_table,
+    _union_events,
     _with_table,
 )
 from cosynth.langops import prefix_close_largest, project_word
@@ -85,37 +89,22 @@ def check_triple(assumption: Dfa, module: Dfa, prop: Dfa) -> Optional[Word]:
     """None if ⟨A⟩ M ⟨P⟩ holds; else the shortest word reaching the error state.
 
     The assumption and module act as prefix constraints (their runnable
-    behaviour restricted to prefixes of accepted words), the property is
-    completed and violated exactly when its component leaves the accepted
-    region.
+    behaviour restricted to prefixes of accepted words): both enter the
+    violation walk with every state marked, so an empty assumption still
+    blocks only its own events.  The property's events that neither owns
+    stay free, and the property is violated exactly when it leaves its
+    marked states.
     """
-    a = prefix_closure(assumption)
-    comp, _ = complete(prop)
-    alphabet = assumption.alphabet.union(module.alphabet).union(prop.alphabet)
-    in_a = {e: e in a.alphabet for e in alphabet.events}
-    in_m = {e: e in module.alphabet for e in alphabet.events}
-    in_p = {e: e in prop.alphabet for e in alphabet.events}
-    start = (a.initial, module.initial, comp.initial)
-    if comp.initial not in prop.marked:
-        return EPSILON
-    seen = {start}
-    queue: deque[tuple[tuple[str, str, str], Word]] = deque([(start, EPSILON)])
-    while queue:
-        (qa, qm, qp), word = queue.popleft()
-        for e in alphabet.events:
-            na = a.transitions.get((qa, e)) if in_a[e] else qa
-            nm = module.transitions.get((qm, e)) if in_m[e] else qm
-            if (in_a[e] and na is None) or (in_m[e] and nm is None):
-                continue
-            np_ = comp.transitions[(qp, e)] if in_p[e] else qp
-            w = word + (e,)
-            if np_ not in prop.marked:
-                return w
-            nxt = (na, nm, np_)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append((nxt, w))
-    return None
+    operands = [all_marked(prefix_closure(assumption)), all_marked(module)]
+    return product_violation(_with_free_events(operands, prop), prop)[0]
+
+
+def _with_free_events(dfas: list[Dfa], prop: Dfa) -> list[Dfa]:
+    """*dfas* and, when the property owns events that none of them does, a
+    universal operand over those events, so that they may always occur."""
+    owned = {e for dfa in dfas for e in dfa.alphabet.events}
+    free = prop.alphabet.restrict(e for e in prop.alphabet.events if e not in owned)
+    return dfas + [universal_dfa(free)] if free.events else dfas
 
 
 def weakest_assumption(module: Dfa, prop: Dfa, interface: EventAlphabet) -> Dfa:
@@ -123,50 +112,36 @@ def weakest_assumption(module: Dfa, prop: Dfa, interface: EventAlphabet) -> Dfa:
 
     A word t is admitted iff no globally runnable behaviour that projects
     into the prefixes of t lets the module violate the property.  The
-    violating projections form a regular set B; the result is the
+    violating projections form a regular set B: the walk of the module (as
+    a prefix constraint) with the property, whose missing transitions lead
+    to an implicit, absorbing, unmarked sink, labelled by the interface
+    events and accepting where the property is unmarked.  The result is the
     complement of B·Σ*, minimised.
     """
-    alphabet = module.alphabet.union(prop.alphabet)
     for e in interface.events:
-        if e not in alphabet:
+        if e not in module.alphabet and e not in prop.alphabet:
             raise InputError(f"interface event {e!r} unknown to module and property")
-    comp, _ = complete(prop)
-    in_m = {e: e in module.alphabet for e in alphabet.events}
-    in_p = {e: e in prop.alphabet for e in alphabet.events}
-    interface_set = set(interface.events)
-
-    # product of the module (as a prefix constraint) with the completed
-    # property, with transition labels projected onto the interface
-    nfa: dict[tuple[str, Optional[str]], set[str]] = {}
-    start = (module.initial, comp.initial)
+    operands = _with_free_events([module], prop)
+    product = _Product(operands, _union_events(operands))
+    prop_initial, columns, prop_marked = _property_table(prop)
+    steps = [(columns.get(e), e if e in interface else None) for e in product.events]
+    start = (product.initial, prop_initial)
+    nfa: dict[tuple[tuple, Optional[str]], set[tuple]] = {}
     order = [start]
     seen = {start}
-    queue = deque(order)
-    accepting: set[str] = set()
-
-    def name(qm: str, qp: str) -> str:
-        return f"{qm}|{qp}"
-
-    if comp.initial not in prop.marked:
-        accepting.add(name(*start))
-    while queue:
-        qm, qp = queue.popleft()
-        if qp not in prop.marked:
+    for pair in order:
+        t, qp = pair
+        if not prop_marked[qp]:
             continue  # violation is absorbing for the trigger set
-        for e in alphabet.events:
-            nm = module.transitions.get((qm, e)) if in_m[e] else qm
-            if in_m[e] and nm is None:
-                continue
-            np_ = comp.transitions[(qp, e)] if in_p[e] else qp
-            label = e if e in interface_set else None
-            nfa.setdefault((name(qm, qp), label), set()).add(name(nm, np_))
-            nxt = (nm, np_)
+        for a, nt in product.moves(t):
+            column, label = steps[a]
+            nxt = (nt, qp if column is None else column[qp])
+            nfa.setdefault((pair, label), set()).add(nxt)
             if nxt not in seen:
                 seen.add(nxt)
-                queue.append(nxt)
-                if np_ not in prop.marked:
-                    accepting.add(name(nm, np_))
-    bad = _determinize(nfa, {name(*start)}, accepting, interface)
+                order.append(nxt)
+    accepting = {pair for pair in order if not prop_marked[pair[1]]}
+    bad = _determinize(nfa, {start}, accepting, interface)
     return minimize(complement(extend_closure(bad)))
 
 

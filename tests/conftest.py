@@ -15,16 +15,22 @@ from typing import Iterable, Iterator, Optional, Sequence
 import pytest
 
 from cosynth.automata import (
+    EPSILON,
     Dfa,
     EventAlphabet,
     InputError,
+    InvariantError,
     Word,
     accessible,
+    complement,
     complete,
     empty_dfa,
     extend_closure,
+    language_equal,
     minimize,
+    prefix_closure,
     subtract,
+    _determinize,
 )
 from cosynth.langops import project, quotient, widen_alphabet, widen_like
 from cosynth.motion import ReplanInfeasible
@@ -274,6 +280,157 @@ def reference_supc_closed_form(spec: Dfa, plant_gen: Dfa, alphabet: EventAlphabe
     stripped = quotient(illegal, uncontrollable_star)
     cut = extend_closure(stripped)
     return minimize(subtract(spec, cut))
+
+
+def _uncontrollable_step(alphabet: EventAlphabet) -> Dfa:
+    """DFA accepting exactly the length-one uncontrollable words."""
+    transitions = {("0", e): "1" for e in alphabet.events if e in alphabet.uncontrollable}
+    return Dfa(("0", "1"), alphabet, "0", transitions, frozenset(("1",)))
+
+
+def reference_supc_fixed_point(spec: Dfa, plant_gen: Dfa, alphabet: EventAlphabet) -> Dfa:
+    """The fixed point K_{j+1} = K_j − [(L(G) − K_j)/Σ_uc]Σ*, iterated from
+    K_0 = K; the other reference for :func:`cosynth.langops.sup_c`.
+
+    Arguments as for :func:`reference_supc_closed_form`.
+    """
+    bound = len(spec.states) * len(plant_gen.states) + 1
+    step = _uncontrollable_step(alphabet)
+    current = spec
+    for _ in range(bound):
+        illegal = subtract(plant_gen, current)
+        stripped = quotient(illegal, step)
+        cut = extend_closure(stripped)
+        nxt = minimize(subtract(current, cut))
+        if language_equal(nxt, current) is None:
+            return nxt
+        current = nxt
+    raise InvariantError(f"supC fixed point did not stabilise within {bound} iterations")
+
+
+def reference_class_cut_k(teacher) -> Dfa:
+    """K_j of a supervisor teacher with a plant automaton, built from its
+    condemned classes by the string route; the reference for
+    :meth:`cosynth.synthesis.SupervisorTeacher._rebuild_class_cut`.
+
+    Names the pairs of the completed plant × completed spec "g|l", marks
+    the condemned ones, extends them to every continuation and subtracts
+    the result from the spec.
+    """
+    plant, _ = teacher._plant_completion
+    specc, _ = teacher._spec_completion
+    marked = set()
+    order = [(plant.initial, specc.initial)]
+    seen = {order[0]}
+    transitions: dict[tuple[str, str], str] = {}
+    queue = list(order)
+    while queue:
+        g, l = queue.pop()
+        for e in teacher.alphabet.events:
+            nxt = (plant.transitions[(g, e)], specc.transitions[(l, e)])
+            transitions[(f"{g}|{l}", e)] = f"{nxt[0]}|{nxt[1]}"
+            if nxt not in seen:
+                seen.add(nxt)
+                order.append(nxt)
+                queue.append(nxt)
+    for g, l in seen:
+        if (g, l) in teacher._cut_classes:
+            marked.add(f"{g}|{l}")
+    product = Dfa(
+        tuple(f"{g}|{l}" for g, l in order),
+        teacher.alphabet,
+        f"{plant.initial}|{specc.initial}",
+        transitions,
+        frozenset(marked),
+    )
+    return minimize(subtract(teacher.spec, extend_closure(product)))
+
+
+def reference_check_triple(assumption: Dfa, module: Dfa, prop: Dfa) -> Optional[Word]:
+    """The string-keyed triple walk over the completed property, the
+    reference for :func:`cosynth.verification.check_triple`.
+
+    The assumption and module act as prefix constraints (their runnable
+    behaviour restricted to prefixes of accepted words), the property is
+    completed and violated exactly when its component leaves the accepted
+    region.
+    """
+    a = prefix_closure(assumption)
+    comp, _ = complete(prop)
+    alphabet = assumption.alphabet.union(module.alphabet).union(prop.alphabet)
+    in_a = {e: e in a.alphabet for e in alphabet.events}
+    in_m = {e: e in module.alphabet for e in alphabet.events}
+    in_p = {e: e in prop.alphabet for e in alphabet.events}
+    start = (a.initial, module.initial, comp.initial)
+    if comp.initial not in prop.marked:
+        return EPSILON
+    seen = {start}
+    queue: deque[tuple[tuple[str, str, str], Word]] = deque([(start, EPSILON)])
+    while queue:
+        (qa, qm, qp), word = queue.popleft()
+        for e in alphabet.events:
+            na = a.transitions.get((qa, e)) if in_a[e] else qa
+            nm = module.transitions.get((qm, e)) if in_m[e] else qm
+            if (in_a[e] and na is None) or (in_m[e] and nm is None):
+                continue
+            np_ = comp.transitions[(qp, e)] if in_p[e] else qp
+            w = word + (e,)
+            if np_ not in prop.marked:
+                return w
+            nxt = (na, nm, np_)
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append((nxt, w))
+    return None
+
+
+def reference_weakest_assumption(module: Dfa, prop: Dfa, interface: EventAlphabet) -> Dfa:
+    """The weakest assumption from a string-named product of the module and
+    the completed property, scanning the alphabet for every pair; the
+    reference for :func:`cosynth.verification.weakest_assumption`.
+    """
+    alphabet = module.alphabet.union(prop.alphabet)
+    for e in interface.events:
+        if e not in alphabet:
+            raise InputError(f"interface event {e!r} unknown to module and property")
+    comp, _ = complete(prop)
+    in_m = {e: e in module.alphabet for e in alphabet.events}
+    in_p = {e: e in prop.alphabet for e in alphabet.events}
+    interface_set = set(interface.events)
+
+    # product of the module (as a prefix constraint) with the completed
+    # property, with transition labels projected onto the interface
+    nfa: dict[tuple[str, Optional[str]], set[str]] = {}
+    start = (module.initial, comp.initial)
+    order = [start]
+    seen = {start}
+    queue = deque(order)
+    accepting: set[str] = set()
+
+    def name(qm: str, qp: str) -> str:
+        return f"{qm}|{qp}"
+
+    if comp.initial not in prop.marked:
+        accepting.add(name(*start))
+    while queue:
+        qm, qp = queue.popleft()
+        if qp not in prop.marked:
+            continue  # violation is absorbing for the trigger set
+        for e in alphabet.events:
+            nm = module.transitions.get((qm, e)) if in_m[e] else qm
+            if in_m[e] and nm is None:
+                continue
+            np_ = comp.transitions[(qp, e)] if in_p[e] else qp
+            label = e if e in interface_set else None
+            nfa.setdefault((name(qm, qp), label), set()).add(name(nm, np_))
+            nxt = (nm, np_)
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+                if np_ not in prop.marked:
+                    accepting.add(name(nm, np_))
+    bad = _determinize(nfa, {name(*start)}, accepting, interface)
+    return minimize(complement(extend_closure(bad)))
 
 
 # -- case-study definitions, transcribed from the coordination scenario -----

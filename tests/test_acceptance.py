@@ -33,7 +33,7 @@ from cosynth.langops import (
     widen_alphabet,
     widen_like,
 )
-from cosynth.langops import _supc_fixed_point, _supc_walk
+from cosynth.langops import _supc_walk
 from cosynth.lstar import DfaTeacher, learn
 from cosynth.motion import (
     environment_from_text,
@@ -51,6 +51,7 @@ from conftest import (
     random_dfa,
     reference_run_language,
     reference_supc_closed_form,
+    reference_supc_fixed_point,
     words_up_to,
 )
 
@@ -206,7 +207,7 @@ def test_criterion_6_supc_oracle_suite():
             # all four are canonical, so equal languages give equal texts
             walk = dfa_to_text(_supc_walk(spec, plant_gen, alpha))
             closed = dfa_to_text(reference_supc_closed_form(spec, plant_gen, alpha))
-            fixed = dfa_to_text(_supc_fixed_point(spec, plant_gen, alpha))
+            fixed = dfa_to_text(reference_supc_fixed_point(spec, plant_gen, alpha))
             assert walk == closed == fixed == dfa_to_text(oracle), done
     elapsed = time.monotonic() - started
     assert elapsed < 30.0, f"supC suite took {elapsed:.1f}s"

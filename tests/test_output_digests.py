@@ -6,7 +6,10 @@ directory by ``perfbench/generate.py``, which is imported read-only).  The
 digest of ``report.txt``, of every artifact and of ``trace.txt`` must equal
 the one stored in ``output_digests.json``.  The monolithic mission of
 ``escorts`` at three pairs is pinned too, since it is the largest automaton
-the pipeline writes.
+the pipeline writes.  So are the supervisor and the learning trace that
+``cosynth supc --trace`` writes for each case-study spec against three
+plants: the spec itself, and the spec with an uncontrollable escape to a
+fresh state added at its last state, or at each state of its second half.
 
 A deliberate output change regenerates the file with
 ``PYTHONPATH=src python tests/test_output_digests.py`` and says so in the
@@ -23,7 +26,9 @@ from pathlib import Path
 
 import pytest
 
-from cosynth.automata import dfa_to_text, load_dfa, minimal_product
+from cosynth.automata import Dfa, dfa_to_text, load_dfa, minimal_product, save_dfa
+from cosynth.cli import main
+from cosynth.fixtures import fixture_path
 from cosynth.pipeline import PipelineConfig, global_alphabet_of, run_pipeline
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -64,6 +69,39 @@ def mission_digest(workdir: Path, pairs: int = 3) -> str:
     return _sha(dfa_to_text(mission).encode("utf-8"))
 
 
+def _with_escapes(spec: Dfa, states) -> Dfa:
+    """The spec, with every uncontrollable event that one of *states* lacks
+    leading from it to a fresh state without moves."""
+    transitions = dict(spec.transitions)
+    uncontrollable = [e for e in spec.alphabet.events if e not in spec.alphabet.controllable]
+    for q in states:
+        for e in uncontrollable:
+            transitions.setdefault((q, e), "x")
+    return Dfa(spec.states + ("x",), spec.alphabet, spec.initial, transitions,
+               frozenset(spec.states + ("x",)))
+
+
+def supc_digests(workdir: Path) -> dict[str, str]:
+    """sha256 of the supervisor and the trace of ``cosynth supc --trace`` for
+    each case-study spec and plant, by "agent/plant/file"."""
+    report = run_pipeline(PipelineConfig.load(fixture_path("casestudy.cfg")))
+    workdir.mkdir(parents=True, exist_ok=True)
+    digests = {}
+    for agent in ("agent1", "agent2", "agent3"):
+        spec = report.artifacts[f"{agent}_spec.aut"]
+        half = spec.states[len(spec.states) // 2:]
+        plants = {"spec": spec, "last": _with_escapes(spec, spec.states[-1:]),
+                  "half": _with_escapes(spec, half)}
+        save_dfa(spec, workdir / "spec.aut")
+        for name, plant in plants.items():
+            save_dfa(plant, workdir / "plant.aut")
+            assert main(["supc", str(workdir / "spec.aut"), str(workdir / "plant.aut"),
+                         "-o", str(workdir / "sup.aut"), "--trace", str(workdir / "trace.txt")]) == 0
+            for file in ("sup.aut", "trace.txt"):
+                digests[f"{agent}/{name}/{file}"] = _sha((workdir / file).read_bytes())
+    return digests
+
+
 def _stored() -> dict:
     return json.loads(DIGESTS.read_text(encoding="utf-8"))
 
@@ -81,6 +119,10 @@ def test_three_pair_escorts_mission_matches_stored_digest(tmp_path):
     assert mission_digest(tmp_path) == _stored()["escorts_pairs3_mission"]
 
 
+def test_supc_trace_and_supervisor_match_stored_digests(tmp_path):
+    assert supc_digests(tmp_path) == _stored()["supc"]
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -88,6 +130,7 @@ if __name__ == "__main__":
         stored = {
             "pipeline": {w: pipeline_digests(w, Path(tmp) / w) for w in WORKLOADS},
             "escorts_pairs3_mission": mission_digest(Path(tmp) / "pairs3"),
+            "supc": supc_digests(Path(tmp) / "supc"),
         }
     DIGESTS.write_text(json.dumps(stored, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     sys.stdout.write(f"wrote {DIGESTS}\n")

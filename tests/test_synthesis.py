@@ -20,7 +20,7 @@ from cosynth.automata import (
     parallel_compose,
     word_dfa,
 )
-from cosynth.langops import _supc_fixed_point, is_controllable, sup_c, widen_like
+from cosynth.langops import is_controllable, sup_c, widen_like
 from cosynth.synthesis import (
     IllegalBehaviorSet,
     SupervisorTeacher,
@@ -31,7 +31,13 @@ from cosynth.synthesis import (
     ls_membership,
     synthesize_supervisor,
 )
-from conftest import lang_set, random_dfa, reference_compose
+from conftest import (
+    lang_set,
+    random_dfa,
+    reference_class_cut_k,
+    reference_compose,
+    reference_supc_fixed_point,
+)
 
 AU = EventAlphabet(("a", "u"), frozenset({"a"}))
 
@@ -129,6 +135,41 @@ def test_k_sequence_monotonically_decreasing():
         assert language_subset(later, earlier) is None
 
 
+def test_class_cut_matches_the_string_product_after_every_record():
+    # with a plant automaton, K_j comes from one walk of the completed plant
+    # and spec in which the condemned classes get no moves and no mark; after
+    # every recorded illegal word it must equal the string-named cut product
+    # subtracted from the spec
+    from cosynth.lstar import learn
+
+    rng = random.Random(23)
+    checked = partial = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for _ in range(150):
+            events = tuple("abcd"[: rng.randint(2, 4)])
+            alpha = EventAlphabet(events, frozenset(e for e in events if rng.random() < 0.6))
+            plant = widen_like(all_marked(random_dfa(rng, 5, events, density=0.75)), alpha)
+            # the spec keeps the initial moves, so that fewer cuts empty it
+            strans = {k: v for k, v in plant.transitions.items()
+                      if k[0] == plant.initial or rng.random() < 0.8}
+            spec = minimize(accessible(Dfa(plant.states, alpha, plant.initial, strans,
+                                           frozenset(plant.states))))
+            teacher = SupervisorTeacher(spec, alpha, plant_member(plant), plant_dfa=plant)
+            record = teacher._record
+
+            def checked_record(word, teacher=teacher, record=record):
+                nonlocal checked, partial
+                record(word)
+                assert dfa_to_text(teacher.k) == dfa_to_text(reference_class_cut_k(teacher))
+                checked += 1
+                partial += not language_empty(teacher.k)
+
+            teacher._record = checked_record
+            learn(teacher, alpha)
+    assert checked >= 40 and partial >= 10
+
+
 def test_membership_interception_validates_spec_containment():
     # a spec word outside the plant language must surface as an input error
     bad_spec = word_dfa(("u",), AU)
@@ -163,7 +204,7 @@ def test_random_instances_match_direct_supc_and_are_controllable():
                                   frozenset(plant.states)))
             got = learn_supervisor(SynthesisProblem(spec, alpha, plant_dfa=plant))
             oracle = sup_c(spec, plant)
-            fixed = _supc_fixed_point(minimize(spec), minimize(plant), alpha)
+            fixed = reference_supc_fixed_point(minimize(spec), minimize(plant), alpha)
             assert language_equal(oracle, fixed) is None
             # the closed loop S ‖ G is S itself, so the mission layer verifies
             # S as the plan; an empty S is the canonical empty automaton, the

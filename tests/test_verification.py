@@ -16,6 +16,7 @@ from cosynth.automata import (
     all_marked,
     complement,
     complete,
+    dfa_to_text,
     empty_dfa,
     language_empty,
     language_subset,
@@ -51,8 +52,10 @@ from conftest import (
     cycle_dfa,
     lang_set,
     random_dfa,
+    reference_check_triple,
     reference_compose,
     reference_satisfies,
+    reference_weakest_assumption,
     words_up_to,
 )
 
@@ -189,6 +192,49 @@ def test_weakest_assumption_defining_property_on_toy():
         # realise a violation unless their own language already blocks it
         if not env_sat_assumption and language_empty(env):
             continue
+
+
+def _random_operand(rng: random.Random, pool: list[str]) -> Dfa:
+    """A partial automaton over a random subset of *pool* in a random order,
+    with its own controllable set and possibly no marked state."""
+    events = rng.sample(pool, rng.randint(1, len(pool)))
+    dfa = random_dfa(rng, 4, events, density=rng.choice((0.3, 0.6, 0.9)),
+                     marked_p=rng.choice((0.0, 0.5, 0.9)))
+    alphabet = EventAlphabet(tuple(events), frozenset(e for e in events if rng.random() < 0.5))
+    return Dfa(dfa.states, alphabet, dfa.initial, dfa.transitions, dfa.marked)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_assumption_walks_match_their_string_references(seed):
+    # the weakest assumption and the triple walk the module and the property
+    # on the core's product; they must give the string walks' results.  The
+    # property may own events the module lacks, the interface lists its
+    # events in another order with its own controllable set, modules are
+    # partial and may have no marked state, and assumptions may be empty
+    rng = random.Random(seed)
+    pool = ["a", "b", "c", "s"]
+    module = _random_operand(rng, pool)
+    prop = _random_operand(rng, pool)
+    owned = list(dict.fromkeys(module.alphabet.events + prop.alphabet.events))
+    chosen = rng.sample(owned, rng.randint(0, len(owned)))
+    iface = EventAlphabet(tuple(chosen), frozenset(e for e in chosen if rng.random() < 0.5))
+    aw = weakest_assumption(module, prop, iface)
+    assert dfa_to_text(aw) == dfa_to_text(reference_weakest_assumption(module, prop, iface))
+    word = tuple(rng.choice(chosen) for _ in range(rng.randint(0, 3))) if chosen else ()
+    for assumption in (aw, empty_dfa(iface), word_dfa(word, iface), _random_operand(rng, pool)):
+        assert (check_triple(assumption, module, prop)
+                == reference_check_triple(assumption, module, prop))
+
+
+def test_an_empty_assumption_blocks_only_its_own_events():
+    # the empty assumption over s forbids s, but the module's private v
+    # still violates the property
+    rogue = Dfa(("0", "1"), SV, "0", {("0", "v"): "1"}, frozenset())
+    s_only = EventAlphabet(("s",))
+    assert check_triple(empty_dfa(s_only), rogue, no_violation()) == ("v",)
+    assert reference_check_triple(empty_dfa(s_only), rogue, no_violation()) == ("v",)
+    assert check_triple(empty_dfa(SV), rogue, no_violation()) is None
 
 
 # -- the symmetric rule ----------------------------------------------------------
