@@ -13,13 +13,12 @@ from pathlib import Path
 from cosynth.automata import (
     InputError,
     dfa_to_text,
-    language_equal,
     load_dfa,
     minimal_product,
     save_dfa,
 )
 from cosynth.langops import project, widen_like
-from cosynth.lstar import DfaTeacher, LearnLog, learn
+from cosynth.lstar import LearnLog
 from cosynth.motion import (
     IntegratedPlan,
     environment_from_text,
@@ -81,17 +80,6 @@ def cmd_supc(args) -> int:
         Path(args.trace).write_text(log.text(), encoding="utf-8")
     _write(supervisor, args.out)
     return 0
-
-
-def cmd_learn(args) -> int:
-    target = load_dfa(args.target)
-    log = LearnLog() if args.trace else None
-    learned = learn(DfaTeacher(target), target.alphabet, log=log)
-    if args.trace:
-        Path(args.trace).write_text(log.text(), encoding="utf-8")
-    _write(learned, args.out)
-    witness = language_equal(learned, target)
-    return 0 if witness is None else 1
 
 
 def cmd_verify(args) -> int:
@@ -200,12 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out")
     p.add_argument("--trace", help="write the MQ/EQ/CE learning trace to this file")
     p.set_defaults(func=cmd_supc)
-
-    p = sub.add_parser("learn", help="learn a DFA from a target automaton teacher")
-    p.add_argument("target")
-    p.add_argument("-o", "--out")
-    p.add_argument("--trace", help="write the MQ/EQ/CE learning trace to this file")
-    p.set_defaults(func=cmd_learn)
 
     p = sub.add_parser("verify", help="check modules against a property by the symmetric "
                        "assume-guarantee rule; the product check decides where the rule cannot")

@@ -19,8 +19,6 @@ from cosynth.automata import (
     EventAlphabet,
     InvariantError,
     Word,
-    accepts,
-    language_equal,
     minimize,
     run,
 )
@@ -37,25 +35,6 @@ class Teacher(Protocol):
 
 class LearnerFault(RuntimeError):
     """The teacher contradicted itself within one generation."""
-
-
-@dataclass
-class DfaTeacher:
-    """Teacher backed by a target DFA; used for tests and derived learners."""
-
-    target: Dfa
-    equivalence_queries: int = 0
-
-    def membership(self, word: Word) -> int:
-        return 1 if accepts(self.target, word) else 0
-
-    def conjecture(self, dfa: Dfa) -> Optional[Word]:
-        self.equivalence_queries += 1
-        return language_equal(dfa, self.target)
-
-    @property
-    def generation(self) -> int:
-        return 0
 
 
 @dataclass

@@ -93,35 +93,6 @@ def d_ui(
     return out
 
 
-def ls_membership(
-    t: Word,
-    round_j: int,
-    spec: Dfa,
-    illegal: "IllegalBehaviorSet | Sequence[Word]",
-    plant_member: Callable[[Word], bool],
-) -> int:
-    """Membership rule of the supervisor learner, unrolled across rounds.
-
-    Round 1 answers membership in the mission language; later rounds also
-    reject anything with a prefix in D_ui(C).  The cuts only ever turn
-    answers from 1 to 0, so the unrolled form matches the recursive one.
-    """
-    if not accepts(spec, t):
-        return 0
-    if round_j <= 1:
-        return 1
-    stripped = d_ui(illegal, plant_member, spec.alphabet)
-    for cut in range(len(t) + 1):
-        if t[:cut] in stripped:
-            return 0
-    return 1
-
-
-def ls_counterexample(conjecture: Dfa, k: Dfa) -> Optional[Word]:
-    """Shortest, lexicographically least word in L(conjecture) Δ L(K)."""
-    return language_equal(conjecture, k)
-
-
 @dataclass
 class SynthesisProblem:
     """Inputs of one supervisor synthesis: spec, partition, and a plant oracle."""
@@ -203,7 +174,8 @@ class SupervisorTeacher:
             self._record(found)
         else:
             raise InvariantError("illegal-behaviour audit did not stabilise")
-        return ls_counterexample(dfa, self.k)
+        # the shortest, lexicographically least word of L(conjecture) Δ K_j
+        return language_equal(dfa, self.k)
 
     # -- discovery of uncontrollably illegal words ----------------------
 

@@ -26,6 +26,11 @@ proof rule.  The rule is sound but not complete for arbitrary interface
 alphabets, so an inconclusive pass falls back to the product check, and a
 concluded one is confirmed by it.
 
+The invariants that hold by construction are not re-checked at run time:
+a product witness is a word of every plan that the property rejects, a
+repair shrinks its plan, and a weakest assumption passes its own premise.
+The tests assert each of them as a property.
+
 Re-synthesis cuts counterexample projections from the local missions (see
 :func:`choose_repair`): agents that observed nothing of the violation are
 exonerated, and among the involved agents the cut is placed, walking
@@ -49,13 +54,11 @@ from cosynth.automata import (
     complement,
     extend_closure,
     language_empty,
-    language_subset,
     minimize,
     prefix_closure,
     product_violation,
     trim,
     universal_dfa,
-    word_dfa,
     _determinize,
     _Product,
     _property_table,
@@ -143,29 +146,6 @@ def weakest_assumption(module: Dfa, prop: Dfa, interface: EventAlphabet) -> Dfa:
     accepting = {pair for pair in order if not prop_marked[pair[1]]}
     bad = _determinize(nfa, {start}, accepting, interface)
     return minimize(complement(extend_closure(bad)))
-
-
-def cv_membership(t: Word, module: Dfa, prop: Dfa, interface: EventAlphabet) -> int:
-    """1 iff the prefixes of t, as an assumption, keep the module inside the property."""
-    return 1 if check_triple(word_dfa(t, interface), module, prop) is None else 0
-
-
-def learn_assumption(module: Dfa, prop: Dfa, interface: EventAlphabet) -> Dfa:
-    """The weakest assumption for one agent over its interface alphabet.
-
-    Built directly by :func:`weakest_assumption`; it is the language an L*
-    session answered by :func:`cv_membership` would converge to.
-    """
-    assumption = weakest_assumption(module, prop, interface)
-    if not language_empty(assumption):
-        # an empty assumption admits no environment at all, so its premise
-        # holds vacuously; the product check only applies to the other case
-        violation = check_triple(assumption, module, prop)
-        if violation is not None:
-            raise InvariantError(
-                f"weakest assumption fails its own premise at {' '.join(violation) or 'ε'}"
-            )
-    return assumption
 
 
 def sym_n_check(assumptions: Sequence[Dfa], prop: Dfa) -> Optional[Word]:
@@ -277,16 +257,14 @@ def verify(modules: Sequence[Dfa], prop: Dfa) -> tuple[Verdict, int]:
 
     Returns the verdict and the number of states of the agents' product
     that the walk expanded before it decided: all of the reachable ones
-    when the pass holds.  A violated verdict's counterexample is
-    realisable by every agent.
+    when the pass holds.  A violated verdict's counterexample is a word of
+    the agents' product, so every agent accepts its projection and the
+    property rejects it.
     """
     witness, expanded = product_violation(modules, prop)
     if witness is None:
         return Verdict("holds"), expanded
-    verdict = analyze_counterexample(witness, modules, prop)
-    if verdict.outcome != "violated":
-        raise InvariantError("direct counterexample must be realisable")
-    return verdict, expanded
+    return Verdict("violated", witness), expanded
 
 
 def assume_guarantee(modules: Sequence[Dfa], prop: Dfa) -> tuple[Verdict, list[Dfa], bool]:
@@ -298,7 +276,7 @@ def assume_guarantee(modules: Sequence[Dfa], prop: Dfa) -> tuple[Verdict, list[D
     check; a violated verdict's counterexample is realisable by every agent.
     """
     assumptions = [
-        learn_assumption(module, prop, default_interface(i, modules, prop))
+        weakest_assumption(module, prop, default_interface(i, modules, prop))
         for i, module in enumerate(modules)
     ]
     premise = sym_n_check(assumptions, prop)
@@ -372,10 +350,12 @@ def verify_and_refine(
     """The mission-layer loop: synthesise, verify, re-synthesise until clean.
 
     ``synthesize(spec, plant)`` must return the supervisor for one agent,
-    whose language lies inside the plant's; the supervisors are verified as
-    the agents' plans.  A violated verdict opens a repair phase that
-    eliminates joint violations one counterexample at a time (each repair
-    cuts exactly one agent's mission and strictly shrinks it); the updated
+    whose language lies inside the spec's and the plant's; the supervisors
+    are verified as the agents' plans.  A violated verdict opens a repair
+    phase that eliminates joint violations one counterexample at a time.
+    Each repair cuts exactly one agent's mission and strictly shrinks its
+    plan, by construction: :func:`cut_behavior` only deletes a transition
+    of the plan, and supC(K) ⊆ K.  The updated
     supervisors then go through verification again, and when the repair
     phase's last re-check found no violation it has already decided that
     pass, which is recorded as holding without walking the product again.
@@ -402,8 +382,6 @@ def verify_and_refine(
         if verdict.holds():
             return RefinementResult("holds", plans, rounds)
         ce = verdict.counterexample
-        if ce is None:
-            raise InvariantError("a failing verdict must carry a counterexample")
         while ce is not None:
             if len(record.repairs) >= max_rounds:
                 return RefinementResult("infeasible", plans, rounds, ce)
@@ -411,9 +389,6 @@ def verify_and_refine(
             if repair is None:
                 return RefinementResult("infeasible", plans, rounds, ce)
             agent, cut_word, new_spec = repair
-            shrunk = language_subset(new_spec, plans[agent])
-            if shrunk is not None:
-                raise InvariantError("re-synthesis must shrink the mission")
             specs[agent] = new_spec
             record.repairs.append((agent, cut_word))
             if language_empty(new_spec):
@@ -422,9 +397,6 @@ def verify_and_refine(
             if language_empty(new_plan):
                 # not even the idle behaviour is enforceable for this agent
                 return RefinementResult("infeasible", plans, rounds, ce)
-            shrunk = language_subset(new_plan, plans[agent])
-            if shrunk is not None:
-                raise InvariantError("mission plans must shrink monotonically")
             plans[agent] = new_plan
             ce, clean = product_violation(plans, prop)
     return RefinementResult("infeasible", plans, rounds,

@@ -10,7 +10,8 @@ from __future__ import annotations
 import itertools
 import random
 from collections import deque
-from typing import Iterable, Iterator, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import pytest
 
@@ -21,6 +22,7 @@ from cosynth.automata import (
     InputError,
     InvariantError,
     Word,
+    accepts,
     accessible,
     complement,
     complete,
@@ -30,10 +32,14 @@ from cosynth.automata import (
     minimize,
     prefix_closure,
     subtract,
+    word_dfa,
     _determinize,
+    _out_edges,
 )
 from cosynth.langops import project, quotient, widen_alphabet, widen_like
-from cosynth.motion import ReplanInfeasible
+from cosynth.motion import LabelingMap, ReplanInfeasible
+from cosynth.synthesis import IllegalBehaviorSet, d_ui
+from cosynth.verification import check_triple
 
 
 def words_up_to(events: Sequence[str], length: int) -> Iterator[Word]:
@@ -246,6 +252,25 @@ def reference_satisfies(m: Dfa, p: Dfa) -> Word | None:
     return None
 
 
+@dataclass
+class DfaTeacher:
+    """L* teacher backed by a target DFA: the learner's reference session."""
+
+    target: Dfa
+    equivalence_queries: int = 0
+
+    def membership(self, word: Word) -> int:
+        return 1 if accepts(self.target, word) else 0
+
+    def conjecture(self, dfa: Dfa) -> Optional[Word]:
+        self.equivalence_queries += 1
+        return language_equal(dfa, self.target)
+
+    @property
+    def generation(self) -> int:
+        return 0
+
+
 def reference_mission(components: Sequence[Dfa], alphabet: EventAlphabet) -> Dfa:
     """The pairwise route, the reference for :func:`cosynth.automata.minimal_product`.
 
@@ -306,6 +331,30 @@ def reference_supc_fixed_point(spec: Dfa, plant_gen: Dfa, alphabet: EventAlphabe
             return nxt
         current = nxt
     raise InvariantError(f"supC fixed point did not stabilise within {bound} iterations")
+
+
+def ls_membership(
+    t: Word,
+    round_j: int,
+    spec: Dfa,
+    illegal: "IllegalBehaviorSet | Sequence[Word]",
+    plant_member: Callable[[Word], bool],
+) -> int:
+    """Membership rule of the supervisor learner, unrolled across rounds.
+
+    Round 1 answers membership in the mission language; later rounds also
+    reject anything with a prefix in D_ui(C).  The cuts only ever turn
+    answers from 1 to 0, so the unrolled form matches the recursive one.
+    """
+    if not accepts(spec, t):
+        return 0
+    if round_j <= 1:
+        return 1
+    stripped = d_ui(illegal, plant_member, spec.alphabet)
+    for cut in range(len(t) + 1):
+        if t[:cut] in stripped:
+            return 0
+    return 1
 
 
 def reference_class_cut_k(teacher) -> Dfa:
@@ -382,6 +431,12 @@ def reference_check_triple(assumption: Dfa, module: Dfa, prop: Dfa) -> Optional[
                 seen.add(nxt)
                 queue.append((nxt, w))
     return None
+
+
+def cv_membership(t: Word, module: Dfa, prop: Dfa, interface: EventAlphabet) -> int:
+    """1 iff the prefixes of t, as an assumption, keep the module inside the
+    property: membership in the weakest assumption, one triple per word."""
+    return 1 if check_triple(word_dfa(t, interface), module, prop) is None else 0
 
 
 def reference_weakest_assumption(module: Dfa, prop: Dfa, interface: EventAlphabet) -> Dfa:
@@ -496,6 +551,40 @@ def casestudy():
         "mission": mission,
         "specs": specs,
     }
+
+
+def validate_integrated_clauses(lp: Dfa, pi: LabelingMap, initial_region: str) -> None:
+    """Check that a plan starts in its initial region and fires events where π allows.
+
+    A mission event right after a region symbol must be labelled with that
+    region; one right after another mission event must share a region with
+    it.  The walk visits every reachable (state, last symbol) pair once, so
+    it covers plans of any length.  Raises InvariantError on failure.
+    """
+    regions = set(pi.regions)
+    edges = _out_edges(lp)
+    for _, e, _ in edges.get(lp.initial, ()):
+        if e != initial_region:
+            raise InvariantError(f"plan must start with the initial region, found {e!r}")
+    start: tuple[str, Optional[str]] = (lp.initial, None)
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        state, previous = queue.popleft()
+        for _, e, to in edges.get(state, ()):
+            if e not in regions and previous is not None:
+                if previous in regions:
+                    if previous not in pi.of(e):
+                        raise InvariantError(
+                            f"event {e!r} fired in region {previous!r} outside π({e!r})"
+                        )
+                elif not pi.of(previous) & pi.of(e):
+                    raise InvariantError(
+                        f"consecutive events {previous!r},{e!r} disagree on their region"
+                    )
+            if (to, e) not in seen:
+                seen.add((to, e))
+                queue.append((to, e))
 
 
 # -- replanning reference: bridge each enumerated plan word, rebuild a trie --

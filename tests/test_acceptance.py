@@ -34,24 +34,25 @@ from cosynth.langops import (
     widen_like,
 )
 from cosynth.langops import _supc_walk
-from cosynth.lstar import DfaTeacher, learn
+from cosynth.lstar import learn
 from cosynth.motion import (
     environment_from_text,
     integrate,
     labeling_from_text,
     motion_dfa,
     replan,
-    validate_integrated_clauses,
 )
 from cosynth.pipeline import PipelineConfig, run_pipeline
 from cosynth.synthesis import SynthesisProblem, learn_supervisor, synthesize_supervisor
 from cosynth.verification import assume_guarantee
 from conftest import (
+    DfaTeacher,
     brute_accepts,
     random_dfa,
     reference_run_language,
     reference_supc_closed_form,
     reference_supc_fixed_point,
+    validate_integrated_clauses,
     words_up_to,
 )
 

@@ -27,7 +27,7 @@ from cosynth.langops import (
 )
 from cosynth.pipeline import PipelineConfig, independence_transitive, run_pipeline
 from cosynth.synthesis import SynthesisProblem, synthesize_supervisor
-from cosynth.verification import analyze_counterexample, cv_membership, weakest_assumption
+from cosynth.verification import analyze_counterexample, weakest_assumption
 from conftest import (
     AGENT1_EVENTS,
     AGENT3_EVENTS,
@@ -39,6 +39,7 @@ from conftest import (
     agent_alphabets,
     branching_mission,
     chain_dfa,
+    cv_membership,
     cycle_dfa,
 )
 
@@ -77,7 +78,7 @@ def test_pipeline_builds_every_language_without_learning(monkeypatch):
 
     for module in (synthesis, verification, motion):
         monkeypatch.setattr(module, "learn", refuse, raising=False)
-    for name in ("weakest_assumption", "learn_assumption", "sym_n_check"):
+    for name in ("weakest_assumption", "sym_n_check"):
         monkeypatch.setattr(verification, name, refuse)
     config = PipelineConfig.load(fixture_path("casestudy.cfg"))
     report = run_pipeline(

@@ -3,7 +3,6 @@
 import os
 import subprocess
 import sys
-import textwrap
 from pathlib import Path
 
 import pytest
@@ -124,17 +123,6 @@ def test_plan_and_replan_name_an_unknown_agent(tmp_path, capsys, command, missin
                 else "environment lacks an initial region for 'bot'")
     assert capsys.readouterr().err == f"error: {expected}\n"
     assert not list(tmp_path.glob("bot_*"))
-
-
-def test_learn_command_with_trace(tmp_path, chain_files):
-    spec_p, _ = chain_files
-    out = tmp_path / "learned.aut"
-    trace = tmp_path / "trace.log"
-    assert main(["learn", str(spec_p), "-o", str(out), "--trace", str(trace)]) == 0
-    assert language_equal(load_dfa(out), load_dfa(spec_p)) is None
-    body = trace.read_text()
-    assert body.splitlines()[0].startswith("MQ")
-    assert any(line.startswith("EQ") for line in body.splitlines())
 
 
 def test_verify_command_exit_codes(tmp_path):
@@ -371,25 +359,22 @@ def test_pipeline_config_wants_exactly_one_file_per_key(tmp_path, capsys, key, o
     assert not out.exists()
 
 
-def test_pipeline_postcondition_is_an_invariant_error_under_optimized_python(tmp_path):
-    # the final check is an explicit raise of the typed invariant, so
-    # ``python -O`` keeps it; a check that finds a word must stop the run
-    script = textwrap.dedent(f"""
-        from cosynth import pipeline
-        from cosynth.fixtures import fixture_path
-
-        if __debug__:
-            raise SystemExit("not optimized")
-        pipeline.satisfies_modular = lambda plans, components, alphabet: ("r",)
-        pipeline.run_pipeline(pipeline.PipelineConfig.load(fixture_path("casestudy.cfg")))
-    """)
-    src = Path(cosynth.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    done = subprocess.run([sys.executable, "-O", "-c", script], env=env, cwd=tmp_path,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 1, done.stderr
-    assert "cosynth.automata.InvariantError: pipeline postcondition failed at r" in done.stderr
+def test_pipeline_checks_the_spec_against_the_plants_generated_language(tmp_path):
+    # the plant 0 -a-> 1 -b-> 0 marks only 0, so the prefix-closed spec
+    # {ε, a} lies in its generated language but not in its marked one; supC
+    # reads the generated language, and so does the pipeline's input check
+    ab = EventAlphabet(("a", "b"), frozenset({"a", "b"}))
+    save_dfa(Dfa(("0", "1"), ab, "0", {("0", "a"): "1", ("1", "b"): "0"}, frozenset({"0"})),
+             tmp_path / "plant.aut")
+    save_dfa(Dfa(("0", "1"), ab, "0", {("0", "a"): "1"}, frozenset({"0", "1"})),
+             tmp_path / "mission.aut")
+    config = tmp_path / "bot.cfg"
+    config.write_text("agents: bot\nalphabet bot: a b\nplant bot: plant.aut\n"
+                      "mission: mission.aut\n", encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 0
+    assert (out / "report.txt").read_text(encoding="utf-8").endswith("status: holds\n")
+    assert lang_set(load_dfa(out / "bot_plan.aut"), 3) == {(), ("a",)}
 
 
 def test_shipped_fixture_files_are_canonical():

@@ -22,7 +22,6 @@ from cosynth.automata import (
     universal_dfa,
 )
 from cosynth.lstar import (
-    DfaTeacher,
     LearnLog,
     LearnerFault,
     ObservationTable,
@@ -30,7 +29,7 @@ from cosynth.lstar import (
     conjecture_dfa,
     learn,
 )
-from conftest import random_dfa
+from conftest import DfaTeacher, random_dfa
 
 AB = EventAlphabet(("a", "b"))
 

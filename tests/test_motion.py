@@ -40,7 +40,6 @@ from cosynth.motion import (
     replan,
     schedule_from_text,
     simulate,
-    validate_integrated_clauses,
 )
 from conftest import (
     REGIONS,
@@ -53,6 +52,7 @@ from conftest import (
     random_dfa,
     reference_replan_dfa,
     reference_run_language,
+    validate_integrated_clauses,
     words_up_to,
 )
 
@@ -327,6 +327,10 @@ def test_integrate_matches_word_oracles(rng):
                 assert region in pi.of(symbol), w
     # a mission word of n events needs at most 3n symbols in the plan
     assert {m for m in erased if len(m) <= 2} == lang_set(mission, 2)
+    # integration keeps the mission exactly and fires every event where π
+    # allows it, on plans of any length
+    assert language_equal(project(lp.dfa, events), mission) is None
+    validate_integrated_clauses(lp.dfa, pi, v0)
     for w in generated_up_to(lp.motion_plan, 6):
         assert w[:1] in ((), (v0,)), w
         assert all(v == v2 or env.doors_between(v, v2) for v, v2 in zip(w, w[1:])), w
@@ -531,7 +535,17 @@ def _replan_and_reference(lp, gm, real):
     except ReplanInfeasible:
         new_lp = None
     assert (new_lp is None) == (ref is None)
-    assert new_lp is None or new_lp.dfa == ref
+    if new_lp is not None:
+        assert new_lp.dfa == ref
+        # the mission and the plan's clauses are never altered, and the real
+        # environment executes every region word of the returned motion plan
+        assert language_equal(project(new_lp.dfa, lp.mission.alphabet.events),
+                              lp.mission) is None
+        validate_integrated_clauses(new_lp.dfa, lp.labeling, lp.initial_region)
+        assert new_lp.motion_plan == project(new_lp.dfa, lp.labeling.regions)
+        real_runs = reference_run_language(motion_dfa(real, lp.initial_region), stutter=True,
+                                           regions=lp.labeling.regions)
+        assert language_subset(new_lp.motion_plan, real_runs) is None
     return new_lp
 
 

@@ -27,12 +27,11 @@ from cosynth.synthesis import (
     SynthesisProblem,
     d_ui,
     learn_supervisor,
-    ls_counterexample,
-    ls_membership,
     synthesize_supervisor,
 )
 from conftest import (
     lang_set,
+    ls_membership,
     random_dfa,
     reference_class_cut_k,
     reference_compose,
@@ -84,15 +83,21 @@ def test_ls_membership_later_rounds_apply_cuts():
     assert ls_membership((), 2, spec, illegal, member) == 1
 
 
+def _teacher_of(spec: Dfa) -> SupervisorTeacher:
+    """A teacher whose plant is the spec itself, so K_j stays the spec."""
+    plant = all_marked(spec)
+    return SupervisorTeacher(spec, AU, plant_member(plant), plant_dfa=plant)
+
+
 def test_ls_counterexample_none_when_equal():
     spec = word_dfa(("a",), AU)
-    assert ls_counterexample(spec, spec) is None
+    assert _teacher_of(spec).conjecture(spec) is None
 
 
 def test_ls_counterexample_symmetric_difference():
     eps_only = word_dfa((), AU)
     both = word_dfa(("a",), AU)
-    assert ls_counterexample(eps_only, both) == ("a",)
+    assert _teacher_of(both).conjecture(eps_only) == ("a",)
 
 
 def test_illegal_set_growth_is_monotone():

@@ -5,6 +5,7 @@ repair, and the refinement loop."""
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +24,7 @@ from cosynth.automata import (
     minimize,
     parallel_compose_all,
     product_violation,
+    union_lang,
     universal_dfa,
     word_dfa,
     words_dfa,
@@ -38,9 +40,7 @@ from cosynth.verification import (
     check_triple,
     choose_repair,
     cut_behavior,
-    cv_membership,
     is_live,
-    learn_assumption,
     sym_n_check,
     verify,
     verify_and_refine,
@@ -48,12 +48,16 @@ from cosynth.verification import (
 )
 from conftest import (
     brute_accepts,
+    brute_project,
     chain_dfa,
+    cv_membership,
     cycle_dfa,
     lang_set,
     random_dfa,
     reference_check_triple,
     reference_compose,
+    reference_decompose,
+    reference_mission,
     reference_satisfies,
     reference_weakest_assumption,
     words_up_to,
@@ -146,7 +150,6 @@ def test_weakest_assumption_matches_cv_membership(rng, interface):
     aw = weakest_assumption(module, prop, iface)
     for t in words_up_to(iface.events, 4):
         assert brute_accepts(aw, t) == (cv_membership(t, module, prop, iface) == 1), t
-    assert learn_assumption(module, prop, iface) == aw
 
 
 def test_lemma_membership_characterisation():
@@ -155,7 +158,7 @@ def test_lemma_membership_characterisation():
     module = emitter()
     prop = no_violation()
     iface = EventAlphabet(("s",))
-    learned = learn_assumption(module, prop, iface)
+    learned = weakest_assumption(module, prop, iface)
     for t in words_up_to(("s",), 4):
         in_assumption = brute_accepts(learned, t)
         triple_holds = check_triple(word_dfa(t, iface), module, prop) is None
@@ -211,7 +214,9 @@ def test_assumption_walks_match_their_string_references(seed):
     # on the core's product; they must give the string walks' results.  The
     # property may own events the module lacks, the interface lists its
     # events in another order with its own controllable set, modules are
-    # partial and may have no marked state, and assumptions may be empty
+    # partial and may have no marked state, and assumptions may be empty.
+    # A non-empty weakest assumption discharges its own premise (an empty
+    # one admits no environment, so its premise holds vacuously)
     rng = random.Random(seed)
     pool = ["a", "b", "c", "s"]
     module = _random_operand(rng, pool)
@@ -221,6 +226,8 @@ def test_assumption_walks_match_their_string_references(seed):
     iface = EventAlphabet(tuple(chosen), frozenset(e for e in chosen if rng.random() < 0.5))
     aw = weakest_assumption(module, prop, iface)
     assert dfa_to_text(aw) == dfa_to_text(reference_weakest_assumption(module, prop, iface))
+    if not language_empty(aw):
+        assert reference_check_triple(aw, module, prop) is None
     word = tuple(rng.choice(chosen) for _ in range(rng.randint(0, 3))) if chosen else ()
     for assumption in (aw, empty_dfa(iface), word_dfa(word, iface), _random_operand(rng, pool)):
         assert (check_triple(assumption, module, prop)
@@ -409,6 +416,11 @@ def test_direct_check_matches_composed_product(seed, mode):
         assert verdict.holds() and expanded == reachable
     else:
         assert verdict.outcome == "violated" and verdict.counterexample == expected
+        # the witness is a joint violation: every module accepts its
+        # projection and the property rejects its own
+        for m in modules:
+            assert brute_accepts(m, brute_project(expected, m.alphabet.events)), m
+        assert not brute_accepts(prop, brute_project(expected, prop.alphabet.events))
 
 
 def test_violated_verify_walks_the_product_once(monkeypatch):
@@ -550,3 +562,79 @@ def test_refine_records_the_clean_recheck_as_the_next_pass():
     last = result.rounds[-1]
     assert last.verdict == Verdict("holds") and not last.repairs
     assert (last.verdict, last.product_states) == verify(result.plans, prop)
+
+
+def _random_team(rng: random.Random):
+    """Agents, mission components, specs and plants of a random refinement instance.
+
+    The components are prefix-closed, so the decomposed specs are too.  A
+    plant is either the spec itself or the spec's union with a random
+    automaton, so that supC cuts uncontrollable moves out of the spec.
+    """
+    pool = ["a", "b", "c", "s", "t"]
+    alphabets = []
+    for _ in range(rng.randint(2, 3)):
+        events = tuple(rng.sample(pool, rng.randint(1, 3)))
+        alphabets.append(EventAlphabet(events, frozenset(e for e in events
+                                                         if rng.random() < 0.7)))
+    events = tuple(sorted({e for a in alphabets for e in a.events}))
+    controlled = {e for a in alphabets for e in a.controllable}
+    glob = EventAlphabet(events, frozenset(controlled))
+    components = [
+        all_marked(random_dfa(rng, 4, rng.sample(events, rng.randint(min(2, len(events)),
+                                                                     len(events))),
+                              density=rng.choice((0.5, 0.8))))
+        for _ in range(rng.randint(1, 2))
+    ]
+    specs = reference_decompose(components, alphabets, glob)
+    plants = []
+    for spec, alphabet in zip(specs, alphabets):
+        if rng.random() < 0.5:
+            plants.append(spec)
+            continue
+        extra = random_dfa(rng, 3, alphabet.events, marked_p=1.0)
+        extra = Dfa(extra.states, alphabet, extra.initial, extra.transitions, extra.marked)
+        plants.append(all_marked(union_lang(spec, extra)))
+    return glob, components, specs, plants
+
+
+@pytest.mark.filterwarnings("ignore:supremal controllable sublanguage is empty")
+@settings(max_examples=200, deadline=None, database=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_refinement_shrinks_each_plan_and_ends_inside_the_mission(seed):
+    # each repair cuts its word from the plan of the agent it names, the cut
+    # mission and its new supervisor stay inside that plan, and plans that
+    # hold make a product that satisfies the mission
+    rng = random.Random(seed)
+    glob, components, specs, plants = _random_team(rng)
+    mission = reference_mission(components, glob)
+    calls = []
+
+    def synth(spec, plant):
+        plan = _synth(spec, plant)
+        calls.append((plant, spec, plan))
+        return plan
+
+    result = verify_and_refine(specs, plants, mission, synth, max_rounds=20)
+    plans = [plan for _, _, plan in calls[:len(specs)]]
+    later = iter(calls[len(specs):])
+    for rnd in result.rounds:
+        for agent, w in rnd.repairs:
+            call = next(later, None)
+            if call is None:  # the cut emptied the mission: nothing was synthesised
+                assert result.status == "infeasible"
+                break
+            plant, cut_spec, plan = call
+            old = plans[agent]
+            assert plant is plants[agent]
+            assert brute_accepts(old, w) and not brute_accepts(cut_spec, w), w
+            assert language_subset(cut_spec, old) is None
+            assert language_subset(plan, old) is None
+            if not language_empty(plan):
+                plans[agent] = plan
+    assert next(later, None) is None
+    if result.status == "holds":
+        assert all(a is b for a, b in zip(plans, result.plans))
+        assert reference_satisfies(reference_compose(result.plans), mission) is None
+    else:
+        assert result.counterexample is not None
