@@ -23,13 +23,14 @@ When the rule produces a counterexample the word is simulated on every
 agent against the complemented property: a word every agent can follow is a
 genuine joint violation; a word some agent rejects is an artefact of the
 proof rule.  The rule is sound but not complete for arbitrary interface
-alphabets, so an inconclusive pass falls back to the product check, and a
-concluded one is confirmed by it.
+alphabets, so an inconclusive pass falls back to the product check; a
+concluded one decides the verdict on its own.
 
 The invariants that hold by construction are not re-checked at run time:
 a product witness is a word of every plan that the property rejects, a
-repair shrinks its plan, and a weakest assumption passes its own premise.
-The tests assert each of them as a property.
+repair shrinks its plan, a weakest assumption passes its own premise, and
+a concluded proof rule agrees with the product check.  The tests assert
+each of them as a property.
 
 Re-synthesis cuts counterexample projections from the local missions (see
 :func:`choose_repair`): agents that observed nothing of the violation are
@@ -47,7 +48,6 @@ from cosynth.automata import (
     Dfa,
     EventAlphabet,
     InputError,
-    InvariantError,
     Word,
     accepts,
     all_marked,
@@ -272,27 +272,24 @@ def assume_guarantee(modules: Sequence[Dfa], prop: Dfa) -> tuple[Verdict, list[D
 
     Returns the verdict, the weakest assumptions over the default interface
     alphabets, and whether the rule was inconclusive so that the product
-    check decided.  A holds verdict of the rule is confirmed by the product
-    check; a violated verdict's counterexample is realisable by every agent.
+    check decided.  The rule is sound, so a holds verdict of the rule needs
+    no product walk; a violated verdict's counterexample is realisable by
+    every agent.
     """
     assumptions = [
         weakest_assumption(module, prop, default_interface(i, modules, prop))
         for i, module in enumerate(modules)
     ]
     premise = sym_n_check(assumptions, prop)
-    if premise is not None:
-        verdict = analyze_counterexample(premise, modules, prop)
-        if verdict.outcome == "violated":
-            return verdict, assumptions, False
-    # the rule concluded holds, or was inconclusive: the assumptions are
-    # already weakest, so a spurious counterexample cannot be refined away
+    if premise is None:
+        return Verdict("holds"), assumptions, False
+    verdict = analyze_counterexample(premise, modules, prop)
+    if verdict.outcome == "violated":
+        return verdict, assumptions, False
+    # the rule was inconclusive: the assumptions are already weakest, so a
+    # spurious counterexample cannot be refined away
     verdict, _ = verify(modules, prop)
-    if premise is None and not verdict.holds():
-        raise InvariantError(
-            f"assume-guarantee concluded holds but the product violates the property "
-            f"at {' '.join(verdict.counterexample or ()) or 'ε'}"
-        )
-    return verdict, assumptions, premise is not None
+    return verdict, assumptions, True
 
 
 def default_interface(i: int, modules: Sequence[Dfa], prop: Dfa) -> EventAlphabet:

@@ -38,7 +38,7 @@ from cosynth.automata import (
 )
 from cosynth.langops import project, quotient, widen_alphabet, widen_like
 from cosynth.motion import LabelingMap, ReplanInfeasible
-from cosynth.synthesis import IllegalBehaviorSet, d_ui
+from cosynth.synthesis import IllegalBehaviorSet
 from cosynth.verification import check_triple
 
 
@@ -333,6 +333,28 @@ def reference_supc_fixed_point(spec: Dfa, plant_gen: Dfa, alphabet: EventAlphabe
     raise InvariantError(f"supC fixed point did not stabilise within {bound} iterations")
 
 
+def d_ui(
+    illegal: "IllegalBehaviorSet | Sequence[Word]",
+    plant_member: Callable[[Word], bool],
+    alphabet: EventAlphabet,
+) -> set[Word]:
+    """Plant words obtained by stripping an uncontrollable suffix (possibly empty)
+    from some uncontrollably illegal word."""
+    words = illegal.words if isinstance(illegal, IllegalBehaviorSet) else list(illegal)
+    uncontrollable = alphabet.uncontrollable
+    out: set[Word] = set()
+    for w in words:
+        cut = len(w)
+        while True:
+            prefix = w[:cut]
+            if plant_member(prefix):
+                out.add(prefix)
+            if cut == 0 or w[cut - 1] not in uncontrollable:
+                break
+            cut -= 1
+    return out
+
+
 def ls_membership(
     t: Word,
     round_j: int,
@@ -358,9 +380,9 @@ def ls_membership(
 
 
 def reference_class_cut_k(teacher) -> Dfa:
-    """K_j of a supervisor teacher with a plant automaton, built from its
-    condemned classes by the string route; the reference for
-    :meth:`cosynth.synthesis.SupervisorTeacher._rebuild_class_cut`.
+    """K_j of a supervisor teacher, built from its condemned classes by the
+    string route; the reference for
+    :meth:`cosynth.synthesis.SupervisorTeacher._record`.
 
     Names the pairs of the completed plant × completed spec "g|l", marks
     the condemned ones, extends them to every continuation and subtracts
@@ -383,7 +405,7 @@ def reference_class_cut_k(teacher) -> Dfa:
                 order.append(nxt)
                 queue.append(nxt)
     for g, l in seen:
-        if (g, l) in teacher._cut_classes:
+        if (g, l) in teacher._condemned:
             marked.add(f"{g}|{l}")
     product = Dfa(
         tuple(f"{g}|{l}" for g, l in order),

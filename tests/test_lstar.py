@@ -18,7 +18,6 @@ from cosynth.automata import (
     language_empty,
     language_equal,
     minimize,
-    run,
     universal_dfa,
 )
 from cosynth.lstar import (
@@ -29,7 +28,7 @@ from cosynth.lstar import (
     conjecture_dfa,
     learn,
 )
-from conftest import DfaTeacher, random_dfa
+from conftest import DfaTeacher, random_dfa, step_word
 
 AB = EventAlphabet(("a", "b"))
 
@@ -111,13 +110,26 @@ def test_conjecture_requires_closed_consistent():
 
 
 def test_conjecture_consistent_with_table_entries():
-    teacher = DfaTeacher(a_star())
-    table = ObservationTable(AB)
-    close_and_make_consistent(table, teacher)
-    dfa = conjecture_dfa(table)
-    for w in table.domain():
-        state = run(dfa, w)
-        assert (state in dfa.marked) == (table.T[w] == 1)
+    # a conjecture from a closed and consistent table accepts exactly the
+    # table's 1-entries, on every table of a learning session
+    rng = random.Random(17)
+    tables = 0
+    for target in [a_star()] + [minimize(random_dfa(rng, 6, ("a", "b", "c")[: rng.randint(1, 3)]))
+                                for _ in range(40)]:
+        teacher = DfaTeacher(target)
+        table = ObservationTable(target.alphabet)
+        while True:
+            close_and_make_consistent(table, teacher)
+            dfa = conjecture_dfa(table)
+            for w in table.domain():
+                state = step_word(dfa, w)
+                assert state is not None and (state in dfa.marked) == (table.T[w] == 1), w
+            tables += 1
+            counterexample = teacher.conjecture(dfa)
+            if counterexample is None:
+                break
+            table.add_prefixes(counterexample)
+    assert tables >= 60
 
 
 def test_learn_empty_language():

@@ -1,4 +1,5 @@
-"""Supervisor learning without a plant model, checked against direct supC."""
+"""Supervisor synthesis and the supervisor learner's teacher, checked against
+direct supC and the conftest references."""
 
 import random
 import warnings
@@ -25,11 +26,12 @@ from cosynth.synthesis import (
     IllegalBehaviorSet,
     SupervisorTeacher,
     SynthesisProblem,
-    d_ui,
     learn_supervisor,
     synthesize_supervisor,
 )
 from conftest import (
+    brute_accepts,
+    d_ui,
     lang_set,
     ls_membership,
     random_dfa,
@@ -86,7 +88,7 @@ def test_ls_membership_later_rounds_apply_cuts():
 def _teacher_of(spec: Dfa) -> SupervisorTeacher:
     """A teacher whose plant is the spec itself, so K_j stays the spec."""
     plant = all_marked(spec)
-    return SupervisorTeacher(spec, AU, plant_member(plant), plant_dfa=plant)
+    return SupervisorTeacher(spec, AU, plant)
 
 
 def test_ls_counterexample_none_when_equal():
@@ -131,8 +133,7 @@ def test_supervisor_requires_prefix_closed_nonempty_spec():
 
 def test_k_sequence_monotonically_decreasing():
     spec = word_dfa(("a",), AU)
-    teacher = SupervisorTeacher(minimize(spec), AU, plant_member(chain_plant()),
-                                plant_dfa=chain_plant())
+    teacher = SupervisorTeacher(minimize(spec), AU, chain_plant())
     from cosynth.lstar import learn
 
     learn(teacher, AU)
@@ -141,14 +142,15 @@ def test_k_sequence_monotonically_decreasing():
 
 
 def test_class_cut_matches_the_string_product_after_every_record():
-    # with a plant automaton, K_j comes from one walk of the completed plant
-    # and spec in which the condemned classes get no moves and no mark; after
-    # every recorded illegal word it must equal the string-named cut product
-    # subtracted from the spec
+    # K_j comes from one walk of the completed plant and spec in which the
+    # condemned classes get no moves and no mark; after every recorded
+    # illegal word it must equal the string-named cut product subtracted from
+    # the spec, and every membership answer, read off the query's one walk,
+    # must be acceptance by that reference K_j
     from cosynth.lstar import learn
 
     rng = random.Random(23)
-    checked = partial = 0
+    checked = partial = queries = cut = 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for _ in range(150):
@@ -160,19 +162,31 @@ def test_class_cut_matches_the_string_product_after_every_record():
                       if k[0] == plant.initial or rng.random() < 0.8}
             spec = minimize(accessible(Dfa(plant.states, alpha, plant.initial, strans,
                                            frozenset(plant.states))))
-            teacher = SupervisorTeacher(spec, alpha, plant_member(plant), plant_dfa=plant)
-            record = teacher._record
+            teacher = SupervisorTeacher(spec, alpha, plant)
+            record, membership = teacher._record, teacher.membership
+            reference = [reference_class_cut_k(teacher)]
 
-            def checked_record(word, teacher=teacher, record=record):
+            def checked_record(word, pairs, teacher=teacher, record=record, reference=reference):
                 nonlocal checked, partial
-                record(word)
-                assert dfa_to_text(teacher.k) == dfa_to_text(reference_class_cut_k(teacher))
+                record(word, pairs)
+                reference[0] = reference_class_cut_k(teacher)
+                assert dfa_to_text(teacher.k) == dfa_to_text(reference[0])
                 checked += 1
                 partial += not language_empty(teacher.k)
 
+            def checked_membership(word, membership=membership, reference=reference):
+                nonlocal queries, cut
+                answer = membership(word)
+                assert answer == brute_accepts(reference[0], word), word
+                queries += 1
+                cut += not answer and brute_accepts(spec, word)
+                return answer
+
             teacher._record = checked_record
+            teacher.membership = checked_membership
             learn(teacher, alpha)
     assert checked >= 40 and partial >= 10
+    assert queries >= 3000 and cut >= 150
 
 
 def test_membership_interception_validates_spec_containment():
@@ -183,15 +197,10 @@ def test_membership_interception_validates_spec_containment():
         synthesize_supervisor(problem)
 
 
-def test_supervisor_with_bare_membership_oracle():
-    # the plant is available only as a membership function; the bounded audit
-    # still finds the uncontrollable escape on this small instance
-    plant = chain_plant()
-    problem = SynthesisProblem(
-        word_dfa(("a",), AU), AU, plant_membership=plant_member(plant), plant_dfa=None
-    )
-    got = synthesize_supervisor(problem)
-    assert lang_set(got, 3) == {()}
+def test_problem_without_a_plant_automaton_is_an_input_error():
+    # supervisor synthesis always cuts by the plant automaton's classes
+    with pytest.raises(InputError, match="requires a plant automaton"):
+        SynthesisProblem(word_dfa(("a",), AU), AU, None)
 
 
 def test_random_instances_match_direct_supc_and_are_controllable():

@@ -345,9 +345,20 @@ def test_verify_detects_joint_violation():
         assert brute_accepts(m, project_word(ce, m.alphabet.events))
 
 
-def test_verify_agrees_with_monolithic_on_random_instances():
+def test_verify_agrees_with_monolithic_on_random_instances(monkeypatch):
+    # a concluded proof rule decides on its own, with no product walk, and
+    # agrees with the monolithic check like a fallback does; half of these
+    # instances conclude that the property holds
+    walks = []
+    product_check = verification.verify
+
+    def counted_verify(modules, prop):
+        walks.append(1)
+        return product_check(modules, prop)
+
+    monkeypatch.setattr(verification, "verify", counted_verify)
     rng = random.Random(51)
-    agree = 0
+    agree = concluded = 0
     for _ in range(30):
         m1 = all_marked(random_dfa(rng, 3, ("a", "s"), density=0.8))
         m2 = all_marked(random_dfa(rng, 3, ("b", "s"), density=0.8))
@@ -355,12 +366,15 @@ def test_verify_agrees_with_monolithic_on_random_instances():
         prop = all_marked(random_dfa(rng, 4, prop_events, density=0.85))
         if language_empty(prop):
             continue
-        verdict, _, _ = assume_guarantee([m1, m2], prop)
+        walks.clear()
+        verdict, _, fallback = assume_guarantee([m1, m2], prop)
+        assert len(walks) == (1 if fallback else 0)
+        concluded += verdict.holds() and not fallback
         product = parallel_compose_all([m1, m2])
         direct = satisfies(widen_alphabet(product, prop.alphabet), prop)
         assert verdict.holds() == (direct is None)
         agree += 1
-    assert agree >= 20
+    assert agree >= 20 and concluded >= 10
 
 
 @settings(max_examples=200, deadline=None, database=None)
