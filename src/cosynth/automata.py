@@ -14,10 +14,18 @@ transition to an implicit, absorbing, unmarked sink instead.
 
 Walks over partial automata follow each state's own moves instead of
 scanning the alphabet for it, so they cost the moves they take, not
-states × events.  The string walks (breadth-first order, subset
-construction, the numbering in :func:`minimize`, :func:`shortest_marked`
-and :func:`language_subset`) gather each state's moves in event order in
-one pass over the transitions (``_out_edges``).
+states × events.  The string walks (breadth-first order, the numbering in
+:func:`minimize`, :func:`shortest_marked` and :func:`language_subset`)
+gather each state's moves in event order in one pass over the transitions
+(``_out_edges``).
+
+The subset construction (``_subset_walk``) numbers the subsets of an
+epsilon-NFA breadth first, events in alphabet order, which is the numbering
+of :func:`minimize`: :func:`star_words`, :func:`cosynth.langops.project`
+and the replanning splice of :mod:`cosynth.motion` hand its successor lists
+straight to the integer core of :func:`minimize`, and ``_determinize``
+names the subsets only for the callers that compose or complement the
+automaton they form.
 
 Every synchronous product is one breadth-first walk over tuples of integer
 operand states (``_Product``), which steps a tuple through the moves that
@@ -621,22 +629,27 @@ def star_words(dfa: Dfa) -> Dfa:
         nfa.setdefault((src, e), set()).add(dst)
     for q in dfa.marked:
         nfa.setdefault((q, None), set()).add(dfa.initial)
-    out = _determinize(nfa, {dfa.initial}, set(dfa.marked), dfa.alphabet)
-    # epsilon belongs to any star language
-    marked = out.marked | {out.initial}
-    return minimize(Dfa(out.states, out.alphabet, out.initial, out.transitions, marked))
+    order, succ = _subset_walk(nfa, {dfa.initial}, dfa.alphabet)
+    # epsilon belongs to any star language: the initial subset is marked
+    marked = [n == 0 or not s.isdisjoint(dfa.marked) for n, s in enumerate(order)]
+    return _minimize_numbered(succ, marked, dfa.alphabet)
 
 
 # -- subset construction (internal; nondeterminism is never exposed) -----
 
 
-def _determinize(
+def _subset_walk(
     nfa: Mapping[tuple[str, Optional[str]], set[str]],
     initials: set[str],
-    marked: set[str],
     alphabet: EventAlphabet,
-) -> Dfa:
-    """Subset construction over an epsilon-NFA given as (state, symbol|None) -> states."""
+) -> tuple[list[frozenset[str]], list[list[tuple[int, int]]]]:
+    """Subset construction over an epsilon-NFA given as (state, symbol|None) -> states.
+
+    Returns the subsets reachable from the closure of *initials*, numbered
+    breadth first with events in alphabet order (the numbering of
+    :func:`minimize`), and the (event index, subset number) moves of each in
+    event order, ready for :func:`_minimize_numbered`.
+    """
 
     def closure(states: frozenset[str]) -> frozenset[str]:
         stack = list(states)
@@ -655,11 +668,10 @@ def _determinize(
     for (q, e), targets in nfa.items():
         if e in event_index:
             labelled.setdefault(q, []).append((event_index[e], targets))
-    events = alphabet.events
     start = closure(frozenset(initials))
     order = [start]
-    index = {start: "0"}
-    transitions: dict[tuple[str, str], str] = {}
+    number = {start: 0}
+    succ: list[list[tuple[int, int]]] = []
     for cur in order:
         moved: dict[int, set[str]] = {}
         for q in cur:
@@ -668,17 +680,34 @@ def _determinize(
                     moved[a] |= targets
                 else:
                     moved[a] = set(targets)
+        out = []
         for a in sorted(moved):
             if not moved[a]:
                 continue
             nxt = closure(frozenset(moved[a]))
-            if nxt not in index:
-                index[nxt] = str(len(index))
+            n = number.get(nxt)
+            if n is None:
+                n = number[nxt] = len(order)
                 order.append(nxt)
-            transitions[(index[cur], events[a])] = index[nxt]
-    states = tuple(index[s] for s in order)
-    accept = frozenset(index[s] for s in order if s & marked)
-    return Dfa(states, alphabet, index[start], transitions, accept)
+            out.append((a, n))
+        succ.append(out)
+    return order, succ
+
+
+def _determinize(
+    nfa: Mapping[tuple[str, Optional[str]], set[str]],
+    initials: set[str],
+    marked: set[str],
+    alphabet: EventAlphabet,
+) -> Dfa:
+    """The automaton of :func:`_subset_walk`, subset n named "n"; a subset is
+    marked when it holds a state of *marked*."""
+    order, succ = _subset_walk(nfa, initials, alphabet)
+    names = [str(n) for n in range(len(order))]
+    events = alphabet.events
+    transitions = {(names[p], events[a]): names[n] for p, out in enumerate(succ) for a, n in out}
+    accept = frozenset(name for name, s in zip(names, order) if not s.isdisjoint(marked))
+    return Dfa(tuple(names), alphabet, "0", transitions, accept)
 
 
 # -- minimisation --------------------------------------------------------

@@ -37,6 +37,7 @@ from cosynth.automata import (
     _determinize,
     _minimize_numbered,
     _out_edges,
+    _subset_walk,
 )
 
 
@@ -84,8 +85,8 @@ def project(dfa: Dfa, spec: "ProjectionSpec | Sequence[str]") -> Dfa:
     """Canonical minimal DFA for { P(w) : w in L_m(dfa) } over the target alphabet.
 
     The target keeps the automaton's event order.  Out-of-target events are
-    erased (become epsilon moves), the result is determinised by subset
-    construction and minimised once.
+    erased (become epsilon moves), and the subsets that the subset
+    construction numbers go straight to the integer core of :func:`minimize`.
     """
     if isinstance(spec, ProjectionSpec):
         target = spec.target
@@ -96,7 +97,16 @@ def project(dfa: Dfa, spec: "ProjectionSpec | Sequence[str]") -> Dfa:
         for e in target:
             if e not in dfa.alphabet:
                 raise InputError(f"projection target event {e!r} not in source alphabet")
-    return minimize(_erase(dfa, target))
+    return _minimal_erasure(dfa, target)
+
+
+def _erasure_nfa(dfa: Dfa, target: EventAlphabet) -> dict[tuple[str, Optional[str]], set[str]]:
+    """*dfa* as an epsilon-NFA whose events outside *target* are erased."""
+    nfa: dict[tuple[str, Optional[str]], set[str]] = {}
+    for (src, e), dst in dfa.transitions.items():
+        label = e if e in target else None
+        nfa.setdefault((src, label), set()).add(dst)
+    return nfa
 
 
 def _erase(dfa: Dfa, target: Iterable[str]) -> Dfa:
@@ -107,11 +117,20 @@ def _erase(dfa: Dfa, target: Iterable[str]) -> Dfa:
     target_alphabet = dfa.alphabet.restrict(target)
     if len(target_alphabet.events) == len(dfa.alphabet.events):
         return dfa
-    nfa: dict[tuple[str, Optional[str]], set[str]] = {}
-    for (src, e), dst in dfa.transitions.items():
-        label = e if e in target_alphabet else None
-        nfa.setdefault((src, label), set()).add(dst)
-    return _determinize(nfa, {dfa.initial}, set(dfa.marked), target_alphabet)
+    return _determinize(_erasure_nfa(dfa, target_alphabet), {dfa.initial}, set(dfa.marked),
+                        target_alphabet)
+
+
+def _minimal_erasure(dfa: Dfa, target: Iterable[str]) -> Dfa:
+    """``minimize(_erase(dfa, target))``, with the numbered subsets handed
+    straight to the integer core of :func:`minimize`, so no subset is named."""
+    target_alphabet = dfa.alphabet.restrict(target)
+    if len(target_alphabet.events) == len(dfa.alphabet.events):
+        return minimize(dfa)
+    order, succ = _subset_walk(_erasure_nfa(dfa, target_alphabet), {dfa.initial},
+                               target_alphabet)
+    return _minimize_numbered(succ, [not s.isdisjoint(dfa.marked) for s in order],
+                              target_alphabet)
 
 
 def _lemma_products(automata: Sequence[Dfa]) -> Callable[[Iterable[str]], Dfa]:
@@ -173,7 +192,7 @@ def decompose(
         sizes.append(len(product.states))
         events = set(product.alphabet.events).union(alphabet.events)
         product = widen_alphabet(product, global_alphabet.restrict(events))
-        specs.append(widen_like(minimize(_erase(product, alphabet.events)), alphabet))
+        specs.append(widen_like(_minimal_erasure(product, alphabet.events), alphabet))
     return Decomposition(specs, sizes)
 
 

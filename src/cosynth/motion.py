@@ -1,9 +1,12 @@
 """Environment model, motion plans, mission-motion integration, and replanning.
 
-Regions and doors live in a partitioned environment; an agent's motion
-capabilities are the trim automaton whose states are regions and whose
-events are doors.  An integrated plan interleaves a mission plan with the
-region moves its events need, in one pass over the mission automaton.
+Regions and doors live in a partitioned environment, which builds and
+checks its door alphabet and each region's door moves once, when it is
+constructed.  An agent's motion capabilities are the automaton whose states
+are the regions its start reaches and whose events are doors, walked
+breadth first from the start.  An integrated plan interleaves a mission
+plan with the region moves its events need, in one pass over the mission
+automaton.
 Its region projection is the motion plan, the mission's region itinerary,
 which must be executable in the motion model.
 
@@ -14,15 +17,17 @@ at cycle boundaries.  One walk over the motion plan with the agent's last
 region decides it and names the first region change no door makes.  Door
 realisation (which door words implement a region word?) uses strict runs:
 every region change costs exactly one door event; :func:`door_profile`
-builds those door words.
+builds those door words in one walk over (region, motion-plan state) pairs
+whose successor lists go straight to the integer minimisation core.
 
 Replanning adapts an integrated plan to a real environment whose doors may
 differ from the nominal model.  A plan the real environment still serves is
 kept as it is.  Otherwise replanning works on the plan automaton, never on
 its words: the plan is walked together with the agent's last region, every
 region change left without a door is spliced into a chain through the
-shortest real detour, and the result is determinised and minimised, so its
-cost is polynomial in plan states × regions.
+shortest real detour, and the subset construction's numbered subsets go
+straight to the integer minimisation core, so its cost is polynomial in
+plan states × regions.
 
 Integration and splicing keep the mission projection and the plan's
 clauses by construction, and a splice leaves no region change without a
@@ -41,10 +46,10 @@ from cosynth.automata import (
     EventAlphabet,
     InputError,
     InvariantError,
-    _determinize,
+    _minimize_numbered,
     _out_edges,
+    _subset_walk,
     empty_dfa,
-    minimize,
     trim,
 )
 from cosynth.langops import project
@@ -68,7 +73,12 @@ class ReplanInfeasible(RuntimeError):
 
 @dataclass(frozen=True)
 class Environment:
-    """Partitioned environment: regions, adjacency, doors, and the door map."""
+    """Partitioned environment: regions, adjacency, doors, and the door map.
+
+    A door leads from a region to at most one region.  The door alphabet
+    and each region's (door, next region) moves in door order are built and
+    checked once, here, for every motion model of the environment.
+    """
 
     regions: tuple[str, ...]
     adjacency: tuple[tuple[str, str], ...]
@@ -96,6 +106,18 @@ class Environment:
         for agent, region in self.initial_regions.items():
             if region not in region_set:
                 raise InputError(f"initial region {region!r} of {agent} unknown")
+        leads: dict[tuple[str, str], str] = {}
+        for (v, v2), doors in self.door_map.items():
+            for d in doors:
+                existing = leads.setdefault((v, d), v2)
+                if existing != v2:
+                    raise InputError(f"door {d!r} leads from {v!r} to both {existing!r} and {v2!r}")
+        alphabet = EventAlphabet(self.doors, frozenset(self.doors))
+        door_moves: dict[str, list[tuple[str, str]]] = {}
+        for (v, d), v2 in sorted(leads.items(), key=lambda kv: alphabet.index(kv[0][1])):
+            door_moves.setdefault(v, []).append((d, v2))
+        object.__setattr__(self, "_door_alphabet", alphabet)
+        object.__setattr__(self, "_door_moves", door_moves)
 
     def doors_between(self, v: str, v2: str) -> tuple[str, ...]:
         return self.door_map.get((v, v2), ())
@@ -133,19 +155,28 @@ class LabelingMap:
 
 
 def motion_dfa(env: Environment, initial_region: str) -> Dfa:
-    """Trim DFA over doors: one state per region, moves follow the door map."""
+    """Trim DFA over the environment's doors: one marked state per region
+    that the initial region reaches, and moves that follow the door map.
+
+    Every region is marked, so the trim automaton is the part reachable from
+    the start: one breadth-first walk that follows each region's doors in
+    alphabet order, which keeps the states in that order.
+    """
     if initial_region not in env.regions:
         raise InputError(f"initial region {initial_region!r} not in the environment")
+    door_moves = env._door_moves  # type: ignore[attr-defined]
+    order = [initial_region]
+    seen = {initial_region}
     transitions: dict[tuple[str, str], str] = {}
-    for (v, v2), doors in env.door_map.items():
-        for d in doors:
-            existing = transitions.get((v, d))
-            if existing is not None and existing != v2:
-                raise InputError(f"door {d!r} leads from {v!r} to both {existing!r} and {v2!r}")
+    for v in order:
+        for d, v2 in door_moves.get(v, ()):
             transitions[(v, d)] = v2
-    alphabet = EventAlphabet(env.doors, frozenset(env.doors))
-    dfa = Dfa(env.regions, alphabet, initial_region, transitions, frozenset(env.regions))
-    return trim(dfa)
+            if v2 not in seen:
+                seen.add(v2)
+                order.append(v2)
+    states = tuple(order)
+    alphabet = env._door_alphabet  # type: ignore[attr-defined]
+    return Dfa(states, alphabet, initial_region, transitions, frozenset(states))
 
 
 # -- integrated-plan construction -----------------------------------------
@@ -267,34 +298,35 @@ def door_profile(motion_plan: Dfa, motion: Dfa) -> Dfa:
     The motion plan must lie within the stutter-closed runs of ``motion``:
     :func:`integrate` and :func:`replan` check that before they call this,
     except on a spliced plan, which meets it by construction.
+
+    One breadth-first walk over (region, motion-plan state) pairs, doors in
+    alphabet order, numbers the pairs and hands their successor lists, every
+    pair marked, to the integer core of :func:`cosynth.automata.minimize`;
+    no pair is named.
     """
     p0 = motion_plan.transitions.get((motion_plan.initial, motion.initial))
     if p0 is None or p0 not in motion_plan.marked:
         return empty_dfa(motion.alphabet)
     motion_edges = _out_edges(motion)
+    plan_moves = motion_plan.transitions
+    plan_marked = motion_plan.marked
     start = (motion.initial, p0)
+    number = {start: 0}
     order = [start]
-    seen = {start}
-    transitions: dict[tuple[str, str], str] = {}
-    queue = deque(order)
-
-    def name(v: str, p: str) -> str:
-        return f"{v}|{p}"
-
-    while queue:
-        v, p = queue.popleft()
-        for _, d, v2 in motion_edges.get(v, ()):
-            p2 = motion_plan.transitions.get((p, v2))
-            if p2 is None or p2 not in motion_plan.marked:
+    succ: list[list[tuple[int, int]]] = []
+    for v, p in order:
+        out = []
+        for a, _, v2 in motion_edges.get(v, ()):
+            p2 = plan_moves.get((p, v2))
+            if p2 is None or p2 not in plan_marked:
                 continue
-            transitions[(name(v, p), d)] = name(v2, p2)
-            if (v2, p2) not in seen:
-                seen.add((v2, p2))
+            n = number.get((v2, p2))
+            if n is None:
+                n = number[(v2, p2)] = len(order)
                 order.append((v2, p2))
-                queue.append((v2, p2))
-    states = tuple(name(v, p) for v, p in order)
-    dfa = Dfa(states, motion.alphabet, name(*start), transitions, frozenset(states))
-    return minimize(dfa)
+            out.append((a, n))
+        succ.append(out)
+    return _minimize_numbered(succ, [True] * len(order), motion.alphabet)
 
 
 @dataclass(frozen=True)
@@ -345,8 +377,21 @@ def integrate(
 # -- replanning ------------------------------------------------------------
 
 
-def _shortest_region_path(env: Environment, source: str, target: str) -> Optional[list[str]]:
-    """Shortest door-connected region path, ties broken lexicographically."""
+def _open_successors(env: Environment) -> dict[str, list[str]]:
+    """The regions that each region has a door to, sorted by name."""
+    successors: dict[str, list[str]] = {}
+    for (v, v2), doors in env.door_map.items():
+        if doors:
+            successors.setdefault(v, []).append(v2)
+    for out in successors.values():
+        out.sort()
+    return successors
+
+
+def _shortest_region_path(successors: Mapping[str, list[str]], source: str,
+                          target: str) -> Optional[list[str]]:
+    """Shortest door-connected region path over :func:`_open_successors`,
+    ties broken lexicographically."""
     parents: dict[str, Optional[str]] = {source: None}
     queue = deque([source])
     while queue:
@@ -356,8 +401,7 @@ def _shortest_region_path(env: Environment, source: str, target: str) -> Optiona
             while parents[path[-1]] is not None:
                 path.append(parents[path[-1]])  # type: ignore[arg-type]
             return list(reversed(path))
-        neighbours = sorted(v2 for (u, v2), doors in env.door_map.items() if u == v and doors)
-        for v2 in neighbours:
+        for v2 in successors.get(v, ()):
             if v2 not in parents:
                 parents[v2] = v
                 queue.append(v2)
@@ -375,9 +419,11 @@ def _splice(dfa: Dfa, regions: set[str], real_env: Environment) -> Dfa:
     Each product edge ``cur → e`` whose regions lost all their doors becomes
     a fresh chain through the intermediate regions of the shortest real path
     from ``cur`` to ``e``.  An inserted region may collide with a region edge
-    already leaving the same state, so the chains form an NFA that the
-    subset construction determinises before minimisation.
+    already leaving the same state, so the chains form an NFA whose subsets,
+    numbered by the subset construction, go straight to the integer core of
+    :func:`cosynth.automata.minimize`.
     """
+    successors = _open_successors(real_env)
     names: dict[_Node, str] = {}
 
     def name(node: _Node) -> str:
@@ -394,7 +440,7 @@ def _splice(dfa: Dfa, regions: set[str], real_env: Environment) -> Dfa:
         if _door_lost(real_env, regions, v, e):
             pair = (v, e)
             if pair not in paths:
-                path = _shortest_region_path(real_env, *pair)
+                path = _shortest_region_path(successors, *pair)
                 if path is None:
                     raise ReplanInfeasible(pair)
                 paths[pair] = path
@@ -405,7 +451,8 @@ def _splice(dfa: Dfa, regions: set[str], real_env: Environment) -> Dfa:
                 src = hop
         nfa.setdefault((src, e), set()).add(name(nxt))
     marked = {names[node] for node in names if node[0] in dfa.marked} | set(chain)
-    return minimize(_determinize(nfa, {initial}, marked, dfa.alphabet))
+    order, succ = _subset_walk(nfa, {initial}, dfa.alphabet)
+    return _minimize_numbered(succ, [not s.isdisjoint(marked) for s in order], dfa.alphabet)
 
 
 def replan(lp: IntegratedPlan, nominal_motion: Dfa, real_env: Environment) -> IntegratedPlan:
@@ -420,8 +467,8 @@ def replan(lp: IntegratedPlan, nominal_motion: Dfa, real_env: Environment) -> In
     with no door left is bridged by the shortest intermediate region path of
     the real environment, spliced into the plan automaton itself: the plan
     is walked together with the agent's last region, each doorless edge
-    becomes a chain through the bridge, and the result is determinised and
-    minimised.  Mission event sequences are never altered, and every
+    becomes a chain through the bridge, and the numbered subsets of the
+    result are minimised.  Mission event sequences are never altered, and every
     region change of the spliced plan has a real door.
     """
     if not (set(nominal_motion.states) <= set(real_env.regions) <= set(lp.labeling.regions)

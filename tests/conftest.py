@@ -7,11 +7,14 @@ symbols, and language comparisons by enumerating words up to a bound.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
+import sys
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from pathlib import Path
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import pytest
 
@@ -32,14 +35,26 @@ from cosynth.automata import (
     minimize,
     prefix_closure,
     subtract,
+    trim,
     word_dfa,
     _determinize,
     _out_edges,
 )
 from cosynth.langops import project, quotient, widen_alphabet, widen_like
-from cosynth.motion import LabelingMap, ReplanInfeasible
+from cosynth.motion import Environment, LabelingMap, ReplanInfeasible
 from cosynth.synthesis import IllegalBehaviorSet
 from cosynth.verification import check_triple
+
+
+def perfbench_generate():
+    """The benchmark's instance generator, ``perfbench/generate.py``, imported
+    read-only from the checkout."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "generate.py"
+    spec = importlib.util.spec_from_file_location("perfbench_generate", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def words_up_to(events: Sequence[str], length: int) -> Iterator[Word]:
@@ -637,6 +652,114 @@ def reference_run_language(motion: Dfa, stutter: bool, regions: Optional[Sequenc
             transitions[(v, v)] = v
     return Dfa((start,) + regions, alphabet, start, transitions,
                frozenset((start,) + regions))
+
+
+# -- named routes that the integer walks replaced, kept verbatim -------------
+# Each builds a named intermediate automaton for ``minimize`` or ``trim`` to
+# re-read; the production walks must give byte-identical automata.
+
+
+def reference_determinize(
+    nfa: Mapping[tuple[str, Optional[str]], set[str]],
+    initials: set[str],
+    marked: set[str],
+    alphabet: EventAlphabet,
+) -> Dfa:
+    """Subset construction over an epsilon-NFA given as (state, symbol|None) -> states."""
+
+    def closure(states: frozenset[str]) -> frozenset[str]:
+        stack = list(states)
+        out = set(states)
+        while stack:
+            q = stack.pop()
+            for nxt in nfa.get((q, None), ()):
+                if nxt not in out:
+                    out.add(nxt)
+                    stack.append(nxt)
+        return frozenset(out)
+
+    # each NFA state's labelled moves, which a subset groups by event index
+    event_index = alphabet._index  # type: ignore[attr-defined]
+    labelled: dict[str, list[tuple[int, set[str]]]] = {}
+    for (q, e), targets in nfa.items():
+        if e in event_index:
+            labelled.setdefault(q, []).append((event_index[e], targets))
+    events = alphabet.events
+    start = closure(frozenset(initials))
+    order = [start]
+    index = {start: "0"}
+    transitions: dict[tuple[str, str], str] = {}
+    for cur in order:
+        moved: dict[int, set[str]] = {}
+        for q in cur:
+            for a, targets in labelled.get(q, ()):
+                if a in moved:
+                    moved[a] |= targets
+                else:
+                    moved[a] = set(targets)
+        for a in sorted(moved):
+            if not moved[a]:
+                continue
+            nxt = closure(frozenset(moved[a]))
+            if nxt not in index:
+                index[nxt] = str(len(index))
+                order.append(nxt)
+            transitions[(index[cur], events[a])] = index[nxt]
+    states = tuple(index[s] for s in order)
+    accept = frozenset(index[s] for s in order if s & marked)
+    return Dfa(states, alphabet, index[start], transitions, accept)
+
+
+def reference_motion_dfa(env: Environment, initial_region: str) -> Dfa:
+    """Trim DFA over doors: one state per region, moves follow the door map."""
+    if initial_region not in env.regions:
+        raise InputError(f"initial region {initial_region!r} not in the environment")
+    transitions: dict[tuple[str, str], str] = {}
+    for (v, v2), doors in env.door_map.items():
+        for d in doors:
+            existing = transitions.get((v, d))
+            if existing is not None and existing != v2:
+                raise InputError(f"door {d!r} leads from {v!r} to both {existing!r} and {v2!r}")
+            transitions[(v, d)] = v2
+    alphabet = EventAlphabet(env.doors, frozenset(env.doors))
+    dfa = Dfa(env.regions, alphabet, initial_region, transitions, frozenset(env.regions))
+    return trim(dfa)
+
+
+def reference_door_profile(motion_plan: Dfa, motion: Dfa) -> Dfa:
+    """Door words whose strict runs trace a region word of the motion plan.
+
+    The motion plan must lie within the stutter-closed runs of ``motion``:
+    :func:`integrate` and :func:`replan` check that before they call this,
+    except on a spliced plan, which meets it by construction.
+    """
+    p0 = motion_plan.transitions.get((motion_plan.initial, motion.initial))
+    if p0 is None or p0 not in motion_plan.marked:
+        return empty_dfa(motion.alphabet)
+    motion_edges = _out_edges(motion)
+    start = (motion.initial, p0)
+    order = [start]
+    seen = {start}
+    transitions: dict[tuple[str, str], str] = {}
+    queue = deque(order)
+
+    def name(v: str, p: str) -> str:
+        return f"{v}|{p}"
+
+    while queue:
+        v, p = queue.popleft()
+        for _, d, v2 in motion_edges.get(v, ()):
+            p2 = motion_plan.transitions.get((p, v2))
+            if p2 is None or p2 not in motion_plan.marked:
+                continue
+            transitions[(name(v, p), d)] = name(v2, p2)
+            if (v2, p2) not in seen:
+                seen.add((v2, p2))
+                order.append((v2, p2))
+                queue.append((v2, p2))
+    states = tuple(name(v, p) for v, p in order)
+    dfa = Dfa(states, motion.alphabet, name(*start), transitions, frozenset(states))
+    return minimize(dfa)
 
 
 def shortest_real_path(env, source: str, target: str):

@@ -27,12 +27,16 @@ from cosynth.automata import (
     prefix_closure,
     run,
     shortest_marked,
+    star_words,
     trim,
     universal_dfa,
     word_dfa,
     words_dfa,
+    _determinize,
+    _minimize_numbered,
+    _subset_walk,
 )
-from cosynth.langops import widen_like
+from cosynth.langops import project, widen_like
 from conftest import (
     brute_accepts,
     brute_generates,
@@ -43,6 +47,7 @@ from conftest import (
     lang_set,
     random_dfa,
     reference_compose,
+    reference_determinize,
     reference_minimize,
     reference_mission,
     words_up_to,
@@ -590,3 +595,65 @@ def test_shortest_marked_matches_brute_force_words(seed, marked_p):
         assert not accepted
     else:
         assert word == _least(accepted, dfa.alphabet)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_events=st.integers(min_value=1, max_value=3),
+    marked_p=st.sampled_from((0.0, 0.2, 0.5)),
+)
+def test_subset_walk_matches_the_named_subset_construction(seed, n_events, marked_p):
+    # random epsilon-NFAs with empty moves, moves on an event outside the
+    # alphabet, several initial states and subsets that hold no marked state
+    rng = random.Random(seed)
+    order = rng.sample(["a", "b", "c"], n_events)
+    alphabet = EventAlphabet(tuple(order))
+    states = [str(i) for i in range(rng.randint(1, 6))]
+    nfa: dict = {}
+    for q in states:
+        for e in order + [None, "z"]:
+            r = rng.random()
+            if r < 0.15:
+                nfa[(q, e)] = set()
+            elif r < 0.6:
+                nfa[(q, e)] = set(rng.sample(states, rng.randint(1, min(2, len(states)))))
+    initials = set(rng.sample(states, rng.randint(1, min(2, len(states)))))
+    marked = {q for q in states if rng.random() < marked_p}
+    expected = reference_determinize(nfa, initials, marked, alphabet)
+    named = _determinize(nfa, initials, marked, alphabet)
+    assert dfa_to_text(named) == dfa_to_text(expected)
+    assert named.states == expected.states
+    subsets, succ = _subset_walk(nfa, initials, alphabet)
+    got = _minimize_numbered(succ, [not s.isdisjoint(marked) for s in subsets], alphabet)
+    assert dfa_to_text(got) == dfa_to_text(minimize(expected))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    keep=st.integers(min_value=0, max_value=3),
+    marked_p=st.sampled_from((0.0, 0.3, 0.7)),
+)
+def test_projection_and_star_match_the_named_subset_route(seed, keep, marked_p):
+    # project and star_words hand numbered subsets to the integer core; the
+    # named route determinised, named the subsets and minimised them again
+    rng = random.Random(seed)
+    order = rng.sample(["a", "b", "c"], 3)
+    d = random_dfa(rng, 5, order, density=0.6, marked_p=marked_p)
+    target = rng.sample(order, keep)
+    target_alphabet = d.alphabet.restrict(target)
+    nfa: dict = {}
+    for (src, e), dst in d.transitions.items():
+        nfa.setdefault((src, e if e in target_alphabet else None), set()).add(dst)
+    expected = minimize(reference_determinize(nfa, {d.initial}, set(d.marked), target_alphabet))
+    assert dfa_to_text(project(d, target)) == dfa_to_text(expected)
+    star_nfa: dict = {}
+    for (src, e), dst in d.transitions.items():
+        star_nfa.setdefault((src, e), set()).add(dst)
+    for q in d.marked:
+        star_nfa.setdefault((q, None), set()).add(d.initial)
+    out = reference_determinize(star_nfa, {d.initial}, set(d.marked), d.alphabet)
+    expected = minimize(Dfa(out.states, out.alphabet, out.initial, out.transitions,
+                            out.marked | {out.initial}))
+    assert dfa_to_text(star_words(d)) == dfa_to_text(expected)

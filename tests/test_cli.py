@@ -20,7 +20,7 @@ from cosynth.automata import (
 )
 from cosynth.cli import main
 from cosynth.fixtures import fixture_path
-from conftest import cycle_dfa, lang_set, reference_mission
+from conftest import cycle_dfa, lang_set, perfbench_generate, reference_mission
 
 AU = EventAlphabet(("a", "u"), frozenset({"a"}))
 
@@ -239,17 +239,33 @@ def test_pipeline_with_real_env_and_schedule(tmp_path):
 
 
 def test_replan_command_matches_the_pipeline_replanning(tmp_path):
-    out = tmp_path / "out"
-    nominal, real = str(fixture_path("nominal.env")), str(fixture_path("real_no_d3.env"))
-    assert main(["pipeline", "--config", str(fixture_path("casestudy.cfg")), "--out", str(out),
-                 "--real-env", real]) == 0
-    for agent in ("agent1", "agent2", "agent3"):
-        assert main(["replan", str(out / f"{agent}_plan.aut"), "--env", nominal,
-                     "--real-env", real, "--labeling", str(fixture_path("labels.pi")),
-                     "--agent", agent, "-o", str(tmp_path / agent)]) == 0
-        for mine, pipeline_file in (("integrated", "replanned"), ("profile", "replanned_profile")):
-            assert ((tmp_path / f"{agent}_{mine}.aut").read_bytes()
-                    == (out / f"{agent}_{pipeline_file}.aut").read_bytes())
+    # the case study keeps agent3's plan and reroutes the others; the
+    # benchmark's ring instance (seed 1) splices a detour into both patrols
+    ring = tmp_path / "ring"
+    perfbench_generate().build("ring", 1, ring)
+    instances = [
+        (fixture_path("casestudy.cfg"), fixture_path("nominal.env"),
+         fixture_path("real_no_d3.env"), fixture_path("labels.pi"),
+         ("agent1", "agent2", "agent3")),
+        (ring / "ring.cfg", ring / "nominal.env", ring / "real.env", ring / "labels.pi",
+         ("patrol1", "patrol2")),
+    ]
+    for config, nominal, real, labels, agents in instances:
+        out = tmp_path / config.stem / "out"
+        assert main(["pipeline", "--config", str(config), "--out", str(out),
+                     "--real-env", str(real)]) == 0
+        report = (out / "report.txt").read_text(encoding="utf-8")
+        for agent in agents:
+            rp = tmp_path / config.stem / agent
+            assert main(["replan", str(out / f"{agent}_plan.aut"), "--env", str(nominal),
+                         "--real-env", str(real), "--labeling", str(labels),
+                         "--agent", agent, "-o", str(rp)]) == 0
+            for mine, pipeline_file in (("integrated", "replanned"),
+                                        ("profile", "replanned_profile")):
+                assert ((tmp_path / config.stem / f"{agent}_{mine}.aut").read_bytes()
+                        == (out / f"{agent}_{pipeline_file}.aut").read_bytes())
+        if config.stem == "ring":
+            assert report.count("plan-rerouted") == 2, report
 
 
 def test_simulate_command(tmp_path, capsys):

@@ -2,6 +2,7 @@
 and the discrete-event simulator."""
 
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -18,6 +19,7 @@ from cosynth.automata import (
     EventAlphabet,
     InputError,
     accepts,
+    dfa_to_text,
     language_equal,
     language_subset,
     minimize,
@@ -50,6 +52,8 @@ from conftest import (
     generated_up_to,
     lang_set,
     random_dfa,
+    reference_door_profile,
+    reference_motion_dfa,
     reference_replan_dfa,
     reference_run_language,
     validate_integrated_clauses,
@@ -104,16 +108,33 @@ def test_motion_dfa_single_region():
     assert gm.states == ("R1",) and not gm.transitions
 
 
-def test_motion_dfa_rejects_ambiguous_doors():
-    env = Environment(
-        ("R1", "R2", "R3"),
-        (("R1", "R2"), ("R1", "R3")),
-        ("D",),
-        {("R1", "R2"): ("D",), ("R1", "R3"): ("D",)},
-        {},
-    )
-    with pytest.raises(InputError):
-        motion_dfa(env, "R1")
+def test_environment_rejects_ambiguous_doors(tmp_path):
+    # a door that leads from one region to two is refused when the
+    # environment is built, so no motion model ever meets it
+    with pytest.raises(InputError, match="door 'D' leads from 'R1' to both 'R2' and 'R3'"):
+        Environment(
+            ("R1", "R2", "R3"),
+            (("R1", "R2"), ("R1", "R3")),
+            ("D",),
+            {("R1", "R2"): ("D",), ("R1", "R3"): ("D",)},
+            {},
+        )
+    # in an .env file the error names the file when it is parsed
+    path = tmp_path / "ambiguous.env"
+    path.write_text(textwrap.dedent("""\
+        regions: R1 R2 R3
+        doors: D
+        adjacency:
+        R1 R2
+        R1 R3
+        doormap:
+        R1 R2 D
+        R1 R3 D
+    """), encoding="utf-8")
+    with pytest.raises(InputError, match=f"^{re.escape(str(path))}: door 'D' leads from 'R1' to both"):
+        environment_from_text(path.read_text(encoding="utf-8"), source=str(path))
+    with pytest.raises(InputError, match=f"^{re.escape(str(path))}: duplicate events"):
+        environment_from_text("regions: R1\ndoors: D D\n", source=str(path))
 
 
 def test_lift_single_region_mission():
@@ -216,6 +237,58 @@ def test_door_profile_soundness_enumeration():
             state = gm.transitions[(state, d)]
             trace += (state,)
         assert brute_accepts(plan, trace if w else (gm.initial,)) or not w
+
+
+def random_environment(rng) -> Environment:
+    """Regions R0..Rk and one region U with doors out of it but none into it,
+    so no other start reaches U; each door leads from a region to at most one
+    region, and the door and door-map orders are shuffled."""
+    regions = [f"R{i}" for i in range(rng.randint(1, 4))] + ["U"]
+    rng.shuffle(regions)
+    doors = [f"d{i}" for i in range(rng.randint(1, 5))]
+    rng.shuffle(doors)
+    leads: dict[tuple[str, str], list[str]] = {}
+    for v in regions:
+        for d in doors:
+            if rng.random() < 0.4:
+                v2 = rng.choice([r for r in regions if r != "U"])
+                leads.setdefault((v, v2), []).append(d)
+    pairs = list(leads)
+    rng.shuffle(pairs)
+    door_map = {pair: tuple(leads[pair]) for pair in pairs}
+    # an adjacency whose doors are all missing
+    v, v2 = rng.choice(regions), rng.choice(regions)
+    door_map.setdefault((v, v2), ())
+    return Environment(tuple(regions), tuple(door_map), tuple(doors), door_map)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_motion_dfa_matches_the_trim_route(rng):
+    # the breadth-first walk over the environment's door moves gives the trim
+    # automaton byte for byte, with its states in the same order
+    env = random_environment(rng)
+    start = rng.choice(env.regions)
+    got = motion_dfa(env, start)
+    expected = reference_motion_dfa(env, start)
+    assert dfa_to_text(got) == dfa_to_text(expected)
+    assert got.states == expected.states
+    assert got.alphabet == expected.alphabet
+    assert start == "U" or "U" not in got.states
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_door_profile_matches_the_named_walk(rng):
+    # all-marked motion plans, as integration and replanning make them, and
+    # plans with unmarked states, over a region order unlike the environment's
+    env = random_environment(rng)
+    motion = motion_dfa(env, rng.choice(env.regions))
+    order = rng.sample(env.regions, len(env.regions))
+    plan = random_dfa(rng, 5, order, density=rng.choice((0.4, 0.8)),
+                      marked_p=rng.choice((1.0, 1.0, 0.6)))
+    assert dfa_to_text(door_profile(plan, motion)) == dfa_to_text(
+        reference_door_profile(plan, motion))
 
 
 def test_integrate_case_study_agent2():
@@ -401,6 +474,22 @@ def test_replan_keeps_a_plan_the_real_environment_still_serves(monkeypatch):
     assert calls == []  # nothing is projected again
 
 
+def test_replan_of_a_served_plan_builds_no_checked_alphabet(monkeypatch):
+    # the real environment built and checked its door alphabet once; a replan
+    # that keeps the plan reads it and checks no event again
+    lp, gm = _agent3_plan()
+    real = case_env().without_doors({"D3"})
+    checked = []
+    original = EventAlphabet.__post_init__
+    monkeypatch.setattr(EventAlphabet, "__post_init__",
+                        lambda self: checked.append(self.events) or original(self))
+    new_lp = replan(lp, gm, real)
+    assert new_lp.dfa is lp.dfa
+    assert checked == []
+    env = case_env()
+    assert checked == [env.doors]  # the patch sees what an environment checks
+
+
 def test_replan_accepts_regions_the_start_cannot_reach():
     # R3 has a door out but none in, so the motion model from R1 trims it
     door_map = {("R1", "R2"): ("d12",), ("R2", "R1"): ("d21",), ("R3", "R1"): ("d31",)}
@@ -451,6 +540,22 @@ def test_replan_splices_intermediate_regions():
     # replanned motion is executable in the real environment
     real_runs = reference_run_language(motion_dfa(real, "A"), stutter=True)
     assert language_subset(new_lp.motion_plan, real_runs) is None
+
+
+def test_replan_bridges_break_ties_by_region_name():
+    # A reaches D through B or through C once the direct door is gone; the
+    # door map lists C first, and the bridge still takes B, the lesser name
+    door_map = {("A", "D"): ("d_ad",), ("A", "C"): ("d_ac",), ("A", "B"): ("d_ab",),
+                ("C", "D"): ("d_cd",), ("B", "D"): ("d_bd",), ("D", "A"): ("d_da",)}
+    env = Environment(("A", "B", "C", "D"), tuple(door_map), tuple(sorted(
+        d for ds in door_map.values() for d in ds)), door_map, {"bot": "A"})
+    alpha = EventAlphabet(("go", "back"), frozenset({"go", "back"}))
+    pi = LabelingMap(env.regions, {"go": frozenset({"D"}), "back": frozenset({"A"})})
+    gm = motion_dfa(env, "A")
+    lp = integrate(cycle_dfa(("go", "back"), alpha), pi, "A", gm, agent="bot")
+    new_lp = replan(lp, gm, env.without_doors({"d_ad"}))
+    assert accepts(new_lp.dfa, ("A", "B", "D", "go"))
+    assert not accepts(new_lp.dfa, ("A", "C", "D", "go"))
 
 
 def test_replan_infeasible_names_the_gap():

@@ -19,7 +19,6 @@ change log.
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import json
 import sys
 from pathlib import Path
@@ -30,20 +29,11 @@ from cosynth.automata import Dfa, dfa_to_text, load_dfa, minimal_product, save_d
 from cosynth.cli import main
 from cosynth.fixtures import fixture_path
 from cosynth.pipeline import PipelineConfig, global_alphabet_of, run_pipeline
+from conftest import perfbench_generate
 
-ROOT = Path(__file__).resolve().parents[1]
 DIGESTS = Path(__file__).with_name("output_digests.json")
 WORKLOADS = ("casestudy", "escorts", "ring")
 SEED = 1
-
-
-def _generate():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_generate", ROOT / "perfbench" / "generate.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
 
 
 def _sha(data: bytes) -> str:
@@ -52,7 +42,7 @@ def _sha(data: bytes) -> str:
 
 def pipeline_digests(workload: str, workdir: Path) -> dict[str, str]:
     """sha256 of every file one ``cosynth pipeline`` run writes, by file name."""
-    files = _generate().build(workload, SEED, workdir / "inputs")
+    files = perfbench_generate().build(workload, SEED, workdir / "inputs")
     report = run_pipeline(PipelineConfig.load(files.config), files.real_env, files.schedule,
                           stop_event="r")
     outdir = workdir / "out"
@@ -62,7 +52,7 @@ def pipeline_digests(workload: str, workdir: Path) -> dict[str, str]:
 
 def mission_digest(workdir: Path, pairs: int = 3) -> str:
     """sha256 of ``mission.aut`` for an ``escorts`` instance of *pairs* pairs."""
-    files = _generate().escorts(workdir / "inputs", pairs, SEED)
+    files = perfbench_generate().escorts(workdir / "inputs", pairs, SEED)
     config = PipelineConfig.load(files.config)
     components = [load_dfa(p) for p in config.mission_paths]
     mission = minimal_product(components, global_alphabet_of(config.agents))
