@@ -40,13 +40,14 @@ satisfy the property?": :func:`cosynth.langops.satisfies` asks it of one
 operand; in :mod:`cosynth.verification` the plan check asks it of the
 plans, the assume-guarantee triple of the prefix-closed assumption and
 module, and the symmetric rule's last premise of the complemented
-assumptions.  The weakest assumption steps the same product next to the
-property's table (``_property_table``) to build its violation automaton.
+assumptions.  This walk, and the weakest assumption's walk of the same
+product that builds its violation automaton, move the property along its
+own transitions at each pair they reach, so a check costs the pairs the
+product reaches and not the property's states × events.
 """
 
 from __future__ import annotations
 
-import copy
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
@@ -496,26 +497,6 @@ def minimal_product(dfas: Sequence[Dfa], alphabet: EventAlphabet) -> Dfa:
     return _minimize_numbered(succ, [product.is_marked(t) for t in order], alphabet)
 
 
-def _property_table(prop: Dfa) -> tuple[int, dict[str, list[int]], list[bool]]:
-    """The property's initial state number, for each of its events the next
-    state number by state number, and whether each state is marked; state
-    ``len(prop.states)`` is the implicit, absorbing, unmarked sink."""
-    sink = len(prop.states)
-    number = {q: i for i, q in enumerate(prop.states)}
-    columns = {e: [sink] * (sink + 1) for e in prop.alphabet.events}
-    for (src, e), dst in prop.transitions.items():
-        columns[e][number[src]] = number[dst]
-    return number[prop.initial], columns, [q in prop.marked for q in prop.states] + [False]
-
-
-def _with_table(prop: Dfa) -> Dfa:
-    """A copy of *prop* that carries its :func:`_property_table`, which
-    :func:`product_violation` then reads instead of building it again."""
-    tabled = copy.copy(prop)
-    object.__setattr__(tabled, "_table", _property_table(prop))
-    return tabled
-
-
 def product_violation(dfas: Sequence[Dfa], prop: Dfa) -> tuple[Optional[Word], int]:
     """The shortest, lexicographically least word of the product of *dfas*
     that leaves the property's marked language (None if there is none), and
@@ -523,27 +504,29 @@ def product_violation(dfas: Sequence[Dfa], prop: Dfa) -> tuple[Optional[Word], i
     states when there is none.
 
     A breadth-first walk over (operand tuple, property state), events in the
-    order of :func:`parallel_compose_all`; an event the property does not own
-    leaves it where it is, and a missing property transition leads to an
-    implicit, absorbing, unmarked sink.  A word violates when every operand
-    is marked and the property is not.  A property from :func:`_with_table`
-    brings its table; any other is tabled on each call.
+    order of :func:`parallel_compose_all`, that moves the property along its
+    own transitions as it reaches each pair: an event the property does not
+    own leaves it where it is, and a missing property transition leads to
+    the absorbing, unmarked sink ``None``.  A word violates when every
+    operand is marked and the property is not.
     """
     product = _Product(dfas, _union_events(dfas))
-    prop_initial, columns, prop_marked = prop.__dict__.get("_table") or _property_table(prop)
-    prop_columns = [columns.get(e) for e in product.events]
-    start = (product.initial, prop_initial)
-    if product.is_marked(product.initial) and not prop_marked[start[1]]:
+    transitions, prop_marked = prop.transitions, prop.marked
+    # per product event: the event itself when the property owns it
+    prop_events = [e if e in prop.alphabet else None for e in product.events]
+    start: tuple[tuple[int, ...], Optional[str]] = (product.initial, prop.initial)
+    if product.is_marked(product.initial) and prop.initial not in prop_marked:
         return EPSILON, 0
-    parent: dict[tuple[tuple[int, ...], int], Optional[tuple]] = {start: None}
+    parent: dict[tuple[tuple[int, ...], Optional[str]], Optional[tuple]] = {start: None}
     queue = deque([start])
     while queue:
         pair = queue.popleft()
         t, qp = pair
         for a, nt in product.moves(t):
-            column = prop_columns[a]
-            np_ = qp if column is None else column[qp]
-            if not prop_marked[np_] and product.is_marked(nt):
+            e = prop_events[a]
+            # the sink has no transitions, so it stays the sink
+            np_ = qp if e is None else transitions.get((qp, e))
+            if np_ not in prop_marked and product.is_marked(nt):
                 word = [product.events[a]]
                 while parent[pair] is not None:
                     pair, a = parent[pair]

@@ -504,8 +504,9 @@ class SimulationResult:
 class _Walker:
     plan: IntegratedPlan
     state: str
-    # _region_moves(plan), gathered again whenever the plan is replaced
+    # _plan_moves(plan), gathered again whenever the plan is replaced
     region_moves: dict[str, list[str]]
+    mission_moves: dict[str, list[str]]
     region: Optional[str] = None
     consumed: list[str] = field(default_factory=list)
     believed: dict[tuple[str, str], tuple[str, ...]] = field(default_factory=dict)
@@ -523,10 +524,11 @@ def simulate(
 
     Region symbols are private to their agent; mission events shared by
     several plans fire jointly.  One action executes per step: pending
-    region moves first (by agent order), then the least enabled mission
-    event.  When a believed door turns out closed the agent replans
-    against the effectively open environment and continues; each replan
-    adds one trace line.  Trace lines read "step agent symbol kind".
+    region moves first (by agent order), then the least mission event
+    that every plan owning it moves on.  When a believed door turns out
+    closed the agent replans against the effectively open environment and
+    continues; each replan adds one trace line.  Trace lines read "step
+    agent symbol kind".
     """
     doors_open: dict[str, bool] = {d: True for d in env.doors}
     timetable: dict[int, list[tuple[str, str]]] = {}
@@ -540,7 +542,7 @@ def simulate(
     if not plans:
         return SimulationResult([], True)
     walkers = [
-        _Walker(lp, lp.dfa.initial, _region_moves(lp), believed=dict(env.door_map))
+        _Walker(lp, lp.dfa.initial, *_plan_moves(lp), believed=dict(env.door_map))
         for lp in plans
     ]
     nominal_motions = [motion_dfa(env, lp.initial_region) for lp in plans]
@@ -587,19 +589,18 @@ def simulate(
             trace.append(f"{step} {w.plan.agent} {v2} region")
             continue
 
-        enabled: list[str] = []
-        for event, owners in sorted(mission_owners.items()):
-            if all(
-                walkers[i].plan.dfa.transitions.get((walkers[i].state, event)) is not None
-                for i in owners
-            ):
-                enabled.append(event)
+        # a mission event is enabled when every owner moves on it
+        offered: dict[str, int] = {}
+        for w in walkers:
+            for e in w.mission_moves.get(w.state, ()):
+                offered[e] = offered.get(e, 0) + 1
+        enabled = [e for e, n in offered.items() if n == len(mission_owners[e])]
         if not enabled:
             snapshot = "; ".join(
                 f"{w.plan.agent}@{w.state}({w.region or '-'})" for w in walkers
             )
             return SimulationResult(trace, False, deadlock=snapshot)
-        event = enabled[0]
+        event = min(enabled)
         for i in mission_owners[event]:
             w = walkers[i]
             w.state = w.plan.dfa.transitions[(w.state, event)]
@@ -610,11 +611,18 @@ def simulate(
     return SimulationResult(trace, fired_stop or stop_event is None)
 
 
-def _region_moves(lp: IntegratedPlan) -> dict[str, list[str]]:
-    """The region symbols that each state of the plan moves on, in the
-    plan's alphabet order, gathered in one pass over its transitions."""
+def _plan_moves(lp: IntegratedPlan) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+    """The region symbols and the mission events that each state of the
+    plan moves on, in the plan's alphabet order, gathered in one pass over
+    its transitions."""
     regions = set(lp.labeling.regions)
-    return {q: [e for _, e, _ in out if e in regions] for q, out in _out_edges(lp.dfa).items()}
+    mission = lp.mission.alphabet
+    region_moves: dict[str, list[str]] = {}
+    mission_moves: dict[str, list[str]] = {}
+    for q, out in _out_edges(lp.dfa).items():
+        region_moves[q] = [e for _, e, _ in out if e in regions]
+        mission_moves[q] = [e for _, e, _ in out if e in mission]
+    return region_moves, mission_moves
 
 
 def _replan_walker(
@@ -625,7 +633,7 @@ def _replan_walker(
     trace: list[str],
 ) -> None:
     new_plan = replan(w.plan, nominal_motion, effective)
-    region_moves = _region_moves(new_plan)
+    region_moves, mission_moves = _plan_moves(new_plan)
     state = new_plan.dfa.initial
     for symbol in w.consumed:
         nxt = new_plan.dfa.transitions.get((state, symbol))
@@ -639,6 +647,7 @@ def _replan_walker(
         state = nxt
     w.plan = new_plan
     w.region_moves = region_moves
+    w.mission_moves = mission_moves
     w.state = state
     w.believed = dict(effective.door_map)
     w.replans += 1

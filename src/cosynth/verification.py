@@ -16,13 +16,13 @@ The paper's compositional mode is :func:`assume_guarantee`, which the
 ``cosynth verify`` command runs.  It builds, per agent, the weakest
 environment assumption over that agent's interface alphabet by the direct
 construction of Giannakopoulou, Păsăreanu and Barringer (ASE 2002), from the
-core's product steps of the module next to the property's table, then
-discharges the symmetric n-module proof rule: if the composed complements of
-all assumptions stay inside the property, the composed system satisfies it.
-When the rule produces a counterexample the word is simulated on every
-agent against the complemented property: a word every agent can follow is a
-genuine joint violation; a word some agent rejects is an artefact of the
-proof rule.  The rule is sound but not complete for arbitrary interface
+core's product steps of the module with the property moved along its own
+transitions, then discharges the symmetric n-module proof rule: if the
+composed complements of all assumptions stay inside the property, the
+composed system satisfies it.  When the rule produces a counterexample the
+word is simulated on every agent against the complemented property: a word
+every agent can follow is a genuine joint violation; a word some agent
+rejects is an artefact of the proof rule.  The rule is sound but not complete for arbitrary interface
 alphabets, so an inconclusive pass falls back to the product check; a
 concluded one decides the verdict on its own.
 
@@ -61,9 +61,7 @@ from cosynth.automata import (
     universal_dfa,
     _determinize,
     _Product,
-    _property_table,
     _union_events,
-    _with_table,
 )
 from cosynth.langops import prefix_close_largest, project_word
 
@@ -116,8 +114,9 @@ def weakest_assumption(module: Dfa, prop: Dfa, interface: EventAlphabet) -> Dfa:
     A word t is admitted iff no globally runnable behaviour that projects
     into the prefixes of t lets the module violate the property.  The
     violating projections form a regular set B: the walk of the module (as
-    a prefix constraint) with the property, whose missing transitions lead
-    to an implicit, absorbing, unmarked sink, labelled by the interface
+    a prefix constraint) with the property, which moves along its own
+    transitions at each pair the walk reaches and whose missing transitions
+    lead to the absorbing, unmarked sink ``None``, labelled by the interface
     events and accepting where the property is unmarked.  The result is the
     complement of B·Σ*, minimised.
     """
@@ -126,24 +125,26 @@ def weakest_assumption(module: Dfa, prop: Dfa, interface: EventAlphabet) -> Dfa:
             raise InputError(f"interface event {e!r} unknown to module and property")
     operands = _with_free_events([module], prop)
     product = _Product(operands, _union_events(operands))
-    prop_initial, columns, prop_marked = _property_table(prop)
-    steps = [(columns.get(e), e if e in interface else None) for e in product.events]
-    start = (product.initial, prop_initial)
+    transitions, prop_marked = prop.transitions, prop.marked
+    # per product event: the event when the property owns it, and its label
+    steps = [(e if e in prop.alphabet else None, e if e in interface else None)
+             for e in product.events]
+    start = (product.initial, prop.initial)
     nfa: dict[tuple[tuple, Optional[str]], set[tuple]] = {}
     order = [start]
     seen = {start}
     for pair in order:
         t, qp = pair
-        if not prop_marked[qp]:
+        if qp not in prop_marked:
             continue  # violation is absorbing for the trigger set
         for a, nt in product.moves(t):
-            column, label = steps[a]
-            nxt = (nt, qp if column is None else column[qp])
+            e, label = steps[a]
+            nxt = (nt, qp if e is None else transitions.get((qp, e)))
             nfa.setdefault((pair, label), set()).add(nxt)
             if nxt not in seen:
                 seen.add(nxt)
                 order.append(nxt)
-    accepting = {pair for pair in order if not prop_marked[pair[1]]}
+    accepting = {pair for pair in order if pair[1] not in prop_marked}
     bad = _determinize(nfa, {start}, accepting, interface)
     return minimize(complement(extend_closure(bad)))
 
@@ -357,13 +358,12 @@ def verify_and_refine(
     phase's last re-check found no violation it has already decided that
     pass, which is recorded as holding without walking the product again.
     Every pass and re-check is one walk of the plan product that stops at
-    its first witness; each round records the tuples its walk expanded.
+    its first witness and moves the property along its own transitions at
+    the pairs it reaches, so no pass pays for the property's states ×
+    events; each round records the tuples its walk expanded.
     Rounds with at least one repair count as refinement rounds.
     """
     specs = list(specs)
-    # every pass and every repair re-check walks the same property, so its
-    # table is built once, on a copy that the caller never sees
-    prop = _with_table(prop)
     plans = [synthesize(spec, plant) for spec, plant in zip(specs, plants)]
     rounds: list[RefinementRound] = []
     # the expanded count of a repair phase's last re-check, which found no

@@ -39,11 +39,22 @@ from cosynth.automata import (
     word_dfa,
     _determinize,
     _out_edges,
+    _Product,
+    _union_events,
 )
 from cosynth.langops import project, quotient, widen_alphabet, widen_like
-from cosynth.motion import Environment, LabelingMap, ReplanInfeasible
+from cosynth.motion import (
+    Environment,
+    LabelingMap,
+    ReplanInfeasible,
+    SimulationResult,
+    motion_dfa,
+    _plan_moves,
+    _replan_walker,
+    _Walker,
+)
 from cosynth.synthesis import IllegalBehaviorSet
-from cosynth.verification import check_triple
+from cosynth.verification import check_triple, _with_free_events
 
 
 def perfbench_generate():
@@ -265,6 +276,52 @@ def reference_satisfies(m: Dfa, p: Dfa) -> Word | None:
                 seen.add(nxt)
                 queue.append((nxt, w))
     return None
+
+
+# -- the tabled property walks, the references for the stepping ones ---------
+
+
+def reference_property_table(prop: Dfa) -> tuple[int, dict[str, list[int]], list[bool]]:
+    """The property's initial state number, for each of its events the next
+    state number by state number, and whether each state is marked; state
+    ``len(prop.states)`` is the implicit, absorbing, unmarked sink."""
+    sink = len(prop.states)
+    number = {q: i for i, q in enumerate(prop.states)}
+    columns = {e: [sink] * (sink + 1) for e in prop.alphabet.events}
+    for (src, e), dst in prop.transitions.items():
+        columns[e][number[src]] = number[dst]
+    return number[prop.initial], columns, [q in prop.marked for q in prop.states] + [False]
+
+
+def reference_tabled_violation(dfas: Sequence[Dfa], prop: Dfa) -> tuple[Optional[Word], int]:
+    """The violation walk over the property's integer table, the reference
+    for :func:`cosynth.automata.product_violation`: the same breadth-first
+    walk with the property states numbered and the sink one more number."""
+    product = _Product(dfas, _union_events(dfas))
+    prop_initial, columns, prop_marked = reference_property_table(prop)
+    prop_columns = [columns.get(e) for e in product.events]
+    start = (product.initial, prop_initial)
+    if product.is_marked(product.initial) and not prop_marked[start[1]]:
+        return EPSILON, 0
+    parent: dict[tuple[tuple[int, ...], int], Optional[tuple]] = {start: None}
+    queue = deque([start])
+    while queue:
+        pair = queue.popleft()
+        t, qp = pair
+        for a, nt in product.moves(t):
+            column = prop_columns[a]
+            np_ = qp if column is None else column[qp]
+            if not prop_marked[np_] and product.is_marked(nt):
+                word = [product.events[a]]
+                while parent[pair] is not None:
+                    pair, a = parent[pair]
+                    word.append(product.events[a])
+                return tuple(reversed(word)), product.expanded()
+            nxt = (nt, np_)
+            if nxt not in parent:
+                parent[nxt] = (pair, a)
+                queue.append(nxt)
+    return None, product.expanded()
 
 
 @dataclass
@@ -522,6 +579,38 @@ def reference_weakest_assumption(module: Dfa, prop: Dfa, interface: EventAlphabe
                 if np_ not in prop.marked:
                     accepting.add(name(nm, np_))
     bad = _determinize(nfa, {name(*start)}, accepting, interface)
+    return minimize(complement(extend_closure(bad)))
+
+
+def reference_tabled_weakest_assumption(module: Dfa, prop: Dfa,
+                                        interface: EventAlphabet) -> Dfa:
+    """The weakest assumption from the core's product steps next to the
+    property's integer table, the reference for
+    :func:`cosynth.verification.weakest_assumption`."""
+    for e in interface.events:
+        if e not in module.alphabet and e not in prop.alphabet:
+            raise InputError(f"interface event {e!r} unknown to module and property")
+    operands = _with_free_events([module], prop)
+    product = _Product(operands, _union_events(operands))
+    prop_initial, columns, prop_marked = reference_property_table(prop)
+    steps = [(columns.get(e), e if e in interface else None) for e in product.events]
+    start = (product.initial, prop_initial)
+    nfa: dict[tuple[tuple, Optional[str]], set[tuple]] = {}
+    order = [start]
+    seen = {start}
+    for pair in order:
+        t, qp = pair
+        if not prop_marked[qp]:
+            continue  # violation is absorbing for the trigger set
+        for a, nt in product.moves(t):
+            column, label = steps[a]
+            nxt = (nt, qp if column is None else column[qp])
+            nfa.setdefault((pair, label), set()).add(nxt)
+            if nxt not in seen:
+                seen.add(nxt)
+                order.append(nxt)
+    accepting = {pair for pair in order if not prop_marked[pair[1]]}
+    bad = _determinize(nfa, {start}, accepting, interface)
     return minimize(complement(extend_closure(bad)))
 
 
@@ -870,3 +959,93 @@ def reference_replan_dfa(lp, real_env) -> Dfa:
             transitions[(nodes[-1], symbol)] = child
             nodes.append(child)
     return minimize(Dfa(tuple(states), lp.dfa.alphabet, "n0", transitions, frozenset(states)))
+
+
+def reference_simulate(
+    plans, env: Environment, schedule: Sequence[tuple[int, str, str]] = (),
+    max_steps: int = 200, stop_event: Optional[str] = None,
+) -> SimulationResult:
+    """The simulator that scans every mission event, in sorted order, and
+    asks each of its owners for a move on every step; the reference for
+    :func:`cosynth.motion.simulate`, which picks the event from the walkers'
+    own moves."""
+    doors_open: dict[str, bool] = {d: True for d in env.doors}
+    timetable: dict[int, list[tuple[str, str]]] = {}
+    for step_at, door, state in schedule:
+        if door not in doors_open:
+            raise InputError(f"schedule mentions unknown door {door!r}")
+        if state not in ("open", "closed"):
+            raise InputError(f"door state must be open or closed, got {state!r}")
+        timetable.setdefault(step_at, []).append((door, state))
+
+    if not plans:
+        return SimulationResult([], True)
+    walkers = [
+        _Walker(lp, lp.dfa.initial, *_plan_moves(lp), believed=dict(env.door_map))
+        for lp in plans
+    ]
+    nominal_motions = [motion_dfa(env, lp.initial_region) for lp in plans]
+    mission_owners: dict[str, list[int]] = {}
+    for i, lp in enumerate(plans):
+        for e in lp.mission.alphabet.events:
+            mission_owners.setdefault(e, []).append(i)
+    trace: list[str] = []
+    fired_stop = False
+
+    effective = env  # the environment with only its open doors
+    for step in range(max_steps):
+        changes = timetable.get(step, ())
+        for door, state in changes:
+            doors_open[door] = state == "open"
+        if changes:
+            effective = env.without_doors({d for d, is_open in doors_open.items() if not is_open})
+        if fired_stop:
+            return SimulationResult(trace, True)
+
+        # replan any agent whose believed doors for its next move are stale
+        for i, w in enumerate(walkers):
+            for v2 in w.region_moves.get(w.state, ()):
+                if w.region is None or v2 == w.region:
+                    continue
+                believed = w.believed.get((w.region, v2), ())
+                if any(not doors_open[d] for d in believed):
+                    _replan_walker(w, step, effective, nominal_motions[i], trace)
+                    break
+
+        moves: list[tuple[int, str]] = []
+        for i, w in enumerate(walkers):
+            for v2 in w.region_moves.get(w.state, ()):
+                if w.region is None or v2 == w.region:
+                    moves.append((i, v2))
+                elif effective.doors_between(w.region, v2):
+                    moves.append((i, v2))
+        if moves:
+            i, v2 = moves[0]
+            w = walkers[i]
+            w.state = w.plan.dfa.transitions[(w.state, v2)]
+            w.region = v2
+            w.consumed.append(v2)
+            trace.append(f"{step} {w.plan.agent} {v2} region")
+            continue
+
+        enabled: list[str] = []
+        for event, owners in sorted(mission_owners.items()):
+            if all(
+                walkers[i].plan.dfa.transitions.get((walkers[i].state, event)) is not None
+                for i in owners
+            ):
+                enabled.append(event)
+        if not enabled:
+            snapshot = "; ".join(
+                f"{w.plan.agent}@{w.state}({w.region or '-'})" for w in walkers
+            )
+            return SimulationResult(trace, False, deadlock=snapshot)
+        event = enabled[0]
+        for i in mission_owners[event]:
+            w = walkers[i]
+            w.state = w.plan.dfa.transitions[(w.state, event)]
+            w.consumed.append(event)
+            trace.append(f"{step} {w.plan.agent} {event} mission")
+        if stop_event is not None and event == stop_event:
+            fired_stop = True
+    return SimulationResult(trace, fired_stop or stop_event is None)

@@ -2,6 +2,7 @@
 and the discrete-event simulator."""
 
 import os
+import random
 import re
 import subprocess
 import sys
@@ -56,6 +57,7 @@ from conftest import (
     reference_motion_dfa,
     reference_replan_dfa,
     reference_run_language,
+    reference_simulate,
     validate_integrated_clauses,
     words_up_to,
 )
@@ -807,6 +809,59 @@ def test_simulate_deadlock_reported():
     lp2 = integrate(m2, pi2, "A", gm, agent="two")
     result = simulate([lp1, lp2], env, max_steps=20)
     assert not result.completed and result.deadlock is not None
+
+
+def _team_run(rng):
+    """Both simulators on a ring or corridor of 3-4 rooms with two or three
+    agents, whose missions share events, and a random door schedule: each
+    result, or the region pair of the ``ReplanInfeasible`` it raised."""
+    n = rng.randint(3, 4)
+    rooms = tuple(f"R{j}" for j in range(n))
+    links = [(j, j + 1) for j in range(n - 1)] + ([(n - 1, 0)] if rng.random() < 0.6 else [])
+    door_map: dict[tuple[str, str], tuple[str, ...]] = {}
+    for j, k in links:
+        doors = tuple(f"d{j}{x}" for x in "ab"[: rng.randint(1, 2)])
+        door_map[(rooms[j], rooms[k])] = door_map[(rooms[k], rooms[j])] = doors
+    doors = tuple(sorted({d for ds in door_map.values() for d in ds}))
+    env = Environment(rooms, tuple(door_map), doors, door_map)
+    labels = {e: frozenset(rng.sample(rooms, rng.randint(1, 2))) for e in "pqrs"}
+    plans = []
+    for i in range(rng.randint(2, 3)):
+        events = rng.sample("pqrs", rng.randint(1, 3))
+        mission = random_dfa(rng, 3, events, density=0.7, marked_p=1.0)
+        pi = LabelingMap(rooms, {e: labels[e] for e in events})
+        start = rng.choice(rooms)
+        try:
+            plans.append(integrate(mission, pi, start, motion_dfa(env, start), agent=f"a{i}"))
+        except MotionInfeasible:
+            continue
+    schedule = [(rng.randint(0, 12), rng.choice(doors), rng.choice(("closed", "open")))
+                for _ in range(rng.randint(0, 3))]
+    stop = rng.choice([None, "p", "q"])
+    results = []
+    for sim in (simulate, reference_simulate):
+        try:
+            results.append(sim(plans, env, schedule, max_steps=30, stop_event=stop))
+        except ReplanInfeasible as err:
+            results.append(err.pair)
+    return results
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_simulate_matches_the_event_scan(rng):
+    # picking the mission event from the walkers' own moves gives the trace of
+    # scanning every event in sorted order, through replans and deadlocks
+    result, reference = _team_run(rng)
+    assert result == reference
+
+
+def test_team_runs_replan_and_deadlock():
+    # the generator of the property above reaches replans and deadlocks
+    results = [_team_run(random.Random(seed))[1] for seed in range(60)]
+    runs = [r for r in results if not isinstance(r, tuple)]
+    assert any(r.deadlock for r in runs)
+    assert any(line.endswith(" replan") for r in runs for line in r.trace)
 
 
 def test_environment_round_trip():

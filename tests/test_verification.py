@@ -32,7 +32,6 @@ from cosynth.automata import (
 from cosynth.langops import project_word, satisfies, widen_alphabet
 from cosynth.synthesis import SynthesisProblem, synthesize_supervisor
 from cosynth import automata, verification
-from cosynth.automata import _with_table
 from cosynth.verification import (
     Verdict,
     analyze_counterexample,
@@ -59,6 +58,8 @@ from conftest import (
     reference_decompose,
     reference_mission,
     reference_satisfies,
+    reference_tabled_violation,
+    reference_tabled_weakest_assumption,
     reference_weakest_assumption,
     words_up_to,
 )
@@ -423,7 +424,7 @@ def test_direct_check_matches_composed_product(seed, mode):
     reachable = len(accessible(product).states)
     witness, expanded = product_violation(modules, prop)
     assert witness == expected
-    assert product_violation(modules, _with_table(prop)) == (witness, expanded)
+    assert reference_tabled_violation(modules, prop) == (witness, expanded)
     verdict, product_states = verify(modules, prop)
     assert product_states == expanded <= reachable
     if expected is None:
@@ -455,26 +456,56 @@ def test_violated_verify_walks_the_product_once(monkeypatch):
     assert product_states == built[0].expanded() < reachable
 
 
-def test_refine_builds_the_property_table_once(monkeypatch):
-    # the first pass and one repair re-check walk the property, from one table;
-    # the clean re-check decides the second pass
-    calls = {"table": 0, "check": 0}
-    build, check = automata._property_table, verification.product_violation
-
-    def counted_build(prop):
-        calls["table"] += 1
-        return build(prop)
+def test_refine_walks_the_property_twice(monkeypatch):
+    # the first pass and one repair re-check walk the caller's property
+    # itself; the clean re-check decides the second pass
+    walked = []
+    check = verification.product_violation
 
     def counted_check(modules, prop):
-        calls["check"] += 1
+        walked.append(prop)
         return check(modules, prop)
 
-    monkeypatch.setattr(automata, "_property_table", counted_build)
     monkeypatch.setattr(verification, "product_violation", counted_check)
     p1, p2, prop = conflicting_choice()
     result = verify_and_refine([p1, p2], [p1, p2], prop, _synth)
     assert result.status == "holds" and len(result.rounds) == 2
-    assert calls == {"table": 1, "check": 2}
+    assert len(walked) == 2 and all(w is prop for w in walked)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    empty=st.booleans(),
+)
+def test_stepping_walks_match_the_tabled_walks(seed, empty):
+    # moving the property along its own transitions is the tabled walk with
+    # the property states named: the same verdict, witness and expanded count,
+    # and the same weakest assumption.  The property may own an event that no
+    # operand owns (z) and miss operand events; its moves are partial, its
+    # initial state may be unmarked, and it has a state that nothing reaches
+    rng = random.Random(seed)
+    pool = ["a", "b", "c", "s", "t"]
+    modules = [random_dfa(rng, 3, rng.sample(pool, rng.randint(1, len(pool))),
+                          density=0.7, marked_p=0.7)
+               for _ in range(rng.randint(1, 3))]
+    events = rng.sample(pool + ["z"], rng.randint(1, len(pool) + 1))
+    if empty:
+        prop = empty_dfa(EventAlphabet(tuple(events)))
+    else:
+        base = random_dfa(rng, 4, events, density=0.5, marked_p=0.7)
+        transitions = dict(base.transitions)
+        for e in events:
+            if rng.random() < 0.5:
+                transitions[("unreached", e)] = rng.choice(base.states)
+        prop = Dfa(base.states + ("unreached",), base.alphabet, base.initial, transitions,
+                   base.marked | {"unreached"})
+    assert product_violation(modules, prop) == reference_tabled_violation(modules, prop)
+    module = modules[0]
+    owned = sorted(set(module.alphabet.events) | set(prop.alphabet.events))
+    interface = EventAlphabet(tuple(rng.sample(owned, rng.randint(0, len(owned)))))
+    assert dfa_to_text(weakest_assumption(module, prop, interface)) == dfa_to_text(
+        reference_tabled_weakest_assumption(module, prop, interface))
 
 
 def test_verdict_serialisation():
