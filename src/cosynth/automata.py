@@ -21,11 +21,11 @@ gather each state's moves in event order in one pass over the transitions
 
 The subset construction (``_subset_walk``) numbers the subsets of an
 epsilon-NFA breadth first, events in alphabet order, which is the numbering
-of :func:`minimize`: :func:`star_words`, :func:`cosynth.langops.project`
-and the replanning splice of :mod:`cosynth.motion` hand its successor lists
-straight to the integer core of :func:`minimize`, and ``_determinize``
-names the subsets only for the callers that compose or complement the
-automaton they form.
+of :func:`minimize`: :func:`star_words`, :func:`cosynth.langops.project`,
+the weakest assumption of :mod:`cosynth.verification` and the replanning
+splice of :mod:`cosynth.motion` hand its successor lists straight to the
+integer core of :func:`minimize`, and ``_determinize`` names the subsets
+only for the callers that compose the automaton they form.
 
 Every synchronous product is one breadth-first walk over tuples of integer
 operand states (``_Product``), which steps a tuple through the moves that
@@ -295,14 +295,14 @@ def _fresh_state(base: str, used: Iterable[str]) -> str:
     return name
 
 
-def complete(dfa: Dfa, error_state: Optional[str] = None) -> tuple[Dfa, str]:
+def complete(dfa: Dfa) -> tuple[Dfa, str]:
     """Total automaton plus the identity of the absorbing error state.
 
     Every undefined (state, event) pair is redirected to a fresh error state
     which self-loops on all events.  Marked states are left untouched; the
     caller decides how the error state participates in acceptance.
     """
-    qe = error_state or _fresh_state("qe", dfa.states)
+    qe = _fresh_state("qe", dfa.states)
     transitions = dict(dfa.transitions)
     for q in dfa.states + (qe,):
         for e in dfa.alphabet.events:
@@ -568,34 +568,6 @@ def subtract(a: Dfa, b: Dfa) -> Dfa:
     """Accepts L_m(a) − L_m(b); both operands over the same alphabet."""
     _same_alphabet(a, b)
     return intersect(a, complement(b))
-
-
-def extend_closure(dfa: Dfa) -> Dfa:
-    """Accepts { w : some prefix of w is accepted by *dfa* } (L_m(dfa)·Σ*)."""
-    comp, _ = complete(dfa)
-    init_flag = comp.initial in dfa.marked
-    init = (comp.initial, init_flag)
-    order = [init]
-    seen = {init}
-    transitions: dict[tuple[str, str], str] = {}
-    queue = deque(order)
-
-    def name(q: str, flag: bool) -> str:
-        return f"{q}#{int(flag)}"
-
-    while queue:
-        q, flag = queue.popleft()
-        for e in comp.alphabet.events:
-            nq = comp.transitions[(q, e)]
-            nxt = (nq, flag or nq in dfa.marked)
-            transitions[(name(q, flag), e)] = name(*nxt)
-            if nxt not in seen:
-                seen.add(nxt)
-                order.append(nxt)
-                queue.append(nxt)
-    states = tuple(name(q, f) for q, f in order)
-    marked = frozenset(name(q, f) for q, f in order if f)
-    return Dfa(states, dfa.alphabet, name(*init), transitions, marked)
 
 
 def prefix_closure(dfa: Dfa) -> Dfa:

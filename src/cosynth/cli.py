@@ -17,7 +17,7 @@ from cosynth.automata import (
     minimal_product,
     save_dfa,
 )
-from cosynth.langops import project, widen_like
+from cosynth.langops import project
 from cosynth.lstar import LearnLog
 from cosynth.motion import (
     IntegratedPlan,
@@ -31,7 +31,7 @@ from cosynth.motion import (
     ReplanInfeasible,
 )
 from cosynth.pipeline import PipelineConfig, run_pipeline
-from cosynth.synthesis import SynthesisProblem, learn_supervisor
+from cosynth.synthesis import learn_supervisor
 from cosynth.verification import assume_guarantee
 from cosynth.automata import complement as _complement
 from cosynth.automata import parallel_compose as _compose
@@ -73,9 +73,8 @@ def cmd_complement(args) -> int:
 def cmd_supc(args) -> int:
     spec = load_dfa(args.spec)
     plant = load_dfa(args.plant)
-    plant = widen_like(plant, spec.alphabet)
     log = LearnLog() if args.trace else None
-    supervisor = learn_supervisor(SynthesisProblem(spec, spec.alphabet, plant_dfa=plant), log=log)
+    supervisor = learn_supervisor(spec, plant, log=log)
     if args.trace:
         Path(args.trace).write_text(log.text(), encoding="utf-8")
     _write(supervisor, args.out)

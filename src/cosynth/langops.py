@@ -41,62 +41,21 @@ from cosynth.automata import (
 )
 
 
-@dataclass(frozen=True)
-class ProjectionSpec:
-    """Natural projection from a source alphabet onto a target subset."""
-
-    source: EventAlphabet
-    target: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "target", tuple(self.target))
-        for e in self.target:
-            if e not in self.source:
-                raise InputError(f"projection target event {e!r} not in source alphabet")
-
-
-@dataclass(frozen=True)
-class LanguageSpec:
-    """A DFA read either through its marked language or its generated language."""
-
-    dfa: Dfa
-    interpretation: str = "marked"
-
-    def __post_init__(self) -> None:
-        if self.interpretation not in ("marked", "generated"):
-            raise InputError("interpretation must be 'marked' or 'generated'")
-
-    def resolve(self) -> Dfa:
-        if self.interpretation == "generated":
-            return all_marked(self.dfa)
-        return self.dfa
-
-
-def _as_marked(lang: "LanguageSpec | Dfa") -> Dfa:
-    return lang.resolve() if isinstance(lang, LanguageSpec) else lang
-
-
 def project_word(word: Sequence[str], target: Sequence[str]) -> Word:
     keep = set(target)
     return tuple(s for s in word if s in keep)
 
 
-def project(dfa: Dfa, spec: "ProjectionSpec | Sequence[str]") -> Dfa:
+def project(dfa: Dfa, target: Sequence[str]) -> Dfa:
     """Canonical minimal DFA for { P(w) : w in L_m(dfa) } over the target alphabet.
 
     The target keeps the automaton's event order.  Out-of-target events are
     erased (become epsilon moves), and the subsets that the subset
     construction numbers go straight to the integer core of :func:`minimize`.
     """
-    if isinstance(spec, ProjectionSpec):
-        target = spec.target
-        if spec.source.events != dfa.alphabet.events:
-            raise InputError("projection source alphabet does not match the automaton")
-    else:
-        target = tuple(spec)
-        for e in target:
-            if e not in dfa.alphabet:
-                raise InputError(f"projection target event {e!r} not in source alphabet")
+    for e in target:
+        if e not in dfa.alphabet:
+            raise InputError(f"projection target event {e!r} not in source alphabet")
     return _minimal_erasure(dfa, target)
 
 
@@ -271,15 +230,12 @@ def inverse_project_intersect(locals_: Sequence[Dfa], alphabet: EventAlphabet) -
     return minimize(parallel_compose_all(lifted))
 
 
-def is_separable(
-    lang: "LanguageSpec | Dfa", alphabets: Sequence[Sequence[str]]
-) -> Optional[Word]:
+def is_separable(dfa: Dfa, alphabets: Sequence[Sequence[str]]) -> Optional[Word]:
     """None if L equals the synchronous product of its own projections.
 
     Otherwise a word in the symmetric difference (always on the product side,
     since L is contained in the product of its projections).
     """
-    dfa = _as_marked(lang)
     union: list[str] = []
     for block in alphabets:
         for e in block:
@@ -330,23 +286,22 @@ def _nonempty_intersection(a: Dfa, source: str, edges: dict, b: Dfa) -> bool:
     return False
 
 
-def is_controllable(spec: "LanguageSpec | Dfa", plant: Dfa) -> Optional[Word]:
+def is_controllable(spec: Dfa, plant: Dfa) -> Optional[Word]:
     """None if closure(L) Σ_uc ∩ L(plant) ⊆ closure(L); else a witness s·σ_uc.
 
     The spec language must be contained in the plant's generated language.
     """
-    spec_dfa = _as_marked(spec)
-    if set(spec_dfa.alphabet.events) != set(plant.alphabet.events):
+    if set(spec.alphabet.events) != set(plant.alphabet.events):
         raise InputError("spec and plant must share an alphabet")
     plant_gen = all_marked(plant)
-    bad = language_subset(spec_dfa, plant_gen)
+    bad = language_subset(spec, plant_gen)
     if bad is not None:
         raise InputError(f"spec language not contained in the plant: {' '.join(bad) or 'ε'}")
-    closure = prefix_closure(spec_dfa)
-    uncontrollable = spec_dfa.alphabet.uncontrollable
+    closure = prefix_closure(spec)
+    uncontrollable = spec.alphabet.uncontrollable
     # walk closure × plant; a defined plant move on an uncontrollable event
     # that the closure cannot follow witnesses the violation
-    plant_edges = _out_edges(plant, spec_dfa.alphabet)
+    plant_edges = _out_edges(plant, spec.alphabet)
     start = (closure.initial, plant.initial)
     seen = {start}
     queue: deque[tuple[tuple[str, str], Word]] = deque([(start, EPSILON)])
@@ -365,7 +320,7 @@ def is_controllable(spec: "LanguageSpec | Dfa", plant: Dfa) -> Optional[Word]:
     return None
 
 
-def sup_c(spec: "LanguageSpec | Dfa", plant: Dfa) -> Dfa:
+def sup_c(spec: Dfa, plant: Dfa) -> Dfa:
     """Supremal controllable sublanguage of a prefix-closed spec w.r.t. the plant.
 
     Built in one walk of the plant × spec product with a backward sweep over
@@ -375,16 +330,15 @@ def sup_c(spec: "LanguageSpec | Dfa", plant: Dfa) -> Dfa:
     K_{j+1} = K_j − [(L(G) − K_j)/Σ_uc]Σ*, which the tests compare it
     against.  The result is minimal and canonical.
     """
-    spec_dfa = _as_marked(spec)
-    if set(spec_dfa.alphabet.events) != set(plant.alphabet.events):
+    if set(spec.alphabet.events) != set(plant.alphabet.events):
         raise InputError("spec and plant must share an alphabet")
-    minimal = minimize(spec_dfa)
+    minimal = minimize(spec)
     if not _minimal_is_prefix_closed(minimal):
         raise InputError("sup_c requires a prefix-closed spec")
     bad = language_subset(minimal, all_marked(plant))
     if bad is not None:
         raise InputError(f"spec language not contained in the plant: {' '.join(bad) or 'ε'}")
-    return _supc_walk(minimal, plant, spec_dfa.alphabet)
+    return _supc_walk(minimal, plant, spec.alphabet)
 
 
 def _minimal_is_prefix_closed(minimal: Dfa) -> bool:

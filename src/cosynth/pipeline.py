@@ -37,7 +37,6 @@ from cosynth.motion import (
     schedule_from_text,
     simulate,
 )
-from cosynth.synthesis import SynthesisProblem, synthesize_supervisor
 from cosynth.verification import RefinementResult, verify_and_refine
 
 
@@ -271,11 +270,8 @@ def run_pipeline(
                      f" (largest local product: {max(decomposition.product_states)} states)")
 
     # supervisor synthesis + verification with refinement
-    def synth(spec: Dfa, plant: Dfa) -> Dfa:
-        return synthesize_supervisor(SynthesisProblem(spec, spec.alphabet, plant_dfa=plant))
-
     result: RefinementResult = verify_and_refine(
-        specs, plants, mission, synth, max_rounds=config.max_rounds
+        specs, plants, mission, max_rounds=config.max_rounds
     )
     report.add()
     report.add("verification")

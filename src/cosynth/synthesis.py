@@ -1,7 +1,13 @@
 """Supervisor synthesis: supC of a local mission, built or learned.
 
 The supervisor for a prefix-closed local mission is the supremal
-controllable sublanguage of the mission w.r.t. the plant automaton.
+controllable sublanguage of the mission w.r.t. the plant automaton.  There
+is one way to ask for it: ``synthesize_supervisor(spec, plant)``, or
+``learn_supervisor(spec, plant)`` for the learned route.  The spec's own
+alphabet, with its controllable partition, is the synthesis alphabet; the
+plant must own the same events.  The spec is minimised and checked once,
+and the result, canonical from either route, is returned as it is: every
+state marked, or the canonical empty automaton with a warning.
 :func:`synthesize_supervisor` builds it with :func:`cosynth.langops.sup_c`,
 in one walk of the plant × mission product.  When the paper's learning
 trace is wanted (``cosynth supc``), :func:`learn_supervisor` learns it with
@@ -32,20 +38,18 @@ from typing import Optional
 from cosynth.automata import (
     EPSILON,
     Dfa,
-    EventAlphabet,
     InputError,
     InvariantError,
     Word,
     all_marked,
     complete,
-    empty_dfa,
     language_empty,
     language_equal,
     minimize,
     _minimize_numbered,
     _Product,
 )
-from cosynth.langops import LanguageSpec, _as_marked, _minimal_is_prefix_closed, sup_c, widen_like
+from cosynth.langops import _minimal_is_prefix_closed, sup_c, widen_like
 from cosynth.lstar import LearnLog, learn
 
 
@@ -64,19 +68,6 @@ class IllegalBehaviorSet:
         return True
 
 
-@dataclass
-class SynthesisProblem:
-    """Inputs of one supervisor synthesis: spec, partition and plant automaton."""
-
-    spec: "LanguageSpec | Dfa"
-    alphabet: EventAlphabet
-    plant_dfa: Dfa
-
-    def __post_init__(self) -> None:
-        if self.plant_dfa is None:
-            raise InputError("supervisor synthesis requires a plant automaton")
-
-
 class SupervisorTeacher:
     """Teacher of the supervisor learner; one instance per synthesis session.
 
@@ -90,16 +81,16 @@ class SupervisorTeacher:
     mission, and every test of the query reads that walk.
     """
 
-    def __init__(self, spec: Dfa, alphabet: EventAlphabet, plant_dfa: Dfa):
+    def __init__(self, spec: Dfa, plant: Dfa):
         self.spec = spec
-        self.alphabet = alphabet
+        self.alphabet = spec.alphabet
         self.illegal = IllegalBehaviorSet()
         self.k = minimize(spec)
         self._answers: dict[Word, int] = {}
         self._condemned: set[tuple[str, str]] = set()
         self.k_history: list[Dfa] = [self.k]
         self._spec_completion = complete(spec)
-        self._plant_completion = complete(all_marked(widen_like(plant_dfa, alphabet)))
+        self._plant_completion = complete(all_marked(widen_like(plant, spec.alphabet)))
 
     @property
     def generation(self) -> int:
@@ -228,44 +219,39 @@ class SupervisorTeacher:
         return None
 
 
-def _checked_spec(problem: SynthesisProblem) -> Dfa:
-    spec_dfa = minimize(widen_like(_as_marked(problem.spec), problem.alphabet))
-    if not _minimal_is_prefix_closed(spec_dfa):
+def _checked_spec(spec: Dfa) -> Dfa:
+    minimal = minimize(spec)
+    if not _minimal_is_prefix_closed(minimal):
         raise InputError("supervisor synthesis requires a prefix-closed mission spec")
-    if language_empty(spec_dfa):
+    if not minimal.marked:
         raise InputError("supervisor synthesis requires a non-empty mission spec")
-    return spec_dfa
+    return minimal
 
 
-def _as_supervisor(language: Dfa, alphabet: EventAlphabet) -> Dfa:
-    supervisor = minimize(language)
-    if language_empty(supervisor):
+def _warn_if_empty(supervisor: Dfa) -> Dfa:
+    if not supervisor.marked:
         warnings.warn("supremal controllable sublanguage is empty; returning the empty supervisor")
-        return empty_dfa(alphabet)
-    if set(supervisor.marked) != set(supervisor.states):
-        raise InvariantError("supervisor states must all be marked")
     return supervisor
 
 
-def synthesize_supervisor(problem: SynthesisProblem) -> Dfa:
-    """Supervisor whose closed-loop behaviour is supC of the mission.
+def synthesize_supervisor(spec: Dfa, plant: Dfa) -> Dfa:
+    """Supervisor whose closed-loop behaviour is supC of the mission *spec*.
 
-    The language is built directly by :func:`sup_c` over the plant
-    automaton.  The returned automaton has every state marked (supervisor
-    convention).  An empty result is returned with a warning rather than an
-    error.
+    The spec's own alphabet, with its controllable partition, is the
+    synthesis alphabet; the plant must own the same events.  The language
+    is built directly by :func:`sup_c` over the plant automaton, minimal and
+    canonical with every state marked (supervisor convention).  An empty
+    result is the canonical empty automaton, returned with a warning rather
+    than an error.
     """
-    spec_dfa = _checked_spec(problem)
-    plant = widen_like(problem.plant_dfa, problem.alphabet)
-    return _as_supervisor(sup_c(spec_dfa, plant), problem.alphabet)
+    return _warn_if_empty(sup_c(_checked_spec(spec), plant))
 
 
-def learn_supervisor(problem: SynthesisProblem, log: Optional[LearnLog] = None) -> Dfa:
+def learn_supervisor(spec: Dfa, plant: Dfa, log: Optional[LearnLog] = None) -> Dfa:
     """Learn the supervisor with L* and the illegal-behaviour teacher.
 
     Same contract as :func:`synthesize_supervisor`; ``log`` records the
     MQ/EQ/CE trace of the session.
     """
-    spec_dfa = _checked_spec(problem)
-    teacher = SupervisorTeacher(spec_dfa, problem.alphabet, problem.plant_dfa)
-    return _as_supervisor(learn(teacher, problem.alphabet, log=log), problem.alphabet)
+    spec_dfa = _checked_spec(spec)
+    return _warn_if_empty(learn(SupervisorTeacher(spec_dfa, plant), spec_dfa.alphabet, log=log))

@@ -52,18 +52,18 @@ from cosynth.automata import (
     accepts,
     all_marked,
     complement,
-    extend_closure,
-    language_empty,
     minimize,
     prefix_closure,
     product_violation,
     trim,
     universal_dfa,
-    _determinize,
+    _minimize_numbered,
     _Product,
+    _subset_walk,
     _union_events,
 )
 from cosynth.langops import prefix_close_largest, project_word
+from cosynth.synthesis import synthesize_supervisor
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ def weakest_assumption(module: Dfa, prop: Dfa, interface: EventAlphabet) -> Dfa:
     transitions at each pair the walk reaches and whose missing transitions
     lead to the absorbing, unmarked sink ``None``, labelled by the interface
     events and accepting where the property is unmarked.  The result is the
-    complement of B·Σ*, minimised.
+    complement of B·Σ*, read off one subset walk of that NFA and minimised.
     """
     for e in interface.events:
         if e not in module.alphabet and e not in prop.alphabet:
@@ -144,9 +144,19 @@ def weakest_assumption(module: Dfa, prop: Dfa, interface: EventAlphabet) -> Dfa:
             if nxt not in seen:
                 seen.add(nxt)
                 order.append(nxt)
-    accepting = {pair for pair in order if pair[1] not in prop_marked}
-    bad = _determinize(nfa, {start}, accepting, interface)
-    return minimize(complement(extend_closure(bad)))
+    # the complement of B·Σ*: a subset that holds a violating pair gets no
+    # moves and no mark; every other subset is marked, and a word the subset
+    # walk cannot follow has no prefix in B, so it goes to a marked sink
+    subsets, succ = _subset_walk(nfa, {start}, interface)
+    sink = len(subsets)
+    events = range(len(interface.events))
+    admitted = [all(qp in prop_marked for _, qp in subset) for subset in subsets]
+    moves = []
+    for ok, out in zip(admitted, succ):
+        targets = dict(out)
+        moves.append([(a, targets.get(a, sink)) for a in events] if ok else [])
+    moves.append([(a, sink) for a in events])
+    return _minimize_numbered(moves, admitted + [True], interface)
 
 
 def sym_n_check(assumptions: Sequence[Dfa], prop: Dfa) -> Optional[Word]:
@@ -342,15 +352,16 @@ def verify_and_refine(
     specs: Sequence[Dfa],
     plants: Sequence[Dfa],
     prop: Dfa,
-    synthesize,
     max_rounds: int = 100,
 ) -> RefinementResult:
     """The mission-layer loop: synthesise, verify, re-synthesise until clean.
 
-    ``synthesize(spec, plant)`` must return the supervisor for one agent,
-    whose language lies inside the spec's and the plant's; the supervisors
-    are verified as the agents' plans.  A violated verdict opens a repair
-    phase that eliminates joint violations one counterexample at a time.
+    Each agent's supervisor is :func:`~cosynth.synthesis.synthesize_supervisor`
+    of its spec and plant, whose language lies inside both; the supervisors
+    are verified as the agents' plans.  The function is looked up in this
+    module's namespace at each call, so a wrapper put there sees every
+    synthesis.  A violated verdict opens a repair phase that eliminates
+    joint violations one counterexample at a time.
     Each repair cuts exactly one agent's mission and strictly shrinks its
     plan, by construction: :func:`cut_behavior` only deletes a transition
     of the plan, and supC(K) ⊆ K.  The updated
@@ -364,7 +375,7 @@ def verify_and_refine(
     Rounds with at least one repair count as refinement rounds.
     """
     specs = list(specs)
-    plans = [synthesize(spec, plant) for spec, plant in zip(specs, plants)]
+    plans = [synthesize_supervisor(spec, plant) for spec, plant in zip(specs, plants)]
     rounds: list[RefinementRound] = []
     # the expanded count of a repair phase's last re-check, which found no
     # violation and so already decided the next pass
@@ -388,10 +399,12 @@ def verify_and_refine(
             agent, cut_word, new_spec = repair
             specs[agent] = new_spec
             record.repairs.append((agent, cut_word))
-            if language_empty(new_spec):
+            # the cut mission and its supervisor are minimal, so each is
+            # empty exactly when no state is marked
+            if not new_spec.marked:
                 return RefinementResult("infeasible", plans, rounds, ce)
-            new_plan = synthesize(new_spec, plants[agent])
-            if language_empty(new_plan):
+            new_plan = synthesize_supervisor(new_spec, plants[agent])
+            if not new_plan.marked:
                 # not even the idle behaviour is enforceable for this agent
                 return RefinementResult("infeasible", plans, rounds, ce)
             plans[agent] = new_plan

@@ -30,7 +30,6 @@ from cosynth.automata import (
     complement,
     complete,
     empty_dfa,
-    extend_closure,
     language_equal,
     minimize,
     prefix_closure,
@@ -361,6 +360,36 @@ def reference_decompose(components: Sequence[Dfa], agent_alphabets: Sequence[Eve
     """
     mission = reference_mission(components, global_alphabet)
     return [widen_like(project(mission, a.events), a) for a in agent_alphabets]
+
+
+def extend_closure(dfa: Dfa) -> Dfa:
+    """Accepts { w : some prefix of w is accepted by *dfa* } (L_m(dfa)·Σ*): the
+    completed automaton with a flag that records whether an accepted prefix
+    has been read."""
+    comp, _ = complete(dfa)
+    init_flag = comp.initial in dfa.marked
+    init = (comp.initial, init_flag)
+    order = [init]
+    seen = {init}
+    transitions: dict[tuple[str, str], str] = {}
+    queue = deque(order)
+
+    def name(q: str, flag: bool) -> str:
+        return f"{q}#{int(flag)}"
+
+    while queue:
+        q, flag = queue.popleft()
+        for e in comp.alphabet.events:
+            nq = comp.transitions[(q, e)]
+            nxt = (nq, flag or nq in dfa.marked)
+            transitions[(name(q, flag), e)] = name(*nxt)
+            if nxt not in seen:
+                seen.add(nxt)
+                order.append(nxt)
+                queue.append(nxt)
+    states = tuple(name(q, f) for q, f in order)
+    marked = frozenset(name(q, f) for q, f in order if f)
+    return Dfa(states, dfa.alphabet, name(*init), transitions, marked)
 
 
 def reference_supc_closed_form(spec: Dfa, plant_gen: Dfa, alphabet: EventAlphabet) -> Dfa:

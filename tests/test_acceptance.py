@@ -43,7 +43,7 @@ from cosynth.motion import (
     replan,
 )
 from cosynth.pipeline import PipelineConfig, run_pipeline
-from cosynth.synthesis import SynthesisProblem, learn_supervisor, synthesize_supervisor
+from cosynth.synthesis import learn_supervisor, synthesize_supervisor
 from cosynth.verification import assume_guarantee
 from conftest import (
     DfaTeacher,
@@ -195,9 +195,8 @@ def test_criterion_6_supc_oracle_suite():
             if language_empty(spec):
                 continue
             done += 1
-            problem = SynthesisProblem(spec, alpha, plant_dfa=plant)
-            learned = learn_supervisor(problem)
-            assert learned == synthesize_supervisor(problem), done
+            learned = learn_supervisor(spec, plant)
+            assert learned == synthesize_supervisor(spec, plant), done
             oracle = sup_c(spec, plant)
             if language_empty(oracle):
                 assert language_empty(learned), done

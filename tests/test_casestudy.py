@@ -26,7 +26,7 @@ from cosynth.langops import (
     widen_like,
 )
 from cosynth.pipeline import PipelineConfig, independence_transitive, run_pipeline
-from cosynth.synthesis import SynthesisProblem, synthesize_supervisor
+from cosynth.synthesis import synthesize_supervisor
 from cosynth.verification import analyze_counterexample, weakest_assumption
 from conftest import (
     AGENT1_EVENTS,
@@ -64,9 +64,7 @@ def test_independence_relation_not_transitive(casestudy):
 def test_initial_supervisors_equal_their_missions(casestudy):
     # supC_i(L_i) = L_i for every agent of the case study
     for spec in casestudy["specs"]:
-        supervisor = synthesize_supervisor(
-            SynthesisProblem(spec, spec.alphabet, plant_dfa=spec)
-        )
+        supervisor = synthesize_supervisor(spec, spec)
         assert language_equal(supervisor, spec) is None
 
 

@@ -26,8 +26,6 @@ from cosynth.automata import (
     words_dfa,
 )
 from cosynth.langops import (
-    LanguageSpec,
-    ProjectionSpec,
     decompose,
     inverse_project_intersect,
     is_controllable,
@@ -81,8 +79,8 @@ def test_project_erases_symbols():
 
 
 def test_project_spec_type_checks_target():
-    with pytest.raises(InputError):
-        ProjectionSpec(AB, ("z",))
+    with pytest.raises(InputError, match="projection target event 'z' not in source alphabet"):
+        project(ab_cycle(), ("z",))
 
 
 def _brute_projection_membership(d: Dfa, target: tuple[str, ...], word: tuple[str, ...]) -> bool:
@@ -619,10 +617,3 @@ def test_prefix_close_largest_fixpoint():
 def test_prefix_close_largest_drops_unreachable_suffixes():
     l = words_dfa([(), ("a", "b")], AB)
     assert lang_set(prefix_close_largest(l), 3) == {()}
-
-
-def test_language_spec_generated_interpretation():
-    d = word_dfa(("a", "b"), AB)
-    partial = Dfa(d.states, d.alphabet, d.initial, d.transitions, frozenset({"2"}))
-    spec = LanguageSpec(partial, "generated")
-    assert lang_set(spec.resolve(), 3) == {(), ("a",), ("a", "b")}

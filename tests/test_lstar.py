@@ -8,8 +8,11 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cosynth
+from cosynth import lstar
 from cosynth.automata import (
     Dfa,
     EventAlphabet,
@@ -64,6 +67,31 @@ def test_table_invariants_hold_under_optimized_python():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 1, done.stderr
     assert "cosynth.automata.InvariantError: S not prefix-closed at ('a', 'b')" in done.stderr
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_table_invariants_hold_after_every_close(seed):
+    # S prefix-closed, E suffix-closed and T total hold by construction, so
+    # close_and_make_consistent does not re-check them: check them after
+    # every close of a whole learning session on a random target
+    rng = random.Random(seed)
+    events = ("a", "b", "c")[: rng.randint(1, 3)]
+    target = minimize(random_dfa(rng, 6, events))
+    closes = 0
+
+    def checked_close(table, teacher):
+        nonlocal closes
+        closed = close_and_make_consistent(table, teacher)
+        closed.check_invariants()
+        closes += 1
+        return closed
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lstar, "close_and_make_consistent", checked_close)
+        got = learn(DfaTeacher(target), target.alphabet)
+    assert language_equal(got, target) is None
+    assert closes
 
 
 def test_closing_a_star_extends_s():

@@ -25,7 +25,6 @@ from cosynth.langops import is_controllable, sup_c, widen_like
 from cosynth.synthesis import (
     IllegalBehaviorSet,
     SupervisorTeacher,
-    SynthesisProblem,
     learn_supervisor,
     synthesize_supervisor,
 )
@@ -88,7 +87,7 @@ def test_ls_membership_later_rounds_apply_cuts():
 def _teacher_of(spec: Dfa) -> SupervisorTeacher:
     """A teacher whose plant is the spec itself, so K_j stays the spec."""
     plant = all_marked(spec)
-    return SupervisorTeacher(spec, AU, plant)
+    return SupervisorTeacher(spec, plant)
 
 
 def test_ls_counterexample_none_when_equal():
@@ -113,27 +112,27 @@ def test_supervisor_all_controllable_returns_spec():
     alpha = EventAlphabet(("a", "u"), frozenset({"a", "u"}))
     spec = widen_like(word_dfa(("a",), AU), alpha)
     plant = widen_like(chain_plant(), alpha)
-    got = synthesize_supervisor(SynthesisProblem(spec, alpha, plant_dfa=plant))
+    got = synthesize_supervisor(spec, plant)
     assert language_equal(got, spec) is None
     assert set(got.marked) == set(got.states)
 
 
 def test_supervisor_chain_plant_cuts_to_epsilon():
-    got = synthesize_supervisor(SynthesisProblem(word_dfa(("a",), AU), AU, plant_dfa=chain_plant()))
+    got = synthesize_supervisor(word_dfa(("a",), AU), chain_plant())
     assert lang_set(got, 3) == {()}
 
 
 def test_supervisor_requires_prefix_closed_nonempty_spec():
     not_closed = Dfa(("0", "1"), AU, "0", {("0", "a"): "1"}, frozenset({"1"}))
     with pytest.raises(InputError, match="requires a prefix-closed mission spec"):
-        synthesize_supervisor(SynthesisProblem(not_closed, AU, plant_dfa=chain_plant()))
+        synthesize_supervisor(not_closed, chain_plant())
     with pytest.raises(InputError, match="requires a non-empty mission spec"):
-        synthesize_supervisor(SynthesisProblem(empty_dfa(AU), AU, plant_dfa=chain_plant()))
+        synthesize_supervisor(empty_dfa(AU), chain_plant())
 
 
 def test_k_sequence_monotonically_decreasing():
     spec = word_dfa(("a",), AU)
-    teacher = SupervisorTeacher(minimize(spec), AU, chain_plant())
+    teacher = SupervisorTeacher(minimize(spec), chain_plant())
     from cosynth.lstar import learn
 
     learn(teacher, AU)
@@ -162,7 +161,7 @@ def test_class_cut_matches_the_string_product_after_every_record():
                       if k[0] == plant.initial or rng.random() < 0.8}
             spec = minimize(accessible(Dfa(plant.states, alpha, plant.initial, strans,
                                            frozenset(plant.states))))
-            teacher = SupervisorTeacher(spec, alpha, plant)
+            teacher = SupervisorTeacher(spec, plant)
             record, membership = teacher._record, teacher.membership
             reference = [reference_class_cut_k(teacher)]
 
@@ -192,15 +191,8 @@ def test_class_cut_matches_the_string_product_after_every_record():
 def test_membership_interception_validates_spec_containment():
     # a spec word outside the plant language must surface as an input error
     bad_spec = word_dfa(("u",), AU)
-    problem = SynthesisProblem(bad_spec, AU, plant_dfa=chain_plant())
     with pytest.raises(InputError):
-        synthesize_supervisor(problem)
-
-
-def test_problem_without_a_plant_automaton_is_an_input_error():
-    # supervisor synthesis always cuts by the plant automaton's classes
-    with pytest.raises(InputError, match="requires a plant automaton"):
-        SynthesisProblem(word_dfa(("a",), AU), AU, None)
+        synthesize_supervisor(bad_spec, chain_plant())
 
 
 def test_random_instances_match_direct_supc_and_are_controllable():
@@ -216,17 +208,22 @@ def test_random_instances_match_direct_supc_and_are_controllable():
             strans = {k: v for k, v in plant.transitions.items() if rng.random() < 0.8}
             spec = accessible(Dfa(plant.states, alpha, plant.initial, strans,
                                   frozenset(plant.states)))
-            got = learn_supervisor(SynthesisProblem(spec, alpha, plant_dfa=plant))
+            got = learn_supervisor(spec, plant)
             oracle = sup_c(spec, plant)
             fixed = reference_supc_fixed_point(minimize(spec), minimize(plant), alpha)
             assert language_equal(oracle, fixed) is None
             # the closed loop S ‖ G is S itself, so the mission layer verifies
             # S as the plan; an empty S is the canonical empty automaton, the
             # closed loop in which not even idling is enforceable
-            supervisor = synthesize_supervisor(SynthesisProblem(spec, alpha, plant_dfa=plant))
+            supervisor = synthesize_supervisor(spec, plant)
             closed = (empty_dfa(alpha) if language_empty(supervisor)
                       else minimize(all_marked(reference_compose([supervisor, plant]))))
             assert dfa_to_text(closed) == dfa_to_text(supervisor)
+            # both supervisors are canonical, and all-marked unless empty
+            for sup in (got, supervisor):
+                fresh = Dfa(sup.states, sup.alphabet, sup.initial, sup.transitions, sup.marked)
+                assert dfa_to_text(minimize(fresh)) == dfa_to_text(sup)
+                assert not sup.marked or set(sup.marked) == set(sup.states)
             if language_empty(oracle):
                 assert language_empty(got)
                 empty += 1

@@ -30,7 +30,6 @@ from cosynth.automata import (
     words_dfa,
 )
 from cosynth.langops import project_word, satisfies, widen_alphabet
-from cosynth.synthesis import SynthesisProblem, synthesize_supervisor
 from cosynth import automata, verification
 from cosynth.verification import (
     Verdict,
@@ -468,7 +467,7 @@ def test_refine_walks_the_property_twice(monkeypatch):
 
     monkeypatch.setattr(verification, "product_violation", counted_check)
     p1, p2, prop = conflicting_choice()
-    result = verify_and_refine([p1, p2], [p1, p2], prop, _synth)
+    result = verify_and_refine([p1, p2], [p1, p2], prop)
     assert result.status == "holds" and len(result.rounds) == 2
     assert len(walked) == 2 and all(w is prop for w in walked)
 
@@ -517,17 +516,13 @@ def test_verdict_serialisation():
 # -- the refinement loop -----------------------------------------------------------
 
 
-def _synth(spec, plant):
-    return synthesize_supervisor(SynthesisProblem(spec, spec.alphabet, plant_dfa=plant))
-
-
 def test_refine_separable_mission_needs_no_rounds():
     a1 = EventAlphabet(("x",), frozenset({"x"}))
     a2 = EventAlphabet(("y",), frozenset({"y"}))
     s1 = universal_dfa(a1)
     s2 = universal_dfa(a2)
     prop = universal_dfa(EventAlphabet(("x", "y"), frozenset({"x", "y"})))
-    result = verify_and_refine([s1, s2], [s1, s2], prop, _synth)
+    result = verify_and_refine([s1, s2], [s1, s2], prop)
     assert result.status == "holds"
     assert result.refinement_rounds == 0
 
@@ -540,7 +535,7 @@ def test_refine_forbidden_but_optional_behaviour_collapses_to_idle():
     s1 = universal_dfa(a1)
     s2 = universal_dfa(a2)
     prop = words_dfa([()], EventAlphabet(("x", "y"), frozenset({"x", "y"})))
-    result = verify_and_refine([s1, s2], [s1, s2], prop, _synth)
+    result = verify_and_refine([s1, s2], [s1, s2], prop)
     assert result.status == "holds"
     assert all(lang_set(p, 2) == {()} for p in result.plans)
 
@@ -554,7 +549,7 @@ def test_refine_unsatisfiable_joint_mission_is_infeasible():
     s2 = universal_dfa(a2)
     glob = EventAlphabet(("r", "x", "y"), frozenset({"r", "x", "y"}))
     prop = Dfa(("0",), glob, "0", {("0", "y"): "0"}, frozenset(("0",)))  # never x
-    result = verify_and_refine([p1, s2], [p1, s2], prop, _synth)
+    result = verify_and_refine([p1, s2], [p1, s2], prop)
     assert result.status == "infeasible"
     assert result.counterexample is not None
 
@@ -579,7 +574,7 @@ def conflicting_choice() -> tuple[Dfa, Dfa, Dfa]:
 
 def test_refine_prunes_conflicting_choice():
     p1, p2, prop = conflicting_choice()
-    result = verify_and_refine([p1, p2], [p1, p2], prop, _synth)
+    result = verify_and_refine([p1, p2], [p1, p2], prop)
     assert result.status == "holds"
     assert result.refinement_rounds == 1
     assert not accepts(result.plans[0], ("s",))
@@ -592,7 +587,7 @@ def test_refine_out_of_rounds_after_a_clean_recheck_stays_infeasible():
     # the repair's clean re-check would decide the next pass, but no round is
     # left for it: the result is the last recorded verdict's counterexample
     p1, p2, prop = conflicting_choice()
-    result = verify_and_refine([p1, p2], [p1, p2], prop, _synth, max_rounds=1)
+    result = verify_and_refine([p1, p2], [p1, p2], prop, max_rounds=1)
     assert result.status == "infeasible" and len(result.rounds) == 1
     assert result.rounds[0].repairs
     assert result.counterexample == result.rounds[0].verdict.counterexample
@@ -603,7 +598,7 @@ def test_refine_records_the_clean_recheck_as_the_next_pass():
     # the pass after a repair phase holds with the product size the
     # re-check expanded, which a fresh verify of the same plans reports too
     p1, p2, prop = conflicting_choice()
-    result = verify_and_refine([p1, p2], [p1, p2], prop, _synth)
+    result = verify_and_refine([p1, p2], [p1, p2], prop)
     last = result.rounds[-1]
     assert last.verdict == Verdict("holds") and not last.repairs
     assert (last.verdict, last.product_states) == verify(result.plans, prop)
@@ -654,13 +649,16 @@ def test_refinement_shrinks_each_plan_and_ends_inside_the_mission(seed):
     glob, components, specs, plants = _random_team(rng)
     mission = reference_mission(components, glob)
     calls = []
+    synthesize = verification.synthesize_supervisor
 
-    def synth(spec, plant):
-        plan = _synth(spec, plant)
+    def spy(spec, plant):
+        plan = synthesize(spec, plant)
         calls.append((plant, spec, plan))
         return plan
 
-    result = verify_and_refine(specs, plants, mission, synth, max_rounds=20)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verification, "synthesize_supervisor", spy)
+        result = verify_and_refine(specs, plants, mission, max_rounds=20)
     plans = [plan for _, _, plan in calls[:len(specs)]]
     later = iter(calls[len(specs):])
     for rnd in result.rounds:
