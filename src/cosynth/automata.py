@@ -15,17 +15,16 @@ transition to an implicit, absorbing, unmarked sink instead.
 Walks over partial automata follow each state's own moves instead of
 scanning the alphabet for it, so they cost the moves they take, not
 states × events.  The string walks (breadth-first order, the numbering in
-:func:`minimize`, :func:`shortest_marked` and :func:`language_subset`)
-gather each state's moves in event order in one pass over the transitions
-(``_out_edges``).
+:func:`minimize` and :func:`shortest_marked`) gather each state's moves in
+event order in one pass over the transitions (``_out_edges``).
 
 The subset construction (``_subset_walk``) numbers the subsets of an
 epsilon-NFA breadth first, events in alphabet order, which is the numbering
-of :func:`minimize`: :func:`star_words`, :func:`cosynth.langops.project`,
-the weakest assumption of :mod:`cosynth.verification` and the replanning
-splice of :mod:`cosynth.motion` hand its successor lists straight to the
-integer core of :func:`minimize`, and ``_determinize`` names the subsets
-only for the callers that compose the automaton they form.
+of :func:`minimize`: :func:`cosynth.langops.project`, the weakest
+assumption of :mod:`cosynth.verification` and the replanning splice of
+:mod:`cosynth.motion` hand its successor lists straight to the integer core
+of :func:`minimize`, and ``_determinize`` names the subsets only for the
+callers that compose the automaton they form.
 
 Every synchronous product is one breadth-first walk over tuples of integer
 operand states (``_Product``), which steps a tuple through the moves that
@@ -36,14 +35,14 @@ as the supervisor teacher of :mod:`cosynth.synthesis` does for its
 reference language; and :func:`product_violation` walks them next to a
 property to find the shortest, lexicographically least accepted word that
 leaves it.  That walk is the core's one answer to "does this product
-satisfy the property?": :func:`cosynth.langops.satisfies` asks it of one
-operand; in :mod:`cosynth.verification` the plan check asks it of the
-plans, the assume-guarantee triple of the prefix-closed assumption and
-module, and the symmetric rule's last premise of the complemented
-assumptions.  This walk, and the weakest assumption's walk of the same
-product that builds its violation automaton, move the property along its
-own transitions at each pair they reach, so a check costs the pairs the
-product reaches and not the property's states × events.
+satisfy the property?": :func:`language_subset` and
+:func:`cosynth.langops.satisfies` ask it of one operand; in
+:mod:`cosynth.verification` the plan check asks it of the plans, and the
+symmetric rule's last premise of the complemented assumptions.  This walk,
+and the weakest assumption's walk of the same product that builds its
+violation automaton, move the property along its own transitions at each
+pair they reach, so a check costs the pairs the product reaches and not the
+property's states × events.
 """
 
 from __future__ import annotations
@@ -180,10 +179,6 @@ def run(dfa: Dfa, word: Sequence[str]) -> Optional[str]:
         if state is None:
             return None
     return state
-
-
-def generates(dfa: Dfa, word: Sequence[str]) -> bool:
-    return run(dfa, word) is not None
 
 
 def accepts(dfa: Dfa, word: Sequence[str]) -> bool:
@@ -539,57 +534,6 @@ def product_violation(dfas: Sequence[Dfa], prop: Dfa) -> tuple[Optional[Word], i
     return None, product.expanded()
 
 
-def _same_alphabet(a: Dfa, b: Dfa) -> EventAlphabet:
-    if a.alphabet.events != b.alphabet.events:
-        raise InputError("operands must share one alphabet (same events, same order)")
-    return a.alphabet
-
-
-def intersect(a: Dfa, b: Dfa) -> Dfa:
-    """Accepts L_m(a) ∩ L_m(b); both operands over the same alphabet."""
-    _same_alphabet(a, b)
-    return parallel_compose(a, b)
-
-
-def union_lang(a: Dfa, b: Dfa) -> Dfa:
-    """Accepts L_m(a) ∪ L_m(b); both operands over the same alphabet.
-
-    The product of the two complements is complete, and a tuple is marked in
-    it exactly when neither operand accepts, so the union is its unmarked
-    states.
-    """
-    alphabet = _same_alphabet(a, b)
-    neither = parallel_compose(complement(a), complement(b))
-    return Dfa(neither.states, alphabet, neither.initial, neither.transitions,
-               frozenset(neither.states) - neither.marked)
-
-
-def subtract(a: Dfa, b: Dfa) -> Dfa:
-    """Accepts L_m(a) − L_m(b); both operands over the same alphabet."""
-    _same_alphabet(a, b)
-    return intersect(a, complement(b))
-
-
-def prefix_closure(dfa: Dfa) -> Dfa:
-    """Accepts every prefix of every accepted word."""
-    t = trim(dfa)
-    return all_marked(t) if t.marked else t
-
-
-def star_words(dfa: Dfa) -> Dfa:
-    """Accepts (L_m(dfa))*: finite concatenations of accepted words."""
-    # NFA with epsilon edges from marked states back to the initial state.
-    nfa: dict[tuple[str, Optional[str]], set[str]] = {}
-    for (src, e), dst in dfa.transitions.items():
-        nfa.setdefault((src, e), set()).add(dst)
-    for q in dfa.marked:
-        nfa.setdefault((q, None), set()).add(dfa.initial)
-    order, succ = _subset_walk(nfa, {dfa.initial}, dfa.alphabet)
-    # epsilon belongs to any star language: the initial subset is marked
-    marked = [n == 0 or not s.isdisjoint(dfa.marked) for n, s in enumerate(order)]
-    return _minimize_numbered(succ, marked, dfa.alphabet)
-
-
 # -- subset construction (internal; nondeterminism is never exposed) -----
 
 
@@ -830,29 +774,12 @@ def language_subset(a: Dfa, b: Dfa) -> Optional[Word]:
     """None if L_m(a) ⊆ L_m(b); otherwise the shortest, lexicographically least witness.
 
     The operands may declare their shared events in different orders; the
-    witness search uses a's event order.
+    witness search uses a's event order.  It is :func:`product_violation`
+    of a alone against the property b.
     """
     if set(a.alphabet.events) != set(b.alphabet.events):
         raise InputError("language comparison requires identical event sets")
-    # b's missing transitions lead to an implicit, absorbing, unmarked sink: None
-    start = (a.initial, b.initial)
-    if a.initial in a.marked and b.initial not in b.marked:
-        return EPSILON
-    edges = _out_edges(a)
-    seen = {start}
-    queue: deque[tuple[tuple[str, Optional[str]], Word]] = deque([(start, EPSILON)])
-    while queue:
-        (qa, qb), word = queue.popleft()
-        for _, e, na in edges.get(qa, ()):
-            nb = b.transitions.get((qb, e))
-            w = word + (e,)
-            if na in a.marked and nb not in b.marked:
-                return w
-            nxt = (na, nb)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append((nxt, w))
-    return None
+    return product_violation([a], b)[0]
 
 
 def language_equal(a: Dfa, b: Dfa) -> Optional[Word]:
@@ -870,17 +797,6 @@ def _lex_key(alphabet: EventAlphabet, word: Word) -> tuple[int, ...]:
 
 
 # -- small constructors ----------------------------------------------------
-
-
-def word_dfa(word: Sequence[str], alphabet: EventAlphabet) -> Dfa:
-    """Trim DFA whose generated and accepted language are the prefixes of *word*."""
-    word = tuple(word)
-    for s in word:
-        if s not in alphabet:
-            raise InputError(f"symbol {s!r} outside alphabet")
-    states = tuple(str(i) for i in range(len(word) + 1))
-    transitions = {(str(i), s): str(i + 1) for i, s in enumerate(word)}
-    return Dfa(states, alphabet, "0", transitions, frozenset(states))
 
 
 def words_dfa(words: Iterable[Sequence[str]], alphabet: EventAlphabet) -> Dfa:

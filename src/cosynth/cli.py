@@ -26,7 +26,6 @@ from cosynth.motion import (
     labeling_from_text,
     motion_dfa,
     replan,
-    simulate,
     MotionInfeasible,
     ReplanInfeasible,
 )

@@ -1,9 +1,9 @@
 """Regular-language operations on top of the DFA core.
 
-Natural projection, synchronous products via inverse projection,
-separability, quotients, controllability and supremal controllable
-sublanguages, the satisfaction relation between a system and a property,
-and supremal prefix-closed sublanguages.
+Natural projection and the mission decomposition built on it, supremal
+controllable sublanguages, the satisfaction relation between a system and a
+property (also decided factor by factor), and supremal prefix-closed
+sublanguages.
 
 Everything here is a pure function over immutable automata.  Checks that can
 fail return ``None`` on success and a shortest, lexicographically least
@@ -12,12 +12,11 @@ counterexample word otherwise.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from cosynth.automata import (
-    EPSILON,
     Dfa,
     EventAlphabet,
     InputError,
@@ -25,11 +24,9 @@ from cosynth.automata import (
     Word,
     all_marked,
     empty_dfa,
-    language_equal,
     language_subset,
     minimize,
     parallel_compose_all,
-    prefix_closure,
     product_violation,
     shortest_marked,
     trim,
@@ -207,117 +204,6 @@ def widen_alphabet(dfa: Dfa, alphabet: EventAlphabet) -> Dfa:
         if e not in alphabet:
             raise InputError(f"event {e!r} missing from the wider alphabet")
     return Dfa(dfa.states, alphabet, dfa.initial, dfa.transitions, dfa.marked)
-
-
-def lift(dfa: Dfa, alphabet: EventAlphabet) -> Dfa:
-    """Inverse projection: self-loop on every foreign event in every state."""
-    for e in dfa.alphabet.events:
-        if e not in alphabet:
-            raise InputError(f"event {e!r} missing from the global alphabet")
-    transitions = dict(dfa.transitions)
-    foreign = [e for e in alphabet.events if e not in dfa.alphabet]
-    for q in dfa.states:
-        for e in foreign:
-            transitions[(q, e)] = q
-    return Dfa(dfa.states, alphabet, dfa.initial, transitions, dfa.marked)
-
-
-def inverse_project_intersect(locals_: Sequence[Dfa], alphabet: EventAlphabet) -> Dfa:
-    """Synchronous product of local languages as a DFA over the global alphabet."""
-    if not locals_:
-        raise InputError("need at least one local language")
-    lifted = [lift(d, alphabet) for d in locals_]
-    return minimize(parallel_compose_all(lifted))
-
-
-def is_separable(dfa: Dfa, alphabets: Sequence[Sequence[str]]) -> Optional[Word]:
-    """None if L equals the synchronous product of its own projections.
-
-    Otherwise a word in the symmetric difference (always on the product side,
-    since L is contained in the product of its projections).
-    """
-    union: list[str] = []
-    for block in alphabets:
-        for e in block:
-            if e not in union:
-                union.append(e)
-    if not set(dfa.alphabet.events) <= set(union):
-        raise InputError("alphabet blocks must cover the language's alphabet")
-    wide = EventAlphabet(tuple(union), dfa.alphabet.controllable)
-    widened = widen_alphabet(dfa, wide)
-    projections = [project(widened, tuple(e for e in union if e in set(block))) for block in alphabets]
-    product = inverse_project_intersect(projections, wide)
-    return language_equal(widened, product)
-
-
-def quotient(l1: Dfa, l2: Dfa) -> Dfa:
-    """Accepts { s : exists t in L_m(l2) with st in L_m(l1) }.
-
-    Realised on l1's structure: a state becomes marked iff some word of l2
-    can be appended from it while ending in a marked state of l1.
-    """
-    if set(l1.alphabet.events) != set(l2.alphabet.events):
-        raise InputError("quotient requires a shared alphabet")
-    edges = _out_edges(l1)
-    marked = frozenset(q for q in l1.states if _nonempty_intersection(l1, q, edges, l2))
-    return trim(Dfa(l1.states, l1.alphabet, l1.initial, l1.transitions, marked))
-
-
-def _nonempty_intersection(a: Dfa, source: str, edges: dict, b: Dfa) -> bool:
-    """Whether one word leads a from *source* and b from its initial state
-    both to marked states; *edges* are a's :func:`_out_edges`."""
-    start = (source, b.initial)
-    if source in a.marked and b.initial in b.marked:
-        return True
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        qa, qb = queue.popleft()
-        for _, e, na in edges.get(qa, ()):
-            nb = b.transitions.get((qb, e))
-            if nb is None:
-                continue
-            if na in a.marked and nb in b.marked:
-                return True
-            nxt = (na, nb)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return False
-
-
-def is_controllable(spec: Dfa, plant: Dfa) -> Optional[Word]:
-    """None if closure(L) Σ_uc ∩ L(plant) ⊆ closure(L); else a witness s·σ_uc.
-
-    The spec language must be contained in the plant's generated language.
-    """
-    if set(spec.alphabet.events) != set(plant.alphabet.events):
-        raise InputError("spec and plant must share an alphabet")
-    plant_gen = all_marked(plant)
-    bad = language_subset(spec, plant_gen)
-    if bad is not None:
-        raise InputError(f"spec language not contained in the plant: {' '.join(bad) or 'ε'}")
-    closure = prefix_closure(spec)
-    uncontrollable = spec.alphabet.uncontrollable
-    # walk closure × plant; a defined plant move on an uncontrollable event
-    # that the closure cannot follow witnesses the violation
-    plant_edges = _out_edges(plant, spec.alphabet)
-    start = (closure.initial, plant.initial)
-    seen = {start}
-    queue: deque[tuple[tuple[str, str], Word]] = deque([(start, EPSILON)])
-    while queue:
-        (qc, qp), word = queue.popleft()
-        for _, e, np_ in plant_edges.get(qp, ()):
-            nc = closure.transitions.get((qc, e))
-            if nc is None:
-                if e in uncontrollable:
-                    return word + (e,)
-                continue
-            nxt = (nc, np_)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append((nxt, word + (e,)))
-    return None
 
 
 def sup_c(spec: Dfa, plant: Dfa) -> Dfa:

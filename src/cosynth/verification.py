@@ -6,11 +6,10 @@ plan states and a property state, without building the product automaton;
 a missing property transition leads to an implicit, absorbing, unmarked
 sink.  The shortest violating word, realisable by every agent, is the
 counterexample.  The walk is the DFA core's one violation walk,
-:func:`cosynth.automata.product_violation`; :func:`check_triple` runs it on
-an assumption and a module, and :func:`sym_n_check` on the complemented
-assumptions.  The plans the refinement loop verifies are the supervisors
-themselves: each is supC(K) ⊆ K ⊆ L(G), so its closed loop with the plant G
-is the supervisor.
+:func:`cosynth.automata.product_violation`; :func:`sym_n_check` runs it on
+the complemented assumptions.  The plans the refinement loop verifies are
+the supervisors themselves: each is supC(K) ⊆ K ⊆ L(G), so its closed loop
+with the plant G is the supervisor.
 
 The paper's compositional mode is :func:`assume_guarantee`, which the
 ``cosynth verify`` command runs.  It builds, per agent, the weakest
@@ -50,10 +49,8 @@ from cosynth.automata import (
     InputError,
     Word,
     accepts,
-    all_marked,
     complement,
     minimize,
-    prefix_closure,
     product_violation,
     trim,
     universal_dfa,
@@ -84,20 +81,6 @@ class Verdict:
         if self.agent is not None:
             parts.append(f"agent: {self.agent + 1}")
         return "\n".join(parts) + "\n"
-
-
-def check_triple(assumption: Dfa, module: Dfa, prop: Dfa) -> Optional[Word]:
-    """None if ⟨A⟩ M ⟨P⟩ holds; else the shortest word reaching the error state.
-
-    The assumption and module act as prefix constraints (their runnable
-    behaviour restricted to prefixes of accepted words): both enter the
-    violation walk with every state marked, so an empty assumption still
-    blocks only its own events.  The property's events that neither owns
-    stay free, and the property is violated exactly when it leaves its
-    marked states.
-    """
-    operands = [all_marked(prefix_closure(assumption)), all_marked(module)]
-    return product_violation(_with_free_events(operands, prop), prop)[0]
 
 
 def _with_free_events(dfas: list[Dfa], prop: Dfa) -> list[Dfa]:

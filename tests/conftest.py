@@ -1,8 +1,15 @@
-"""Shared test helpers: brute-force oracles and case-study constructions.
+"""Shared test helpers: brute-force oracles, references, case-study
+constructions and the language operations that only the tests use.
 
 The oracles here never call the code paths they check: membership is decided
 by stepping transition tables word by word, projections by filtering
 symbols, and language comparisons by enumerating words up to a bound.
+
+The test-only operations (word automata, union, difference, prefix closure,
+star, inverse projection, separability, quotient and controllability) are
+not oracles: no command or pipeline stage needs them, so they left the
+library, and the tests use them to build languages and state properties.
+They may call the library.
 """
 
 from __future__ import annotations
@@ -27,21 +34,22 @@ from cosynth.automata import (
     Word,
     accepts,
     accessible,
+    all_marked,
     complement,
     complete,
     empty_dfa,
     language_equal,
+    language_subset,
     minimize,
-    prefix_closure,
-    subtract,
+    parallel_compose,
+    parallel_compose_all,
     trim,
-    word_dfa,
     _determinize,
     _out_edges,
     _Product,
     _union_events,
 )
-from cosynth.langops import project, quotient, widen_alphabet, widen_like
+from cosynth.langops import project, widen_alphabet, widen_like
 from cosynth.motion import (
     Environment,
     LabelingMap,
@@ -53,7 +61,7 @@ from cosynth.motion import (
     _Walker,
 )
 from cosynth.synthesis import IllegalBehaviorSet
-from cosynth.verification import check_triple, _with_free_events
+from cosynth.verification import _with_free_events
 
 
 def perfbench_generate():
@@ -138,6 +146,176 @@ def chain_dfa(symbols: Sequence[str], alphabet: EventAlphabet, mark_all: bool = 
     transitions = {(str(i), e): str(i + 1) for i, e in enumerate(symbols)}
     marked = frozenset(states) if mark_all else frozenset({states[-1]})
     return Dfa(states, alphabet, "0", transitions, marked)
+
+
+# -- language operations that only the tests use -----------------------------
+
+
+def word_dfa(word: Sequence[str], alphabet: EventAlphabet) -> Dfa:
+    """Trim DFA whose generated and accepted language are the prefixes of *word*."""
+    word = tuple(word)
+    for s in word:
+        if s not in alphabet:
+            raise InputError(f"symbol {s!r} outside alphabet")
+    states = tuple(str(i) for i in range(len(word) + 1))
+    transitions = {(str(i), s): str(i + 1) for i, s in enumerate(word)}
+    return Dfa(states, alphabet, "0", transitions, frozenset(states))
+
+
+def _same_alphabet(a: Dfa, b: Dfa) -> EventAlphabet:
+    if a.alphabet.events != b.alphabet.events:
+        raise InputError("operands must share one alphabet (same events, same order)")
+    return a.alphabet
+
+
+def union_lang(a: Dfa, b: Dfa) -> Dfa:
+    """Accepts L_m(a) ∪ L_m(b); both operands over the same alphabet.
+
+    The product of the two complements is complete, and a tuple is marked in
+    it exactly when neither operand accepts, so the union is its unmarked
+    states.
+    """
+    alphabet = _same_alphabet(a, b)
+    neither = parallel_compose(complement(a), complement(b))
+    return Dfa(neither.states, alphabet, neither.initial, neither.transitions,
+               frozenset(neither.states) - neither.marked)
+
+
+def subtract(a: Dfa, b: Dfa) -> Dfa:
+    """Accepts L_m(a) − L_m(b); both operands over the same alphabet."""
+    _same_alphabet(a, b)
+    return parallel_compose(a, complement(b))
+
+
+def prefix_closure(dfa: Dfa) -> Dfa:
+    """Accepts every prefix of every accepted word."""
+    t = trim(dfa)
+    return all_marked(t) if t.marked else t
+
+
+def star_words(dfa: Dfa) -> Dfa:
+    """Accepts (L_m(dfa))*, minimised: the subset construction of the
+    automaton with ε-moves from its marked states back to the initial one,
+    with the initial subset marked because ε is in every star language."""
+    nfa: dict[tuple[str, Optional[str]], set[str]] = {}
+    for (src, e), dst in dfa.transitions.items():
+        nfa.setdefault((src, e), set()).add(dst)
+    for q in dfa.marked:
+        nfa.setdefault((q, None), set()).add(dfa.initial)
+    out = reference_determinize(nfa, {dfa.initial}, set(dfa.marked), dfa.alphabet)
+    return minimize(Dfa(out.states, out.alphabet, out.initial, out.transitions,
+                        out.marked | {out.initial}))
+
+
+def lift(dfa: Dfa, alphabet: EventAlphabet) -> Dfa:
+    """Inverse projection: self-loop on every foreign event in every state."""
+    for e in dfa.alphabet.events:
+        if e not in alphabet:
+            raise InputError(f"event {e!r} missing from the global alphabet")
+    transitions = dict(dfa.transitions)
+    foreign = [e for e in alphabet.events if e not in dfa.alphabet]
+    for q in dfa.states:
+        for e in foreign:
+            transitions[(q, e)] = q
+    return Dfa(dfa.states, alphabet, dfa.initial, transitions, dfa.marked)
+
+
+def inverse_project_intersect(locals_: Sequence[Dfa], alphabet: EventAlphabet) -> Dfa:
+    """Synchronous product of local languages as a DFA over the global alphabet."""
+    if not locals_:
+        raise InputError("need at least one local language")
+    lifted = [lift(d, alphabet) for d in locals_]
+    return minimize(parallel_compose_all(lifted))
+
+
+def is_separable(dfa: Dfa, alphabets: Sequence[Sequence[str]]) -> Optional[Word]:
+    """None if L equals the synchronous product of its own projections.
+
+    Otherwise a word in the symmetric difference (always on the product side,
+    since L is contained in the product of its projections).
+    """
+    union: list[str] = []
+    for block in alphabets:
+        for e in block:
+            if e not in union:
+                union.append(e)
+    if not set(dfa.alphabet.events) <= set(union):
+        raise InputError("alphabet blocks must cover the language's alphabet")
+    wide = EventAlphabet(tuple(union), dfa.alphabet.controllable)
+    widened = widen_alphabet(dfa, wide)
+    projections = [project(widened, tuple(e for e in union if e in set(block))) for block in alphabets]
+    product = inverse_project_intersect(projections, wide)
+    return language_equal(widened, product)
+
+
+def quotient(l1: Dfa, l2: Dfa) -> Dfa:
+    """Accepts { s : exists t in L_m(l2) with st in L_m(l1) }.
+
+    Realised on l1's structure: a state becomes marked iff some word of l2
+    can be appended from it while ending in a marked state of l1.
+    """
+    if set(l1.alphabet.events) != set(l2.alphabet.events):
+        raise InputError("quotient requires a shared alphabet")
+    edges = _out_edges(l1)
+    marked = frozenset(q for q in l1.states if _nonempty_intersection(l1, q, edges, l2))
+    return trim(Dfa(l1.states, l1.alphabet, l1.initial, l1.transitions, marked))
+
+
+def _nonempty_intersection(a: Dfa, source: str, edges: dict, b: Dfa) -> bool:
+    """Whether one word leads a from *source* and b from its initial state
+    both to marked states; *edges* are a's ``_out_edges``."""
+    start = (source, b.initial)
+    if source in a.marked and b.initial in b.marked:
+        return True
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        qa, qb = queue.popleft()
+        for _, e, na in edges.get(qa, ()):
+            nb = b.transitions.get((qb, e))
+            if nb is None:
+                continue
+            if na in a.marked and nb in b.marked:
+                return True
+            nxt = (na, nb)
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return False
+
+
+def is_controllable(spec: Dfa, plant: Dfa) -> Optional[Word]:
+    """None if closure(L) Σ_uc ∩ L(plant) ⊆ closure(L); else a witness s·σ_uc.
+
+    The spec language must be contained in the plant's generated language.
+    """
+    if set(spec.alphabet.events) != set(plant.alphabet.events):
+        raise InputError("spec and plant must share an alphabet")
+    plant_gen = all_marked(plant)
+    bad = language_subset(spec, plant_gen)
+    if bad is not None:
+        raise InputError(f"spec language not contained in the plant: {' '.join(bad) or 'ε'}")
+    closure = prefix_closure(spec)
+    uncontrollable = spec.alphabet.uncontrollable
+    # walk closure × plant; a defined plant move on an uncontrollable event
+    # that the closure cannot follow witnesses the violation
+    plant_edges = _out_edges(plant, spec.alphabet)
+    start = (closure.initial, plant.initial)
+    seen = {start}
+    queue: deque[tuple[tuple[str, str], Word]] = deque([(start, EPSILON)])
+    while queue:
+        (qc, qp), word = queue.popleft()
+        for _, e, np_ in plant_edges.get(qp, ()):
+            nc = closure.transitions.get((qc, e))
+            if nc is None:
+                if e in uncontrollable:
+                    return word + (e,)
+                continue
+            nxt = (nc, np_)
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append((nxt, word + (e,)))
+    return None
 
 
 def reference_minimize(dfa: Dfa) -> Dfa:
@@ -271,6 +449,33 @@ def reference_satisfies(m: Dfa, p: Dfa) -> Word | None:
             if nm in m.marked and np_ not in p.marked:
                 return w
             nxt = (nm, np_)
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append((nxt, w))
+    return None
+
+
+def reference_language_subset(a: Dfa, b: Dfa) -> Optional[Word]:
+    """The string-keyed pair walk, the reference for
+    :func:`cosynth.automata.language_subset`: None if L_m(a) ⊆ L_m(b), else
+    the shortest, lexicographically least witness in a's event order."""
+    if set(a.alphabet.events) != set(b.alphabet.events):
+        raise InputError("language comparison requires identical event sets")
+    # b's missing transitions lead to an implicit, absorbing, unmarked sink: None
+    start = (a.initial, b.initial)
+    if a.initial in a.marked and b.initial not in b.marked:
+        return EPSILON
+    edges = _out_edges(a)
+    seen = {start}
+    queue: deque[tuple[tuple[str, Optional[str]], Word]] = deque([(start, EPSILON)])
+    while queue:
+        (qa, qb), word = queue.popleft()
+        for _, e, na in edges.get(qa, ()):
+            nb = b.transitions.get((qb, e))
+            w = word + (e,)
+            if na in a.marked and nb not in b.marked:
+                return w
+            nxt = (na, nb)
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append((nxt, w))
@@ -519,8 +724,9 @@ def reference_class_cut_k(teacher) -> Dfa:
 
 
 def reference_check_triple(assumption: Dfa, module: Dfa, prop: Dfa) -> Optional[Word]:
-    """The string-keyed triple walk over the completed property, the
-    reference for :func:`cosynth.verification.check_triple`.
+    """None if the assume-guarantee triple ⟨A⟩ M ⟨P⟩ holds; else the
+    shortest word reaching the error state: a string-keyed walk over the
+    completed property.
 
     The assumption and module act as prefix constraints (their runnable
     behaviour restricted to prefixes of accepted words), the property is
@@ -559,7 +765,7 @@ def reference_check_triple(assumption: Dfa, module: Dfa, prop: Dfa) -> Optional[
 def cv_membership(t: Word, module: Dfa, prop: Dfa, interface: EventAlphabet) -> int:
     """1 iff the prefixes of t, as an assumption, keep the module inside the
     property: membership in the weakest assumption, one triple per word."""
-    return 1 if check_triple(word_dfa(t, interface), module, prop) is None else 0
+    return 1 if reference_check_triple(word_dfa(t, interface), module, prop) is None else 0
 
 
 def reference_weakest_assumption(module: Dfa, prop: Dfa, interface: EventAlphabet) -> Dfa:

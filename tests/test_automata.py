@@ -24,13 +24,10 @@ from cosynth.automata import (
     minimize,
     parallel_compose,
     parallel_compose_all,
-    prefix_closure,
     run,
     shortest_marked,
-    star_words,
     trim,
     universal_dfa,
-    word_dfa,
     words_dfa,
     _determinize,
     _minimize_numbered,
@@ -45,11 +42,14 @@ from conftest import (
     cycle_dfa,
     generated_up_to,
     lang_set,
+    prefix_closure,
     random_dfa,
     reference_compose,
     reference_determinize,
+    reference_language_subset,
     reference_minimize,
     reference_mission,
+    word_dfa,
     words_up_to,
 )
 
@@ -565,13 +565,15 @@ LENGTH = 6  # the brute-force oracles enumerate words up to this length
 )
 def test_language_subset_matches_brute_force_words(seed, marked_p):
     # a and b list the same events in different orders and store their
-    # transitions scrambled; the witness is the least word in a's order
+    # transitions scrambled; the witness is the least word in a's order, and
+    # at any length it is the string-keyed reference walk's witness
     rng = random.Random(seed)
     events = ["a", "b", "c"]
     a_order, b_order = rng.sample(events, 3), rng.sample(events, 3)
     a = _scrambled(rng, random_dfa(rng, 4, a_order, density=0.6, marked_p=marked_p), a_order)
     b = _scrambled(rng, random_dfa(rng, 4, b_order, density=0.6, marked_p=marked_p), b_order)
     witness = language_subset(a, b)
+    assert witness == reference_language_subset(a, b)
     difference = [w for w in generated_up_to(a, LENGTH)
                   if brute_accepts(a, w) and not brute_accepts(b, w)]
     if witness is None or len(witness) > LENGTH:
@@ -635,9 +637,9 @@ def test_subset_walk_matches_the_named_subset_construction(seed, n_events, marke
     keep=st.integers(min_value=0, max_value=3),
     marked_p=st.sampled_from((0.0, 0.3, 0.7)),
 )
-def test_projection_and_star_match_the_named_subset_route(seed, keep, marked_p):
-    # project and star_words hand numbered subsets to the integer core; the
-    # named route determinised, named the subsets and minimised them again
+def test_projection_matches_the_named_subset_route(seed, keep, marked_p):
+    # project hands numbered subsets to the integer core; the named route
+    # determinised, named the subsets and minimised them again
     rng = random.Random(seed)
     order = rng.sample(["a", "b", "c"], 3)
     d = random_dfa(rng, 5, order, density=0.6, marked_p=marked_p)
@@ -648,12 +650,3 @@ def test_projection_and_star_match_the_named_subset_route(seed, keep, marked_p):
         nfa.setdefault((src, e if e in target_alphabet else None), set()).add(dst)
     expected = minimize(reference_determinize(nfa, {d.initial}, set(d.marked), target_alphabet))
     assert dfa_to_text(project(d, target)) == dfa_to_text(expected)
-    star_nfa: dict = {}
-    for (src, e), dst in d.transitions.items():
-        star_nfa.setdefault((src, e), set()).add(dst)
-    for q in d.marked:
-        star_nfa.setdefault((q, None), set()).add(d.initial)
-    out = reference_determinize(star_nfa, {d.initial}, set(d.marked), d.alphabet)
-    expected = minimize(Dfa(out.states, out.alphabet, out.initial, out.transitions,
-                            out.marked | {out.initial}))
-    assert dfa_to_text(star_words(d)) == dfa_to_text(expected)

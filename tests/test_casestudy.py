@@ -12,19 +12,9 @@ from cosynth.automata import (
     minimize,
     parallel_compose,
     parallel_compose_all,
-    prefix_closure,
-    star_words,
-    union_lang,
 )
 from cosynth.fixtures import expected_path, fixture_path
-from cosynth.langops import (
-    inverse_project_intersect,
-    is_controllable,
-    is_separable,
-    project,
-    satisfies,
-    widen_like,
-)
+from cosynth.langops import project, satisfies, widen_like
 from cosynth.pipeline import PipelineConfig, independence_transitive, run_pipeline
 from cosynth.synthesis import synthesize_supervisor
 from cosynth.verification import analyze_counterexample, weakest_assumption
@@ -41,6 +31,12 @@ from conftest import (
     chain_dfa,
     cv_membership,
     cycle_dfa,
+    inverse_project_intersect,
+    is_controllable,
+    is_separable,
+    prefix_closure,
+    star_words,
+    union_lang,
 )
 
 

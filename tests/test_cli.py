@@ -16,11 +16,10 @@ from cosynth.automata import (
     language_equal,
     load_dfa,
     save_dfa,
-    word_dfa,
 )
 from cosynth.cli import main
 from cosynth.fixtures import fixture_path
-from conftest import cycle_dfa, lang_set, perfbench_generate, reference_mission
+from conftest import cycle_dfa, lang_set, perfbench_generate, reference_mission, word_dfa
 
 AU = EventAlphabet(("a", "u"), frozenset({"a"}))
 

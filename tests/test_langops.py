@@ -22,17 +22,12 @@ from cosynth.automata import (
     minimize,
     parallel_compose_all,
     universal_dfa,
-    word_dfa,
     words_dfa,
 )
 from cosynth.langops import (
     decompose,
-    inverse_project_intersect,
-    is_controllable,
-    is_separable,
     prefix_close_largest,
     project,
-    quotient,
     satisfies,
     satisfies_modular,
     sup_c,
@@ -42,12 +37,17 @@ from conftest import (
     brute_accepts,
     brute_generates,
     brute_project,
+    inverse_project_intersect,
+    is_controllable,
+    is_separable,
     lang_set,
+    quotient,
     random_dfa,
     reference_decompose,
     reference_mission,
     reference_supc_closed_form,
     step_word,
+    word_dfa,
     words_up_to,
 )
 

@@ -19,9 +19,8 @@ from cosynth.automata import (
     language_subset,
     minimize,
     parallel_compose,
-    word_dfa,
 )
-from cosynth.langops import is_controllable, sup_c, widen_like
+from cosynth.langops import sup_c, widen_like
 from cosynth.synthesis import (
     IllegalBehaviorSet,
     SupervisorTeacher,
@@ -31,12 +30,14 @@ from cosynth.synthesis import (
 from conftest import (
     brute_accepts,
     d_ui,
+    is_controllable,
     lang_set,
     ls_membership,
     random_dfa,
     reference_class_cut_k,
     reference_compose,
     reference_supc_fixed_point,
+    word_dfa,
 )
 
 AU = EventAlphabet(("a", "u"), frozenset({"a"}))
