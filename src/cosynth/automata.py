@@ -6,52 +6,52 @@ generated words that end in a marked state.  All operations are pure:
 automata are frozen after construction and every transformation returns a
 new automaton, so shared instances are safe to use concurrently.
 
-Determinism of every constructed automaton is enforced in the constructor.
-Completion (adding an absorbing error state) is explicit where an operation
-needs a total automaton, as complementation does; minimisation and the
-language comparisons walk the partial automaton and send every missing
-transition to an implicit, absorbing, unmarked sink instead.
+The constructor checks every automaton built from outside parts; one that
+a numbered walk builds is deterministic by construction.  Completion
+(adding an absorbing error state) is explicit where an operation needs a
+total automaton, as complementation does; minimisation and the language
+comparisons walk the partial automaton and send every missing transition
+to an implicit, absorbing, unmarked sink.
 
-Walks over partial automata follow each state's own moves instead of
-scanning the alphabet for it, so they cost the moves they take, not
-states × events.  The string walks (breadth-first order, the numbering in
-:func:`minimize` and :func:`shortest_marked`) gather each state's moves in
-event order in one pass over the transitions (``_out_edges``).
+Every automaton the library builds by a walk is numbered by one function,
+``_numbered_walk``, which owns the numbering rule; ``_numbered_dfa`` names
+the states of a walk when they need names.  The callers differ only in what
+a state is and which moves it has: a string automaton's states step
+through their own moves, gathered in event order in one pass over the
+transitions, so a walk costs the moves it takes and not states × events;
+the subsets of an epsilon-NFA step through the subset construction
+(``_subset_walk``), whose successor lists projection, the weakest
+assumption and the replanning splice hand to the integer core of
+:func:`minimize`.
 
-The subset construction (``_subset_walk``) numbers the subsets of an
-epsilon-NFA breadth first, events in alphabet order, which is the numbering
-of :func:`minimize`: :func:`cosynth.langops.project`, the weakest
-assumption of :mod:`cosynth.verification` and the replanning splice of
-:mod:`cosynth.motion` hand its successor lists straight to the integer core
-of :func:`minimize`, and ``_determinize`` names the subsets only for the
-callers that compose the automaton they form.
-
-Every synchronous product is one breadth-first walk over tuples of integer
-operand states (``_Product``), which steps a tuple through the moves that
-its operands' states have: :func:`parallel_compose_all`, with
+Every synchronous product is one walk over tuples of integer operand
+states (``_Product``), which steps a tuple through the moves that its
+operands' states have: :func:`parallel_compose_all`, with
 :func:`parallel_compose` its two-operand case, names the tuples it reaches;
-:func:`minimal_product` feeds them to the integer core of :func:`minimize`,
-as the supervisor teacher of :mod:`cosynth.synthesis` does for its
-reference language; and :func:`product_violation` walks them next to a
-property to find the shortest, lexicographically least accepted word that
-leaves it.  That walk is the core's one answer to "does this product
-satisfy the property?": :func:`language_subset` and
-:func:`cosynth.langops.satisfies` ask it of one operand; in
-:mod:`cosynth.verification` the plan check asks it of the plans, and the
-symmetric rule's last premise of the complemented assumptions.  This walk,
-and the weakest assumption's walk of the same product that builds its
-violation automaton, move the property along its own transitions at each
-pair they reach, so a check costs the pairs the product reaches and not the
-property's states × events.
+:func:`minimal_product` feeds them to the integer core of :func:`minimize`;
+and :func:`product_violation` walks them next to a property to find the
+shortest, lexicographically least accepted word that leaves it.  That walk
+is the core's one answer to "does this product satisfy the property?":
+:func:`language_subset` and :func:`cosynth.langops.satisfies` ask it of one
+operand; in :mod:`cosynth.verification` the plan check asks it of the
+plans, and the symmetric rule's last premise of the complemented
+assumptions.  This walk, and the weakest assumption's walk of the same
+product that builds its violation automaton, move the property along its
+own transitions at each pair they reach, so a check costs the pairs the
+product reaches and not the property's states × events.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from itertools import compress
+from typing import Callable, Iterable, Mapping, Optional, Sequence, TypeVar
 
 Word = tuple[str, ...]
+
+T = TypeVar("T")
+L = TypeVar("L")
 
 EPSILON: Word = ()
 
@@ -218,22 +218,62 @@ def _out_edges(dfa: Dfa,
     return edges
 
 
-def _bfs_order(dfa: Dfa) -> list[str]:
-    """States reachable from the initial state in BFS order, events in alphabet order."""
-    edges = _out_edges(dfa)
-    order = [dfa.initial]
-    seen = {dfa.initial}
-    for q in order:
-        for _, _, nxt in edges.get(q, ()):
-            if nxt not in seen:
-                seen.add(nxt)
+def _numbered_walk(start: T, step: Callable[[T], Iterable[tuple[L, T]]]
+                   ) -> tuple[list[T], list[list[tuple[L, int]]]]:
+    """The states reachable from *start*, numbered breadth first in the order
+    first seen, and the (label, state number) moves of each, in the order
+    ``step(state)`` lists its (label, next state) moves; *step* is called
+    once per reached state, in number order.
+
+    This is the numbering rule of every automaton the library builds by a
+    walk: state 0 is the start and each step lists its moves in event order.
+    The integer core of :func:`minimize` takes the successor lists as they
+    are, and its canonical names and :func:`dfa_to_text` follow this order.
+    """
+    number = {start: 0}
+    order = [start]
+    succ: list[list[tuple[L, int]]] = []
+    for x in order:
+        out = []
+        for label, nxt in step(x):
+            n = number.get(nxt)
+            if n is None:
+                n = number[nxt] = len(order)
                 order.append(nxt)
-    return order
+            out.append((label, n))
+        succ.append(out)
+    return order, succ
+
+
+def _numbered_dfa(names: Sequence[str], succ: list[list[tuple[int, int]]],
+                  alphabet: EventAlphabet, marked: Iterable[bool]) -> Dfa:
+    """The automaton of a numbered walk, state p named ``names[p]``, which
+    the walk makes deterministic; the caller keeps the names distinct."""
+    events = alphabet.events
+    dfa = object.__new__(Dfa)
+    object.__setattr__(dfa, "states", tuple(names))
+    object.__setattr__(dfa, "alphabet", alphabet)
+    object.__setattr__(dfa, "initial", names[0])
+    object.__setattr__(dfa, "transitions", {
+        (name, events[a]): names[n] for name, out in zip(names, succ) for a, n in out})
+    object.__setattr__(dfa, "marked", frozenset(compress(names, marked)))
+    return dfa
+
+
+def _edge_walk(dfa: Dfa) -> tuple[list[str], list[list[tuple[int, int]]]]:
+    """:func:`_numbered_walk` of *dfa* along its own moves, gathered as in ``_out_edges``."""
+    index = dfa.alphabet._index  # type: ignore[attr-defined]
+    moves: dict[str, list[tuple[int, str]]] = {q: [] for q in dfa.states}
+    for (src, e), dst in dfa.transitions.items():
+        moves[src].append((index[e], dst))
+    for out in moves.values():
+        out.sort()
+    return _numbered_walk(dfa.initial, moves.__getitem__)
 
 
 def accessible(dfa: Dfa) -> Dfa:
     """Restrict to states reachable from the initial state, in BFS order."""
-    order = _bfs_order(dfa)
+    order = _edge_walk(dfa)[0]
     keep = set(order)
     transitions = {k: v for k, v in dfa.transitions.items() if k[0] in keep and v in keep}
     return Dfa(tuple(order), dfa.alphabet, dfa.initial, transitions, dfa.marked & keep)
@@ -414,24 +454,6 @@ class _Product:
         """Number of tuples whose moves :meth:`moves` computed."""
         return len(self._moves)
 
-    def explore(self) -> tuple[list[tuple[int, ...]], list[list[tuple[int, int]]]]:
-        """The reachable tuples, numbered breadth first from the initial one
-        with events in the product's order, and the (event index, tuple
-        number) moves of each in that order."""
-        number = {self.initial: 0}
-        order = [self.initial]
-        succ: list[list[tuple[int, int]]] = []
-        for t in order:
-            out = []
-            for a, nt in self._step(t):
-                n = number.get(nt)
-                if n is None:
-                    n = number[nt] = len(order)
-                    order.append(nt)
-                out.append((a, n))
-            succ.append(out)
-        return order, succ
-
 
 def parallel_compose(a: Dfa, b: Dfa) -> Dfa:
     """Parallel composition: shared events synchronise, private events interleave.
@@ -457,7 +479,7 @@ def parallel_compose_all(dfas: Sequence[Dfa]) -> Dfa:
     if len(dfas) == 1:
         return dfas[0]
     product = _Product(dfas, events)
-    order, succ = product.explore()
+    order, succ = _numbered_walk(product.initial, product._step)
     first, *rest = [dfa.states for dfa in dfas]
     names = []
     for t in order:
@@ -465,10 +487,11 @@ def parallel_compose_all(dfas: Sequence[Dfa]) -> Dfa:
         for states, q in zip(rest, t[1:]):
             name = f"⟨{name},{states[q]}⟩"
         names.append(name)
-    transitions = {(names[p], events[a]): names[n] for p, out in enumerate(succ) for a, n in out}
-    marked = frozenset(name for name, t in zip(names, order) if product.is_marked(t))
+    if len(set(names)) != len(names):  # operand state names with commas can clash
+        raise InputError("duplicate state ids")
     controllable = frozenset().union(*(dfa.alphabet.controllable for dfa in dfas))
-    return Dfa(tuple(names), EventAlphabet(events, controllable), names[0], transitions, marked)
+    return _numbered_dfa(names, succ, EventAlphabet(events, controllable),
+                         map(product.is_marked, order))
 
 
 def minimal_product(dfas: Sequence[Dfa], alphabet: EventAlphabet) -> Dfa:
@@ -476,10 +499,10 @@ def minimal_product(dfas: Sequence[Dfa], alphabet: EventAlphabet) -> Dfa:
 
     The result is ``minimize(widen_alphabet(parallel_compose_all(dfas),
     alphabet))``: every operand event must be in *alphabet*, and an event of
-    *alphabet* that no operand owns never occurs.  The product's walk
-    numbers the tuples breadth first, events in *alphabet* order, and its
-    successor lists go straight to the integer core of :func:`minimize`, so
-    no product state is named and no intermediate automaton is built.
+    *alphabet* that no operand owns never occurs.  The successor lists of
+    the product's numbered walk go straight to the integer core of
+    :func:`minimize`, so no product state is named and no intermediate
+    automaton is built.
     """
     if not dfas:
         raise InputError("need at least one automaton")
@@ -488,7 +511,7 @@ def minimal_product(dfas: Sequence[Dfa], alphabet: EventAlphabet) -> Dfa:
             if e not in alphabet:
                 raise InputError(f"event {e!r} missing from the wider alphabet")
     product = _Product(dfas, alphabet.events)
-    order, succ = product.explore()
+    order, succ = _numbered_walk(product.initial, product._step)
     return _minimize_numbered(succ, [product.is_marked(t) for t in order], alphabet)
 
 
@@ -544,22 +567,20 @@ def _subset_walk(
 ) -> tuple[list[frozenset[str]], list[list[tuple[int, int]]]]:
     """Subset construction over an epsilon-NFA given as (state, symbol|None) -> states.
 
-    Returns the subsets reachable from the closure of *initials*, numbered
-    breadth first with events in alphabet order (the numbering of
-    :func:`minimize`), and the (event index, subset number) moves of each in
-    event order, ready for :func:`_minimize_numbered`.
+    Returns the subsets reachable from the closure of *initials* and the
+    (event index, subset number) moves of each, as :func:`_numbered_walk`
+    numbers them, ready for :func:`_minimize_numbered`.
     """
 
-    def closure(states: frozenset[str]) -> frozenset[str]:
+    def closure(states: set[str]) -> frozenset[str]:
+        """*states*, a set of the walk's own that it extends, closed under empty moves."""
         stack = list(states)
-        out = set(states)
         while stack:
-            q = stack.pop()
-            for nxt in nfa.get((q, None), ()):
-                if nxt not in out:
-                    out.add(nxt)
+            for nxt in nfa.get((stack.pop(), None), ()):
+                if nxt not in states:
+                    states.add(nxt)
                     stack.append(nxt)
-        return frozenset(out)
+        return frozenset(states)
 
     # each NFA state's labelled moves, which a subset groups by event index
     event_index = alphabet._index  # type: ignore[attr-defined]
@@ -567,30 +588,18 @@ def _subset_walk(
     for (q, e), targets in nfa.items():
         if e in event_index:
             labelled.setdefault(q, []).append((event_index[e], targets))
-    start = closure(frozenset(initials))
-    order = [start]
-    number = {start: 0}
-    succ: list[list[tuple[int, int]]] = []
-    for cur in order:
+
+    def step(subset: frozenset[str]) -> list[tuple[int, frozenset[str]]]:
         moved: dict[int, set[str]] = {}
-        for q in cur:
+        for q in subset:
             for a, targets in labelled.get(q, ()):
                 if a in moved:
                     moved[a] |= targets
                 else:
                     moved[a] = set(targets)
-        out = []
-        for a in sorted(moved):
-            if not moved[a]:
-                continue
-            nxt = closure(frozenset(moved[a]))
-            n = number.get(nxt)
-            if n is None:
-                n = number[nxt] = len(order)
-                order.append(nxt)
-            out.append((a, n))
-        succ.append(out)
-    return order, succ
+        return [(a, closure(moved[a])) for a in sorted(moved) if moved[a]]
+
+    return _numbered_walk(closure(set(initials)), step)
 
 
 def _determinize(
@@ -602,11 +611,8 @@ def _determinize(
     """The automaton of :func:`_subset_walk`, subset n named "n"; a subset is
     marked when it holds a state of *marked*."""
     order, succ = _subset_walk(nfa, initials, alphabet)
-    names = [str(n) for n in range(len(order))]
-    events = alphabet.events
-    transitions = {(names[p], events[a]): names[n] for p, out in enumerate(succ) for a, n in out}
-    accept = frozenset(name for name, s in zip(names, order) if not s.isdisjoint(marked))
-    return Dfa(tuple(names), alphabet, "0", transitions, accept)
+    return _numbered_dfa(list(map(str, range(len(order)))), succ, alphabet,
+                         [not s.isdisjoint(marked) for s in order])
 
 
 # -- minimisation --------------------------------------------------------
@@ -615,8 +621,8 @@ def _determinize(
 def minimize(dfa: Dfa) -> Dfa:
     """Canonical minimal partial DFA for the accepted language.
 
-    States are renumbered in breadth-first order from the initial state with
-    events explored in alphabet order, so two automata over the same alphabet
+    The classes are numbered by :func:`_numbered_walk` from the initial one
+    and named by their numbers, so two automata over the same alphabet
     accept the same language iff their minimised forms are structurally equal.
     The empty language canonicalises to one unmarked state with no transitions.
 
@@ -625,22 +631,12 @@ def minimize(dfa: Dfa) -> Dfa:
     unchanged.  Automata are immutable, so the record stays true; any new
     ``Dfa`` built from a recorded one carries none.
 
-    This is the string front end: it numbers the reachable states breadth
-    first and hands their successor lists to :func:`_minimize_numbered`.
+    This is the string front end: it numbers the reachable states and hands
+    their successor lists to :func:`_minimize_numbered`.
     """
     if getattr(dfa, "_canonical", False):
         return dfa
-    moves = _out_edges(dfa)
-
-    # number the reachable states breadth first, events in alphabet order
-    number = {dfa.initial: 0}
-    order = [dfa.initial]
-    for q in order:
-        for _, _, dst in moves.get(q, ()):
-            if dst not in number:
-                number[dst] = len(order)
-                order.append(dst)
-    succ = [[(a, number[dst]) for a, _, dst in moves.get(q, ())] for q in order]
+    order, succ = _edge_walk(dfa)
     return _minimize_numbered(succ, [q in dfa.marked for q in order], dfa.alphabet)
 
 
@@ -657,9 +653,8 @@ def _minimize_numbered(succ: list[list[tuple[int, int]]], marked: list[bool],
     The sink is a class of its own and never serves as a splitter, so each
     splitter walks only the defined transitions into it and the work grows
     with the transitions, not with states times events.  The classes are
-    then named breadth first from the initial one, events in alphabet
-    order, which makes the result independent of how the states were
-    numbered.
+    then numbered by the same walk from the initial one, which makes the
+    result independent of how the states were numbered.
     """
     n = len(succ)
     # keep the live states, those from which a marked state is reachable
@@ -716,25 +711,12 @@ def _minimize_numbered(succ: list[list[tuple[int, int]]], marked: list[bool],
                     waiting.append(b)
                     in_waiting.add(b)
 
-    # canonical form: the classes in breadth-first order from the initial one
-    events = alphabet.events
-    names = {block_of[0]: "0"}
-    queue = deque([block_of[0]])
-    transitions: dict[tuple[str, str], str] = {}
-    while queue:
-        c = queue.popleft()
-        rep = next(iter(blocks[c]))
-        for a, q in succ[rep]:
-            if not live[q]:
-                continue
-            d = block_of[q]
-            if d not in names:
-                names[d] = str(len(names))
-                queue.append(d)
-            transitions[(names[c], events[a])] = names[d]
-    states = tuple(names.values())
-    accepting = frozenset(name for c, name in names.items() if marked[next(iter(blocks[c]))])
-    return _canonical(Dfa(states, alphabet, "0", transitions, accepting))
+    # canonical form: the classes numbered from the initial one, each read off one of its states
+    rep = [next(iter(block)) for block in blocks]
+    class_moves = [[(a, block_of[q]) for a, q in succ[p] if live[q]] for p in rep]
+    classes, moves = _numbered_walk(block_of[0], class_moves.__getitem__)
+    return _canonical(_numbered_dfa(list(map(str, range(len(classes)))), moves, alphabet,
+                                    [marked[rep[c]] for c in classes]))
 
 
 def _canonical(dfa: Dfa) -> Dfa:
@@ -832,7 +814,7 @@ def dfa_to_text(dfa: Dfa) -> str:
     Unreachable states, if any, follow the BFS-ordered reachable states in
     their original relative order so the round trip is bit-exact.
     """
-    order = _bfs_order(dfa)
+    order = _edge_walk(dfa)[0]
     reached = set(order)
     rest = [q for q in dfa.states if q not in reached]
     states = order + rest

@@ -33,6 +33,7 @@ from cosynth.automata import (
     words_dfa,
     _determinize,
     _minimize_numbered,
+    _numbered_walk,
     _out_edges,
     _subset_walk,
 )
@@ -254,46 +255,43 @@ def widen_like(dfa: Dfa, alphabet: EventAlphabet) -> Dfa:
 def _supc_walk(spec: Dfa, plant: Dfa, alphabet: EventAlphabet) -> Dfa:
     """supC(K) for a minimal prefix-closed spec K ⊆ L(G), in one walk of G × K.
 
-    The walk goes breadth first over the reachable (plant state, spec state)
-    pairs, events in *alphabet* order, and follows the plant moves that the
-    spec also takes.  A pair is bad when the plant enables an uncontrollable
-    event there that the spec does not take, and a backward sweep over the
-    uncontrollable moves marks every pair that reaches a bad one.  A word s
-    of K lies in (L(G) − K)/Σ_uc* exactly when its pair is bad, so the good
-    pairs, all marked, are supC(K); the bad pairs go to the integer core of
-    :func:`minimize` unmarked and without moves, which drops them together
-    with the moves into them (Cassandras and Lafortune, *Introduction to
-    Discrete Event Systems*, 2008, §3.5).
+    One numbered walk over the reachable (plant state, spec state) pairs
+    follows the plant moves that the spec also takes.  A pair is bad when
+    the plant enables an uncontrollable event there that the spec does not
+    take, and a backward sweep over the uncontrollable moves marks every
+    pair that reaches a bad one.  A word s of K lies in (L(G) − K)/Σ_uc*
+    exactly when its pair is bad, so the good pairs, all marked, are
+    supC(K); the bad pairs go to the integer core of :func:`minimize`
+    unmarked and without moves, which drops them together with the moves
+    into them (Cassandras and Lafortune, *Introduction to Discrete Event
+    Systems*, 2008, §3.5).
     """
     if spec.initial not in spec.marked:
         return spec  # K is empty, and a minimal empty K is the canonical empty automaton
     uncontrollable = [e not in alphabet.controllable for e in alphabet.events]
     plant_edges, spec_moves = _out_edges(plant, alphabet), spec.transitions
-    start = (plant.initial, spec.initial)
-    number = {start: 0}
-    order = [start]
-    succ: list[list[tuple[int, int]]] = []
     bad: list[bool] = []
-    # for each pair, the pairs that reach it by one uncontrollable move
-    back: list[list[int]] = [[]]
-    for p, (g, k) in enumerate(order):
+
+    def step(pair: tuple[str, str]) -> list[tuple[int, tuple[str, str]]]:
+        g, k = pair
         out = []
         escapes = False
         for a, e, ng in plant_edges.get(g, ()):
             nk = spec_moves.get((k, e))
             if nk is None:
                 escapes = escapes or uncontrollable[a]
-                continue
-            n = number.get((ng, nk))
-            if n is None:
-                n = number[(ng, nk)] = len(order)
-                order.append((ng, nk))
-                back.append([])
-            out.append((a, n))
+            else:
+                out.append((a, (ng, nk)))
+        bad.append(escapes)
+        return out
+
+    order, succ = _numbered_walk((plant.initial, spec.initial), step)
+    # for each pair, the pairs that reach it by one uncontrollable move
+    back: list[list[int]] = [[] for _ in order]
+    for p, out in enumerate(succ):
+        for a, n in out:
             if uncontrollable[a]:
                 back[n].append(p)
-        succ.append(out)
-        bad.append(escapes)
     stack = [p for p, flag in enumerate(bad) if flag]
     while stack:
         for p in back[stack.pop()]:

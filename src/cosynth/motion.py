@@ -47,6 +47,8 @@ from cosynth.automata import (
     InputError,
     InvariantError,
     _minimize_numbered,
+    _numbered_dfa,
+    _numbered_walk,
     _out_edges,
     _subset_walk,
     empty_dfa,
@@ -76,8 +78,8 @@ class Environment:
     """Partitioned environment: regions, adjacency, doors, and the door map.
 
     A door leads from a region to at most one region.  The door alphabet
-    and each region's (door, next region) moves in door order are built and
-    checked once, here, for every motion model of the environment.
+    and each region's (door index, next region) moves in door order are
+    built and checked once, here, for every motion model of the environment.
     """
 
     regions: tuple[str, ...]
@@ -113,9 +115,9 @@ class Environment:
                 if existing != v2:
                     raise InputError(f"door {d!r} leads from {v!r} to both {existing!r} and {v2!r}")
         alphabet = EventAlphabet(self.doors, frozenset(self.doors))
-        door_moves: dict[str, list[tuple[str, str]]] = {}
+        door_moves: dict[str, list[tuple[int, str]]] = {v: [] for v in self.regions}
         for (v, d), v2 in sorted(leads.items(), key=lambda kv: alphabet.index(kv[0][1])):
-            door_moves.setdefault(v, []).append((d, v2))
+            door_moves[v].append((alphabet.index(d), v2))
         object.__setattr__(self, "_door_alphabet", alphabet)
         object.__setattr__(self, "_door_moves", door_moves)
 
@@ -159,24 +161,14 @@ def motion_dfa(env: Environment, initial_region: str) -> Dfa:
     that the initial region reaches, and moves that follow the door map.
 
     Every region is marked, so the trim automaton is the part reachable from
-    the start: one breadth-first walk that follows each region's doors in
-    alphabet order, which keeps the states in that order.
+    the start: one numbered walk over each region's doors, which keeps the
+    states in its order.
     """
     if initial_region not in env.regions:
         raise InputError(f"initial region {initial_region!r} not in the environment")
-    door_moves = env._door_moves  # type: ignore[attr-defined]
-    order = [initial_region]
-    seen = {initial_region}
-    transitions: dict[tuple[str, str], str] = {}
-    for v in order:
-        for d, v2 in door_moves.get(v, ()):
-            transitions[(v, d)] = v2
-            if v2 not in seen:
-                seen.add(v2)
-                order.append(v2)
-    states = tuple(order)
-    alphabet = env._door_alphabet  # type: ignore[attr-defined]
-    return Dfa(states, alphabet, initial_region, transitions, frozenset(states))
+    moves, alphabet = env._door_moves, env._door_alphabet  # type: ignore[attr-defined]
+    order, succ = _numbered_walk(initial_region, moves.__getitem__)
+    return _numbered_dfa(order, succ, alphabet, [True] * len(order))
 
 
 # -- integrated-plan construction -----------------------------------------
@@ -299,10 +291,9 @@ def door_profile(motion_plan: Dfa, motion: Dfa) -> Dfa:
     :func:`integrate` and :func:`replan` check that before they call this,
     except on a spliced plan, which meets it by construction.
 
-    One breadth-first walk over (region, motion-plan state) pairs, doors in
-    alphabet order, numbers the pairs and hands their successor lists, every
-    pair marked, to the integer core of :func:`cosynth.automata.minimize`;
-    no pair is named.
+    One numbered walk over (region, motion-plan state) pairs hands their
+    successor lists, every pair marked, to the integer core of
+    :func:`cosynth.automata.minimize`; no pair is named.
     """
     p0 = motion_plan.transitions.get((motion_plan.initial, motion.initial))
     if p0 is None or p0 not in motion_plan.marked:
@@ -310,22 +301,13 @@ def door_profile(motion_plan: Dfa, motion: Dfa) -> Dfa:
     motion_edges = _out_edges(motion)
     plan_moves = motion_plan.transitions
     plan_marked = motion_plan.marked
-    start = (motion.initial, p0)
-    number = {start: 0}
-    order = [start]
-    succ: list[list[tuple[int, int]]] = []
-    for v, p in order:
-        out = []
-        for a, _, v2 in motion_edges.get(v, ()):
-            p2 = plan_moves.get((p, v2))
-            if p2 is None or p2 not in plan_marked:
-                continue
-            n = number.get((v2, p2))
-            if n is None:
-                n = number[(v2, p2)] = len(order)
-                order.append((v2, p2))
-            out.append((a, n))
-        succ.append(out)
+
+    def step(pair: tuple[str, str]) -> list[tuple[int, tuple[str, str]]]:
+        v, p = pair
+        return [(a, (v2, p2)) for a, _, v2 in motion_edges.get(v, ())
+                if (p2 := plan_moves.get((p, v2))) in plan_marked]
+
+    order, succ = _numbered_walk((motion.initial, p0), step)
     return _minimize_numbered(succ, [True] * len(order), motion.alphabet)
 
 

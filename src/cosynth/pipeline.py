@@ -68,6 +68,7 @@ class PipelineConfig:
         mission: list[Path] = []
         environment: Optional[Path] = None
         labeling: Optional[Path] = None
+        first_line: dict[str, int] = {}  # per key, words single-spaced: the line giving it
 
         def one_file(lineno: int, key: str, values: list[str]) -> Path:
             if len(values) != 1:
@@ -84,6 +85,9 @@ class PipelineConfig:
                 raise InputError(f"{path}:{lineno}: expected 'key: values', got {line!r}")
             key = key.strip()
             values = rest.split()
+            first = first_line.setdefault(" ".join(key.split()), lineno)
+            if first != lineno:
+                raise InputError(f"{path}:{lineno}: key {key!r} already given on line {first}")
             if key == "agents":
                 agent_names, agents_line = values, lineno
             elif key == "mission":

@@ -41,13 +41,12 @@ from cosynth.automata import (
     InputError,
     InvariantError,
     Word,
-    all_marked,
-    complete,
     language_empty,
     language_equal,
     minimize,
     _minimize_numbered,
-    _Product,
+    _numbered_walk,
+    _out_edges,
 )
 from cosynth.langops import _minimal_is_prefix_closed, sup_c, widen_like
 from cosynth.lstar import LearnLog, learn
@@ -77,20 +76,21 @@ class SupervisorTeacher:
     whole class is cut at once.  A finite set of witness words alone cannot
     produce the supremal cut when a doomed state has infinitely many access
     words, so the class cut is what makes the session terminate.  Each
-    membership query walks its word once through the completed plant and
-    mission, and every test of the query reads that walk.
+    membership query walks its word once through the plant and mission, and
+    every test of the query reads that walk.  The walks follow the partial
+    automata: a missing move leads to the absorbing sink ``None``, which no
+    move leaves and which is never marked.
     """
 
     def __init__(self, spec: Dfa, plant: Dfa):
         self.spec = spec
+        self.plant = widen_like(plant, spec.alphabet)
         self.alphabet = spec.alphabet
         self.illegal = IllegalBehaviorSet()
         self.k = minimize(spec)
         self._answers: dict[Word, int] = {}
         self._condemned: set[tuple[str, str]] = set()
         self.k_history: list[Dfa] = [self.k]
-        self._spec_completion = complete(spec)
-        self._plant_completion = complete(all_marked(widen_like(plant, spec.alphabet)))
 
     @property
     def generation(self) -> int:
@@ -105,7 +105,7 @@ class SupervisorTeacher:
         g, l = pairs[-1]
         answer = 0
         if l in self.spec.marked:
-            if g == self._plant_completion[1]:
+            if g is None:
                 raise InputError(
                     f"spec word outside the plant language: {' '.join(word) or 'ε'}"
                 )
@@ -115,8 +115,8 @@ class SupervisorTeacher:
 
     def conjecture(self, dfa: Dfa) -> Optional[Word]:
         # each recorded word condemns the class of a word of K_j, so the
-        # audits end within one per plant × spec class
-        bound = len(self._plant_completion[0].states) * len(self._spec_completion[0].states) + 1
+        # audits end within one per plant × spec class, sinks included
+        bound = (len(self.plant.states) + 1) * (len(self.spec.states) + 1) + 1
         for _ in range(bound):
             found = self._audit()
             if found is None:
@@ -127,16 +127,14 @@ class SupervisorTeacher:
         # the shortest, lexicographically least word of L(conjecture) Δ K_j
         return language_equal(dfa, self.k)
 
-    def _walk(self, word: Word) -> list[tuple[str, str]]:
-        """The (completed plant, completed spec) state pair after each
-        prefix of *word*, ε first."""
-        plant, _ = self._plant_completion
-        specc, _ = self._spec_completion
-        g, l = plant.initial, specc.initial
+    def _walk(self, word: Word) -> list[tuple[Optional[str], Optional[str]]]:
+        """The (plant state, spec state) pair after each prefix of *word*, ε first."""
+        plant_moves, spec_moves = self.plant.transitions, self.spec.transitions
+        g, l = self.plant.initial, self.spec.initial
         pairs = [(g, l)]
         for symbol in word:
-            g = plant.transitions[(g, symbol)]
-            l = specc.transitions[(l, symbol)]
+            g = plant_moves.get((g, symbol))
+            l = spec_moves.get((l, symbol))
             pairs.append((g, l))
         return pairs
 
@@ -149,36 +147,39 @@ class SupervisorTeacher:
 
     # -- discovery of uncontrollably illegal words ----------------------
 
-    def _intercept(self, word: Word, pairs: list[tuple[str, str]]) -> None:
+    def _intercept(self, word: Word, pairs: list[tuple[Optional[str], Optional[str]]]) -> None:
         if not word or pairs[-1][1] in self.spec.marked:
             return
         cut = self._stripped(word)
-        if cut == len(word) or pairs[-1][0] == self._plant_completion[1]:
+        if cut == len(word) or pairs[-1][0] is None:
             return
         if any(l in self.spec.marked for _, l in pairs[cut:-1]):
             self._record(word, pairs)
 
-    def _record(self, word: Word, pairs: list[tuple[str, str]]) -> None:
+    def _record(self, word: Word, pairs: list[tuple[Optional[str], Optional[str]]]) -> None:
         if not self.illegal.add(word):
             return
         self._answers.clear()
         # condemn the plant/spec classes of the prefixes left by stripping
         # an uncontrollable suffix (possibly empty) from the word
-        plant, plant_qe = self._plant_completion
-        specc, _ = self._spec_completion
         for g, l in pairs[self._stripped(word):]:
-            if g != plant_qe and l in self.spec.marked:
+            if g is not None and l in self.spec.marked:
                 self._condemned.add((g, l))
         # K_j: the spec's words none of whose prefixes reaches a condemned
-        # class; the condemned pairs get no moves and no mark
-        plant_number = {q: n for n, q in enumerate(plant.states)}
-        spec_number = {q: n for n, q in enumerate(specc.states)}
-        condemned = {(plant_number[g], spec_number[l]) for g, l in self._condemned}
-        order, succ = _Product((plant, specc), self.alphabet.events).explore()
+        # class, from one walk of the plant × spec pairs along the spec's
+        # moves; the condemned pairs get no moves and no mark
+        plant_moves, spec_edges = self.plant.transitions, _out_edges(self.spec)
+        condemned = self._condemned
+
+        def step(pair: tuple[Optional[str], str]) -> list[tuple[int, tuple[Optional[str], str]]]:
+            if pair in condemned:
+                return []
+            g, l = pair
+            return [(a, (plant_moves.get((g, e)), nl)) for a, e, nl in spec_edges.get(l, ())]
+
+        order, succ = _numbered_walk((self.plant.initial, self.spec.initial), step)
         self.k = _minimize_numbered(
-            [[] if t in condemned else out for t, out in zip(order, succ)],
-            [t not in condemned and specc.states[t[1]] in self.spec.marked for t in order],
-            self.alphabet)
+            succ, [p not in condemned and p[1] in self.spec.marked for p in order], self.alphabet)
         self.k_history.append(self.k)
 
     def _audit(self) -> Optional[Word]:
@@ -186,31 +187,30 @@ class SupervisorTeacher:
         s·u plant-generated but illegal; None when no such word remains."""
         if language_empty(self.k):
             return None
-        plant, plant_qe = self._plant_completion
-        spec_c, spec_qe = self._spec_completion
-        k_c, _ = complete(self.k)
+        plant_moves, spec_moves = self.plant.transitions, self.spec.transitions
+        k_moves, k_marked, spec_marked = self.k.transitions, self.k.marked, self.spec.marked
         uncontrollable = self.alphabet.uncontrollable
-        start = (plant.initial, spec_c.initial, k_c.initial, 0)
-        if k_c.initial not in self.k.marked:
+        start = (self.plant.initial, self.spec.initial, self.k.initial, 0)
+        if self.k.initial not in k_marked:
             return None
         seen = {start}
-        queue: deque[tuple[tuple[str, str, str, int], Word]] = deque([(start, EPSILON)])
+        queue: deque[tuple[tuple, Word]] = deque([(start, EPSILON)])
         while queue:
             (g, l, k, phase), word = queue.popleft()
             for e in self.alphabet.events:
                 if phase == 1 and e not in uncontrollable:
                     continue
-                ng = plant.transitions[(g, e)]
-                nl = spec_c.transitions[(l, e)]
-                nk = k_c.transitions[(k, e)]
+                ng = plant_moves.get((g, e))
+                nl = spec_moves.get((l, e))
+                nk = k_moves.get((k, e))
                 w = word + (e,)
                 options = []
-                if phase == 0 and nk in self.k.marked:
+                if phase == 0 and nk in k_marked:
                     options.append(0)
                 if e in uncontrollable:
                     options.append(1)
                 for nphase in options:
-                    if nphase == 1 and ng != plant_qe and (nl == spec_qe or nl not in self.spec.marked):
+                    if nphase == 1 and ng is not None and nl not in spec_marked:
                         return w
                     nxt = (ng, nl, nk, nphase)
                     if nxt not in seen:

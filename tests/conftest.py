@@ -690,12 +690,13 @@ def reference_class_cut_k(teacher) -> Dfa:
     string route; the reference for
     :meth:`cosynth.synthesis.SupervisorTeacher._record`.
 
-    Names the pairs of the completed plant × completed spec "g|l", marks
-    the condemned ones, extends them to every continuation and subtracts
-    the result from the spec.
+    Completes the teacher's plant and spec (the teacher's own walks send a
+    missing move to the sink ``None`` instead), names the pairs of the
+    completions "g|l", marks the condemned ones, extends them to every
+    continuation and subtracts the result from the spec.
     """
-    plant, _ = teacher._plant_completion
-    specc, _ = teacher._spec_completion
+    plant, _ = complete(teacher.plant)
+    specc, _ = complete(teacher.spec)
     marked = set()
     order = [(plant.initial, specc.initial)]
     seen = {order[0]}

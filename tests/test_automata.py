@@ -2,6 +2,7 @@
 
 import random
 import re
+from collections import deque
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,6 +32,7 @@ from cosynth.automata import (
     words_dfa,
     _determinize,
     _minimize_numbered,
+    _numbered_walk,
     _subset_walk,
 )
 from cosynth.langops import project, widen_like
@@ -123,6 +125,15 @@ def test_parallel_compose_idempotent_on_language():
     d = ab_star_prefixes()
     composed = parallel_compose(d, d)
     assert language_equal(composed, d) is None
+
+
+def test_parallel_compose_rejects_clashing_state_names():
+    # a product names its tuples after the operand states, so commas in them
+    # can give two reachable tuples the one name ⟨a,b,c⟩
+    a = Dfa(("a,b", "a"), EventAlphabet(("x",)), "a", {("a", "x"): "a,b"}, frozenset({"a"}))
+    b = Dfa(("c", "b,c"), EventAlphabet(("y",)), "b,c", {("b,c", "y"): "c"}, frozenset({"c"}))
+    with pytest.raises(InputError, match="duplicate state ids"):
+        parallel_compose(a, b)
 
 
 def test_parallel_compose_shuffle_oracle():
@@ -597,6 +608,43 @@ def test_shortest_marked_matches_brute_force_words(seed, marked_p):
         assert not accepted
     else:
         assert word == _least(accepted, dfa.alphabet)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    graph=st.integers(min_value=1, max_value=8).flatmap(lambda n: st.lists(
+        st.lists(st.tuples(st.sampled_from("abc"), st.integers(min_value=0, max_value=n - 1)),
+                 max_size=4),
+        min_size=n, max_size=n)),
+    start=st.integers(min_value=0, max_value=7),
+)
+@example(graph=[[("a", 0), ("b", 1)], [("a", 1), ("c", 0)], [("a", 0)]], start=0)
+def test_numbered_walk_numbers_first_seen_breadth_first(graph, start):
+    # random successor graphs with cycles, self-loops, repeated moves and
+    # nodes the start does not reach; the nodes are strings, so a node is
+    # never mistaken for its number
+    moves = {f"n{i}": [(label, f"n{j}") for label, j in out] for i, out in enumerate(graph)}
+    start_node = f"n{start % len(graph)}"
+    stepped = []
+
+    def step(node):
+        stepped.append(node)
+        return moves[node]
+
+    order, succ = _numbered_walk(start_node, step)
+    expected, seen, queue = [], {start_node}, deque([start_node])
+    while queue:
+        node = queue.popleft()
+        expected.append(node)
+        for _, nxt in moves[node]:
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    assert order[0] == start_node
+    assert order == expected
+    assert len(set(order)) == len(order)
+    assert stepped == order  # once per node, in number order
+    assert [[(label, order[n]) for label, n in out] for out in succ] == [moves[x] for x in order]
 
 
 @settings(max_examples=300, deadline=None, database=None)

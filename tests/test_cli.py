@@ -332,11 +332,27 @@ def test_pipeline_separable_mission_needs_no_refinement(tmp_path):
      "plant of undeclared agent 'agent9'"),
     (("agents: agent1 agent2 agent3", "agents: agent1 agent2 agent3 agent2"), 2,
      "agent 'agent2' listed twice"),
+    (("agents: agent1 agent2 agent3", "agents: agent1 agent2 agent3\nagents: agent1"), 3,
+     "key 'agents' already given on line 2"),
+    (("mission: Lspe1.aut Lspe2.aut", "mission: Lspe1.aut\nmission: Lspe2.aut"), 4,
+     "key 'mission' already given on line 3"),
+    (("environment: nominal.env", "environment: nominal.env\nenvironment: nominal.env"), 5,
+     "key 'environment' already given on line 4"),
+    (("labeling: labels.pi", "labeling: labels.pi\nlabeling: labels.pi"), 6,
+     "key 'labeling' already given on line 5"),
+    (("uncontrollable agent3:", "alphabet agent2: r\nuncontrollable agent3:"), 11,
+     "key 'alphabet agent2' already given on line 8"),
+    (("alphabet agent2:", "uncontrollable  agent1: h1\nalphabet agent2:"), 8,
+     "key 'uncontrollable  agent1' already given on line 7"),
+    (("labeling: labels.pi", "labeling: labels.pi\nplant agent1: Lspe1.aut\n"
+                             "plant agent1: Lspe2.aut"), 7,
+     "key 'plant agent1' already given on line 6"),
 ])
 def test_pipeline_config_names_an_undeclared_or_repeated_agent(tmp_path, capsys, edit, line,
                                                                 message):
-    # a typo in an agent-keyed line used to drop it silently, and a repeated
-    # agent let its artifacts overwrite each other
+    # a typo in an agent-keyed line used to drop it silently, a repeated
+    # agent let its artifacts overwrite each other, and a repeated key kept
+    # only its last line
     fixtures = fixture_path("casestudy.cfg").parent
     text = fixture_path("casestudy.cfg").read_text(encoding="utf-8")
     old, new = edit

@@ -110,15 +110,6 @@ def test_cv_membership_epsilon():
     assert cv_membership((), calm, no_violation(), SV) == 1
 
 
-def test_cv_membership_matches_triple_with_word_dfa():
-    m = emitter()
-    prop = no_violation()
-    iface = EventAlphabet(("s",))
-    for t in words_up_to(("s",), 3):
-        expected = 0 if reference_check_triple(word_dfa(t, iface), m, prop) else 1
-        assert cv_membership(t, m, prop, iface) == expected
-
-
 # -- weakest assumptions -------------------------------------------------------
 
 
