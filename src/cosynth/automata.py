@@ -427,6 +427,12 @@ class _Product:
             flag = self._is_marked[t] = all(flags[q] for flags, q in zip(self._accepting, t))
         return flag
 
+    def marks(self, tuples: Iterable[tuple[int, ...]]) -> list[bool]:
+        """:meth:`is_marked` of each of *tuples*, read off the operands' flags
+        without remembering them, for a walk that reaches each tuple once."""
+        accepting = self._accepting
+        return [all(map(list.__getitem__, accepting, t)) for t in tuples]
+
     def moves(self, t: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
         """(event index, next tuple) for each move of t, in event order."""
         out = self._moves.get(t)
@@ -490,8 +496,7 @@ def parallel_compose_all(dfas: Sequence[Dfa]) -> Dfa:
     if len(set(names)) != len(names):  # operand state names with commas can clash
         raise InputError("duplicate state ids")
     controllable = frozenset().union(*(dfa.alphabet.controllable for dfa in dfas))
-    return _numbered_dfa(names, succ, EventAlphabet(events, controllable),
-                         map(product.is_marked, order))
+    return _numbered_dfa(names, succ, EventAlphabet(events, controllable), product.marks(order))
 
 
 def minimal_product(dfas: Sequence[Dfa], alphabet: EventAlphabet) -> Dfa:
@@ -512,7 +517,7 @@ def minimal_product(dfas: Sequence[Dfa], alphabet: EventAlphabet) -> Dfa:
                 raise InputError(f"event {e!r} missing from the wider alphabet")
     product = _Product(dfas, alphabet.events)
     order, succ = _numbered_walk(product.initial, product._step)
-    return _minimize_numbered(succ, [product.is_marked(t) for t in order], alphabet)
+    return _minimize_numbered(succ, product.marks(order), alphabet)
 
 
 def product_violation(dfas: Sequence[Dfa], prop: Dfa) -> tuple[Optional[Word], int]:
@@ -652,9 +657,17 @@ def _minimize_numbered(succ: list[list[tuple[int, int]]], marked: list[bool],
     dropped, and every missing transition leads to an implicit dead sink.
     The sink is a class of its own and never serves as a splitter, so each
     splitter walks only the defined transitions into it and the work grows
-    with the transitions, not with states times events.  The classes are
-    then numbered by the same walk from the initial one, which makes the
-    result independent of how the states were numbered.
+    with the transitions, not with states times events.
+
+    The refinement starts from the live states grouped by one step: by
+    whether they are marked and by the (event, marked) pairs of their moves
+    into live states.  Two equivalent states share that key, so the
+    grouping is coarser than the result, and every group starts out
+    waiting.  The classes are then numbered by the same walk from the
+    initial one, which makes the result independent of how the states were
+    numbered.  When no two states merge and ``succ`` already numbers them
+    as that walk would, that walk is the identity and is skipped: the input
+    is returned as it stands, states named by their numbers.
     """
     n = len(succ)
     # keep the live states, those from which a marked state is reachable
@@ -673,29 +686,41 @@ def _minimize_numbered(succ: list[list[tuple[int, int]]], marked: list[bool],
     if not live[0]:
         return _canonical(empty_dfa(alphabet))
 
-    # refine {marked, unmarked} over the live states; a waiting block splits
-    # every block by its predecessors under each event at once
+    # group the live states by one step; a waiting block splits every block
+    # by its predecessors under each event at once
+    groups: dict[tuple, int] = {}
     blocks: list[set[int]] = []
     block_of = [-1] * n
-    for flag in (True, False):
-        members = {q for q in range(n) if live[q] and marked[q] == flag}
-        if members:
-            for q in members:
-                block_of[q] = len(blocks)
-            blocks.append(members)
+    for p in compress(range(n), live):
+        key = (marked[p], tuple([(a, marked[q]) for a, q in succ[p] if live[q]]))
+        b = groups.get(key)
+        if b is None:
+            b = groups[key] = len(blocks)
+            blocks.append(set())
+        blocks[b].add(p)
+        block_of[p] = b
     waiting = list(range(len(blocks)))
-    in_waiting = set(waiting)
+    in_waiting = [True] * len(blocks)
     while waiting:
         splitter = waiting.pop()
-        in_waiting.discard(splitter)
+        in_waiting[splitter] = False
         preimages: dict[int, list[int]] = {}
-        for q in tuple(blocks[splitter]):
+        for q in blocks[splitter]:
             for a, p in back[q]:
-                preimages.setdefault(a, []).append(p)
+                sources = preimages.get(a)
+                if sources is None:
+                    preimages[a] = [p]
+                else:
+                    sources.append(p)
         for sources in preimages.values():
             touched: dict[int, list[int]] = {}
             for p in sources:
-                touched.setdefault(block_of[p], []).append(p)
+                b = block_of[p]
+                part = touched.get(b)
+                if part is None:
+                    touched[b] = [p]
+                else:
+                    part.append(p)
             for b, part in touched.items():
                 if len(part) == len(blocks[b]):
                     continue
@@ -704,19 +729,40 @@ def _minimize_numbered(succ: list[list[tuple[int, int]]], marked: list[bool],
                 blocks.append(set(part))
                 for p in part:
                     block_of[p] = new
-                if b in in_waiting or len(part) <= len(blocks[b]):
+                if in_waiting[b] or len(part) <= len(blocks[b]):
                     waiting.append(new)
-                    in_waiting.add(new)
+                    in_waiting.append(True)
                 else:
                     waiting.append(b)
-                    in_waiting.add(b)
+                    in_waiting[b] = True
+                    in_waiting.append(False)
 
+    names = list(map(str, range(n)))
+    if len(blocks) == n and _walk_numbered(succ):
+        return _canonical(_numbered_dfa(names, succ, alphabet, marked))
     # canonical form: the classes numbered from the initial one, each read off one of its states
     rep = [next(iter(block)) for block in blocks]
     class_moves = [[(a, block_of[q]) for a, q in succ[p] if live[q]] for p in rep]
     classes, moves = _numbered_walk(block_of[0], class_moves.__getitem__)
-    return _canonical(_numbered_dfa(list(map(str, range(len(classes)))), moves, alphabet,
+    return _canonical(_numbered_dfa(names[:len(classes)], moves, alphabet,
                                     [marked[rep[c]] for c in classes]))
+
+
+def _walk_numbered(succ: list[list[tuple[int, int]]]) -> bool:
+    """Whether :func:`_numbered_walk` from state 0 along ``succ`` numbers
+    every state as ``succ`` does: each state is reached before its moves
+    are listed, and each move leads to a state already seen or to the next
+    new one."""
+    seen = 1
+    for p, out in enumerate(succ):
+        if p == seen:
+            return False
+        for _, q in out:
+            if q >= seen:
+                if q > seen:
+                    return False
+                seen += 1
+    return True
 
 
 def _canonical(dfa: Dfa) -> Dfa:
@@ -841,7 +887,7 @@ def dfa_from_text(text: str, source: str = "<string>") -> Dfa:
     marked: list[str] = []
     transitions: dict[tuple[str, str], str] = {}
     in_transitions = False
-    seen: set[str] = set()
+    seen: dict[str, int] = {}  # per section: the line giving it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -851,7 +897,9 @@ def dfa_from_text(text: str, source: str = "<string>") -> Dfa:
             key = key.strip()
             if not colon or key not in _SECTIONS:
                 raise InputError(f"{source}:{lineno}: expected one of {_SECTIONS}, got {line!r}")
-            seen.add(key)
+            first = seen.setdefault(key, lineno)
+            if first != lineno:
+                raise InputError(f"{source}:{lineno}: section {key!r} already given on line {first}")
             values = rest.split()
             if key == "states":
                 states = values
@@ -877,7 +925,7 @@ def dfa_from_text(text: str, source: str = "<string>") -> Dfa:
             if (src, event) in transitions:
                 raise InputError(f"{source}:{lineno}: duplicate transition on ({src}, {event})")
             transitions[(src, event)] = dst
-    missing = set(_SECTIONS) - seen
+    missing = set(_SECTIONS).difference(seen)
     if missing:
         raise InputError(f"{source}: missing sections: {sorted(missing)}")
     if initial is None:

@@ -460,7 +460,8 @@ def replan(lp: IntegratedPlan, nominal_motion: Dfa, real_env: Environment) -> In
         raise InvariantError("plan was not adequate for its nominal motion model")
     real = motion_dfa(real_env, lp.initial_region)
     if _motion_gap(lp.motion_plan, real) is None:
-        return replace(lp, profile=door_profile(lp.motion_plan, real))
+        return IntegratedPlan(lp.agent, lp.dfa, lp.mission, lp.motion_plan,
+                              door_profile(lp.motion_plan, real), lp.initial_region, lp.labeling)
     new_dfa = _splice(lp.dfa, set(lp.labeling.regions), real_env)
     motion_plan = project(new_dfa, lp.labeling.regions)
     profile = door_profile(motion_plan, real)
@@ -648,7 +649,7 @@ def environment_to_text(env: Environment) -> str:
     for v, v2 in env.adjacency:
         lines.append(f"{v} {v2}")
     lines.append("doormap:")
-    for v, v2 in env.adjacency:
+    for v, v2 in dict.fromkeys(env.adjacency):  # a repeated pair's doors once
         if (v, v2) in env.door_map:
             lines.append(f"{v} {v2} " + " ".join(env.door_map[(v, v2)]))
     lines.append("initial:")
@@ -664,15 +665,24 @@ def environment_from_text(text: str, source: str = "<string>") -> Environment:
     door_map: dict[tuple[str, str], tuple[str, ...]] = {}
     initial: dict[str, str] = {}
     section = None
+    given: dict[object, int] = {}  # the line giving each line or pair that may be given once
+
+    def once(key: object, lineno: int, what: str) -> None:
+        first = given.setdefault(key, lineno)
+        if first != lineno:
+            raise InputError(f"{source}:{lineno}: {what} already given on line {first}")
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         lowered = line.lower()
         if lowered.startswith("regions:"):
+            once("regions", lineno, "'regions'")
             regions = line.split(":", 1)[1].split()
             continue
         if lowered.startswith("doors:"):
+            once("doors", lineno, "'doors'")
             doors = line.split(":", 1)[1].split()
             continue
         if lowered in ("adjacency:", "doormap:", "initial:"):
@@ -686,10 +696,12 @@ def environment_from_text(text: str, source: str = "<string>") -> Environment:
         elif section == "doormap":
             if len(parts) < 2:
                 raise InputError(f"{source}:{lineno}: doormap wants 'from to doors...'")
+            once(("doormap", parts[0], parts[1]), lineno, f"doormap of {parts[0]!r} {parts[1]!r}")
             door_map[(parts[0], parts[1])] = tuple(parts[2:])
         elif section == "initial":
             if len(parts) != 2:
                 raise InputError(f"{source}:{lineno}: initial wants 'agent region'")
+            once(("initial", parts[0]), lineno, f"initial region of agent {parts[0]!r}")
             initial[parts[0]] = parts[1]
         else:
             raise InputError(f"{source}:{lineno}: unexpected line {line!r}")
@@ -702,6 +714,7 @@ def environment_from_text(text: str, source: str = "<string>") -> Environment:
 def labeling_from_text(text: str, regions: Sequence[str], source: str = "<string>") -> dict[str, LabelingMap]:
     """Parse 'agent event region...' lines into one labeling map per agent."""
     per_agent: dict[str, dict[str, frozenset[str]]] = {}
+    given: dict[tuple[str, str], int] = {}  # per (agent, event): the line giving its regions
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -710,6 +723,10 @@ def labeling_from_text(text: str, regions: Sequence[str], source: str = "<string
         if len(parts) < 3:
             raise InputError(f"{source}:{lineno}: labeling wants 'agent event region...'")
         agent, event, targets = parts[0], parts[1], parts[2:]
+        first = given.setdefault((agent, event), lineno)
+        if first != lineno:
+            raise InputError(f"{source}:{lineno}: regions of event {event!r} of agent {agent!r}"
+                             f" already given on line {first}")
         per_agent.setdefault(agent, {})[event] = frozenset(targets)
     return {
         agent: LabelingMap(tuple(regions), mapping) for agent, mapping in per_agent.items()

@@ -30,7 +30,9 @@ from cosynth.automata import (
     trim,
     universal_dfa,
     words_dfa,
+    _Product,
     _determinize,
+    _edge_walk,
     _minimize_numbered,
     _numbered_walk,
     _subset_walk,
@@ -418,6 +420,121 @@ def test_minimize_long_chain_and_cycle():
     once_round = Dfa(cycle.states, one, "0", cycle.transitions, frozenset({"0"}))
     assert len(minimize(once_round).states) == 3000
     assert len(minimize(cycle).states) == 1
+
+
+# -- the integer core, called with successor lists -----------------------------------
+
+
+def _succ_dfa(succ, marked, alphabet):
+    """The automaton of successor lists, state p named "p" and state 0 initial."""
+    names = [str(p) for p in range(len(succ))]
+    transitions = {(names[p], alphabet.events[a]): names[q]
+                   for p, out in enumerate(succ) for a, q in out}
+    return Dfa(tuple(names), alphabet, "0", transitions,
+               frozenset(name for name, m in zip(names, marked) if m))
+
+
+def _renumber(succ, marked, rng):
+    """*succ* and *marked* with every state but 0 renumbered at random."""
+    perm = [0] + rng.sample(range(1, len(succ)), len(succ) - 1)
+    new_succ = [None] * len(succ)
+    new_marked = [None] * len(succ)
+    for p, out in enumerate(succ):
+        new_succ[perm[p]] = [(a, perm[q]) for a, q in out]
+        new_marked[perm[p]] = marked[p]
+    return new_succ, new_marked
+
+
+def _check_minimize_numbered(succ, marked, alphabet):
+    got = _minimize_numbered(succ, marked, alphabet)
+    assert dfa_to_text(got) == dfa_to_text(reference_minimize(_succ_dfa(succ, marked, alphabet)))
+    assert minimize(got) is got  # recorded as canonical
+    return got
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_events=st.integers(min_value=1, max_value=3),
+    density=st.sampled_from((0.3, 0.6, 1.0)),
+    marked_p=st.sampled_from((0.0, 0.3, 0.7, 1.0)),
+    unreachable=st.integers(min_value=0, max_value=3),
+    renumber=st.booleans(),
+)
+def test_minimize_numbered_matches_the_reference(seed, n_events, density, marked_p,
+                                                 unreachable, renumber):
+    # successor lists numbered as a walk numbers them, or renumbered, with
+    # dead states and states no walk from 0 reaches
+    rng = random.Random(seed)
+    events = ("a", "b", "c")[:n_events]
+    d = random_dfa(rng, 10, events, density=density, marked_p=marked_p)
+    order, succ = _edge_walk(d)
+    marked = [q in d.marked for q in order]
+    for _ in range(unreachable):
+        succ.append([(a, rng.randrange(len(succ) + 1)) for a in range(n_events)
+                     if rng.random() < density])
+        marked.append(rng.random() < marked_p)
+    if renumber and len(succ) > 1:
+        succ, marked = _renumber(succ, marked, rng)
+    _check_minimize_numbered(succ, marked, d.alphabet)
+
+
+def test_minimize_numbered_ignores_moves_into_dead_states():
+    # the two marked states are equivalent, though one of them moves into the
+    # dead state 3; with either numbering
+    abc = EventAlphabet(("a", "b", "c"))
+    for succ in ([[(0, 1), (1, 2)], [(2, 3)], [], []],
+                 [[(0, 2), (1, 1)], [], [(2, 3)], []]):
+        got = _check_minimize_numbered(succ, [False, True, True, False], abc)
+        assert got.transitions == {("0", "a"): "1", ("0", "b"): "1"}
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_events=st.integers(min_value=1, max_value=3),
+    admitted_p=st.sampled_from((0.5, 0.8, 1.0)),
+)
+def test_minimize_numbered_with_the_sink_appended_last(seed, n_events, admitted_p):
+    # the shape of the weakest assumption: admitted states are total, with
+    # missing moves sent to a marked sink numbered after every walked state,
+    # and rejected states have no moves and no mark
+    rng = random.Random(seed)
+    events = ("a", "b", "c")[:n_events]
+    d = random_dfa(rng, 8, events, density=0.6)
+    _, walked = _edge_walk(d)
+    sink = len(walked)
+    admitted = [rng.random() < admitted_p for _ in walked]
+    succ = [[(a, dict(out).get(a, sink)) for a in range(n_events)] if ok else []
+            for ok, out in zip(admitted, walked)]
+    succ.append([(a, sink) for a in range(n_events)])
+    _check_minimize_numbered(succ, admitted + [True], d.alphabet)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    sizes=st.tuples(st.integers(min_value=10, max_value=17),
+                    st.integers(min_value=10, max_value=17)),
+    renumber=st.booleans(),
+)
+def test_minimize_numbered_keeps_an_already_minimal_product(seed, sizes, renumber):
+    # two counters, of a's modulo p and of b's modulo q, each marked at 0: the
+    # product walk gives p·q states, no two of them equivalent, so the
+    # refinement ends in singletons
+    rng = random.Random(seed)
+    operands = [cycle_dfa((e,) * n, EventAlphabet((e,))) for e, n in zip("ab", sizes)]
+    operands = [Dfa(c.states, c.alphabet, "0", c.transitions, frozenset({"0"}))
+                for c in operands]
+    alphabet = EventAlphabet(tuple(rng.sample(["a", "b"], 2)))
+    product = _Product(operands, alphabet.events)
+    order, succ = _numbered_walk(product.initial, product.moves)
+    marked = product.marks(order)
+    if renumber:
+        succ, marked = _renumber(succ, marked, rng)
+    got = _check_minimize_numbered(succ, marked, alphabet)
+    assert len(got.states) == sizes[0] * sizes[1]
+    assert dfa_to_text(got) == dfa_to_text(minimal_product(operands, alphabet))
 
 
 @settings(max_examples=200, deadline=None, database=None)

@@ -163,6 +163,24 @@ def test_parse_error_exits_2_and_names_the_line(tmp_path, capsys):
     assert "broken.aut:2" in err
 
 
+@pytest.mark.parametrize("section, line, first", [
+    ("marked: 1", 6, 5),
+    ("states: 0 1", 6, 1),
+    ("alphabet: a u", 6, 2),
+    ("controllable: a", 6, 3),
+    ("initial: 1", 6, 4),
+])
+def test_repeated_section_exits_2_and_names_both_lines(tmp_path, capsys, section, line, first):
+    # a repeated section used to replace the earlier one silently
+    text = "states: 0 1\nalphabet: a u\ncontrollable: a\ninitial: 0\nmarked: 0\n"
+    repeated = tmp_path / "repeated.aut"
+    repeated.write_text(text + section + "\ntransitions:\n0 a 1\n", encoding="utf-8")
+    assert main(["complement", str(repeated)]) == 2
+    key = section.split(":")[0]
+    assert capsys.readouterr().err == (
+        f"error: {repeated}:{line}: section {key!r} already given on line {first}\n")
+
+
 def test_missing_file_exits_2(tmp_path):
     assert main(["complement", str(tmp_path / "nope.aut")]) == 2
 

@@ -869,6 +869,47 @@ def test_environment_round_trip():
     text = environment_to_text(env)
     back = environment_from_text(text)
     assert environment_to_text(back) == text
+    # a repeated adjacency pair writes its doormap line once, which parses
+    twice = replace(env, adjacency=env.adjacency + env.adjacency[:1])
+    assert environment_from_text(environment_to_text(twice)) == twice
+
+
+ENV_TEXT = "regions: R1 R2\ndoors: D\nadjacency:\nR1 R2\ndoormap:\nR1 R2 D\ninitial:\na R1\n"
+
+
+@pytest.mark.parametrize("extra, line, message", [
+    ("regions: R1 R2 R3", 9, "'regions' already given on line 1"),
+    ("Doors: D E", 9, "'doors' already given on line 2"),
+    ("initial:\na R2", 10, "initial region of agent 'a' already given on line 8"),
+    ("doormap:\nR1 R2", 10, "doormap of 'R1' 'R2' already given on line 6"),
+])
+def test_environment_parser_names_a_repeated_line(extra, line, message):
+    # each of these used to replace the earlier line silently
+    assert environment_from_text(ENV_TEXT).initial_regions == {"a": "R1"}
+    with pytest.raises(InputError, match=f"^env:{line}: {re.escape(message)}$"):
+        environment_from_text(ENV_TEXT + extra + "\n", source="env")
+
+
+def test_environment_parser_keeps_pairs_and_agents_apart():
+    # a doormap pair, an initial agent and a section may share a name
+    text = ("regions: initial regions\ndoors: D\nadjacency:\ninitial regions\n"
+            "doormap:\ninitial regions D\ninitial:\ninitial initial\nregions regions\n")
+    env = environment_from_text(text)
+    assert env.initial_regions == {"initial": "initial", "regions": "regions"}
+    assert env.door_map == {("initial", "regions"): ("D",)}
+
+
+def test_labeling_parser_names_a_repeated_event():
+    # an agent's event used to keep only its last line of regions
+    text = "a go R1\nb go R2\n# comment\na stay R1\na go R2\n"
+    with pytest.raises(InputError, match=(
+            "^labels:5: regions of event 'go' of agent 'a' already given on line 1$")):
+        labeling_from_text(text, REGIONS, source="labels")
+    got = labeling_from_text(text.replace("a go R2\n", ""), REGIONS)
+    assert {agent: pi.mapping for agent, pi in got.items()} == {
+        "a": {"go": frozenset({"R1"}), "stay": frozenset({"R1"})},
+        "b": {"go": frozenset({"R2"})},
+    }
 
 
 def test_labeling_round_trip():
