@@ -24,21 +24,23 @@ the subsets of an epsilon-NFA step through the subset construction
 assumption and the replanning splice hand to the integer core of
 :func:`minimize`.
 
-Every synchronous product is one walk over tuples of integer operand
-states (``_Product``), which steps a tuple through the moves that its
-operands' states have: :func:`parallel_compose_all`, with
-:func:`parallel_compose` its two-operand case, names the tuples it reaches;
-:func:`minimal_product` feeds them to the integer core of :func:`minimize`;
-and :func:`product_violation` walks them next to a property to find the
-shortest, lexicographically least accepted word that leaves it.  That walk
-is the core's one answer to "does this product satisfy the property?":
-:func:`language_subset` and :func:`cosynth.langops.satisfies` ask it of one
-operand; in :mod:`cosynth.verification` the plan check asks it of the
-plans, and the symmetric rule's last premise of the complemented
-assumptions.  This walk, and the weakest assumption's walk of the same
-product that builds its violation automaton, move the property along its
-own transitions at each pair they reach, so a check costs the pairs the
-product reaches and not the property's states × events.
+Every synchronous product is one walk over integer codes of operand state
+tuples (``_Product``), one mixed-radix integer per tuple, which steps a
+code through the moves that its operands' states have by adding each
+moving operand's precomputed delta: :func:`parallel_compose_all`, with
+:func:`parallel_compose` its two-operand case, decodes the codes it
+reaches to name them; :func:`minimal_product` feeds their successor lists
+to the integer core of :func:`minimize`; and :func:`product_violation`
+walks them next to a property to find the shortest, lexicographically
+least accepted word that leaves it.  That walk is the core's one answer to
+"does this product satisfy the property?": :func:`language_subset` and
+:func:`cosynth.langops.satisfies` ask it of one operand; in
+:mod:`cosynth.verification` the plan check asks it of the plans, and the
+symmetric rule's last premise of the complemented assumptions.  This
+walk, and the weakest assumption's walk of the same product that builds
+its violation automaton, move the property along its own transitions at
+each pair they reach, so a check costs the pairs the product reaches and
+not the property's states × events.
 """
 
 from __future__ import annotations
@@ -363,101 +365,111 @@ def _union_events(dfas: Sequence[Dfa]) -> tuple[str, ...]:
 
 
 class _Product:
-    """The synchronous product of *dfas* over *events*, walked over tuples of
-    integer operand states without naming them.
+    """The synchronous product of *dfas* over *events*, walked over integer
+    codes of operand state tuples without naming them.
 
-    Operand i's state number is its position in ``dfas[i].states``.  An
-    event moves every operand that owns it and needs all of them to define
-    it; an event no operand owns never occurs.  A tuple is marked when every
-    operand is marked in it.  :meth:`moves` and :meth:`is_marked` remember
-    what they computed, for walks that visit a tuple more than once.
+    Operand i's state number q_i is its position in ``dfas[i].states``, and
+    a tuple is the mixed-radix code c = Σ q_i·stride_i, where stride_i is
+    the product of the state counts of the operands before i; operand i's
+    digit of c is ``c // stride_i % |Q_i|``.  An event moves every operand
+    that owns it and needs all of them to define it; an event no operand
+    owns never occurs.  A code is marked when every operand is marked in it.
+    :meth:`moves` and :meth:`is_marked` remember what they computed, for
+    walks that visit a code more than once.
 
     Each event is listed under its first owner in operand order: for each
-    state number, that operand keeps the (event index, next state, other
-    owners' columns) of its moves on those events.  A step walks the lists
-    of the tuple's operand states, keeps a move when every other owner's
-    column defines it, and sorts the few moves it keeps by event index, so
-    it costs the operands' moves and not the product alphabet.
+    state number, that operand keeps the (event index, code delta, other
+    owners' columns) of its moves on those events, where a move from q to q'
+    adds (q' − q)·stride_i to the code, and each other owner's column holds
+    the delta of that owner's move by its state number, or None where it has
+    none.  A step walks the lists of the code's operand digits, keeps a move
+    when every other owner's column defines it, and sorts the few moves it
+    keeps by event index, so it costs the operands' moves and not the
+    product alphabet.
     """
 
     def __init__(self, dfas: Sequence[Dfa], events: Sequence[str]) -> None:
         self.events = events
         index = {e: a for a, e in enumerate(events)}
-        # per event: the operands owning it, in operand order
-        owners: list[list[int]] = [[] for _ in events]
-        for i, dfa in enumerate(dfas):
-            for e in dfa.alphabet.events:
-                owners[index[e]].append(i)
-        # per event: (operand, next state by state number) for each owner but
-        # the first; the first owner's moves hold this very list, so owners
-        # numbered after it still join it
-        others: list[list[tuple[int, list[Optional[int]]]]] = [[] for _ in events]
-        # per operand and state number: the (event index, next state, other
-        # owners) moves on the events that the operand owns first
-        self._out: list[list[list[tuple[int, int, list]]]] = []
+        # per event, from its first owner on: (stride, size, delta by state
+        # number) for each later owner; the first owner's moves hold this
+        # very list, so owners numbered after it still join it
+        others: dict[str, list[tuple[int, int, list[Optional[int]]]]] = {}
+        # per operand: its (stride, size) and, by state number, the (event
+        # index, delta, other owners) moves on the events that it owns first
+        self._radix: list[tuple[int, int]] = []
         self._accepting: list[list[bool]] = []
-        initial = []
-        for i, dfa in enumerate(dfas):
+        self._movers: list[tuple[int, int, list[list[tuple[int, int, list]]]]] = []
+        self.initial = 0
+        stride = 1
+        for dfa in dfas:
+            size = len(dfa.states)
             number = {q: n for n, q in enumerate(dfa.states)}
             columns: dict[str, list[Optional[int]]] = {}
             for e in dfa.alphabet.events:
-                a = index[e]
-                if owners[a][0] != i:
-                    columns[e] = [None] * len(dfa.states)
-                    others[a].append((i, columns[e]))
-            out: list[list[tuple[int, int, list]]] = [[] for _ in dfa.states]
+                if e in others:
+                    columns[e] = [None] * size
+                    others[e].append((stride, size, columns[e]))
+                else:
+                    others[e] = []
+            out: list[list[tuple[int, int, list]]] = [[] for _ in range(size)]
             for (src, e), dst in dfa.transitions.items():
+                q, nq = number[src], number[dst]
                 column = columns.get(e)
                 if column is None:
-                    a = index[e]
-                    out[number[src]].append((a, number[dst], others[a]))
+                    out[q].append((index[e], (nq - q) * stride, others[e]))
                 else:
-                    column[number[src]] = number[dst]
-            self._out.append(out)
+                    column[q] = (nq - q) * stride
+            self._radix.append((stride, size))
             self._accepting.append([q in dfa.marked for q in dfa.states])
-            initial.append(number[dfa.initial])
-        self.initial = tuple(initial)
-        self._moves: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
-        self._is_marked: dict[tuple[int, ...], bool] = {}
+            if any(out):
+                self._movers.append((stride, size, out))
+            self.initial += number[dfa.initial] * stride
+            stride *= size
+        self._moves: dict[int, list[tuple[int, int]]] = {}
+        self._is_marked: dict[int, bool] = {}
 
-    def is_marked(self, t: tuple[int, ...]) -> bool:
-        """Whether every operand is marked in t."""
-        flag = self._is_marked.get(t)
+    def digits(self, c: int) -> list[int]:
+        """The operand state numbers of code c, in operand order."""
+        return [c // stride % size for stride, size in self._radix]
+
+    def is_marked(self, c: int) -> bool:
+        """Whether every operand is marked in code c."""
+        flag = self._is_marked.get(c)
         if flag is None:
-            flag = self._is_marked[t] = all(flags[q] for flags, q in zip(self._accepting, t))
+            flag = self._is_marked[c] = all(map(list.__getitem__, self._accepting, self.digits(c)))
         return flag
 
-    def marks(self, tuples: Iterable[tuple[int, ...]]) -> list[bool]:
-        """:meth:`is_marked` of each of *tuples*, read off the operands' flags
-        without remembering them, for a walk that reaches each tuple once."""
+    def marks(self, codes: Iterable[int]) -> list[bool]:
+        """:meth:`is_marked` of each of *codes*, read off the operands' flags
+        without remembering them, for a walk that reaches each code once."""
         accepting = self._accepting
-        return [all(map(list.__getitem__, accepting, t)) for t in tuples]
+        return [all(map(list.__getitem__, accepting, self.digits(c))) for c in codes]
 
-    def moves(self, t: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
-        """(event index, next tuple) for each move of t, in event order."""
-        out = self._moves.get(t)
+    def moves(self, c: int) -> list[tuple[int, int]]:
+        """(event index, next code) for each move of code c, in event order."""
+        out = self._moves.get(c)
         if out is None:
-            out = self._moves[t] = self._step(t)
+            out = self._moves[c] = self._step(c)
         return out
 
-    def _step(self, t: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+    def _step(self, c: int) -> list[tuple[int, int]]:
         out = []
-        for i, q in enumerate(t):
-            for a, nq, others in self._out[i][q]:
-                nxt = list(t)
-                nxt[i] = nq
-                for j, column in others:
-                    qj = column[t[j]]
-                    if qj is None:
+        for stride, size, moves in self._movers:
+            for a, delta, others in moves[c // stride % size]:
+                nxt = c + delta
+                for stride_j, size_j, column in others:
+                    d = column[c // stride_j % size_j]
+                    if d is None:
                         break
-                    nxt[j] = qj
+                    nxt += d
                 else:
-                    out.append((a, tuple(nxt)))
+                    out.append((a, nxt))
         out.sort()
         return out
 
     def expanded(self) -> int:
-        """Number of tuples whose moves :meth:`moves` computed."""
+        """Number of codes whose moves :meth:`moves` computed."""
         return len(self._moves)
 
 
@@ -479,7 +491,8 @@ def parallel_compose_all(dfas: Sequence[Dfa]) -> Dfa:
     over the union of the operand alphabets in operand order, holds the
     accessible states in breadth-first order, marks the tuples in which every
     operand is marked, and names each tuple once, left-nested as
-    "⟨⟨a,b⟩,c⟩".  One operand is returned as it is.
+    "⟨⟨a,b⟩,c⟩", from the operand states its code decodes to.  One operand
+    is returned as it is.
     """
     events = _union_events(dfas)
     if len(dfas) == 1:
@@ -488,9 +501,10 @@ def parallel_compose_all(dfas: Sequence[Dfa]) -> Dfa:
     order, succ = _numbered_walk(product.initial, product._step)
     first, *rest = [dfa.states for dfa in dfas]
     names = []
-    for t in order:
-        name = first[t[0]]
-        for states, q in zip(rest, t[1:]):
+    for c in order:
+        q0, *qs = product.digits(c)
+        name = first[q0]
+        for states, q in zip(rest, qs):
             name = f"⟨{name},{states[q]}⟩"
         names.append(name)
     if len(set(names)) != len(names):  # operand state names with commas can clash
@@ -505,9 +519,9 @@ def minimal_product(dfas: Sequence[Dfa], alphabet: EventAlphabet) -> Dfa:
     The result is ``minimize(widen_alphabet(parallel_compose_all(dfas),
     alphabet))``: every operand event must be in *alphabet*, and an event of
     *alphabet* that no operand owns never occurs.  The successor lists of
-    the product's numbered walk go straight to the integer core of
-    :func:`minimize`, so no product state is named and no intermediate
-    automaton is built.
+    the product's numbered walk over integer codes go straight to the
+    integer core of :func:`minimize`, so no product state is decoded or
+    named and no intermediate automaton is built.
     """
     if not dfas:
         raise InputError("need at least one automaton")
@@ -523,10 +537,10 @@ def minimal_product(dfas: Sequence[Dfa], alphabet: EventAlphabet) -> Dfa:
 def product_violation(dfas: Sequence[Dfa], prop: Dfa) -> tuple[Optional[Word], int]:
     """The shortest, lexicographically least word of the product of *dfas*
     that leaves the property's marked language (None if there is none), and
-    the number of operand tuples the walk expanded: all of the product's
+    the number of product states the walk expanded: all of the product's
     states when there is none.
 
-    A breadth-first walk over (operand tuple, property state), events in the
+    A breadth-first walk over (product code, property state), events in the
     order of :func:`parallel_compose_all`, that moves the property along its
     own transitions as it reaches each pair: an event the property does not
     own leaves it where it is, and a missing property transition leads to
@@ -537,10 +551,10 @@ def product_violation(dfas: Sequence[Dfa], prop: Dfa) -> tuple[Optional[Word], i
     transitions, prop_marked = prop.transitions, prop.marked
     # per product event: the event itself when the property owns it
     prop_events = [e if e in prop.alphabet else None for e in product.events]
-    start: tuple[tuple[int, ...], Optional[str]] = (product.initial, prop.initial)
+    start: tuple[int, Optional[str]] = (product.initial, prop.initial)
     if product.is_marked(product.initial) and prop.initial not in prop_marked:
         return EPSILON, 0
-    parent: dict[tuple[tuple[int, ...], Optional[str]], Optional[tuple]] = {start: None}
+    parent: dict[tuple[int, Optional[str]], Optional[tuple]] = {start: None}
     queue = deque([start])
     while queue:
         pair = queue.popleft()
@@ -634,7 +648,9 @@ def minimize(dfa: Dfa) -> Dfa:
     The result records that it is canonical, in a hidden attribute as
     :class:`EventAlphabet` keeps its index, and a recorded input is returned
     unchanged.  Automata are immutable, so the record stays true; any new
-    ``Dfa`` built from a recorded one carries none.
+    ``Dfa`` built from a recorded one carries none, except the one that
+    :func:`cosynth.langops.widen_like` reindexes over the same events in
+    the same order.
 
     This is the string front end: it numbers the reachable states and hands
     their successor lists to :func:`_minimize_numbered`.

@@ -31,6 +31,7 @@ from cosynth.automata import (
     shortest_marked,
     trim,
     words_dfa,
+    _canonical,
     _determinize,
     _minimize_numbered,
     _numbered_walk,
@@ -243,13 +244,18 @@ def widen_like(dfa: Dfa, alphabet: EventAlphabet) -> Dfa:
     """Same language, reindexed over an alphabet with identical event set.
 
     An automaton already over *alphabet* is returned as it is, so a
-    minimised one keeps its canonical record.
+    minimised one keeps its canonical record.  So does one reindexed over
+    the same events in the same order: only the controllable split changes,
+    and the canonical numbering follows the event order alone.
     """
     if dfa.alphabet == alphabet:
         return dfa
     if set(dfa.alphabet.events) != set(alphabet.events):
         raise InputError("alphabets must contain the same events")
-    return Dfa(dfa.states, alphabet, dfa.initial, dfa.transitions, dfa.marked)
+    widened = Dfa(dfa.states, alphabet, dfa.initial, dfa.transitions, dfa.marked)
+    if alphabet.events == dfa.alphabet.events and getattr(dfa, "_canonical", False):
+        return _canonical(widened)
+    return widened
 
 
 def _supc_walk(spec: Dfa, plant: Dfa, alphabet: EventAlphabet) -> Dfa:

@@ -113,7 +113,7 @@ def weakest_assumption(module: Dfa, prop: Dfa, interface: EventAlphabet) -> Dfa:
     steps = [(e if e in prop.alphabet else None, e if e in interface else None)
              for e in product.events]
     start = (product.initial, prop.initial)
-    nfa: dict[tuple[tuple, Optional[str]], set[tuple]] = {}
+    nfa: dict[tuple[tuple[int, Optional[str]], Optional[str]], set[tuple[int, Optional[str]]]] = {}
     order = [start]
     seen = {start}
     for pair in order:

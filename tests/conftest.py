@@ -46,8 +46,6 @@ from cosynth.automata import (
     trim,
     _determinize,
     _out_edges,
-    _Product,
-    _union_events,
 )
 from cosynth.langops import project, widen_alphabet, widen_like
 from cosynth.motion import (
@@ -485,6 +483,34 @@ def reference_language_subset(a: Dfa, b: Dfa) -> Optional[Word]:
 # -- the tabled property walks, the references for the stepping ones ---------
 
 
+def reference_product(dfas: Sequence[Dfa]) -> tuple[tuple[str, ...], tuple[str, ...],
+                                                     Callable[[tuple[str, ...]], list],
+                                                     Callable[[tuple[str, ...]], bool]]:
+    """The synchronous product of *dfas* over tuples of operand state names,
+    stepped through each operand's own transitions: the union events in
+    operand order, the initial tuple, the (event index, next tuple) moves of
+    a tuple in event order, and whether every operand is marked in a tuple."""
+    events = tuple(dict.fromkeys(e for dfa in dfas for e in dfa.alphabet.events))
+    owners = [[i for i, dfa in enumerate(dfas) if e in dfa.alphabet] for e in events]
+
+    def moves(t: tuple[str, ...]) -> list[tuple[int, tuple[str, ...]]]:
+        out = []
+        for a, e in enumerate(events):
+            nxt = list(t)
+            for i in owners[a]:
+                nxt[i] = dfas[i].transitions.get((t[i], e))
+                if nxt[i] is None:
+                    break
+            else:
+                out.append((a, tuple(nxt)))
+        return out
+
+    def is_marked(t: tuple[str, ...]) -> bool:
+        return all(q in dfa.marked for q, dfa in zip(t, dfas))
+
+    return events, tuple(dfa.initial for dfa in dfas), moves, is_marked
+
+
 def reference_property_table(prop: Dfa) -> tuple[int, dict[str, list[int]], list[bool]]:
     """The property's initial state number, for each of its events the next
     state number by state number, and whether each state is marked; state
@@ -498,34 +524,37 @@ def reference_property_table(prop: Dfa) -> tuple[int, dict[str, list[int]], list
 
 
 def reference_tabled_violation(dfas: Sequence[Dfa], prop: Dfa) -> tuple[Optional[Word], int]:
-    """The violation walk over the property's integer table, the reference
-    for :func:`cosynth.automata.product_violation`: the same breadth-first
-    walk with the property states numbered and the sink one more number."""
-    product = _Product(dfas, _union_events(dfas))
+    """The violation walk over named operand tuples and the property's
+    integer table, the reference for :func:`cosynth.automata.product_violation`:
+    the same breadth-first walk, with the property states numbered and the
+    sink one more number, that counts the tuples whose moves it listed."""
+    events, initial, moves, is_marked = reference_product(dfas)
     prop_initial, columns, prop_marked = reference_property_table(prop)
-    prop_columns = [columns.get(e) for e in product.events]
-    start = (product.initial, prop_initial)
-    if product.is_marked(product.initial) and not prop_marked[start[1]]:
+    prop_columns = [columns.get(e) for e in events]
+    start = (initial, prop_initial)
+    if is_marked(initial) and not prop_marked[prop_initial]:
         return EPSILON, 0
-    parent: dict[tuple[tuple[int, ...], int], Optional[tuple]] = {start: None}
+    expanded: set[tuple[str, ...]] = set()
+    parent: dict[tuple[tuple[str, ...], int], Optional[tuple]] = {start: None}
     queue = deque([start])
     while queue:
         pair = queue.popleft()
         t, qp = pair
-        for a, nt in product.moves(t):
+        expanded.add(t)
+        for a, nt in moves(t):
             column = prop_columns[a]
             np_ = qp if column is None else column[qp]
-            if not prop_marked[np_] and product.is_marked(nt):
-                word = [product.events[a]]
+            if not prop_marked[np_] and is_marked(nt):
+                word = [events[a]]
                 while parent[pair] is not None:
                     pair, a = parent[pair]
-                    word.append(product.events[a])
-                return tuple(reversed(word)), product.expanded()
+                    word.append(events[a])
+                return tuple(reversed(word)), len(expanded)
             nxt = (nt, np_)
             if nxt not in parent:
                 parent[nxt] = (pair, a)
                 queue.append(nxt)
-    return None, product.expanded()
+    return None, len(expanded)
 
 
 @dataclass
@@ -820,17 +849,16 @@ def reference_weakest_assumption(module: Dfa, prop: Dfa, interface: EventAlphabe
 
 def reference_tabled_weakest_assumption(module: Dfa, prop: Dfa,
                                         interface: EventAlphabet) -> Dfa:
-    """The weakest assumption from the core's product steps next to the
-    property's integer table, the reference for
+    """The weakest assumption from the walk of named operand tuples next to
+    the property's integer table, the reference for
     :func:`cosynth.verification.weakest_assumption`."""
     for e in interface.events:
         if e not in module.alphabet and e not in prop.alphabet:
             raise InputError(f"interface event {e!r} unknown to module and property")
-    operands = _with_free_events([module], prop)
-    product = _Product(operands, _union_events(operands))
+    events, initial, moves, _ = reference_product(_with_free_events([module], prop))
     prop_initial, columns, prop_marked = reference_property_table(prop)
-    steps = [(columns.get(e), e if e in interface else None) for e in product.events]
-    start = (product.initial, prop_initial)
+    steps = [(columns.get(e), e if e in interface else None) for e in events]
+    start = (initial, prop_initial)
     nfa: dict[tuple[tuple, Optional[str]], set[tuple]] = {}
     order = [start]
     seen = {start}
@@ -838,7 +866,7 @@ def reference_tabled_weakest_assumption(module: Dfa, prop: Dfa,
         t, qp = pair
         if not prop_marked[qp]:
             continue  # violation is absorbing for the trigger set
-        for a, nt in product.moves(t):
+        for a, nt in moves(t):
             column, label = steps[a]
             nxt = (nt, qp if column is None else column[qp])
             nfa.setdefault((pair, label), set()).add(nxt)

@@ -3,6 +3,7 @@
 import random
 import re
 from collections import deque
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,6 +26,7 @@ from cosynth.automata import (
     minimize,
     parallel_compose,
     parallel_compose_all,
+    product_violation,
     run,
     shortest_marked,
     trim,
@@ -53,6 +55,7 @@ from conftest import (
     reference_language_subset,
     reference_minimize,
     reference_mission,
+    reference_tabled_violation,
     word_dfa,
     words_up_to,
 )
@@ -335,6 +338,88 @@ def test_parallel_compose_all_matches_the_pairwise_fold(seed, operand_events, ma
     assert got.states == expected.states  # the same breadth-first order
     if len(operands) == 2:
         assert dfa_to_text(parallel_compose(*operands)) == dfa_to_text(expected)
+
+
+def _kernel_operand(rng: random.Random, events: list[str], kind: str, size: int,
+                    marked_p: float = 0.7) -> Dfa:
+    """An operand over *events* of *size* states, in shuffled order: a random
+    part of up to ``live`` states from "0", and padding states "x…" with
+    moves of their own that the random part never reaches.  ``kind`` is
+    "random" (up to five states, partial moves), "dense" (up to two states
+    that lack few moves), "one-state" (some self-loops) or "move-less" (no
+    transitions at all)."""
+    live = {"random": 5, "dense": 2, "one-state": 1, "move-less": 3}[kind]
+    density = {"random": 0.85, "dense": 0.97, "one-state": 0.5, "move-less": 0.0}[kind]
+    d = random_dfa(rng, min(live, size), events, density=density, marked_p=marked_p)
+    pad = tuple(f"x{k}" for k in range(size - len(d.states)))
+    states = list(d.states + pad)
+    rng.shuffle(states)
+    transitions = dict(d.transitions)
+    if kind != "move-less":
+        transitions.update({(q, e): rng.choice(states) for q in pad for e in events
+                            if rng.random() < 0.5})
+    alphabet = EventAlphabet(tuple(events), frozenset(rng.sample(events, len(events) // 2)))
+    return Dfa(tuple(states), alphabet, d.initial, transitions,
+               d.marked | {q for q in pad if rng.random() < 0.5})
+
+
+def _check_product_kernel(rng: random.Random, operands: list[Dfa]) -> None:
+    """parallel_compose_all, minimal_product and product_violation against
+    their references, on *operands* and a random property."""
+    got = parallel_compose_all(operands)
+    expected = reference_compose(operands)
+    assert dfa_to_text(got) == dfa_to_text(expected)
+    assert got.states == expected.states
+    events = list(got.alphabet.events)
+    rng.shuffle(events)
+    alphabet = EventAlphabet(tuple(events + ["z"]))  # z: an event no operand owns
+    assert dfa_to_text(minimal_product(operands, alphabet)) == dfa_to_text(
+        reference_mission(operands, alphabet))
+    prop_events = rng.sample(events, rng.randint(1, len(events)))
+    prop = random_dfa(rng, 4, prop_events, density=0.7, marked_p=0.7)
+    assert product_violation(operands, prop) == reference_tabled_violation(operands, prop)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kinds=st.lists(st.sampled_from(("random", "random", "random", "one-state", "move-less")),
+                   min_size=1, max_size=4),
+    shared=st.booleans(),
+)
+# one operand; a one-state and a move-less one; three owners of one event
+@example(seed=1, kinds=["random"], shared=False)
+@example(seed=2, kinds=["one-state", "move-less"], shared=True)
+@example(seed=3, kinds=["random", "random", "random"], shared=True)
+def test_product_kernel_matches_the_references(seed, kinds, shared):
+    rng = random.Random(seed)
+    operands = []
+    for kind in kinds:
+        events = rng.sample(PRODUCT_POOL, rng.randint(1, 3))
+        if shared and "a" not in events:
+            events.append("a")  # owned by every operand
+        operands.append(_kernel_operand(rng, events, kind, rng.randint(1, 6)))
+    _check_product_kernel(rng, operands)
+
+
+@settings(max_examples=10, deadline=None, database=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       count=st.integers(min_value=22, max_value=26))
+def test_product_kernel_past_machine_integers(seed, count):
+    # at least 22 operands of 8 states or more, so the product's state codes
+    # pass 2**63; every operand owns "s" and two states of live moves keep the
+    # reachable product small, and nearly all of them are marked so that
+    # some product states are; the last two operands alone own "d", so an
+    # operand far into the code moves first on an event
+    rng = random.Random(seed)
+    operands = []
+    for i in range(count):
+        events = ["s"] + [e for e in ("a", "b", "c") if rng.random() < 0.5]
+        events += ["d"] if i >= count - 2 else []
+        rng.shuffle(events)
+        operands.append(_kernel_operand(rng, events, "dense", rng.randint(8, 10), 0.97))
+    assert prod(len(d.states) for d in operands) > 2**63
+    _check_product_kernel(rng, operands)
 
 
 @settings(max_examples=200, deadline=None, database=None)

@@ -44,6 +44,7 @@ from conftest import (
     quotient,
     random_dfa,
     reference_decompose,
+    reference_minimize,
     reference_mission,
     reference_supc_closed_form,
     step_word,
@@ -159,6 +160,33 @@ def test_decompose_matches_the_monolithic_route(seed, component_events, agent_ev
     expected = reference_decompose(components, alphabets, global_alphabet)
     assert len(got.product_states) == len(alphabets)
     assert [dfa_to_text(s) for s in got.specs] == [dfa_to_text(s) for s in expected]
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_widen_like_keeps_the_canonical_record_only_for_the_same_event_order(seed):
+    rng = random.Random(seed)
+    events = ("a", "b", "c")
+    m = minimize(random_dfa(rng, 6, events))
+    split = frozenset(rng.sample(events, rng.randint(1, 3)))
+    # the same events in the same order: only the controllable split changes
+    same = widen_like(m, EventAlphabet(events, split))
+    assert same is not m and same.alphabet.controllable == split
+    assert minimize(same) is same
+    assert dfa_to_text(same) == dfa_to_text(reference_minimize(same))
+    # another order renumbers the canonical form, so the record is dropped
+    other = widen_like(m, EventAlphabet(events[::-1], split))
+    got = minimize(other)
+    assert got is not other
+    assert dfa_to_text(got) == dfa_to_text(reference_minimize(other))
+
+
+def test_decomposed_specs_reach_synthesis_minimal(casestudy):
+    # each spec is decompose's canonical output reindexed over its agent's
+    # alphabet in the same order, so synthesis does not minimise it again
+    got = decompose(casestudy["components"], casestudy["alphabets"], casestudy["global_alphabet"])
+    for spec in got.specs:
+        assert minimize(spec) is spec
 
 
 def test_inverse_project_single_operand():

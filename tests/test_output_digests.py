@@ -6,7 +6,9 @@ directory by ``perfbench/generate.py``, which is imported read-only).  The
 digest of ``report.txt``, of every artifact and of ``trace.txt`` must equal
 the one stored in ``output_digests.json``.  The monolithic mission of
 ``escorts`` at three pairs is pinned too, since it is the largest automaton
-the pipeline writes.  So are the supervisor and the learning trace that
+the pipeline writes, and so is the ``report.txt`` of a whole run on that
+instance: its pass verdicts, counterexamples and product-state counts come
+from the violation walk over a 13 215-state mission.  So are the supervisor and the learning trace that
 ``cosynth supc --trace`` writes for each case-study spec against three
 plants: the spec itself, and the spec with an uncontrollable escape to a
 fresh state added at its last state, or at each state of its second half.
@@ -59,6 +61,15 @@ def mission_digest(workdir: Path, pairs: int = 3) -> str:
     return _sha(dfa_to_text(mission).encode("utf-8"))
 
 
+def escorts_report_digest(workdir: Path, pairs: int = 3) -> str:
+    """sha256 of ``report.txt`` for a pipeline run on an ``escorts`` instance of *pairs* pairs."""
+    files = perfbench_generate().escorts(workdir / "inputs", pairs, SEED)
+    report = run_pipeline(PipelineConfig.load(files.config), files.real_env, files.schedule,
+                          stop_event="r")
+    report.save(workdir / "out")
+    return _sha((workdir / "out" / "report.txt").read_bytes())
+
+
 def _with_escapes(spec: Dfa, states) -> Dfa:
     """The spec, with every uncontrollable event that one of *states* lacks
     leading from it to a fresh state without moves."""
@@ -109,6 +120,10 @@ def test_three_pair_escorts_mission_matches_stored_digest(tmp_path):
     assert mission_digest(tmp_path) == _stored()["escorts_pairs3_mission"]
 
 
+def test_three_pair_escorts_report_matches_stored_digest(tmp_path):
+    assert escorts_report_digest(tmp_path) == _stored()["escorts_pairs3_report"]
+
+
 def test_supc_trace_and_supervisor_match_stored_digests(tmp_path):
     assert supc_digests(tmp_path) == _stored()["supc"]
 
@@ -120,6 +135,7 @@ if __name__ == "__main__":
         stored = {
             "pipeline": {w: pipeline_digests(w, Path(tmp) / w) for w in WORKLOADS},
             "escorts_pairs3_mission": mission_digest(Path(tmp) / "pairs3"),
+            "escorts_pairs3_report": escorts_report_digest(Path(tmp) / "pairs3-report"),
             "supc": supc_digests(Path(tmp) / "supc"),
         }
     DIGESTS.write_text(json.dumps(stored, indent=2, sort_keys=True) + "\n", encoding="utf-8")
