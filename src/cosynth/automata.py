@@ -440,11 +440,14 @@ class _Product:
             flag = self._is_marked[c] = all(map(list.__getitem__, self._accepting, self.digits(c)))
         return flag
 
-    def marks(self, codes: Iterable[int]) -> list[bool]:
-        """:meth:`is_marked` of each of *codes*, read off the operands' flags
-        without remembering them, for a walk that reaches each code once."""
-        accepting = self._accepting
-        return [all(map(list.__getitem__, accepting, self.digits(c))) for c in codes]
+    def marks(self, codes: Sequence[int]) -> list[bool]:
+        """:meth:`is_marked` of each of *codes*, not remembered, reading only
+        the digits of operands with an unmarked state."""
+        flags = [True] * len(codes)
+        for (stride, size), accepting in zip(self._radix, self._accepting):
+            if not all(accepting):
+                flags = [f and accepting[c // stride % size] for f, c in zip(flags, codes)]
+        return flags
 
     def moves(self, c: int) -> list[tuple[int, int]]:
         """(event index, next code) for each move of code c, in event order."""
@@ -669,74 +672,73 @@ def _minimize_numbered(succ: list[list[tuple[int, int]]], marked: list[bool],
     state p in event order, and ``marked[p]`` whether p is marked.
 
     Hopcroft's partition refinement on the partial automaton (Valmari and
-    Lehtinen, STACS 2008): the states that cannot reach a marked state are
-    dropped, and every missing transition leads to an implicit dead sink.
-    The sink is a class of its own and never serves as a splitter, so each
-    splitter walks only the defined transitions into it and the work grows
-    with the transitions, not with states times events.
-
-    The refinement starts from the live states grouped by one step: by
-    whether they are marked and by the (event, marked) pairs of their moves
-    into live states.  Two equivalent states share that key, so the
-    grouping is coarser than the result, and every group starts out
-    waiting.  The classes are then numbered by the same walk from the
-    initial one, which makes the result independent of how the states were
-    numbered.  When no two states merge and ``succ`` already numbers them
-    as that walk would, that walk is the identity and is skipped: the input
-    is returned as it stands, states named by their numbers.
+    Lehtinen, STACS 2008), from the live states grouped by one step (marked
+    or not, and the event and mark of each move into a live state), which
+    equivalent states share, every group waiting.  States that reach no
+    marked state are dropped, and a missing move goes to an implicit sink
+    that never splits, so the work grows with the transitions, not with
+    states times events.  A splitter of one state whose predecessors come
+    one per event splits each of them out of its block alone.  The classes
+    are numbered by the walk from the initial one, so the result does not
+    depend on how the states were numbered; when no two states merge and
+    ``succ`` already numbers them as that walk would, the input is returned
+    as it stands, states named by their numbers.
     """
     n = len(succ)
-    # keep the live states, those from which a marked state is reachable
     back: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for p, out in enumerate(succ):
         for a, q in out:
             back[q].append((a, p))
-    live = marked[:]
-    stack = [q for q, m in enumerate(marked) if m]
-    while stack:
-        q = stack.pop()
-        for _, p in back[q]:
-            if not live[p]:
-                live[p] = True
-                stack.append(p)
+    # keep the live states, those from which a marked state is reachable
+    live = marked
+    if not all(marked):
+        live = marked[:]
+        stack = [q for q, m in enumerate(marked) if m]
+        while stack:
+            for _, p in back[stack.pop()]:
+                if not live[p]:
+                    live[p] = True
+                    stack.append(p)
     if not live[0]:
         return _canonical(empty_dfa(alphabet))
 
-    # group the live states by one step; a waiting block splits every block
-    # by its predecessors under each event at once
-    groups: dict[tuple, int] = {}
-    blocks: list[set[int]] = []
-    block_of = [-1] * n
+    # group the live states by one step, a move on event a into q keyed
+    # 2a + marked[q]; a waiting block splits every block by its predecessors
+    groups: dict[tuple, set[int]] = {}
     for p in compress(range(n), live):
-        key = (marked[p], tuple([(a, marked[q]) for a, q in succ[p] if live[q]]))
-        b = groups.get(key)
-        if b is None:
-            b = groups[key] = len(blocks)
-            blocks.append(set())
-        blocks[b].add(p)
-        block_of[p] = b
+        key = (marked[p], tuple([a + a + marked[q] for a, q in succ[p] if live[q]]))
+        groups.setdefault(key, set()).add(p)
+    blocks = list(groups.values())
+    block_of = [-1] * n
+    for b, block in enumerate(blocks):
+        for p in block:
+            block_of[p] = b
     waiting = list(range(len(blocks)))
     in_waiting = [True] * len(blocks)
     while waiting:
         splitter = waiting.pop()
         in_waiting[splitter] = False
+        if len(blocks[splitter]) == 1:
+            (q,) = blocks[splitter]
+            if len(dict(back[q])) == len(back[q]):
+                # one predecessor per event: each leaves its block alone
+                for _, p in back[q]:
+                    block = blocks[block_of[p]]
+                    if len(block) > 1:
+                        block.remove(p)
+                        block_of[p] = len(blocks)
+                        waiting.append(len(blocks))
+                        blocks.append({p})
+                        in_waiting.append(True)
+                continue
         preimages: dict[int, list[int]] = {}
         for q in blocks[splitter]:
             for a, p in back[q]:
-                sources = preimages.get(a)
-                if sources is None:
-                    preimages[a] = [p]
-                else:
-                    sources.append(p)
+                preimages.setdefault(a, []).append(p)
         for sources in preimages.values():
             touched: dict[int, list[int]] = {}
             for p in sources:
-                b = block_of[p]
-                part = touched.get(b)
-                if part is None:
-                    touched[b] = [p]
-                else:
-                    part.append(p)
+                touched.setdefault(block_of[p], []).append(p)
             for b, part in touched.items():
                 if len(part) == len(blocks[b]):
                     continue

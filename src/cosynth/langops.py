@@ -223,6 +223,8 @@ def sup_c(spec: Dfa, plant: Dfa) -> Dfa:
     minimal = minimize(spec)
     if not _minimal_is_prefix_closed(minimal):
         raise InputError("sup_c requires a prefix-closed spec")
+    if plant is minimal:
+        return minimal  # the plant generates K itself, so nothing escapes K
     bad = language_subset(minimal, all_marked(plant))
     if bad is not None:
         raise InputError(f"spec language not contained in the plant: {' '.join(bad) or 'ε'}")

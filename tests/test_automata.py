@@ -531,7 +531,9 @@ def _renumber(succ, marked, rng):
 
 
 def _check_minimize_numbered(succ, marked, alphabet):
+    before = ([list(out) for out in succ], list(marked))
     got = _minimize_numbered(succ, marked, alphabet)
+    assert (succ, marked) == before  # the caller's lists are left as they were
     assert dfa_to_text(got) == dfa_to_text(reference_minimize(_succ_dfa(succ, marked, alphabet)))
     assert minimize(got) is got  # recorded as canonical
     return got
@@ -620,6 +622,128 @@ def test_minimize_numbered_keeps_an_already_minimal_product(seed, sizes, renumbe
     got = _check_minimize_numbered(succ, marked, alphabet)
     assert len(got.states) == sizes[0] * sizes[1]
     assert dfa_to_text(got) == dfa_to_text(minimal_product(operands, alphabet))
+
+
+def _injective_operand(rng: random.Random, events: list[str], size: int, keep_p: float,
+                       marked_p: float) -> Dfa:
+    """An operand of *size* states whose moves on each event are a random
+    permutation of its states, each move kept with probability *keep_p*: no
+    state has two predecessors under one event."""
+    states = tuple(map(str, range(size)))
+    transitions = {}
+    for e in events:
+        image = rng.sample(states, size)
+        transitions.update({(q, e): t for q, t in zip(states, image) if rng.random() < keep_p})
+    marked = frozenset(q for q in states if rng.random() < marked_p)
+    return Dfa(states, EventAlphabet(tuple(events)), "0", transitions, marked)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_operands=st.integers(min_value=1, max_value=3),
+    keep_p=st.sampled_from((0.7, 1.0)),
+    marked_p=st.sampled_from((0.3, 1.0)),
+)
+def test_minimize_numbered_on_products_of_permutation_automata(seed, n_operands, keep_p,
+                                                               marked_p):
+    # every operand moves injectively on each event, so their product does
+    # too: each state has at most one predecessor under each event, and a
+    # splitter of one state splits its predecessors out one by one
+    rng = random.Random(seed)
+    operands = [_injective_operand(rng, ["s", f"p{i}"], rng.randint(1, 5), keep_p, marked_p)
+                for i in range(n_operands)]
+    alphabet = EventAlphabet(tuple(dict.fromkeys(e for d in operands for e in d.alphabet.events)))
+    product = _Product(operands, alphabet.events)
+    order, succ = _numbered_walk(product.initial, product.moves)
+    predecessors = [(q, a) for out in succ for a, q in out]
+    assert len(set(predecessors)) == len(predecessors)
+    got = _check_minimize_numbered(succ, product.marks(order), alphabet)
+    assert dfa_to_text(got) == dfa_to_text(minimal_product(operands, alphabet))
+
+
+def test_minimize_numbered_keeps_two_predecessors_of_a_singleton_splitter_together():
+    # 1 and 2 both move on a into the marked state 3, a class of its own:
+    # they are equivalent, and the splitter {3} must not part them
+    ab = EventAlphabet(("a", "b"))
+    succ = [[(0, 1), (1, 2)], [(0, 3)], [(0, 3)], []]
+    got = _check_minimize_numbered(succ, [False, False, False, True], ab)
+    assert got.transitions == {("0", "a"): "1", ("0", "b"): "1", ("1", "a"): "2"}
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_events=st.integers(min_value=1, max_value=3),
+    marked_p=st.sampled_from((0.3, 0.7, 1.0)),
+)
+def test_minimize_numbered_with_twin_predecessors(seed, n_events, marked_p):
+    # some states get a twin with the same moves, and some moves into a
+    # twinned state go to its twin instead: a state then has two predecessors
+    # under one event, a state and its twin, which no splitter may part
+    rng = random.Random(seed)
+    events = ("a", "b", "c")[:n_events]
+    d = random_dfa(rng, 8, events, density=0.7, marked_p=marked_p)
+    order, succ = _edge_walk(d)
+    marked = [q in d.marked for q in order]
+    n = len(succ)
+    twin = {p: n + k for k, p in enumerate(sorted(rng.sample(range(n), rng.randint(0, n))))}
+    succ += [list(succ[p]) for p in twin]
+    marked += [marked[p] for p in twin]
+    for out in succ:
+        for i, (a, q) in enumerate(out):
+            if q in twin and rng.random() < 0.5:
+                out[i] = (a, twin[q])
+    _check_minimize_numbered(succ, marked, d.alphabet)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_events=st.integers(min_value=1, max_value=3),
+    dead=st.integers(min_value=0, max_value=3),
+)
+def test_minimize_numbered_fully_marked_and_with_dead_states(seed, n_events, dead):
+    # every walked state is marked, so every state is live; then dead states,
+    # unmarked and moving only among themselves, take some of the missing
+    # moves of the marked states
+    rng = random.Random(seed)
+    events = ("a", "b", "c")[:n_events]
+    _, succ = _edge_walk(random_dfa(rng, 8, events, density=0.6, marked_p=1.0))
+    n = len(succ)
+    marked = [True] * n
+    for _ in range(dead):
+        succ.append([(a, n + rng.randrange(dead)) for a in range(n_events) if rng.random() < 0.5])
+        marked.append(False)
+    for out in succ[:n] if dead else ():
+        have = {a for a, _ in out}
+        out += [(a, n + rng.randrange(dead)) for a in range(n_events)
+                if a not in have and rng.random() < 0.5]
+        out.sort()
+    _check_minimize_numbered(succ, marked, EventAlphabet(events))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kinds=st.lists(st.sampled_from(("all", "some", "none")), min_size=1, max_size=3),
+)
+@example(seed=1, kinds=["all", "some", "all"])
+def test_product_marks_match_the_decoded_flags(seed, kinds):
+    # marks reads only the operands that have an unmarked state; it must
+    # agree with is_marked and with each operand's marks read off the
+    # decoded state tuple, for operands marked fully, in part or not at all
+    rng = random.Random(seed)
+    marked_p = {"all": 1.0, "some": 0.5, "none": 0.0}
+    operands = [random_dfa(rng, 4, ["s", f"p{i}"], density=0.8, marked_p=marked_p[kind])
+                for i, kind in enumerate(kinds)]
+    events = tuple(dict.fromkeys(e for d in operands for e in d.alphabet.events))
+    product = _Product(operands, events)
+    order, _ = _numbered_walk(product.initial, product.moves)
+    decoded = [all(d.states[q] in d.marked for d, q in zip(operands, product.digits(c)))
+               for c in order]
+    assert product.marks(order) == decoded
+    assert [product.is_marked(c) for c in order] == decoded
 
 
 @settings(max_examples=200, deadline=None, database=None)

@@ -448,12 +448,32 @@ def test_supc_of_the_plant_itself_is_the_plant(casestudy):
         assert dfa_to_text(sup_c(spec, spec)) == dfa_to_text(minimize(spec))
 
 
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    controllable=st.sets(st.sampled_from(("a", "b", "u"))),
+)
+def test_supc_of_a_canonical_spec_against_itself_is_the_spec(seed, controllable):
+    # a canonical prefix-closed K generates K, so supC(K) against L(G) = K
+    # is K, returned as it is; the closed form agrees
+    rng = random.Random(seed)
+    events = ("a", "b", "u")
+    alphabet = EventAlphabet(events, frozenset(controllable))
+    plant = widen_like(random_dfa(rng, 6, events, density=0.9), alphabet)
+    spec = minimize(unfolded_spec(rng, plant))
+    assert sup_c(spec, spec) is spec
+    closed_form = reference_supc_closed_form(spec, minimize(all_marked(spec)), alphabet)
+    assert dfa_to_text(spec) == dfa_to_text(closed_form)
+
+
 def test_supc_accepts_a_prefix_closed_spec_with_a_dead_state():
     # {ε, a} with an unmarked state after a·u: prefix-closed, though not
-    # every state is marked
+    # every state is marked; as its own plant it generates a·u, which is
+    # not in K, so a is cut there too
     spec = Dfa(("0", "1", "d"), AU, "0", {("0", "a"): "1", ("1", "u"): "d"},
                frozenset({"0", "1"}))
     assert lang_set(sup_c(spec, chain_plant()), 3) == {()}
+    assert lang_set(sup_c(spec, spec), 3) == {()}
 
 
 def test_supc_input_errors_keep_their_messages():
