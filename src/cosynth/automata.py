@@ -18,11 +18,14 @@ Every automaton the library builds by a walk is numbered by one function,
 the states of a walk when they need names.  The callers differ only in what
 a state is and which moves it has: a string automaton's states step
 through their own moves, gathered in event order in one pass over the
-transitions, so a walk costs the moves it takes and not states × events;
+transitions, so a walk costs the moves it takes and not states × events
+(``_edge_walk``, which serves :func:`minimize` and :func:`dfa_to_text`);
 the subsets of an epsilon-NFA step through the subset construction
 (``_subset_walk``), whose successor lists projection, the weakest
 assumption and the replanning splice hand to the integer core of
-:func:`minimize`.
+:func:`minimize`.  No automaton is trimmed after it is built: a walk
+reaches only reachable states, and the integer core drops the states that
+reach no marked one.
 
 Every synchronous product is one walk over integer codes of operand state
 tuples (``_Product``), one mixed-radix integer per tuple, which steps a
@@ -199,7 +202,7 @@ def all_marked(dfa: Dfa) -> Dfa:
     return Dfa(dfa.states, dfa.alphabet, dfa.initial, dfa.transitions, frozenset(dfa.states))
 
 
-# -- reachability and trimming -----------------------------------------
+# -- numbered walks ------------------------------------------------------
 
 
 def _out_edges(dfa: Dfa,
@@ -271,54 +274,6 @@ def _edge_walk(dfa: Dfa) -> tuple[list[str], list[list[tuple[int, int]]]]:
     for out in moves.values():
         out.sort()
     return _numbered_walk(dfa.initial, moves.__getitem__)
-
-
-def accessible(dfa: Dfa) -> Dfa:
-    """Restrict to states reachable from the initial state, in BFS order."""
-    order = _edge_walk(dfa)[0]
-    keep = set(order)
-    transitions = {k: v for k, v in dfa.transitions.items() if k[0] in keep and v in keep}
-    return Dfa(tuple(order), dfa.alphabet, dfa.initial, transitions, dfa.marked & keep)
-
-
-def _coreachable(dfa: Dfa) -> set[str]:
-    back: dict[str, set[str]] = {q: set() for q in dfa.states}
-    for (src, _), dst in dfa.transitions.items():
-        back[dst].add(src)
-    good = set(dfa.marked)
-    queue = deque(good)
-    while queue:
-        q = queue.popleft()
-        for p in back[q]:
-            if p not in good:
-                good.add(p)
-                queue.append(p)
-    return good
-
-
-def empty_dfa(alphabet: EventAlphabet) -> Dfa:
-    """Canonical empty-language automaton: one unmarked state, no transitions."""
-    return Dfa(("0",), alphabet, "0", {}, frozenset())
-
-
-def universal_dfa(alphabet: EventAlphabet) -> Dfa:
-    """One marked state with self-loops on every event: accepts every word."""
-    return Dfa(("0",), alphabet, "0", {("0", e): "0" for e in alphabet.events}, frozenset(("0",)))
-
-
-def trim(dfa: Dfa) -> Dfa:
-    """Keep states both reachable and co-reachable to a marked state.
-
-    If the initial state is not co-reachable the canonical empty-language
-    automaton is returned.
-    """
-    acc = accessible(dfa)
-    good = _coreachable(acc)
-    if acc.initial not in good:
-        return empty_dfa(dfa.alphabet)
-    states = tuple(q for q in acc.states if q in good)
-    transitions = {k: v for k, v in acc.transitions.items() if k[0] in good and v in good}
-    return Dfa(states, acc.alphabet, acc.initial, transitions, acc.marked & good)
 
 
 # -- completion and complement ------------------------------------------
@@ -479,7 +434,7 @@ class _Product:
 def parallel_compose(a: Dfa, b: Dfa) -> Dfa:
     """Parallel composition: shared events synchronise, private events interleave.
 
-    The result is over the union alphabet, trimmed to accessible states,
+    The result is over the union alphabet, holds the reachable states only,
     with marked states the product of the operand marked sets and composed
     state ids named "⟨left,right⟩".  It is the two-operand case of
     :func:`parallel_compose_all`.
@@ -843,6 +798,16 @@ def _lex_key(alphabet: EventAlphabet, word: Word) -> tuple[int, ...]:
 
 
 # -- small constructors ----------------------------------------------------
+
+
+def empty_dfa(alphabet: EventAlphabet) -> Dfa:
+    """Canonical empty-language automaton: one unmarked state, no transitions."""
+    return Dfa(("0",), alphabet, "0", {}, frozenset())
+
+
+def universal_dfa(alphabet: EventAlphabet) -> Dfa:
+    """One marked state with self-loops on every event: accepts every word."""
+    return Dfa(("0",), alphabet, "0", {("0", e): "0" for e in alphabet.events}, frozenset(("0",)))
 
 
 def words_dfa(words: Iterable[Sequence[str]], alphabet: EventAlphabet) -> Dfa:

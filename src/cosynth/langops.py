@@ -1,9 +1,8 @@
 """Regular-language operations on top of the DFA core.
 
 Natural projection and the mission decomposition built on it, supremal
-controllable sublanguages, the satisfaction relation between a system and a
-property (also decided factor by factor), and supremal prefix-closed
-sublanguages.
+controllable sublanguages, and the satisfaction relation between a system
+and a property (also decided factor by factor).
 
 Everything here is a pure function over immutable automata.  Checks that can
 fail return ``None`` on success and a shortest, lexicographically least
@@ -23,13 +22,11 @@ from cosynth.automata import (
     InvariantError,
     Word,
     all_marked,
-    empty_dfa,
     language_subset,
     minimize,
     parallel_compose_all,
     product_violation,
     shortest_marked,
-    trim,
     words_dfa,
     _canonical,
     _determinize,
@@ -321,13 +318,3 @@ def satisfies(m: Dfa, p: Dfa) -> Optional[Word]:
         if e not in m.alphabet:
             raise InputError("property alphabet must be contained in the system alphabet")
     return product_violation([m], p)[0]
-
-
-def prefix_close_largest(l: Dfa) -> Dfa:
-    """Supremal prefix-closed sublanguage: words all of whose prefixes are accepted."""
-    if l.initial not in l.marked:
-        return empty_dfa(l.alphabet)
-    keep = set(l.marked)
-    transitions = {k: v for k, v in l.transitions.items() if k[0] in keep and v in keep}
-    states = tuple(q for q in l.states if q in keep)
-    return trim(Dfa(states, l.alphabet, l.initial, transitions, frozenset(states)))

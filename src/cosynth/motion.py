@@ -5,8 +5,8 @@ checks its door alphabet and each region's door moves once, when it is
 constructed.  An agent's motion capabilities are the automaton whose states
 are the regions its start reaches and whose events are doors, walked
 breadth first from the start.  An integrated plan interleaves a mission
-plan with the region moves its events need, in one pass over the mission
-automaton.
+plan with the region moves its events need, in one numbered walk over
+(mission state, region) nodes and the committed region moves between them.
 Its region projection is the motion plan, the mission's region itinerary,
 which must be executable in the motion model.
 
@@ -52,7 +52,6 @@ from cosynth.automata import (
     _out_edges,
     _subset_walk,
     empty_dfa,
-    trim,
 )
 from cosynth.langops import project
 
@@ -178,11 +177,14 @@ def _interleave(mission: Dfa, pi: LabelingMap, initial_region: str) -> Dfa:
     """Insert region symbols in front of the mission events they relocate.
 
     The construction tracks the agent's region through the mission
-    automaton.  A mission event doable in the current region keeps the
-    region; otherwise a committed region move is inserted first.  Reaching
-    the mission's initial state back in the initial region closes the loop
-    through the plan's entry state, which re-asserts the initial region at
-    every mission cycle.
+    automaton, in one numbered walk over (mission state, region) nodes,
+    named ``q@v``, and committed-move nodes, named ``q@v>v2``.  A mission
+    event doable in the current region keeps the region; otherwise a
+    committed region move is inserted first.  Reaching the mission's
+    initial state back in the initial region closes the loop through the
+    plan's entry state, which re-asserts the initial region at every
+    mission cycle.  Every node is marked, so the walk's automaton is trim
+    as it stands.
     """
     regions = pi.regions
     if set(regions) & set(mission.alphabet.events):
@@ -193,51 +195,39 @@ def _interleave(mission: Dfa, pi: LabelingMap, initial_region: str) -> Dfa:
         tuple(regions) + tuple(mission.alphabet.events),
         frozenset(regions) | mission.alphabet.controllable,
     )
-    entry = "entry"
+    index = alphabet._index  # type: ignore[attr-defined]
     home = (mission.initial, initial_region)
+    # per mission state and region: the (event index, next state) moves placeable there
+    placed: dict[str, dict[str, list[tuple[int, str]]]] = {q: {} for q in mission.states}
+    for q, out in _out_edges(mission, alphabet).items():
+        for a, e, q2 in out:
+            for v in pi.of(e):
+                placed[q].setdefault(v, []).append((a, q2))
 
-    def node(q: str, v: str) -> str:
-        return f"{q}@{v}"
+    def target(q2: str, v2: str) -> tuple[str, ...]:
+        return () if (q2, v2) == home else (q2, v2)
 
-    def move_node(q: str, v: str, v2: str) -> str:
-        return f"{q}@{v}>{v2}"
+    def step(node: tuple[str, ...]) -> list[tuple[int, tuple[str, ...]]]:
+        if not node:  # the entry
+            return [(index[initial_region], home)]
+        q, v, *move = node
+        by_region = placed[q]
+        if move:  # committed to the region move[0]
+            return [(a, target(q2, move[0])) for a, q2 in by_region[move[0]]]
+        moves = sorted((index[v2], (q, v, v2)) for v2 in by_region if v2 != v)
+        return moves + [(a, target(q2, v)) for a, q2 in by_region.get(v, ())]
 
-    mission_edges = _out_edges(mission)
-    transitions: dict[tuple[str, str], str] = {(entry, initial_region): node(*home)}
-    states = {entry, node(*home)}
-    queue = deque([home])
-    seen = {home}
+    def name(node: tuple[str, ...]) -> str:
+        if not node:
+            return "entry"
+        q, v, *move = node
+        return f"{q}@{v}>{move[0]}" if move else f"{q}@{v}"
 
-    def target(q2: str, v2: str) -> str:
-        if (q2, v2) == home:
-            return entry
-        pair = (q2, v2)
-        if pair not in seen:
-            seen.add(pair)
-            queue.append(pair)
-        return node(q2, v2)
-
-    while queue:
-        q, v = queue.popleft()
-        src = node(q, v)
-        moves: dict[str, list[tuple[str, str]]] = {}
-        for _, e, q2 in mission_edges.get(q, ()):
-            placements = pi.ordered(e)
-            if v in placements:
-                transitions[(src, e)] = target(q2, v)
-            for v2 in placements:
-                if v2 != v:
-                    moves.setdefault(v2, []).append((e, q2))
-        for v2, steps in moves.items():
-            mid = move_node(q, v, v2)
-            states.add(mid)
-            transitions[(src, v2)] = mid
-            for e, q2 in steps:
-                transitions[(mid, e)] = target(q2, v2)
-    states |= {node(q, v) for q, v in seen}
-    ordered = (entry,) + tuple(sorted(states - {entry}))
-    dfa = Dfa(ordered, alphabet, entry, transitions, frozenset(ordered))
-    return trim(dfa)
+    order, succ = _numbered_walk((), step)
+    names = list(map(name, order))
+    if len(set(names)) != len(names):  # mission state and region names with "@" or ">" can clash
+        raise InputError("duplicate state ids")
+    return _numbered_dfa(names, succ, alphabet, [True] * len(order))
 
 
 _Node = tuple[str, Optional[str]]  # plan state, last region (None before the first)

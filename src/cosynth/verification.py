@@ -50,16 +50,18 @@ from cosynth.automata import (
     Word,
     accepts,
     complement,
+    empty_dfa,
     minimize,
     product_violation,
-    trim,
     universal_dfa,
     _minimize_numbered,
+    _numbered_walk,
+    _out_edges,
     _Product,
     _subset_walk,
     _union_events,
 )
-from cosynth.langops import prefix_close_largest, project_word
+from cosynth.langops import project_word
 from cosynth.synthesis import synthesize_supervisor
 
 
@@ -166,8 +168,9 @@ def analyze_counterexample(t: Word, modules: Sequence[Dfa], prop: Dfa) -> Verdic
 
 
 def is_live(dfa: Dfa) -> bool:
-    """True if the trimmed automaton still contains a cycle (unbounded behaviour)."""
-    t = trim(dfa)
+    """True if the marked language is infinite (unbounded behaviour): the
+    minimal automaton, which is trim, contains a cycle."""
+    t = minimize(dfa)
     successors = {q: [] for q in t.states}
     for (q, _e), nxt in t.transitions.items():
         successors[q].append(nxt)
@@ -201,17 +204,29 @@ def cut_behavior(plan: Dfa, w: Word) -> Dfa:
     removes w together with every behaviour the agent cannot distinguish
     from it, in particular the same decision at every later mission
     cycle, which plain word subtraction would leave open.
+
+    The result is the largest prefix-closed language left: one numbered
+    walk from the initial state along the moves into marked states, the
+    cut move left out, every state it reaches marked, handed to the integer
+    core of :func:`cosynth.automata.minimize`.  If the initial state is
+    unmarked the language is empty.
     """
     if not w:
         raise InputError("cannot cut the empty observation")
     m = minimize(plan)
     state = m.initial
-    for symbol in w[:-1]:
-        state = m.transitions[(state, symbol)]
-    transitions = dict(m.transitions)
-    del transitions[(state, w[-1])]
-    cut = Dfa(m.states, m.alphabet, m.initial, transitions, m.marked)
-    return minimize(prefix_close_largest(cut))
+    for symbol in w:
+        cut = (state, symbol)
+        state = m.transitions[cut]
+    if m.initial not in m.marked:
+        return minimize(empty_dfa(m.alphabet))
+    edges, marked = _out_edges(m), m.marked
+
+    def step(q: str) -> list[tuple[int, str]]:
+        return [(a, q2) for a, e, q2 in edges.get(q, ()) if q2 in marked and (q, e) != cut]
+
+    order, succ = _numbered_walk(m.initial, step)
+    return _minimize_numbered(succ, [True] * len(order), m.alphabet)
 
 
 def choose_repair(t: Word, plans: Sequence[Dfa]) -> Optional[tuple[int, Word, Dfa]]:

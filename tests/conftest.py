@@ -6,10 +6,11 @@ by stepping transition tables word by word, projections by filtering
 symbols, and language comparisons by enumerating words up to a bound.
 
 The test-only operations (word automata, union, difference, prefix closure,
-star, inverse projection, separability, quotient and controllability) are
-not oracles: no command or pipeline stage needs them, so they left the
-library, and the tests use them to build languages and state properties.
-They may call the library.
+the supremal prefix-closed sublanguage, star, inverse projection,
+separability, quotient and controllability) and the string reachability
+route (accessibility and trimming) are not oracles: no command or pipeline
+stage needs them, so they left the library, and the tests use them to build
+languages and state properties.  They may call the library.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from cosynth.automata import (
     InvariantError,
     Word,
     accepts,
-    accessible,
     all_marked,
     complement,
     complete,
@@ -43,8 +43,8 @@ from cosynth.automata import (
     minimize,
     parallel_compose,
     parallel_compose_all,
-    trim,
     _determinize,
+    _edge_walk,
     _out_edges,
 )
 from cosynth.langops import project, widen_alphabet, widen_like
@@ -144,6 +144,59 @@ def chain_dfa(symbols: Sequence[str], alphabet: EventAlphabet, mark_all: bool = 
     transitions = {(str(i), e): str(i + 1) for i, e in enumerate(symbols)}
     marked = frozenset(states) if mark_all else frozenset({states[-1]})
     return Dfa(states, alphabet, "0", transitions, marked)
+
+
+# -- the string reachability route, kept as the tests' reference -----------
+# The library reaches states only by numbered walks; these trim a named
+# automaton after it is built.
+
+
+def accessible(dfa: Dfa) -> Dfa:
+    """Restrict to states reachable from the initial state, in BFS order."""
+    order = _edge_walk(dfa)[0]
+    keep = set(order)
+    transitions = {k: v for k, v in dfa.transitions.items() if k[0] in keep and v in keep}
+    return Dfa(tuple(order), dfa.alphabet, dfa.initial, transitions, dfa.marked & keep)
+
+
+def _coreachable(dfa: Dfa) -> set[str]:
+    back: dict[str, set[str]] = {q: set() for q in dfa.states}
+    for (src, _), dst in dfa.transitions.items():
+        back[dst].add(src)
+    good = set(dfa.marked)
+    queue = deque(good)
+    while queue:
+        q = queue.popleft()
+        for p in back[q]:
+            if p not in good:
+                good.add(p)
+                queue.append(p)
+    return good
+
+
+def trim(dfa: Dfa) -> Dfa:
+    """Keep states both reachable and co-reachable to a marked state.
+
+    If the initial state is not co-reachable the canonical empty-language
+    automaton is returned.
+    """
+    acc = accessible(dfa)
+    good = _coreachable(acc)
+    if acc.initial not in good:
+        return empty_dfa(dfa.alphabet)
+    states = tuple(q for q in acc.states if q in good)
+    transitions = {k: v for k, v in acc.transitions.items() if k[0] in good and v in good}
+    return Dfa(states, acc.alphabet, acc.initial, transitions, acc.marked & good)
+
+
+def prefix_close_largest(l: Dfa) -> Dfa:
+    """Supremal prefix-closed sublanguage: words all of whose prefixes are accepted."""
+    if l.initial not in l.marked:
+        return empty_dfa(l.alphabet)
+    keep = set(l.marked)
+    transitions = {k: v for k, v in l.transitions.items() if k[0] in keep and v in keep}
+    states = tuple(q for q in l.states if q in keep)
+    return trim(Dfa(states, l.alphabet, l.initial, transitions, frozenset(states)))
 
 
 # -- language operations that only the tests use -----------------------------
@@ -1061,6 +1114,121 @@ def reference_determinize(
     states = tuple(index[s] for s in order)
     accept = frozenset(index[s] for s in order if s & marked)
     return Dfa(states, alphabet, index[start], transitions, accept)
+
+
+def reference_interleave(mission: Dfa, pi: LabelingMap, initial_region: str) -> Dfa:
+    """Insert region symbols in front of the mission events they relocate.
+
+    The construction tracks the agent's region through the mission
+    automaton.  A mission event doable in the current region keeps the
+    region; otherwise a committed region move is inserted first.  Reaching
+    the mission's initial state back in the initial region closes the loop
+    through the plan's entry state, which re-asserts the initial region at
+    every mission cycle.
+    """
+    regions = pi.regions
+    if set(regions) & set(mission.alphabet.events):
+        raise InputError("region labels collide with mission events")
+    for e in mission.alphabet.events:
+        pi.of(e)  # raises for unlabelled events
+    alphabet = EventAlphabet(
+        tuple(regions) + tuple(mission.alphabet.events),
+        frozenset(regions) | mission.alphabet.controllable,
+    )
+    entry = "entry"
+    home = (mission.initial, initial_region)
+
+    def node(q: str, v: str) -> str:
+        return f"{q}@{v}"
+
+    def move_node(q: str, v: str, v2: str) -> str:
+        return f"{q}@{v}>{v2}"
+
+    mission_edges = _out_edges(mission)
+    transitions: dict[tuple[str, str], str] = {(entry, initial_region): node(*home)}
+    states = {entry, node(*home)}
+    queue = deque([home])
+    seen = {home}
+
+    def target(q2: str, v2: str) -> str:
+        if (q2, v2) == home:
+            return entry
+        pair = (q2, v2)
+        if pair not in seen:
+            seen.add(pair)
+            queue.append(pair)
+        return node(q2, v2)
+
+    while queue:
+        q, v = queue.popleft()
+        src = node(q, v)
+        moves: dict[str, list[tuple[str, str]]] = {}
+        for _, e, q2 in mission_edges.get(q, ()):
+            placements = pi.ordered(e)
+            if v in placements:
+                transitions[(src, e)] = target(q2, v)
+            for v2 in placements:
+                if v2 != v:
+                    moves.setdefault(v2, []).append((e, q2))
+        for v2, steps in moves.items():
+            mid = move_node(q, v, v2)
+            states.add(mid)
+            transitions[(src, v2)] = mid
+            for e, q2 in steps:
+                transitions[(mid, e)] = target(q2, v2)
+    states |= {node(q, v) for q, v in seen}
+    ordered = (entry,) + tuple(sorted(states - {entry}))
+    dfa = Dfa(ordered, alphabet, entry, transitions, frozenset(ordered))
+    return trim(dfa)
+
+
+def reference_is_live(dfa: Dfa) -> bool:
+    """True if the trimmed automaton still contains a cycle (unbounded behaviour)."""
+    t = trim(dfa)
+    successors = {q: [] for q in t.states}
+    for (q, _e), nxt in t.transitions.items():
+        successors[q].append(nxt)
+    color: dict[str, int] = {}
+    for root in t.states:
+        if root in color:
+            continue
+        color[root] = 1
+        stack = [(root, iter(successors[root]))]
+        while stack:
+            q, pending = stack[-1]
+            for nxt in pending:
+                c = color.get(nxt, 0)
+                if c == 1:
+                    return True
+                if c == 0:
+                    color[nxt] = 1
+                    stack.append((nxt, iter(successors[nxt])))
+                    break
+            else:
+                color[q] = 2
+                stack.pop()
+    return False
+
+
+def reference_cut_behavior(plan: Dfa, w: Word) -> Dfa:
+    """Remove the local decision that ends the observed word w.
+
+    On the minimal plan automaton the states are observational equivalence
+    classes, so deleting the transition taken by the final event of w
+    removes w together with every behaviour the agent cannot distinguish
+    from it, in particular the same decision at every later mission
+    cycle, which plain word subtraction would leave open.
+    """
+    if not w:
+        raise InputError("cannot cut the empty observation")
+    m = minimize(plan)
+    state = m.initial
+    for symbol in w[:-1]:
+        state = m.transitions[(state, symbol)]
+    transitions = dict(m.transitions)
+    del transitions[(state, w[-1])]
+    cut = Dfa(m.states, m.alphabet, m.initial, transitions, m.marked)
+    return minimize(prefix_close_largest(cut))
 
 
 def reference_motion_dfa(env: Environment, initial_region: str) -> Dfa:

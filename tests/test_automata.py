@@ -29,7 +29,6 @@ from cosynth.automata import (
     product_violation,
     run,
     shortest_marked,
-    trim,
     universal_dfa,
     words_dfa,
     _Product,
@@ -56,6 +55,7 @@ from conftest import (
     reference_minimize,
     reference_mission,
     reference_tabled_violation,
+    trim,
     word_dfa,
     words_up_to,
 )

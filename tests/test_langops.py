@@ -12,7 +12,6 @@ from cosynth.automata import (
     EventAlphabet,
     InputError,
     accepts,
-    accessible,
     all_marked,
     dfa_to_text,
     empty_dfa,
@@ -26,7 +25,6 @@ from cosynth.automata import (
 )
 from cosynth.langops import (
     decompose,
-    prefix_close_largest,
     project,
     satisfies,
     satisfies_modular,
@@ -34,6 +32,7 @@ from cosynth.langops import (
     widen_like,
 )
 from conftest import (
+    accessible,
     brute_accepts,
     brute_generates,
     brute_project,
@@ -41,6 +40,7 @@ from conftest import (
     is_controllable,
     is_separable,
     lang_set,
+    prefix_close_largest,
     quotient,
     random_dfa,
     reference_decompose,

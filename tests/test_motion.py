@@ -32,6 +32,7 @@ from cosynth.motion import (
     LabelingMap,
     MotionInfeasible,
     ReplanInfeasible,
+    _interleave,
     _motion_gap,
     door_profile,
     environment_from_text,
@@ -54,6 +55,7 @@ from conftest import (
     lang_set,
     random_dfa,
     reference_door_profile,
+    reference_interleave,
     reference_motion_dfa,
     reference_replan_dfa,
     reference_run_language,
@@ -314,6 +316,47 @@ def test_integrate_empty_mission():
     gm = motion_dfa(case_env(), "R1")
     lp = integrate(mission, pi, "R1", gm)
     assert lang_set(lp.dfa, 2) == {(), ("R1",)}
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_interleave_matches_the_trim_route(rng):
+    # random missions and labelings; each mission has a move back to its
+    # initial state, often placeable in the initial region, so the plan often
+    # closes a mission cycle through its entry state
+    events = ("a", "b", "c")[:rng.randint(1, 3)]
+    shape = random_dfa(rng, 5, events, density=rng.choice((0.3, 0.7)),
+                       marked_p=rng.choice((1.0, 0.6)))
+    transitions = dict(shape.transitions)
+    back = rng.choice(events)
+    transitions[(rng.choice(shape.states), back)] = shape.initial
+    controllable = frozenset(rng.sample(events, rng.randint(0, len(events))))
+    mission = Dfa(shape.states, EventAlphabet(events, controllable), shape.initial,
+                  transitions, shape.marked)
+    regions = REGIONS[:rng.randint(1, len(REGIONS))]
+    start = rng.choice(regions)
+    mapping = {e: set(rng.sample(regions, rng.randint(1, len(regions)))) for e in events}
+    if rng.random() < 0.5:
+        mapping[back].add(start)
+    pi = LabelingMap(regions, mapping)
+    got = _interleave(mission, pi, start)
+    expected = reference_interleave(mission, pi, start)
+    assert got == expected
+    assert got.states == expected.states
+
+
+def test_interleave_rejects_clashing_state_names():
+    # the nodes (a@R, S) and (a, R@S) are both named a@R@S; the string route
+    # merged them into one state, whose plan runs S x S x although x x is not
+    # a mission word
+    alpha = EventAlphabet(("x", "y"))
+    mission = Dfa(("a", "a@R"), alpha, "a", {("a", "x"): "a@R", ("a", "y"): "a"},
+                  frozenset(("a", "a@R")))
+    pi = LabelingMap(("S", "R@S"), {"x": frozenset({"S"}), "y": frozenset({"R@S"})})
+    assert accepts(reference_interleave(mission, pi, "S"), ("S", "x", "S", "x"))
+    assert not accepts(mission, ("x", "x"))
+    with pytest.raises(InputError, match="duplicate state ids"):
+        _interleave(mission, pi, "S")
 
 
 def test_integrate_interleaves_once(monkeypatch):

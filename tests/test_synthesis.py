@@ -10,7 +10,6 @@ from cosynth.automata import (
     Dfa,
     EventAlphabet,
     InputError,
-    accessible,
     all_marked,
     dfa_to_text,
     empty_dfa,
@@ -28,6 +27,7 @@ from cosynth.synthesis import (
     synthesize_supervisor,
 )
 from conftest import (
+    accessible,
     brute_accepts,
     d_ui,
     is_controllable,

@@ -13,7 +13,6 @@ from cosynth.automata import (
     Dfa,
     EventAlphabet,
     accepts,
-    accessible,
     all_marked,
     complement,
     complete,
@@ -42,6 +41,7 @@ from cosynth.verification import (
     weakest_assumption,
 )
 from conftest import (
+    accessible,
     brute_accepts,
     brute_project,
     chain_dfa,
@@ -51,7 +51,9 @@ from conftest import (
     random_dfa,
     reference_check_triple,
     reference_compose,
+    reference_cut_behavior,
     reference_decompose,
+    reference_is_live,
     reference_mission,
     reference_satisfies,
     reference_tabled_violation,
@@ -281,6 +283,28 @@ def test_cut_behavior_removes_the_decision_everywhere():
     assert not accepts(cut, ("s",))
     assert not accepts(cut, ("g", "r", "s"))
     assert accepts(cut, ("g", "r", "g"))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_cut_behavior_matches_the_prefix_closed_route(rng):
+    # plans with unmarked states, and with an unmarked initial state
+    plan = random_dfa(rng, 6, ("a", "b", "c"), density=rng.choice((0.4, 0.8)),
+                      marked_p=rng.choice((1.0, 0.7, 0.4)))
+    accepted = [w for w in words_up_to(plan.alphabet.events, 4) if w and brute_accepts(plan, w)]
+    if not accepted:
+        return
+    w = rng.choice(accepted)
+    assert dfa_to_text(cut_behavior(plan, w)) == dfa_to_text(reference_cut_behavior(plan, w))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_is_live_matches_the_trim_route(rng):
+    # random automata, with unreachable states and states that reach no marked one
+    dfa = random_dfa(rng, 7, ("a", "b"), density=rng.choice((0.2, 0.4, 0.7)),
+                     marked_p=rng.choice((0.2, 0.5, 1.0)))
+    assert is_live(dfa) == reference_is_live(dfa)
 
 
 def test_choose_repair_spares_unobserving_agents():
