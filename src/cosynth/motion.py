@@ -21,7 +21,9 @@ builds those door words in one walk over (region, motion-plan state) pairs
 whose successor lists go straight to the integer minimisation core.
 
 Replanning adapts an integrated plan to a real environment whose doors may
-differ from the nominal model.  A plan the real environment still serves is
+differ from the nominal model.  Motion automata serve integration and the
+nominal model; replanning reads the real door map and walks the real
+environment's door moves.  A plan the real environment still serves is
 kept as it is.  Otherwise replanning works on the plan automaton, never on
 its words: the plan is walked together with the agent's last region, every
 region change left without a door is spliced into a chain through the
@@ -93,13 +95,13 @@ class Environment:
         object.__setattr__(self, "doors", tuple(self.doors))
         object.__setattr__(self, "door_map", {tuple(k): tuple(v) for k, v in self.door_map.items()})
         object.__setattr__(self, "initial_regions", dict(self.initial_regions))
-        region_set = set(self.regions)
-        if set(self.doors) & region_set:
+        region_set, door_set, adjacency = set(self.regions), set(self.doors), set(self.adjacency)
+        if door_set & region_set:
             raise InputError("door and region labels must be disjoint")
-        for pair in self.door_map:
-            if pair not in set(self.adjacency):
+        for pair, doors in self.door_map.items():
+            if pair not in adjacency:
                 raise InputError(f"door map entry {pair} not in the adjacency relation")
-            if not set(self.door_map[pair]) <= set(self.doors):
+            if not door_set.issuperset(doors):
                 raise InputError(f"unknown door in map entry {pair}")
         for v, v2 in self.adjacency:
             if v not in region_set or v2 not in region_set:
@@ -138,10 +140,11 @@ class LabelingMap:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mapping", {e: frozenset(r) for e, r in self.mapping.items()})
+        regions = set(self.regions)
         for event, targets in self.mapping.items():
             if not targets:
                 raise InputError(f"event {event!r} mapped to no region")
-            if not targets <= set(self.regions):
+            if not targets <= regions:
                 raise InputError(f"event {event!r} mapped outside the region set")
 
     def of(self, event: str) -> frozenset[str]:
@@ -254,51 +257,68 @@ def _region_edges(dfa: Dfa, regions: set[str]) -> Iterator[tuple[_Node, str, _No
                 queue.append(nxt)
 
 
-def _motion_gap(motion_plan: Dfa, motion: Dfa) -> Optional[tuple[str, str]]:
-    """The first region change of the motion plan that ``motion`` cannot make.
+def _door_map(motion: Dfa) -> dict[tuple[str, str], str]:
+    """A door of each region pair that a motion automaton moves between."""
+    return {(v, v2): d for (v, d), v2 in motion.transitions.items()}
 
-    The plan is walked breadth first together with the agent's last region,
-    each state's moves in the plan's event order; dwelling in the last
-    region is always allowed.  Returns ``(motion.initial, e)`` when the plan
-    starts in another region e, ``(v, e)`` for the first move from v to e
-    that no door makes, and None when every region word of the plan is a
-    stutter-closed run of ``motion``.
+
+def _motion_gap(motion_plan: Dfa, *sources: tuple[str, Mapping[tuple[str, str], object]]
+                ) -> list[Optional[tuple[str, str]]]:
+    """The first region change of the motion plan that each source cannot make.
+
+    A source is an initial region v0 and a door map (a pair without doors is
+    missing or empty).  The plan is walked once, breadth first together with
+    the agent's last region, each state's moves in the plan's event order;
+    dwelling in the last region is always allowed.  A source's gap is
+    ``(v0, e)`` when the plan starts in another region e, ``(v, e)`` for the
+    first move from v to e with no door, and None when every region word of
+    the plan is a stutter-closed run of its doors.  The walk ends at the
+    first source's gap, so the others keep only gaps found before it.
     """
-    steps = {(v, v2) for (v, _), v2 in motion.transitions.items()}
+    gaps: list[Optional[tuple[str, str]]] = [None] * len(sources)
     for (_, v), e, _ in _region_edges(motion_plan, set(motion_plan.alphabet.events)):
-        if v is None:
-            if e != motion.initial:
-                return motion.initial, e
-        elif e != v and (v, e) not in steps:
-            return v, e
-    return None
+        if e == v:
+            continue
+        for i, (v0, doors) in enumerate(sources):
+            if gaps[i] is None and (e != v0 if v is None else not doors.get((v, e))):
+                gaps[i] = (v0 if v is None else v, e)
+        if gaps[0] is not None:
+            break
+    return gaps
 
 
 def door_profile(motion_plan: Dfa, motion: Dfa) -> Dfa:
     """Door words whose strict runs trace a region word of the motion plan.
 
     The motion plan must lie within the stutter-closed runs of ``motion``:
-    :func:`integrate` and :func:`replan` check that before they call this,
+    :func:`integrate` and :func:`replan` check that before they profile it,
     except on a spliced plan, which meets it by construction.
 
     One numbered walk over (region, motion-plan state) pairs hands their
     successor lists, every pair marked, to the integer core of
-    :func:`cosynth.automata.minimize`; no pair is named.
+    :func:`cosynth.automata.minimize`; no pair is named.  :func:`replan`
+    walks the real environment's own door moves the same way.
     """
-    p0 = motion_plan.transitions.get((motion_plan.initial, motion.initial))
+    moves = {v: [(a, v2) for a, _, v2 in out] for v, out in _out_edges(motion).items()}
+    return _profile(motion_plan, motion.initial, moves, motion.alphabet)
+
+
+def _profile(motion_plan: Dfa, v0: str, moves: Mapping[str, list[tuple[int, str]]],
+             doors: EventAlphabet) -> Dfa:
+    """:func:`door_profile` from v0 over door moves as an :class:`Environment` keeps them."""
+    p0 = motion_plan.transitions.get((motion_plan.initial, v0))
     if p0 is None or p0 not in motion_plan.marked:
-        return empty_dfa(motion.alphabet)
-    motion_edges = _out_edges(motion)
+        return empty_dfa(doors)
     plan_moves = motion_plan.transitions
     plan_marked = motion_plan.marked
 
     def step(pair: tuple[str, str]) -> list[tuple[int, tuple[str, str]]]:
         v, p = pair
-        return [(a, (v2, p2)) for a, _, v2 in motion_edges.get(v, ())
+        return [(a, (v2, p2)) for a, v2 in moves.get(v, ())
                 if (p2 := plan_moves.get((p, v2))) in plan_marked]
 
-    order, succ = _numbered_walk((motion.initial, p0), step)
-    return _minimize_numbered(succ, [True] * len(order), motion.alphabet)
+    order, succ = _numbered_walk((v0, p0), step)
+    return _minimize_numbered(succ, [True] * len(order), doors)
 
 
 @dataclass(frozen=True)
@@ -339,7 +359,7 @@ def integrate(
     """
     lp = _interleave(mission, pi, initial_region)
     motion_plan = project(lp, pi.regions)
-    gap = _motion_gap(motion_plan, motion)
+    gap, = _motion_gap(motion_plan, (motion.initial, _door_map(motion)))
     if gap is not None:
         raise MotionInfeasible(gap)
     profile = door_profile(motion_plan, motion)
@@ -432,32 +452,36 @@ def replan(lp: IntegratedPlan, nominal_motion: Dfa, real_env: Environment) -> In
 
     The plan must be adequate for ``nominal_motion``, and the real
     environment must hold the nominal model's regions and doors and name no
-    region the plan's labeling does not.  When the real environment still
-    serves the motion plan, the plan and its motion plan are returned as
-    they are, with the door profile recomputed against the real environment
-    (which drops words through missing doors).  Otherwise each region change
-    with no door left is bridged by the shortest intermediate region path of
-    the real environment, spliced into the plan automaton itself: the plan
-    is walked together with the agent's last region, each doorless edge
-    becomes a chain through the bridge, and the numbered subsets of the
-    result are minimised.  Mission event sequences are never altered, and every
-    region change of the spliced plan has a real door.
+    region the plan's labeling does not; one walk over the motion plan checks
+    both models.  When the real door map still serves the motion plan, the
+    plan and its motion plan are returned as they are, with the door profile
+    recomputed over the real door moves (which drops words through missing
+    doors).  Otherwise each region change with no door left is bridged by
+    the shortest intermediate region path of the real environment, spliced
+    into the plan automaton itself: the plan is walked together with the
+    agent's last region, each doorless edge becomes a chain through the
+    bridge, and the numbered subsets of the result are minimised.  Mission
+    event sequences are never altered, and every region change of the
+    spliced plan has a real door.
     """
     if not (set(nominal_motion.states) <= set(real_env.regions) <= set(lp.labeling.regions)
             and set(nominal_motion.alphabet.events) <= set(real_env.doors)):
         raise InputError("real environment must share regions and doors with the nominal model")
-    if _motion_gap(lp.motion_plan, nominal_motion) is not None:
+    v0 = lp.initial_region
+    nominal = (nominal_motion.initial, _door_map(nominal_motion))
+    nominal_gap, real_gap = _motion_gap(lp.motion_plan, nominal, (v0, real_env.door_map))
+    if nominal_gap is not None:
         raise InvariantError("plan was not adequate for its nominal motion model")
-    real = motion_dfa(real_env, lp.initial_region)
-    if _motion_gap(lp.motion_plan, real) is None:
+    if v0 not in real_env.regions:
+        raise InputError(f"initial region {v0!r} not in the environment")
+    moves, doors = real_env._door_moves, real_env._door_alphabet  # type: ignore[attr-defined]
+    if real_gap is None:
         return IntegratedPlan(lp.agent, lp.dfa, lp.mission, lp.motion_plan,
-                              door_profile(lp.motion_plan, real), lp.initial_region, lp.labeling)
+                              _profile(lp.motion_plan, v0, moves, doors), v0, lp.labeling)
     new_dfa = _splice(lp.dfa, set(lp.labeling.regions), real_env)
     motion_plan = project(new_dfa, lp.labeling.regions)
-    profile = door_profile(motion_plan, real)
-    return IntegratedPlan(
-        lp.agent, new_dfa, lp.mission, motion_plan, profile, lp.initial_region, lp.labeling
-    )
+    profile = _profile(motion_plan, v0, moves, doors)
+    return IntegratedPlan(lp.agent, new_dfa, lp.mission, motion_plan, profile, v0, lp.labeling)
 
 
 # -- simulation -------------------------------------------------------------
@@ -518,7 +542,9 @@ def simulate(
         _Walker(lp, lp.dfa.initial, *_plan_moves(lp), believed=dict(env.door_map))
         for lp in plans
     ]
-    nominal_motions = [motion_dfa(env, lp.initial_region) for lp in plans]
+    for lp in plans:  # checked up front, though only a walker that replans builds its motion model
+        if lp.initial_region not in env.regions:
+            raise InputError(f"initial region {lp.initial_region!r} not in the environment")
     mission_owners: dict[str, list[int]] = {}
     for i, lp in enumerate(plans):
         for e in lp.mission.alphabet.events:
@@ -537,13 +563,14 @@ def simulate(
             return SimulationResult(trace, True)
 
         # replan any agent whose believed doors for its next move are stale
-        for i, w in enumerate(walkers):
+        for w in walkers:
             for v2 in w.region_moves.get(w.state, ()):
                 if w.region is None or v2 == w.region:
                     continue
                 believed = w.believed.get((w.region, v2), ())
                 if any(not doors_open[d] for d in believed):
-                    _replan_walker(w, step, effective, nominal_motions[i], trace)
+                    nominal = motion_dfa(env, w.plan.initial_region)
+                    _replan_walker(w, step, effective, nominal, trace)
                     break
 
         moves: list[tuple[int, str]] = []

@@ -50,12 +50,16 @@ from cosynth.automata import (
 from cosynth.langops import project, widen_alphabet, widen_like
 from cosynth.motion import (
     Environment,
+    IntegratedPlan,
     LabelingMap,
     ReplanInfeasible,
     SimulationResult,
+    door_profile,
     motion_dfa,
     _plan_moves,
+    _region_edges,
     _replan_walker,
+    _splice,
     _Walker,
 )
 from cosynth.synthesis import IllegalBehaviorSet
@@ -1281,6 +1285,43 @@ def reference_door_profile(motion_plan: Dfa, motion: Dfa) -> Dfa:
     states = tuple(name(v, p) for v, p in order)
     dfa = Dfa(states, motion.alphabet, name(*start), transitions, frozenset(states))
     return minimize(dfa)
+
+
+def reference_motion_gap(motion_plan: Dfa, motion: Dfa) -> Optional[tuple[str, str]]:
+    """The first region change of the motion plan that ``motion`` cannot make,
+    from the steps of the motion automaton itself, one walk per model."""
+    steps = {(v, v2) for (v, _), v2 in motion.transitions.items()}
+    for (_, v), e, _ in _region_edges(motion_plan, set(motion_plan.alphabet.events)):
+        if v is None:
+            if e != motion.initial:
+                return motion.initial, e
+        elif e != v and (v, e) not in steps:
+            return v, e
+    return None
+
+
+def reference_replan(lp: IntegratedPlan, nominal_motion: Dfa,
+                     real_env: Environment) -> IntegratedPlan:
+    """Replanning through the real motion automaton.
+
+    Builds ``motion_dfa(real_env, v0)``, walks the motion plan once against
+    each motion automaton, and profiles the kept or spliced plan on the real
+    motion automaton with :func:`door_profile`.  The checks and the splice
+    come in the order :func:`cosynth.motion.replan` makes them.
+    """
+    if not (set(nominal_motion.states) <= set(real_env.regions) <= set(lp.labeling.regions)
+            and set(nominal_motion.alphabet.events) <= set(real_env.doors)):
+        raise InputError("real environment must share regions and doors with the nominal model")
+    if reference_motion_gap(lp.motion_plan, nominal_motion) is not None:
+        raise InvariantError("plan was not adequate for its nominal motion model")
+    real = motion_dfa(real_env, lp.initial_region)
+    if reference_motion_gap(lp.motion_plan, real) is None:
+        return IntegratedPlan(lp.agent, lp.dfa, lp.mission, lp.motion_plan,
+                              door_profile(lp.motion_plan, real), lp.initial_region, lp.labeling)
+    new_dfa = _splice(lp.dfa, set(lp.labeling.regions), real_env)
+    motion_plan = project(new_dfa, lp.labeling.regions)
+    return IntegratedPlan(lp.agent, new_dfa, lp.mission, motion_plan,
+                          door_profile(motion_plan, real), lp.initial_region, lp.labeling)
 
 
 def shortest_real_path(env, source: str, target: str):

@@ -19,6 +19,7 @@ from cosynth.automata import (
     Dfa,
     EventAlphabet,
     InputError,
+    InvariantError,
     accepts,
     dfa_to_text,
     language_equal,
@@ -32,6 +33,7 @@ from cosynth.motion import (
     LabelingMap,
     MotionInfeasible,
     ReplanInfeasible,
+    _door_map,
     _interleave,
     _motion_gap,
     door_profile,
@@ -57,6 +59,8 @@ from conftest import (
     reference_door_profile,
     reference_interleave,
     reference_motion_dfa,
+    reference_motion_gap,
+    reference_replan,
     reference_replan_dfa,
     reference_run_language,
     reference_simulate,
@@ -468,7 +472,7 @@ def test_motion_gap_is_the_last_pair_of_the_run_language_witness(rng):
                       density=rng.choice((0.3, 0.6, 0.9)), marked_p=1.0)
     w = language_subset(plan, reference_run_language(gm, stutter=True, regions=REGIONS))
     expected = None if w is None else (gm.initial, w[0]) if len(w) == 1 else w[-2:]
-    assert _motion_gap(plan, gm) == expected
+    assert _motion_gap(plan, (gm.initial, _door_map(gm))) == [expected]
 
 
 def _agent3_plan():
@@ -711,6 +715,72 @@ def test_replan_splice_matches_word_enumeration(rng):
         _replan_and_reference(new_lp, gm, _cut(rng, real))
 
 
+def _real_variant(rng, env: Environment) -> Environment:
+    """A real environment for replanning: a :func:`_cut`, random door losses,
+    the start's doors all gone, or one region no door leads into any more."""
+    case = rng.choice(("cut", "cut", "lose", "start", "unreached"))
+    if case == "cut":
+        return _cut(rng, env)
+    if case == "lose":
+        p = rng.choice((0.0, 0.2, 0.5))
+        return env.without_doors({d for d in env.doors if rng.random() < p})
+    if case == "start":
+        return env.without_doors({d for (v, v2), ds in env.door_map.items() if "R0" in (v, v2)
+                                  for d in ds})
+    unreached = rng.choice(env.regions[1:])
+    return replace(env, door_map={(v, v2): () if v2 == unreached else ds
+                                  for (v, v2), ds in env.door_map.items()})
+
+
+def _outcome(route, *args):
+    try:
+        return route(*args)
+    except (InputError, InvariantError, ReplanInfeasible) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_replan_matches_the_motion_automaton_route(rng):
+    # walking the real door map and door moves gives what the real motion
+    # automaton gives: the same plans, the same kept plans and the same errors
+    lp, gm, env = _random_patrol(rng)
+    real = _real_variant(rng, env)
+    nominal = gm
+    case = rng.choice(("real", "real", "real", "narrow nominal", "wider real", "moved start"))
+    if case == "narrow nominal":  # a plan that is inadequate for its nominal model
+        nominal = motion_dfa(_real_variant(rng, env), "R0")
+    elif case == "wider real":
+        real = replace(real, regions=real.regions + ("R9",))
+    elif case == "moved start":
+        lp = replace(lp, initial_region=rng.choice(("R1", "R9")))
+    got = _outcome(replan, lp, nominal, real)
+    expected = _outcome(reference_replan, lp, nominal, real)
+    if isinstance(expected, tuple):
+        assert got == expected
+        return
+    assert not isinstance(got, tuple), got
+    for part in ("dfa", "motion_plan", "profile"):
+        assert dfa_to_text(getattr(got, part)) == dfa_to_text(getattr(expected, part)), part
+    assert (got.dfa is lp.dfa) == (expected.dfa is lp.dfa)
+    assert (got.motion_plan is lp.motion_plan) == (expected.motion_plan is lp.motion_plan)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_integrate_gap_and_profile_match_the_motion_automaton_route(rng):
+    lp, _, env = _random_patrol(rng)
+    motion = motion_dfa(_real_variant(rng, env), "R0")
+    gap = reference_motion_gap(lp.motion_plan, motion)
+    try:
+        got = integrate(lp.mission, lp.labeling, "R0", motion, agent="bot")
+    except MotionInfeasible as exc:
+        assert exc.pair == gap
+        return
+    assert gap is None
+    assert dfa_to_text(got.profile) == dfa_to_text(reference_door_profile(lp.motion_plan, motion))
+
+
 def test_replan_tracks_the_last_region_into_merged_states():
     # minimisation merges the plan's entry with the return to R0 after b,
     # so one state is entered both before any region and from R1; only the
@@ -800,6 +870,13 @@ def test_replan_checks_adequacy_under_optimized_python():
 def test_simulate_empty_plan_set():
     result = simulate([], case_env())
     assert result.trace == [] and result.completed
+
+
+def test_simulate_rejects_a_plan_whose_start_the_environment_lacks():
+    # no walker replans here, and the plan is still refused before the first step
+    lp, _ = _agent3_plan()
+    with pytest.raises(InputError, match="initial region 'R9' not in the environment"):
+        simulate([replace(lp, initial_region="R9")], case_env())
 
 
 def test_simulate_single_agent_cycle():
