@@ -474,12 +474,13 @@ def parallel_compose_all(dfas: Sequence[Dfa]) -> Dfa:
 def minimal_product(dfas: Sequence[Dfa], alphabet: EventAlphabet) -> Dfa:
     """The canonical minimal automaton of the product of *dfas* over *alphabet*.
 
-    The result is ``minimize(widen_alphabet(parallel_compose_all(dfas),
-    alphabet))``: every operand event must be in *alphabet*, and an event of
-    *alphabet* that no operand owns never occurs.  The successor lists of
-    the product's numbered walk over integer codes go straight to the
-    integer core of :func:`minimize`, so no product state is decoded or
-    named and no intermediate automaton is built.
+    The result is :func:`minimize` of :func:`parallel_compose_all` of *dfas*
+    read over *alphabet*: every operand event must be in *alphabet*, and an
+    event of *alphabet* that no operand owns never occurs.  The successor
+    lists of the product's numbered walk over integer codes go straight to
+    the integer core of :func:`minimize`, so no product state is decoded or
+    named and no intermediate automaton is built.  It builds the mission and
+    the local products of :func:`cosynth.langops.decompose`.
     """
     if not dfas:
         raise InputError("need at least one automaton")
@@ -538,18 +539,19 @@ def product_violation(dfas: Sequence[Dfa], prop: Dfa) -> tuple[Optional[Word], i
 
 
 def _subset_walk(
-    nfa: Mapping[tuple[str, Optional[str]], set[str]],
-    initials: set[str],
+    nfa: Mapping[tuple[T, Optional[str]], set[T]],
+    initials: set[T],
     alphabet: EventAlphabet,
-) -> tuple[list[frozenset[str]], list[list[tuple[int, int]]]]:
+) -> tuple[list[frozenset[T]], list[list[tuple[int, int]]]]:
     """Subset construction over an epsilon-NFA given as (state, symbol|None) -> states.
 
-    Returns the subsets reachable from the closure of *initials* and the
-    (event index, subset number) moves of each, as :func:`_numbered_walk`
-    numbers them, ready for :func:`_minimize_numbered`.
+    The states may be any hashable values.  Returns the subsets reachable
+    from the closure of *initials* and the (event index, subset number)
+    moves of each, as :func:`_numbered_walk` numbers them, ready for
+    :func:`_minimize_numbered`.
     """
 
-    def closure(states: set[str]) -> frozenset[str]:
+    def closure(states: set[T]) -> frozenset[T]:
         """*states*, a set of the walk's own that it extends, closed under empty moves."""
         stack = list(states)
         while stack:
@@ -561,13 +563,13 @@ def _subset_walk(
 
     # each NFA state's labelled moves, which a subset groups by event index
     event_index = alphabet._index  # type: ignore[attr-defined]
-    labelled: dict[str, list[tuple[int, set[str]]]] = {}
+    labelled: dict[T, list[tuple[int, set[T]]]] = {}
     for (q, e), targets in nfa.items():
         if e in event_index:
             labelled.setdefault(q, []).append((event_index[e], targets))
 
-    def step(subset: frozenset[str]) -> list[tuple[int, frozenset[str]]]:
-        moved: dict[int, set[str]] = {}
+    def step(subset: frozenset[T]) -> list[tuple[int, frozenset[T]]]:
+        moved: dict[int, set[T]] = {}
         for q in subset:
             for a, targets in labelled.get(q, ()):
                 if a in moved:

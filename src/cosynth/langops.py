@@ -23,6 +23,7 @@ from cosynth.automata import (
     Word,
     all_marked,
     language_subset,
+    minimal_product,
     minimize,
     parallel_compose_all,
     product_violation,
@@ -88,22 +89,22 @@ def _minimal_erasure(dfa: Dfa, target: Iterable[str]) -> Dfa:
                               target_alphabet)
 
 
-def _lemma_products(automata: Sequence[Dfa]) -> Callable[[Iterable[str]], Dfa]:
-    """For an event set Σ', a function giving ‖_j P_{Σ'∩Σ_j}(A_j) over Σ' ∪ Σ_shared.
+def _lemma_products(automata: Sequence[Dfa]) -> Callable[[Iterable[str]], list[Dfa]]:
+    """For an event set Σ', a function giving the operands P_{Σ'∩Σ_j}(A_j) of
+    P_{Σ'∪Σ_shared}(A_1 ‖ … ‖ A_m).
 
     Σ_shared holds every event that two or more of *automata* own.  By the
     projection lemma, if Σ' holds Σ_shared then P_{Σ'}(A_1 ‖ … ‖ A_m) =
     ‖_j P_{Σ'∩Σ_j}(A_j) (Wonham and Cai, *Supervisory Control of
     Discrete-Event Systems*, 2019), so the function erases each automaton on
-    its own onto (Σ' ∪ Σ_shared) ∩ Σ_j and composes the small results; the
-    product is P_{Σ'∪Σ_shared}(A_1 ‖ … ‖ A_m).  Each automaton is erased
-    once per kept event set.
+    its own onto (Σ' ∪ Σ_shared) ∩ Σ_j, once per kept event set, and the
+    caller composes the small results.
     """
     owners = Counter(e for a in automata for e in a.alphabet.events)
     shared = {e for e, n in owners.items() if n > 1}
     erased: dict[tuple[int, frozenset[str]], Dfa] = {}
 
-    def product(events: Iterable[str]) -> Dfa:
+    def operands(events: Iterable[str]) -> list[Dfa]:
         keep = shared.union(events)
         parts = []
         for j, a in enumerate(automata):
@@ -111,14 +112,14 @@ def _lemma_products(automata: Sequence[Dfa]) -> Callable[[Iterable[str]], Dfa]:
             if (j, kept) not in erased:
                 erased[(j, kept)] = _erase(a, kept)
             parts.append(erased[(j, kept)])
-        return parallel_compose_all(parts)
+        return parts
 
-    return product
+    return operands
 
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Each agent's local spec and the size of the local product it came from."""
+    """Each agent's local spec and the size of the minimal local product it came from."""
 
     specs: list[Dfa]
     product_states: list[int]
@@ -133,20 +134,22 @@ def decompose(
 
     Spec i is P_{Σ_i}(L_1 ‖ … ‖ L_m) over the global alphabet, minimised and
     reindexed over ``agent_alphabets[i]``.  It never builds the mission: the
-    components are erased onto Σ_i and the events they share, the results
-    composed (:func:`_lemma_products`), and the product is projected onto
-    Σ_i.  Agent events that no component uses never occur, as in the
-    widened mission.  Minimising over the global event order gives the same
-    canonical automaton as projecting the minimised mission.
+    components are erased onto Σ_i and the events they share
+    (:func:`_lemma_products`), :func:`minimal_product` composes the results
+    over those events in the global order, as it builds the mission, and
+    the minimal local product is projected onto Σ_i.  Agent events that no
+    component uses never occur, as in the widened mission.  Minimising over
+    the global event order gives the same canonical automaton as projecting
+    the minimised mission.
     """
-    local_product = _lemma_products(components)
+    local_operands = _lemma_products(components)
     specs: list[Dfa] = []
     sizes: list[int] = []
     for alphabet in agent_alphabets:
-        product = local_product(alphabet.events)
+        parts = local_operands(alphabet.events)
+        events = {e for part in parts for e in part.alphabet.events}.union(alphabet.events)
+        product = minimal_product(parts, global_alphabet.restrict(events))
         sizes.append(len(product.states))
-        events = set(product.alphabet.events).union(alphabet.events)
-        product = widen_alphabet(product, global_alphabet.restrict(events))
         specs.append(widen_like(_minimal_erasure(product, alphabet.events), alphabet))
     return Decomposition(specs, sizes)
 
@@ -182,9 +185,9 @@ def satisfies_modular(plans: Sequence[Dfa], components: Sequence[Dfa],
     factors = list(components)
     if free.events:
         factors.append(Dfa(("0",), free, "0", {}, frozenset(("0",))))
-    local_product = _lemma_products(plans)
+    local_operands = _lemma_products(plans)
     for factor in factors:
-        product = local_product(factor.alphabet.events)
+        product = parallel_compose_all(local_operands(factor.alphabet.events))
         witness = satisfies(product, factor)
         if witness is not None:
             # the witness is a word of P_{Σ'}(‖plans): lift it to ‖plans
@@ -195,14 +198,6 @@ def satisfies_modular(plans: Sequence[Dfa], components: Sequence[Dfa],
                                      f"has no preimage in the plans' product")
             return lifted
     return None
-
-
-def widen_alphabet(dfa: Dfa, alphabet: EventAlphabet) -> Dfa:
-    """Reinterpret over a larger alphabet without adding transitions (language preserved)."""
-    for e in dfa.alphabet.events:
-        if e not in alphabet:
-            raise InputError(f"event {e!r} missing from the wider alphabet")
-    return Dfa(dfa.states, alphabet, dfa.initial, dfa.transitions, dfa.marked)
 
 
 def sup_c(spec: Dfa, plant: Dfa) -> Dfa:

@@ -40,7 +40,7 @@ these as a property.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional, Sequence
 
 from cosynth.automata import (
@@ -126,9 +126,17 @@ class Environment:
         return self.door_map.get((v, v2), ())
 
     def without_doors(self, closed: set[str]) -> "Environment":
+        """This environment with the *closed* doors taken out of the door map
+        and the door moves, its door alphabet kept.  Closing doors cannot make
+        a valid environment invalid, so nothing is checked again."""
+        doors = self._door_alphabet.events  # type: ignore[attr-defined]
         door_map = {pair: tuple(d for d in ds if d not in closed)
                     for pair, ds in self.door_map.items()}
-        return replace(self, door_map=door_map)
+        door_moves = {v: [(a, v2) for a, v2 in out if doors[a] not in closed]
+                      for v, out in self._door_moves.items()}  # type: ignore[attr-defined]
+        env = object.__new__(Environment)
+        env.__dict__.update(self.__dict__, door_map=door_map, _door_moves=door_moves)
+        return env
 
 
 @dataclass(frozen=True)
@@ -409,42 +417,34 @@ def _splice(dfa: Dfa, regions: set[str], real_env: Environment) -> Dfa:
     """The plan with every doorless region change bridged by a real path.
 
     Each product edge ``cur → e`` whose regions lost all their doors becomes
-    a fresh chain through the intermediate regions of the shortest real path
-    from ``cur`` to ``e``.  An inserted region may collide with a region edge
-    already leaving the same state, so the chains form an NFA whose subsets,
-    numbered by the subset construction, go straight to the integer core of
-    :func:`cosynth.automata.minimize`.
+    a fresh chain of integer hops through the intermediate regions of the
+    shortest real path from ``cur`` to ``e``.  An inserted region may
+    collide with a region edge already leaving the same node, so the
+    (plan state, last region) nodes of :func:`_region_edges` and the hops
+    form an NFA whose subsets, numbered by the subset construction, go
+    straight to the integer core of :func:`cosynth.automata.minimize`.  A
+    subset is marked when it holds a hop or a node whose plan state is.
     """
     successors = _open_successors(real_env)
-    names: dict[_Node, str] = {}
-
-    def name(node: _Node) -> str:
-        if node not in names:
-            names[node] = f"p{len(names)}"
-        return names[node]
-
-    nfa: dict[tuple[str, str], set[str]] = {}
+    nfa: dict[tuple[_Node | int, str], set[_Node | int]] = {}
     paths: dict[tuple[str, str], list[str]] = {}
-    chain: list[str] = []
-    initial = name((dfa.initial, None))
+    hops = 0
     for node, e, nxt in _region_edges(dfa, regions):
-        src, v = name(node), node[1]
-        if _door_lost(real_env, regions, v, e):
-            pair = (v, e)
+        src: _Node | int = node
+        if _door_lost(real_env, regions, node[1], e):
+            pair = (node[1], e)
             if pair not in paths:
                 path = _shortest_region_path(successors, *pair)
                 if path is None:
                     raise ReplanInfeasible(pair)
                 paths[pair] = path
             for mid in paths[pair][1:-1]:
-                hop = f"c{len(chain)}"
-                chain.append(hop)
-                nfa.setdefault((src, mid), set()).add(hop)
-                src = hop
-        nfa.setdefault((src, e), set()).add(name(nxt))
-    marked = {names[node] for node in names if node[0] in dfa.marked} | set(chain)
-    order, succ = _subset_walk(nfa, {initial}, dfa.alphabet)
-    return _minimize_numbered(succ, [not s.isdisjoint(marked) for s in order], dfa.alphabet)
+                nfa.setdefault((src, mid), set()).add(hops)
+                src, hops = hops, hops + 1
+        nfa.setdefault((src, e), set()).add(nxt)
+    order, succ = _subset_walk(nfa, {(dfa.initial, None)}, dfa.alphabet)
+    marked = [any(isinstance(x, int) or x[0] in dfa.marked for x in s) for s in order]
+    return _minimize_numbered(succ, marked, dfa.alphabet)
 
 
 def replan(lp: IntegratedPlan, nominal_motion: Dfa, real_env: Environment) -> IntegratedPlan:

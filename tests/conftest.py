@@ -45,9 +45,11 @@ from cosynth.automata import (
     parallel_compose_all,
     _determinize,
     _edge_walk,
+    _minimize_numbered,
     _out_edges,
+    _subset_walk,
 )
-from cosynth.langops import project, widen_alphabet, widen_like
+from cosynth.langops import project, widen_like
 from cosynth.motion import (
     Environment,
     IntegratedPlan,
@@ -57,9 +59,12 @@ from cosynth.motion import (
     door_profile,
     motion_dfa,
     _plan_moves,
+    _Node,
+    _door_lost,
+    _open_successors,
     _region_edges,
     _replan_walker,
-    _splice,
+    _shortest_region_path,
     _Walker,
 )
 from cosynth.synthesis import IllegalBehaviorSet
@@ -260,6 +265,14 @@ def star_words(dfa: Dfa) -> Dfa:
     out = reference_determinize(nfa, {dfa.initial}, set(dfa.marked), dfa.alphabet)
     return minimize(Dfa(out.states, out.alphabet, out.initial, out.transitions,
                         out.marked | {out.initial}))
+
+
+def widen_alphabet(dfa: Dfa, alphabet: EventAlphabet) -> Dfa:
+    """Reinterpret over a larger alphabet without adding transitions (language preserved)."""
+    for e in dfa.alphabet.events:
+        if e not in alphabet:
+            raise InputError(f"event {e!r} missing from the wider alphabet")
+    return Dfa(dfa.states, alphabet, dfa.initial, dfa.transitions, dfa.marked)
 
 
 def lift(dfa: Dfa, alphabet: EventAlphabet) -> Dfa:
@@ -1318,10 +1331,52 @@ def reference_replan(lp: IntegratedPlan, nominal_motion: Dfa,
     if reference_motion_gap(lp.motion_plan, real) is None:
         return IntegratedPlan(lp.agent, lp.dfa, lp.mission, lp.motion_plan,
                               door_profile(lp.motion_plan, real), lp.initial_region, lp.labeling)
-    new_dfa = _splice(lp.dfa, set(lp.labeling.regions), real_env)
+    new_dfa = reference_splice(lp.dfa, set(lp.labeling.regions), real_env)
     motion_plan = project(new_dfa, lp.labeling.regions)
     return IntegratedPlan(lp.agent, new_dfa, lp.mission, motion_plan,
                           door_profile(motion_plan, real), lp.initial_region, lp.labeling)
+
+
+def reference_splice(dfa: Dfa, regions: set[str], real_env: Environment) -> Dfa:
+    """The splice with hand-numbered nodes, the reference for :func:`cosynth.motion._splice`.
+
+    Each product edge ``cur → e`` whose regions lost all their doors becomes
+    a fresh chain through the intermediate regions of the shortest real path
+    from ``cur`` to ``e``.  An inserted region may collide with a region edge
+    already leaving the same state, so the chains form an NFA whose subsets,
+    numbered by the subset construction, go straight to the integer core of
+    :func:`cosynth.automata.minimize`.
+    """
+    successors = _open_successors(real_env)
+    names: dict[_Node, str] = {}
+
+    def name(node: _Node) -> str:
+        if node not in names:
+            names[node] = f"p{len(names)}"
+        return names[node]
+
+    nfa: dict[tuple[str, str], set[str]] = {}
+    paths: dict[tuple[str, str], list[str]] = {}
+    chain: list[str] = []
+    initial = name((dfa.initial, None))
+    for node, e, nxt in _region_edges(dfa, regions):
+        src, v = name(node), node[1]
+        if _door_lost(real_env, regions, v, e):
+            pair = (v, e)
+            if pair not in paths:
+                path = _shortest_region_path(successors, *pair)
+                if path is None:
+                    raise ReplanInfeasible(pair)
+                paths[pair] = path
+            for mid in paths[pair][1:-1]:
+                hop = f"c{len(chain)}"
+                chain.append(hop)
+                nfa.setdefault((src, mid), set()).add(hop)
+                src = hop
+        nfa.setdefault((src, e), set()).add(name(nxt))
+    marked = {names[node] for node in names if node[0] in dfa.marked} | set(chain)
+    order, succ = _subset_walk(nfa, {initial}, dfa.alphabet)
+    return _minimize_numbered(succ, [not s.isdisjoint(marked) for s in order], dfa.alphabet)
 
 
 def shortest_real_path(env, source: str, target: str):

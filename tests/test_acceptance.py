@@ -30,7 +30,6 @@ from cosynth.langops import (
     decompose,
     satisfies,
     sup_c,
-    widen_alphabet,
     widen_like,
 )
 from cosynth.langops import _supc_walk
@@ -53,6 +52,7 @@ from conftest import (
     reference_supc_closed_form,
     reference_supc_fixed_point,
     validate_integrated_clauses,
+    widen_alphabet,
     words_up_to,
 )
 

@@ -36,6 +36,7 @@ from conftest import (
     brute_accepts,
     brute_generates,
     brute_project,
+    cycle_dfa,
     inverse_project_intersect,
     is_controllable,
     is_separable,
@@ -128,23 +129,44 @@ def test_project_matches_subset_construction_oracle(seed, target):
 POOL = ("d", "a", "c", "b")  # components draw from these, not in sorted order
 
 
+def _doubled(dfa: Dfa) -> Dfa:
+    """The same language with each state q split into q and q', every move
+    crossing between the copies; q and q' accept the same words, so a
+    minimiser merges them."""
+    states = dfa.states + tuple(f"{q}'" for q in dfa.states)
+    transitions = {}
+    for (q, e), q2 in dfa.transitions.items():
+        transitions[(q, e)] = f"{q2}'"
+        transitions[(f"{q}'", e)] = q2
+    marked = dfa.marked | {f"{q}'" for q in dfa.marked}
+    return Dfa(states, dfa.alphabet, dfa.initial, transitions, marked)
+
+
 @settings(max_examples=200, deadline=None, database=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     component_events=st.lists(st.sets(st.sampled_from(POOL), min_size=1), min_size=1, max_size=4),
     agent_events=st.lists(st.sets(st.sampled_from(POOL + ("x", "y"))), min_size=1, max_size=3),
+    doubled=st.booleans(),
 )
 # the first agent owns x, which no component uses, and shares no event with {b, d}
-@example(seed=5, component_events=[{"a", "c"}, {"b", "d"}], agent_events=[{"a", "x"}, {"c"}])
+@example(seed=5, component_events=[{"a", "c"}, {"b", "d"}], agent_events=[{"a", "x"}, {"c"}],
+         doubled=False)
 # no two components share an event, and the first agent shares none with any
-@example(seed=9, component_events=[{"a"}, {"b"}, {"c", "d"}], agent_events=[{"y"}, {"a", "b"}])
-def test_decompose_matches_the_monolithic_route(seed, component_events, agent_events):
+@example(seed=9, component_events=[{"a"}, {"b"}, {"c", "d"}], agent_events=[{"y"}, {"a", "b"}],
+         doubled=False)
+# non-minimal components that lose no event: the erased local product has 8
+# states, the minimal one 1
+@example(seed=3, component_events=[{"a", "b"}, {"b", "c"}], agent_events=[{"a", "b", "c"}],
+         doubled=True)
+def test_decompose_matches_the_monolithic_route(seed, component_events, agent_events, doubled):
     rng = random.Random(seed)
     components = []
     for events in component_events:
         order = sorted(events)
         rng.shuffle(order)
-        components.append(random_dfa(rng, 3, order))
+        component = random_dfa(rng, 3, order)
+        components.append(_doubled(component) if doubled else component)
     # every component event belongs to some agent: the last agent takes the rest
     owned = [sorted(events) for events in agent_events]
     owned[-1] += sorted(set().union(*component_events) - set().union(*agent_events))
@@ -158,8 +180,22 @@ def test_decompose_matches_the_monolithic_route(seed, component_events, agent_ev
 
     got = decompose(components, alphabets, global_alphabet)
     expected = reference_decompose(components, alphabets, global_alphabet)
-    assert len(got.product_states) == len(alphabets)
     assert [dfa_to_text(s) for s in got.specs] == [dfa_to_text(s) for s in expected]
+    # each local product is the minimal P_{Σ_i ∪ Σ_shared} of the mission
+    mission = reference_mission(components, global_alphabet)
+    shared = {e for e in POOL if sum(e in events for events in component_events) > 1}
+    assert got.product_states == [len(project(mission, shared.union(a.events)).states)
+                                  for a in alphabets]
+
+
+def test_decompose_names_a_shared_event_missing_from_the_global_alphabet():
+    # z and w are shared by both components and missing from the global
+    # alphabet; the error names z, the first of them in component order
+    left = cycle_dfa(("a", "z", "w"), EventAlphabet(("a", "z", "w")))
+    right = cycle_dfa(("w", "z", "b"), EventAlphabet(("w", "z", "b")))
+    with pytest.raises(InputError, match=r"^event 'z' missing from the wider alphabet$"):
+        decompose([left, right], [EventAlphabet(("a",)), EventAlphabet(("b",))],
+                  EventAlphabet(("a", "b")))
 
 
 @settings(max_examples=100, deadline=None, database=None)

@@ -36,6 +36,7 @@ from cosynth.motion import (
     _door_map,
     _interleave,
     _motion_gap,
+    _splice,
     door_profile,
     environment_from_text,
     environment_to_text,
@@ -64,6 +65,7 @@ from conftest import (
     reference_replan_dfa,
     reference_run_language,
     reference_simulate,
+    reference_splice,
     validate_integrated_clauses,
     words_up_to,
 )
@@ -779,6 +781,77 @@ def test_integrate_gap_and_profile_match_the_motion_automaton_route(rng):
         return
     assert gap is None
     assert dfa_to_text(got.profile) == dfa_to_text(reference_door_profile(lp.motion_plan, motion))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_splice_matches_the_hand_numbered_reference(rng):
+    # keying the NFA by walk nodes and integer hops splices the same plan,
+    # and raises the same ReplanInfeasible, as naming every node "p{n}"
+    lp, _, env = _random_patrol(rng)
+    regions = set(lp.labeling.regions)
+    for _ in range(2):  # the second round splices an already spliced plan
+        real = _real_variant(rng, env)
+        got = _outcome(_splice, lp.dfa, regions, real)
+        expected = _outcome(reference_splice, lp.dfa, regions, real)
+        if isinstance(expected, tuple):
+            assert got == expected
+            return
+        assert dfa_to_text(got) == dfa_to_text(expected)
+        lp = replace(lp, dfa=got)
+
+
+def test_splice_merges_a_bridge_with_a_region_edge_of_the_same_node():
+    # at A the plan moves to B for go and to C for peek; once A-B loses its
+    # door, the bridge's first hop is C, which the node already moves to
+    door_map = {("A", "B"): ("d_ab",), ("A", "C"): ("d_ac",), ("C", "B"): ("d_cb",),
+                ("C", "A"): ("d_ca",), ("B", "A"): ("d_ba",)}
+    env = Environment(("A", "B", "C"), tuple(door_map), tuple(sorted(
+        d for ds in door_map.values() for d in ds)), door_map, {"bot": "A"})
+    alpha = EventAlphabet(("go", "back", "peek"), frozenset({"go", "back", "peek"}))
+    mission = Dfa(("0", "1"), alpha, "0", {("0", "go"): "1", ("1", "back"): "0",
+                                           ("0", "peek"): "0"}, frozenset({"0", "1"}))
+    pi = LabelingMap(env.regions, {"go": frozenset({"B"}), "back": frozenset({"A"}),
+                                   "peek": frozenset({"C"})})
+    lp = integrate(mission, pi, "A", motion_dfa(env, "A"), agent="bot")
+    regions = set(env.regions)
+    real = env.without_doors({"d_ab"})
+    got = _splice(lp.dfa, regions, real)
+    assert dfa_to_text(got) == dfa_to_text(reference_splice(lp.dfa, regions, real))
+    assert accepts(got, ("A", "C", "B", "go")) and accepts(got, ("A", "C", "peek"))
+    assert not accepts(got, ("A", "B"))
+    # with every door into B gone, both name the same gap
+    closed = real.without_doors({"d_cb"})
+    for route in (_splice, reference_splice):
+        with pytest.raises(ReplanInfeasible) as err:
+            route(lp.dfa, regions, closed)
+        assert err.value.pair == ("A", "B")
+
+
+def _fields(env: Environment) -> dict:
+    """Every attribute of *env*, each dict as its item list, so order counts."""
+    return {k: list(v.items()) if isinstance(v, dict) else v for k, v in vars(env).items()}
+
+
+def _checked(env: Environment, door_map) -> Environment:
+    return Environment(env.regions, env.adjacency, env.doors, door_map, env.initial_regions)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_without_doors_equals_the_checked_environment(rng):
+    # closing doors gives every field, door moves and door alphabet included,
+    # that a full Environment(...) of the filtered door map builds, and
+    # leaves the environment it started from as it was
+    env = replace(random_environment(rng), initial_regions={"bot": "U"})
+    for _ in range(2):
+        closed = {d for d in env.doors if rng.random() < 0.4} | {"nowhere"}
+        got = env.without_doors(closed)
+        door_map = {pair: tuple(d for d in ds if d not in closed)
+                    for pair, ds in env.door_map.items()}
+        assert _fields(got) == _fields(_checked(env, door_map))
+        assert _fields(env) == _fields(_checked(env, env.door_map))
+        env = got
 
 
 def test_replan_tracks_the_last_region_into_merged_states():

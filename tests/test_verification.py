@@ -26,7 +26,7 @@ from cosynth.automata import (
     universal_dfa,
     words_dfa,
 )
-from cosynth.langops import project_word, satisfies, widen_alphabet
+from cosynth.langops import project_word, satisfies
 from cosynth import automata, verification
 from cosynth.verification import (
     Verdict,
@@ -60,6 +60,7 @@ from conftest import (
     reference_tabled_weakest_assumption,
     reference_weakest_assumption,
     union_lang,
+    widen_alphabet,
     word_dfa,
     words_up_to,
 )
