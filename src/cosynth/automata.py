@@ -265,6 +265,19 @@ def _numbered_dfa(names: Sequence[str], succ: list[list[tuple[int, int]]],
     return dfa
 
 
+_NAMES: tuple[str, ...] = ()  # "0", "1", …: the names of numbered states
+
+
+def _state_names(n: int) -> tuple[str, ...]:
+    """The first *n* of ``_NAMES``, which a longer tuple replaces when a call
+    needs more: no number is converted twice, and no caller sees a change."""
+    global _NAMES
+    names = _NAMES
+    if len(names) < n:
+        names = _NAMES = names + tuple(map(str, range(len(names), n)))
+    return names[:n]
+
+
 def _edge_walk(dfa: Dfa) -> tuple[list[str], list[list[tuple[int, int]]]]:
     """:func:`_numbered_walk` of *dfa* along its own moves, gathered as in ``_out_edges``."""
     index = dfa.alphabet._index  # type: ignore[attr-defined]
@@ -548,37 +561,46 @@ def _subset_walk(
     The states may be any hashable values.  Returns the subsets reachable
     from the closure of *initials* and the (event index, subset number)
     moves of each, as :func:`_numbered_walk` numbers them, ready for
-    :func:`_minimize_numbered`.
+    :func:`_minimize_numbered`.  With no empty move a subset is its own
+    closure, and a one-state subset takes its state's non-empty moves as
+    they were sorted once per walk.
     """
-
-    def closure(states: set[T]) -> frozenset[T]:
-        """*states*, a set of the walk's own that it extends, closed under empty moves."""
-        stack = list(states)
-        while stack:
-            for nxt in nfa.get((stack.pop(), None), ()):
-                if nxt not in states:
-                    states.add(nxt)
-                    stack.append(nxt)
-        return frozenset(states)
-
-    # each NFA state's labelled moves, which a subset groups by event index
+    # each NFA state's empty moves, and its labelled moves in event order
     event_index = alphabet._index  # type: ignore[attr-defined]
+    empty: dict[T, set[T]] = {}
     labelled: dict[T, list[tuple[int, set[T]]]] = {}
     for (q, e), targets in nfa.items():
-        if e in event_index:
+        if e is None:
+            empty[q] = targets
+        elif targets and e in event_index:
             labelled.setdefault(q, []).append((event_index[e], targets))
+    for out in labelled.values():
+        out.sort()  # one move per event, so no two moves tie
+
+    def closure(states: Iterable[T]) -> frozenset[T]:
+        seen = set(states)
+        stack = list(seen)
+        while stack:
+            for nxt in empty.get(stack.pop(), ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return frozenset(seen)
+
+    if not empty:
+        closure = frozenset  # every subset is closed
 
     def step(subset: frozenset[T]) -> list[tuple[int, frozenset[T]]]:
+        if len(subset) == 1:
+            (q,) = subset
+            return [(a, closure(targets)) for a, targets in labelled.get(q, ())]
         moved: dict[int, set[T]] = {}
         for q in subset:
             for a, targets in labelled.get(q, ()):
-                if a in moved:
-                    moved[a] |= targets
-                else:
-                    moved[a] = set(targets)
-        return [(a, closure(moved[a])) for a in sorted(moved) if moved[a]]
+                moved[a] = moved[a] | targets if a in moved else targets
+        return [(a, closure(moved[a])) for a in sorted(moved)]
 
-    return _numbered_walk(closure(set(initials)), step)
+    return _numbered_walk(closure(initials), step)
 
 
 def _determinize(
@@ -587,10 +609,10 @@ def _determinize(
     marked: set[str],
     alphabet: EventAlphabet,
 ) -> Dfa:
-    """The automaton of :func:`_subset_walk`, subset n named "n"; a subset is
-    marked when it holds a state of *marked*."""
+    """The automaton of :func:`_subset_walk`, subset n named "n" by
+    :func:`_state_names`; a subset is marked when it holds a state of *marked*."""
     order, succ = _subset_walk(nfa, initials, alphabet)
-    return _numbered_dfa(list(map(str, range(len(order)))), succ, alphabet,
+    return _numbered_dfa(_state_names(len(order)), succ, alphabet,
                          [not s.isdisjoint(marked) for s in order])
 
 
@@ -632,14 +654,15 @@ def _minimize_numbered(succ: list[list[tuple[int, int]]], marked: list[bool],
     Lehtinen, STACS 2008), from the live states grouped by one step (marked
     or not, and the event and mark of each move into a live state), which
     equivalent states share, every group waiting.  States that reach no
-    marked state are dropped, and a missing move goes to an implicit sink
-    that never splits, so the work grows with the transitions, not with
-    states times events.  A splitter of one state whose predecessors come
-    one per event splits each of them out of its block alone.  The classes
-    are numbered by the walk from the initial one, so the result does not
-    depend on how the states were numbered; when no two states merge and
-    ``succ`` already numbers them as that walk would, the input is returned
-    as it stands, states named by their numbers.
+    marked state are dropped (all are live when all are marked), and a
+    missing move goes to an implicit sink that never splits, so the work
+    grows with the transitions, not with states times events.  A splitter
+    of one state whose predecessors come one per event splits each of them
+    out of its block alone.  The classes are numbered by the walk from the
+    initial one, so the result does not depend on how the states were
+    numbered; when no two states merge and ``succ`` already numbers them as
+    that walk would, the input is returned as it stands.  States are named
+    by their numbers (:func:`_state_names`).
     """
     n = len(succ)
     back: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -662,8 +685,9 @@ def _minimize_numbered(succ: list[list[tuple[int, int]]], marked: list[bool],
     # group the live states by one step, a move on event a into q keyed
     # 2a + marked[q]; a waiting block splits every block by its predecessors
     groups: dict[tuple, set[int]] = {}
-    for p in compress(range(n), live):
-        key = (marked[p], tuple([a + a + marked[q] for a, q in succ[p] if live[q]]))
+    for p in compress(range(n), live):  # with every state marked, by its events alone
+        key = (tuple([a for a, _ in succ[p]]) if live is marked else
+               (marked[p], tuple([a + a + marked[q] for a, q in succ[p] if live[q]])))
         groups.setdefault(key, set()).add(p)
     blocks = list(groups.values())
     block_of = [-1] * n
@@ -712,14 +736,13 @@ def _minimize_numbered(succ: list[list[tuple[int, int]]], marked: list[bool],
                     in_waiting[b] = True
                     in_waiting.append(False)
 
-    names = list(map(str, range(n)))
     if len(blocks) == n and _walk_numbered(succ):
-        return _canonical(_numbered_dfa(names, succ, alphabet, marked))
+        return _canonical(_numbered_dfa(_state_names(n), succ, alphabet, marked))
     # canonical form: the classes numbered from the initial one, each read off one of its states
     rep = [next(iter(block)) for block in blocks]
     class_moves = [[(a, block_of[q]) for a, q in succ[p] if live[q]] for p in rep]
     classes, moves = _numbered_walk(block_of[0], class_moves.__getitem__)
-    return _canonical(_numbered_dfa(names[:len(classes)], moves, alphabet,
+    return _canonical(_numbered_dfa(_state_names(len(classes)), moves, alphabet,
                                     [marked[rep[c]] for c in classes]))
 
 

@@ -421,14 +421,18 @@ def _splice(dfa: Dfa, regions: set[str], real_env: Environment) -> Dfa:
     shortest real path from ``cur`` to ``e``.  An inserted region may
     collide with a region edge already leaving the same node, so the
     (plan state, last region) nodes of :func:`_region_edges` and the hops
-    form an NFA whose subsets, numbered by the subset construction, go
-    straight to the integer core of :func:`cosynth.automata.minimize`.  A
-    subset is marked when it holds a hop or a node whose plan state is.
+    form an NFA, with no empty move, whose subsets, numbered by the subset
+    construction, go straight to the integer core of
+    :func:`cosynth.automata.minimize`.  The NFA's accepting states, every
+    hop and every node whose plan state is marked, are gathered as it is
+    built, so each subset is marked by one disjointness test.
     """
     successors = _open_successors(real_env)
     nfa: dict[tuple[_Node | int, str], set[_Node | int]] = {}
     paths: dict[tuple[str, str], list[str]] = {}
     hops = 0
+    start: _Node = (dfa.initial, None)
+    accepting: set[_Node | int] = {start} if dfa.initial in dfa.marked else set()
     for node, e, nxt in _region_edges(dfa, regions):
         src: _Node | int = node
         if _door_lost(real_env, regions, node[1], e):
@@ -440,11 +444,13 @@ def _splice(dfa: Dfa, regions: set[str], real_env: Environment) -> Dfa:
                 paths[pair] = path
             for mid in paths[pair][1:-1]:
                 nfa.setdefault((src, mid), set()).add(hops)
+                accepting.add(hops)
                 src, hops = hops, hops + 1
         nfa.setdefault((src, e), set()).add(nxt)
-    order, succ = _subset_walk(nfa, {(dfa.initial, None)}, dfa.alphabet)
-    marked = [any(isinstance(x, int) or x[0] in dfa.marked for x in s) for s in order]
-    return _minimize_numbered(succ, marked, dfa.alphabet)
+        if nxt[0] in dfa.marked:
+            accepting.add(nxt)
+    order, succ = _subset_walk(nfa, {start}, dfa.alphabet)
+    return _minimize_numbered(succ, [not s.isdisjoint(accepting) for s in order], dfa.alphabet)
 
 
 def replan(lp: IntegratedPlan, nominal_motion: Dfa, real_env: Environment) -> IntegratedPlan:

@@ -1,14 +1,20 @@
 """Core automata operations against brute-force enumeration oracles."""
 
+import json
+import os
 import random
 import re
+import subprocess
+import sys
 from collections import deque
 from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cosynth
 from cosynth.automata import (
     Dfa,
     EventAlphabet,
@@ -978,22 +984,27 @@ def test_numbered_walk_numbers_first_seen_breadth_first(graph, start):
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     n_events=st.integers(min_value=1, max_value=3),
     marked_p=st.sampled_from((0.0, 0.2, 0.5)),
+    empty_moves=st.booleans(),
 )
-def test_subset_walk_matches_the_named_subset_construction(seed, n_events, marked_p):
-    # random epsilon-NFAs with empty moves, moves on an event outside the
-    # alphabet, several initial states and subsets that hold no marked state
+def test_subset_walk_matches_the_named_subset_construction(seed, n_events, marked_p,
+                                                           empty_moves):
+    # random NFAs, with or without empty moves, with empty target sets, moves
+    # on an event outside the alphabet, several initial states and subsets
+    # that hold no marked state; the moves are listed in random order
     rng = random.Random(seed)
     order = rng.sample(["a", "b", "c"], n_events)
     alphabet = EventAlphabet(tuple(order))
     states = [str(i) for i in range(rng.randint(1, 6))]
+    pairs = [(q, e) for q in states
+             for e in order + ([None, "z"] if empty_moves else ["z"])]
+    rng.shuffle(pairs)
     nfa: dict = {}
-    for q in states:
-        for e in order + [None, "z"]:
-            r = rng.random()
-            if r < 0.15:
-                nfa[(q, e)] = set()
-            elif r < 0.6:
-                nfa[(q, e)] = set(rng.sample(states, rng.randint(1, min(2, len(states)))))
+    for pair in pairs:
+        r = rng.random()
+        if r < 0.15:
+            nfa[pair] = set()
+        elif r < 0.6:
+            nfa[pair] = set(rng.sample(states, rng.randint(1, min(2, len(states)))))
     initials = set(rng.sample(states, rng.randint(1, min(2, len(states)))))
     marked = {q for q in states if rng.random() < marked_p}
     expected = reference_determinize(nfa, initials, marked, alphabet)
@@ -1003,6 +1014,64 @@ def test_subset_walk_matches_the_named_subset_construction(seed, n_events, marke
     subsets, succ = _subset_walk(nfa, initials, alphabet)
     got = _minimize_numbered(succ, [not s.isdisjoint(marked) for s in subsets], alphabet)
     assert dfa_to_text(got) == dfa_to_text(minimize(expected))
+
+
+# Prints, for each input named on the command line and in that order, the
+# dfa_to_text and states of its minimised or determinised automaton.
+_NAMING_SCRIPT = """
+import json, sys
+from cosynth.automata import Dfa, EventAlphabet, _determinize, dfa_to_text, minimize
+
+ab = EventAlphabet(("a", "b"))
+
+
+def chain(n, marked):
+    states = [f"s{i}" for i in range(n)]
+    return Dfa(states, ab, "s0", {(q, "a"): r for q, r in zip(states, states[1:])}, marked)
+
+
+def nfa_chain(n):
+    nfa = {(str(i), "a"): {str(i + 1)} for i in range(n - 1)}
+    nfa.update({(str(i), "b"): {str(i), str(i + 1)} for i in range(0, n - 1, 2)})
+    return _determinize(nfa, {"0"}, {str(n - 1)}, ab)
+
+
+inputs = {
+    "chain": lambda: minimize(chain(3000, [f"s{i}" for i in range(3000)])),
+    "merge": lambda: minimize(Dfa(("x", "y", "z", "w"), ab, "x", {
+        ("x", "a"): "y", ("y", "a"): "z", ("z", "a"): "y", ("x", "b"): "w"}, {"y", "z", "w"})),
+    "reversed": lambda: minimize(Dfa(("q2", "q1", "q0"), ab, "q0", {
+        ("q0", "b"): "q2", ("q0", "a"): "q1", ("q1", "a"): "q1"}, {"q1", "q2"})),
+    "empty": lambda: minimize(chain(5, ())),
+    "subsets": lambda: _determinize({("p", "a"): {"p", "q"}, ("q", None): {"r"},
+                                     ("r", "b"): {"p"}}, {"p"}, {"r"}, ab),
+    "nfa_chain": lambda: nfa_chain(2500),
+}
+print(json.dumps([[dfa_to_text(d), list(d.states)] for d in (inputs[k]() for k in sys.argv[1:])]))
+"""
+
+
+def _naming_run(*names):
+    src = Path(cosynth.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", _NAMING_SCRIPT, *names], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_state_names_do_not_leak_between_calls():
+    # the names "0", "1", … are shared by every call in a process; a large
+    # automaton numbered before or after small ones names each as a fresh
+    # process does, and so does the subset construction
+    small = ("merge", "reversed", "empty", "subsets")
+    fresh = {name: _naming_run(name)[0] for name in ("chain", "nfa_chain") + small}
+    assert fresh["chain"][1] == [str(i) for i in range(3000)]
+    assert len(fresh["nfa_chain"][1]) > 2500
+    assert fresh["merge"][1] == ["0", "1", "2"]
+    for order in (("chain",) + small + ("nfa_chain",), small + ("nfa_chain", "chain") + small):
+        assert _naming_run(*order) == [fresh[name] for name in order]
 
 
 @settings(max_examples=200, deadline=None, database=None)
