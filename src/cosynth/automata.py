@@ -658,20 +658,23 @@ def _minimize_numbered(succ: list[list[tuple[int, int]]], marked: list[bool],
     missing move goes to an implicit sink that never splits, so the work
     grows with the transitions, not with states times events.  A splitter
     of one state whose predecessors come one per event splits each of them
-    out of its block alone.  The classes are numbered by the walk from the
+    out of its block alone.  Refinement runs only while there are fewer
+    blocks than live states: once each live state has its own block,
+    splitters still waiting are dropped, and a grouping that already
+    separates every live state builds neither the reverse edges (which the
+    liveness sweep otherwise needs only when a state is unmarked) nor the
+    waiting list.  The classes are numbered by the walk from the
     initial one, so the result does not depend on how the states were
     numbered; when no two states merge and ``succ`` already numbers them as
     that walk would, the input is returned as it stands.  States are named
     by their numbers (:func:`_state_names`).
     """
     n = len(succ)
-    back: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for p, out in enumerate(succ):
-        for a, q in out:
-            back[q].append((a, p))
+    back: list[list[tuple[int, int]]] = []  # the reverse edges, gathered when first needed
     # keep the live states, those from which a marked state is reachable
-    live = marked
+    live, n_live = marked, n
     if not all(marked):
+        back = _reverse_edges(succ)
         live = marked[:]
         stack = [q for q, m in enumerate(marked) if m]
         while stack:
@@ -679,6 +682,7 @@ def _minimize_numbered(succ: list[list[tuple[int, int]]], marked: list[bool],
                 if not live[p]:
                     live[p] = True
                     stack.append(p)
+        n_live = sum(live)
     if not live[0]:
         return _canonical(empty_dfa(alphabet))
 
@@ -694,9 +698,12 @@ def _minimize_numbered(succ: list[list[tuple[int, int]]], marked: list[bool],
     for b, block in enumerate(blocks):
         for p in block:
             block_of[p] = b
-    waiting = list(range(len(blocks)))
+    # a partition with one live state per block can split no further
+    waiting = list(range(len(blocks))) if len(blocks) < n_live else []
     in_waiting = [True] * len(blocks)
-    while waiting:
+    if waiting and not back:
+        back = _reverse_edges(succ)
+    while waiting and len(blocks) < n_live:
         splitter = waiting.pop()
         in_waiting[splitter] = False
         if len(blocks[splitter]) == 1:
@@ -744,6 +751,15 @@ def _minimize_numbered(succ: list[list[tuple[int, int]]], marked: list[bool],
     classes, moves = _numbered_walk(block_of[0], class_moves.__getitem__)
     return _canonical(_numbered_dfa(_state_names(len(classes)), moves, alphabet,
                                     [marked[rep[c]] for c in classes]))
+
+
+def _reverse_edges(succ: list[list[tuple[int, int]]]) -> list[list[tuple[int, int]]]:
+    """The (event index, predecessor) moves into each state of ``succ``."""
+    back: list[list[tuple[int, int]]] = [[] for _ in succ]
+    for p, out in enumerate(succ):
+        for a, q in out:
+            back[q].append((a, p))
+    return back
 
 
 def _walk_numbered(succ: list[list[tuple[int, int]]]) -> bool:

@@ -1,7 +1,8 @@
 """Command line interface.
 
-Exit codes: 0 on success (property holds), 1 when a property is violated or
-a plan is infeasible, 2 on usage or parse errors.
+Exit codes: 0 on success (property holds), 1 when a property is violated, a
+plan is infeasible or the refinement runs out of rounds (status: undecided),
+2 on usage or parse errors.
 """
 
 from __future__ import annotations
@@ -158,6 +159,10 @@ def cmd_pipeline(args) -> int:
     return 0 if report.status == "holds" else 1
 
 
+MAX_ROUNDS_HELP = ("repairs the refinement may make in one run, all passes together "
+                   "(default 100); a run that needs more ends status: undecided")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cosynth", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -216,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule")
     p.add_argument("--trace-out")
     p.add_argument("--stop-event", default="r")
-    p.add_argument("--max-rounds", type=int, default=100)
+    p.add_argument("--max-rounds", type=int, default=100, help=MAX_ROUNDS_HELP)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("pipeline", help="full synthesis pipeline from a configuration file")
@@ -226,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule")
     p.add_argument("--trace-out")
     p.add_argument("--stop-event", default="r")
-    p.add_argument("--max-rounds", type=int, default=100)
+    p.add_argument("--max-rounds", type=int, default=100, help=MAX_ROUNDS_HELP)
     p.add_argument("-v", "--verbose", action="store_true")
     p.set_defaults(func=cmd_pipeline)
     return parser

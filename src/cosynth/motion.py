@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Iterator, Mapping, Optional, Sequence
 
 from cosynth.automata import (
@@ -520,7 +521,7 @@ def simulate(
     plans: Sequence[IntegratedPlan],
     env: Environment,
     schedule: Sequence[tuple[int, str, str]] = (),
-    max_steps: int = 200,
+    max_steps: Optional[int] = None,
     stop_event: Optional[str] = None,
 ) -> SimulationResult:
     """Step the integrated plans against the environment and a door schedule.
@@ -532,6 +533,13 @@ def simulate(
     closed the agent replans against the effectively open environment and
     continues; each replan adds one trace line.  Trace lines read "step
     agent symbol kind".
+
+    The run ends after the stop event or at a deadlock.  Without
+    *max_steps* it also ends when the joint configuration (each agent's
+    plan state and region) repeats with no door change or replan since its
+    first visit: the run is deterministic, so it would cycle for ever, and
+    it is complete only when there is no stop event.  With *max_steps* it
+    ends after that many steps instead.
     """
     doors_open: dict[str, bool] = {d: True for d in env.doors}
     timetable: dict[int, list[tuple[str, str]]] = {}
@@ -559,7 +567,9 @@ def simulate(
     fired_stop = False
 
     effective = env  # the environment with only its open doors
-    for step in range(max_steps):
+    last_change = max(timetable, default=0)
+    visited: set[tuple] = set()  # joint configurations since the last change or replan
+    for step in count() if max_steps is None else range(max_steps):
         changes = timetable.get(step, ())
         for door, state in changes:
             doors_open[door] = state == "open"
@@ -567,6 +577,11 @@ def simulate(
             effective = env.without_doors({d for d, is_open in doors_open.items() if not is_open})
         if fired_stop:
             return SimulationResult(trace, True)
+        if max_steps is None and step >= last_change:
+            joint = tuple([(w.state, w.region) for w in walkers])
+            if joint in visited:
+                break
+            visited.add(joint)
 
         # replan any agent whose believed doors for its next move are stale
         for w in walkers:
@@ -577,6 +592,7 @@ def simulate(
                 if any(not doors_open[d] for d in believed):
                     nominal = motion_dfa(env, w.plan.initial_region)
                     _replan_walker(w, step, effective, nominal, trace)
+                    visited.clear()
                     break
 
         moves: list[tuple[int, str]] = []

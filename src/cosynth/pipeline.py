@@ -53,7 +53,7 @@ class PipelineConfig:
     mission_paths: list[Path]
     environment_path: Optional[Path] = None
     labeling_path: Optional[Path] = None
-    max_rounds: int = 100
+    max_rounds: int = 100  # repairs the refinement may make in one run
 
     @staticmethod
     def load(path: "Path | str") -> "PipelineConfig":
@@ -293,10 +293,13 @@ def run_pipeline(
             report.first_counterexample = rnd.verdict.counterexample
             break
     if result.status != "holds":
-        report.status = "infeasible"
-        report.add(f"  infeasible: counterexample \"{_word(result.counterexample)}\"")
+        report.status = result.status
+        if result.status == "undecided":
+            report.add(f"  out-of-rounds: {sum(len(r.repairs) for r in result.rounds)} repairs")
+        else:
+            report.add(f"  infeasible: counterexample \"{_word(result.counterexample)}\"")
         report.add()
-        report.add("status: infeasible")
+        report.add(f"status: {report.status}")
         return report
     # each supervisor is its own closed loop with the plant: the mission plan
     report.mission_plans = list(result.plans)

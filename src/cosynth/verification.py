@@ -35,7 +35,10 @@ Re-synthesis cuts counterexample projections from the local missions (see
 :func:`choose_repair`): agents that observed nothing of the violation are
 exonerated, and among the involved agents the cut is placed, walking
 backwards from the event that committed the violation, on the first agent it
-does not reduce to a finite stub.
+does not reduce to a finite stub.  One budget, ``max_rounds`` (the CLI's
+``--max-rounds``), bounds all repairs of a run; a run that exhausts it is
+undecided, not infeasible: its report reads ``out-of-rounds: N repairs``
+and ``status: undecided``.
 """
 
 from __future__ import annotations
@@ -334,7 +337,7 @@ class RefinementRound:
 
 @dataclass
 class RefinementResult:
-    status: str  # "holds" | "infeasible"
+    status: str  # "holds" | "infeasible" | "undecided" (out of rounds)
     # the supervisors: each is supC(K) ⊆ K ⊆ L(G), so its closed loop with
     # the plant G is the supervisor itself
     plans: list[Dfa]
@@ -371,41 +374,38 @@ def verify_and_refine(
     the pairs it reaches, so no pass pays for the property's states ×
     events; each round records the tuples its walk expanded.
     Rounds with at least one repair count as refinement rounds.
+
+    *max_rounds* bounds the repairs of the whole run.  The passes need no
+    bound of their own: a repair phase ends only at a clean re-check, so
+    there are at most two.  A run that needs more repairs ends
+    ``"undecided"`` with the counterexample it could not repair; one whose
+    violation no repair removes ends ``"infeasible"``.
     """
     specs = list(specs)
     plans = [synthesize_supervisor(spec, plant) for spec, plant in zip(specs, plants)]
-    rounds: list[RefinementRound] = []
-    # the expanded count of a repair phase's last re-check, which found no
-    # violation and so already decided the next pass
-    clean: Optional[int] = None
-    for _ in range(max_rounds):
-        if clean is None:
-            verdict, product_states = verify(plans, prop)
-        else:
-            verdict, product_states = Verdict("holds"), clean
-        record = RefinementRound(verdict, product_states)
-        rounds.append(record)
-        if verdict.holds():
-            return RefinementResult("holds", plans, rounds)
-        ce = verdict.counterexample
-        while ce is not None:
-            if len(record.repairs) >= max_rounds:
-                return RefinementResult("infeasible", plans, rounds, ce)
-            repair = choose_repair(ce, plans)
-            if repair is None:
-                return RefinementResult("infeasible", plans, rounds, ce)
-            agent, cut_word, new_spec = repair
-            specs[agent] = new_spec
-            record.repairs.append((agent, cut_word))
-            # the cut mission and its supervisor are minimal, so each is
-            # empty exactly when no state is marked
-            if not new_spec.marked:
-                return RefinementResult("infeasible", plans, rounds, ce)
-            new_plan = synthesize_supervisor(new_spec, plants[agent])
-            if not new_plan.marked:
-                # not even the idle behaviour is enforceable for this agent
-                return RefinementResult("infeasible", plans, rounds, ce)
-            plans[agent] = new_plan
-            ce, clean = product_violation(plans, prop)
-    return RefinementResult("infeasible", plans, rounds,
-                            rounds[-1].verdict.counterexample if rounds else None)
+    verdict, product_states = verify(plans, prop)
+    record = RefinementRound(verdict, product_states)
+    rounds = [record]
+    ce = verdict.counterexample
+    while ce is not None:
+        if len(record.repairs) >= max_rounds:
+            return RefinementResult("undecided", plans, rounds, ce)
+        repair = choose_repair(ce, plans)
+        if repair is None:
+            return RefinementResult("infeasible", plans, rounds, ce)
+        agent, cut_word, new_spec = repair
+        specs[agent] = new_spec
+        record.repairs.append((agent, cut_word))
+        # the cut mission and its supervisor are minimal, so each is
+        # empty exactly when no state is marked
+        if not new_spec.marked:
+            return RefinementResult("infeasible", plans, rounds, ce)
+        new_plan = synthesize_supervisor(new_spec, plants[agent])
+        if not new_plan.marked:
+            # not even the idle behaviour is enforceable for this agent
+            return RefinementResult("infeasible", plans, rounds, ce)
+        plans[agent] = new_plan
+        ce, expanded = product_violation(plans, prop)
+        if ce is None:  # the clean re-check decides the next pass
+            rounds.append(RefinementRound(Verdict("holds"), expanded))
+    return RefinementResult("holds", plans, rounds)

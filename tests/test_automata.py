@@ -729,6 +729,81 @@ def test_minimize_numbered_fully_marked_and_with_dead_states(seed, n_events, dea
     _check_minimize_numbered(succ, marked, EventAlphabet(events))
 
 
+def _counting_reverse_edges(patch):
+    """Count the calls of the minimiser's reverse-edge construction."""
+    calls = []
+    reverse_edges = cosynth.automata._reverse_edges
+    patch.setattr(cosynth.automata, "_reverse_edges",
+                  lambda succ: calls.append(len(succ)) or reverse_edges(succ))
+    return calls
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_states=st.integers(min_value=1, max_value=12),
+    dead=st.integers(min_value=0, max_value=3),
+    renumber=st.booleans(),
+)
+def test_minimize_numbered_when_one_step_separates_every_live_state(seed, n_states, dead,
+                                                                    renumber):
+    # each marked state moves on its own set of events, so the one-step
+    # grouping already gives it a block of its own; dead states, unmarked and
+    # moving only among themselves, take some of the other moves.  No
+    # refinement is left, so only the liveness sweep reverses the edges
+    rng = random.Random(seed)
+    events = ("a", "b", "c", "d")
+    subsets = rng.sample(range(16), n_states)  # bit a of a subset: the state moves on a
+    succ = [[(a, rng.randrange(n_states)) for a in range(4) if s >> a & 1] for s in subsets]
+    for _ in range(dead):
+        succ.append([(a, rng.randrange(n_states, n_states + dead)) for a in range(4)
+                     if rng.random() < 0.5])
+    for s, out in zip(subsets, succ[:n_states] if dead else ()):
+        out += [(a, rng.randrange(n_states, n_states + dead)) for a in range(4)
+                if not s >> a & 1 and rng.random() < 0.5]
+        out.sort()
+    marked = [True] * n_states + [False] * dead
+    if renumber and len(succ) > 1:
+        succ, marked = _renumber(succ, marked, rng)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _counting_reverse_edges(patch)
+        _check_minimize_numbered(succ, marked, EventAlphabet(events))
+    assert calls == ([len(succ)] if dead else [])
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_events=st.integers(min_value=1, max_value=3),
+    marked_p=st.sampled_from((0.2, 0.5, 1.0)),
+    dead=st.integers(min_value=0, max_value=2),
+    renumber=st.booleans(),
+)
+def test_minimize_numbered_stops_once_every_live_state_has_its_own_block(
+        seed, n_events, marked_p, dead, renumber):
+    # a minimal automaton, with dead states added and its states renumbered:
+    # the refinement ends with one live state per block, mostly while
+    # splitters still wait, and must then name every live state by the walk
+    rng = random.Random(seed)
+    events = ("a", "b", "c")[:n_events]
+    d = minimize(random_dfa(rng, 16, events, density=0.9, marked_p=marked_p))
+    order, succ = _edge_walk(d)
+    marked = [q in d.marked for q in order]
+    n = len(succ)
+    for _ in range(dead):
+        succ.append([(a, n + rng.randrange(dead)) for a in range(n_events) if rng.random() < 0.5])
+        marked.append(False)
+    for out in succ[:n] if dead and d.marked else ():
+        have = {a for a, _ in out}
+        out += [(a, n + rng.randrange(dead)) for a in range(n_events)
+                if a not in have and rng.random() < 0.3]
+        out.sort()
+    if renumber and len(succ) > 1:
+        succ, marked = _renumber(succ, marked, rng)
+    got = _check_minimize_numbered(succ, marked, d.alphabet)
+    assert len(got.states) == n
+
+
 @settings(max_examples=100, deadline=None, database=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),

@@ -285,6 +285,21 @@ def test_replan_command_matches_the_pipeline_replanning(tmp_path):
             assert report.count("plan-rerouted") == 2, report
 
 
+def test_pipeline_out_of_rounds_is_undecided(tmp_path, capsys):
+    # three escort pairs need six repairs, two per pair: a budget of five
+    # leaves the run undecided, with its own report line, status and exit code
+    files = perfbench_generate().escorts(tmp_path / "escorts", 3, 1)
+    for rounds, code, status in (("6", 0, "holds"), ("5", 1, "undecided")):
+        out = tmp_path / rounds
+        assert main(["pipeline", "--config", str(files.config), "--out", str(out),
+                     "--real-env", str(files.real_env), "--max-rounds", rounds]) == code
+        assert capsys.readouterr().out == f"status: {status}\n"
+        report = (out / "report.txt").read_text(encoding="utf-8")
+        assert report.count("    repair ") == min(int(rounds), 6)
+        assert ("  out-of-rounds: 5 repairs" in report) == (status == "undecided")
+        assert "infeasible" not in report and report.endswith(f"status: {status}\n")
+
+
 def test_simulate_command(tmp_path, capsys):
     cfg = str(fixture_path("casestudy.cfg"))
     code = main(["simulate", "--config", cfg,

@@ -48,6 +48,7 @@ from cosynth.motion import (
     schedule_from_text,
     simulate,
 )
+from cosynth.pipeline import PipelineConfig, run_pipeline
 from conftest import (
     REGIONS,
     brute_accepts,
@@ -56,6 +57,7 @@ from conftest import (
     cycle_dfa,
     generated_up_to,
     lang_set,
+    perfbench_generate,
     random_dfa,
     reference_door_profile,
     reference_interleave,
@@ -1010,10 +1012,10 @@ def test_simulate_deadlock_reported():
     assert not result.completed and result.deadlock is not None
 
 
-def _team_run(rng):
-    """Both simulators on a ring or corridor of 3-4 rooms with two or three
-    agents, whose missions share events, and a random door schedule: each
-    result, or the region pair of the ``ReplanInfeasible`` it raised."""
+def _team(rng):
+    """Plans of two or three agents, whose missions share events, on a ring
+    or corridor of 3-4 rooms, with the environment, a random door schedule
+    and a stop event (or None)."""
     n = rng.randint(3, 4)
     rooms = tuple(f"R{j}" for j in range(n))
     links = [(j, j + 1) for j in range(n - 1)] + ([(n - 1, 0)] if rng.random() < 0.6 else [])
@@ -1037,6 +1039,13 @@ def _team_run(rng):
     schedule = [(rng.randint(0, 12), rng.choice(doors), rng.choice(("closed", "open")))
                 for _ in range(rng.randint(0, 3))]
     stop = rng.choice([None, "p", "q"])
+    return plans, env, schedule, stop
+
+
+def _team_run(rng):
+    """Both simulators on the plans of :func:`_team`, capped at 30 steps: each
+    result, or the region pair of the ``ReplanInfeasible`` it raised."""
+    plans, env, schedule, stop = _team(rng)
     results = []
     for sim in (simulate, reference_simulate):
         try:
@@ -1053,6 +1062,60 @@ def test_simulate_matches_the_event_scan(rng):
     # scanning every event in sorted order, through replans and deadlocks
     result, reference = _team_run(rng)
     assert result == reference
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_simulate_without_a_cap_ends_where_the_run_would_cycle(rng):
+    # uncapped, a run that stops or deadlocks is the capped reference run; one
+    # that does neither within the cap ends, not completed when it has a stop
+    # event, after the schedule's last change, at a step from which the
+    # reference repeats its last steps for the rest of the cap
+    cap = 300
+    plans, env, schedule, stop = _team(rng)
+    try:
+        reference = reference_simulate(plans, env, schedule, max_steps=cap, stop_event=stop)
+    except ReplanInfeasible:
+        return
+    result = simulate(plans, env, schedule, stop_event=stop)
+    if not plans or reference.deadlock is not None or (stop is not None and reference.completed):
+        assert result == reference
+        return
+    assert result.trace == reference.trace[:len(result.trace)]
+    assert (result.completed, result.deadlock) == (stop is None, None)
+    lines: dict[int, list[str]] = {}  # each step's trace lines, without the step
+    for line in reference.trace:
+        step, rest = line.split(" ", 1)
+        lines.setdefault(int(step), []).append(rest)
+    end = int(result.trace[-1].split()[0]) + 1
+    assert end > max((step for step, _, _ in schedule), default=0)
+    assert any(all(lines[t] == lines[t + period] for t in range(end - period, cap - period))
+               for period in range(1, end + 1))
+
+
+def test_simulate_without_a_cap_ends_a_run_that_never_offers_the_stop_event():
+    # the lone agent moves between A and B and fires go for ever, never r
+    env = Environment(("A", "B"), (("A", "B"), ("B", "A")), ("d",),
+                      {("A", "B"): ("d",), ("B", "A"): ("d",)}, {"bot": "A"})
+    alpha = EventAlphabet(("go", "r"), frozenset({"go", "r"}))
+    mission = Dfa(("0", "1"), alpha, "0", {("0", "go"): "1", ("1", "go"): "0"},
+                  frozenset({"0", "1"}))
+    pi = LabelingMap(("A", "B"), {"go": frozenset({"A", "B"}), "r": frozenset({"A"})})
+    lp = integrate(mission, pi, "A", motion_dfa(env, "A"), agent="bot")
+    result = simulate([lp], env, stop_event="r")
+    assert not result.completed and result.deadlock is None
+    assert result.trace == simulate([lp], env, max_steps=len(result.trace), stop_event="r").trace
+    assert simulate([lp], env).completed  # with no stop event the cycle is the run
+
+
+def test_simulate_without_a_cap_completes_the_scaled_ring(tmp_path):
+    # on a 40-room ring the patrols' detour takes them past 200 steps
+    files = perfbench_generate().ring(tmp_path, 40, 2, 1, 1)
+    report = run_pipeline(PipelineConfig.load(files.config), files.real_env, files.schedule)
+    assert report.status == "holds"
+    assert "  completed: yes" in report.lines
+    last = report.trace.splitlines()[-1].split()
+    assert int(last[0]) >= 200 and last[-2:] == ["r", "mission"]
 
 
 def test_team_runs_replan_and_deadlock():

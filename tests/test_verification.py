@@ -593,15 +593,20 @@ def test_refine_prunes_conflicting_choice():
     assert language_subset(result.plans[0], p1) is None
 
 
-def test_refine_out_of_rounds_after_a_clean_recheck_stays_infeasible():
-    # the repair's clean re-check would decide the next pass, but no round is
-    # left for it: the result is the last recorded verdict's counterexample
+def test_refine_out_of_rounds_is_undecided():
+    # max_rounds counts the repairs of the run, not its passes: one repair
+    # fits a budget of one, and its clean re-check decides the second pass;
+    # with no repair left the run is undecided, not infeasible, and reports
+    # the counterexample it could not repair
     p1, p2, prop = conflicting_choice()
     result = verify_and_refine([p1, p2], [p1, p2], prop, max_rounds=1)
-    assert result.status == "infeasible" and len(result.rounds) == 1
-    assert result.rounds[0].repairs
+    assert result.status == "holds" and len(result.rounds) == 2
+    assert len(result.rounds[0].repairs) == 1
+    result = verify_and_refine([p1, p2], [p1, p2], prop, max_rounds=0)
+    assert result.status == "undecided" and len(result.rounds) == 1
+    assert not result.rounds[0].repairs
     assert result.counterexample == result.rounds[0].verdict.counterexample
-    assert product_violation(result.plans, prop)[0] is None
+    assert product_violation(result.plans, prop)[0] == result.counterexample
 
 
 def test_refine_records_the_clean_recheck_as_the_next_pass():
