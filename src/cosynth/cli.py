@@ -23,7 +23,7 @@ from cosynth.lstar import LearnLog
 from cosynth.motion import (
     IntegratedPlan,
     environment_from_text,
-    integrate,
+    integrate_agent,
     labeling_from_text,
     motion_dfa,
     replan,
@@ -97,12 +97,7 @@ def _agent_plan(args, env) -> IntegratedPlan:
     labelings = labeling_from_text(
         Path(args.labeling).read_text(encoding="utf-8"), env.regions, source=args.labeling
     )
-    if args.agent not in labelings:
-        raise InputError(f"labeling file lacks agent {args.agent!r}")
-    if args.agent not in env.initial_regions:
-        raise InputError(f"environment lacks an initial region for {args.agent!r}")
-    v0 = env.initial_regions[args.agent]
-    return integrate(mission, labelings[args.agent], v0, motion_dfa(env, v0), agent=args.agent)
+    return integrate_agent(mission, labelings, env, args.agent)
 
 
 def cmd_plan(args) -> int:

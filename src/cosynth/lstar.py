@@ -23,6 +23,9 @@ from cosynth.automata import (
 )
 
 
+MAX_ROUNDS = 10_000  # conjectures one learning run may make
+
+
 class Teacher(Protocol):
     def membership(self, word: Word) -> int: ...
 
@@ -121,10 +124,11 @@ def close_and_make_consistent(table: ObservationTable, teacher: Teacher) -> Obse
 
     Witnesses are added exactly as the base algorithm prescribes: an
     unclosed row s·σ joins S, an inconsistency witness σ·e joins E.
-    Restarts from scratch if the teacher generation changes mid-way.  The
-    table's invariants hold by construction and are not re-checked here: S
-    stays prefix-closed (an unclosed row extends a row of S, and
-    :meth:`ObservationTable.add_prefixes` adds every prefix), E stays
+    Restarts from scratch if the teacher generation changes during a fill;
+    the searches for unclosed and inconsistent rows read the table alone and
+    make no query.  The table's invariants hold by construction and are not
+    re-checked here: S stays prefix-closed (an unclosed row extends a row of
+    S, and :meth:`ObservationTable.add_prefixes` adds every prefix), E stays
     suffix-closed (each witness is σ·e with e in E), and :meth:`fill` makes
     T total.  :meth:`ObservationTable.check_invariants` is the tests' oracle.
     """
@@ -141,9 +145,6 @@ def close_and_make_consistent(table: ObservationTable, teacher: Teacher) -> Obse
         witness = table.find_inconsistent()
         if witness is not None:
             table.E.append(witness)
-            continue
-        if teacher.generation != gen:
-            table.refill(teacher)
             continue
         return table
 
@@ -228,7 +229,6 @@ def learn(
     teacher: Teacher,
     alphabet: EventAlphabet,
     log: Optional[LearnLog] = None,
-    max_rounds: int = 10_000,
 ) -> Dfa:
     """Full learning loop; returns the minimal DFA for the teacher's language.
 
@@ -242,7 +242,7 @@ def learn(
     table = ObservationTable(alphabet)
     last_size: Optional[int] = None
     last_gen = teacher.generation
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         close_and_make_consistent(table, teacher)
         candidate = conjecture_dfa(table)
         if teacher.generation == last_gen and last_size is not None and len(candidate.states) <= last_size:
@@ -271,4 +271,4 @@ def learn(
         table.add_prefixes(counterexample)
         if log is not None:
             log.ce(counterexample)
-    raise LearnerFault(f"learning did not converge within {max_rounds} rounds")
+    raise LearnerFault(f"learning did not converge within {MAX_ROUNDS} rounds")

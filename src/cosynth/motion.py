@@ -21,20 +21,19 @@ builds those door words in one walk over (region, motion-plan state) pairs
 whose successor lists go straight to the integer minimisation core.
 
 Replanning adapts an integrated plan to a real environment whose doors may
-differ from the nominal model.  Motion automata serve integration and the
-nominal model; replanning reads the real door map and walks the real
-environment's door moves.  A plan the real environment still serves is
-kept as it is.  Otherwise replanning works on the plan automaton, never on
-its words: the plan is walked together with the agent's last region, every
-region change left without a door is spliced into a chain through the
-shortest real detour, and the subset construction's numbered subsets go
-straight to the integer minimisation core, so its cost is polynomial in
-plan states × regions.
+differ from the nominal model, for which integration built the plan.  One
+walk of the motion plan against the real door map decides its fate: a plan
+the real environment still serves is kept as it is.  Otherwise replanning
+works on the plan automaton, never on its words: the plan is walked
+together with the agent's last region, every region change left without a
+door is spliced into a chain through the shortest real detour, and the
+subset construction's numbered subsets go straight to the integer
+minimisation core, so its cost is polynomial in plan states × regions.
 
 Integration and splicing keep the mission projection and the plan's
-clauses by construction, and a splice leaves no region change without a
-real door, so neither re-checks its result; the tests assert each of
-these as a property.
+clauses by construction, a splice leaves no region change without a real
+door, and replanning is only given plans adequate for their nominal model,
+so none of these is re-checked; the tests assert each of them as a property.
 """
 
 from __future__ import annotations
@@ -271,29 +270,22 @@ def _door_map(motion: Dfa) -> dict[tuple[str, str], str]:
     return {(v, v2): d for (v, d), v2 in motion.transitions.items()}
 
 
-def _motion_gap(motion_plan: Dfa, *sources: tuple[str, Mapping[tuple[str, str], object]]
-                ) -> list[Optional[tuple[str, str]]]:
-    """The first region change of the motion plan that each source cannot make.
+def _motion_gap(motion_plan: Dfa, v0: str, doors: Mapping[tuple[str, str], object]
+                ) -> Optional[tuple[str, str]]:
+    """The first region change of the motion plan that the door map cannot make.
 
-    A source is an initial region v0 and a door map (a pair without doors is
-    missing or empty).  The plan is walked once, breadth first together with
-    the agent's last region, each state's moves in the plan's event order;
-    dwelling in the last region is always allowed.  A source's gap is
-    ``(v0, e)`` when the plan starts in another region e, ``(v, e)`` for the
-    first move from v to e with no door, and None when every region word of
-    the plan is a stutter-closed run of its doors.  The walk ends at the
-    first source's gap, so the others keep only gaps found before it.
+    A pair without doors is missing from *doors* or maps to nothing.  The
+    plan is walked breadth first together with the agent's last region,
+    each state's moves in the plan's event order, up to the first gap;
+    dwelling in the last region is always allowed.  The gap is ``(v0, e)``
+    when the plan starts in another region e, ``(v, e)`` for the first move
+    from v to e with no door, and None when every region word of the plan
+    is a stutter-closed run of the doors from v0.
     """
-    gaps: list[Optional[tuple[str, str]]] = [None] * len(sources)
     for (_, v), e, _ in _region_edges(motion_plan, set(motion_plan.alphabet.events)):
-        if e == v:
-            continue
-        for i, (v0, doors) in enumerate(sources):
-            if gaps[i] is None and (e != v0 if v is None else not doors.get((v, e))):
-                gaps[i] = (v0 if v is None else v, e)
-        if gaps[0] is not None:
-            break
-    return gaps
+        if e != v and (e != v0 if v is None else not doors.get((v, e))):
+            return (v0 if v is None else v, e)
+    return None
 
 
 def door_profile(motion_plan: Dfa, motion: Dfa) -> Dfa:
@@ -368,11 +360,23 @@ def integrate(
     """
     lp = _interleave(mission, pi, initial_region)
     motion_plan = project(lp, pi.regions)
-    gap, = _motion_gap(motion_plan, (motion.initial, _door_map(motion)))
+    gap = _motion_gap(motion_plan, motion.initial, _door_map(motion))
     if gap is not None:
         raise MotionInfeasible(gap)
     profile = door_profile(motion_plan, motion)
     return IntegratedPlan(agent, lp, mission, motion_plan, profile, initial_region, pi)
+
+
+def integrate_agent(mission: Dfa, labelings: Mapping[str, LabelingMap], env: Environment,
+                    agent: str) -> IntegratedPlan:
+    """:func:`integrate` for *agent*, with its labeling and its initial region
+    in *env*, on the motion model of the environment from there."""
+    if agent not in labelings:
+        raise InputError(f"labeling file lacks agent {agent!r}")
+    if agent not in env.initial_regions:
+        raise InputError(f"environment lacks an initial region for {agent!r}")
+    v0 = env.initial_regions[agent]
+    return integrate(mission, labelings[agent], v0, motion_dfa(env, v0), agent=agent)
 
 
 # -- replanning ------------------------------------------------------------
@@ -457,32 +461,28 @@ def _splice(dfa: Dfa, regions: set[str], real_env: Environment) -> Dfa:
 def replan(lp: IntegratedPlan, nominal_motion: Dfa, real_env: Environment) -> IntegratedPlan:
     """Adapt an integrated plan to the real environment.
 
-    The plan must be adequate for ``nominal_motion``, and the real
-    environment must hold the nominal model's regions and doors and name no
-    region the plan's labeling does not; one walk over the motion plan checks
-    both models.  When the real door map still serves the motion plan, the
-    plan and its motion plan are returned as they are, with the door profile
-    recomputed over the real door moves (which drops words through missing
-    doors).  Otherwise each region change with no door left is bridged by
-    the shortest intermediate region path of the real environment, spliced
-    into the plan automaton itself: the plan is walked together with the
-    agent's last region, each doorless edge becomes a chain through the
-    bridge, and the numbered subsets of the result are minimised.  Mission
-    event sequences are never altered, and every region change of the
-    spliced plan has a real door.
+    The real environment must hold the nominal model's regions and doors and
+    the plan's initial region, and name no region the plan's labeling does
+    not; the nominal model serves that check alone.  When one walk finds
+    that the real door map still serves the motion plan, the plan and its
+    motion plan are returned as they are, with the door profile recomputed
+    over the real door moves (which drops words through missing doors).
+    Otherwise each region change with no door left is bridged by the
+    shortest intermediate region path of the real environment, spliced into
+    the plan automaton itself: the plan is walked together with the agent's
+    last region, each doorless edge becomes a chain through the bridge, and
+    the numbered subsets of the result are minimised.  Mission event
+    sequences are never altered, and every region change of the spliced
+    plan has a real door.
     """
     if not (set(nominal_motion.states) <= set(real_env.regions) <= set(lp.labeling.regions)
             and set(nominal_motion.alphabet.events) <= set(real_env.doors)):
         raise InputError("real environment must share regions and doors with the nominal model")
     v0 = lp.initial_region
-    nominal = (nominal_motion.initial, _door_map(nominal_motion))
-    nominal_gap, real_gap = _motion_gap(lp.motion_plan, nominal, (v0, real_env.door_map))
-    if nominal_gap is not None:
-        raise InvariantError("plan was not adequate for its nominal motion model")
     if v0 not in real_env.regions:
         raise InputError(f"initial region {v0!r} not in the environment")
     moves, doors = real_env._door_moves, real_env._door_alphabet  # type: ignore[attr-defined]
-    if real_gap is None:
+    if _motion_gap(lp.motion_plan, v0, real_env.door_map) is None:
         return IntegratedPlan(lp.agent, lp.dfa, lp.mission, lp.motion_plan,
                               _profile(lp.motion_plan, v0, moves, doors), v0, lp.labeling)
     new_dfa = _splice(lp.dfa, set(lp.labeling.regions), real_env)
@@ -514,7 +514,6 @@ class _Walker:
     region: Optional[str] = None
     consumed: list[str] = field(default_factory=list)
     believed: dict[tuple[str, str], tuple[str, ...]] = field(default_factory=dict)
-    replans: int = 0
 
 
 def simulate(
@@ -672,7 +671,6 @@ def _replan_walker(
     w.mission_moves = mission_moves
     w.state = state
     w.believed = dict(effective.door_map)
-    w.replans += 1
     trace.append(f"{step} {new_plan.agent} {w.region or '-'} replan")
 
 

@@ -30,7 +30,7 @@ from cosynth.langops import decompose, widen_like
 from cosynth.motion import (
     IntegratedPlan,
     environment_from_text,
-    integrate,
+    integrate_agent,
     labeling_from_text,
     motion_dfa,
     replan,
@@ -296,6 +296,9 @@ def run_pipeline(
         report.status = result.status
         if result.status == "undecided":
             report.add(f"  out-of-rounds: {sum(len(r.repairs) for r in result.rounds)} repairs")
+        elif result.counterexample is None:
+            empty = " ".join(n for n, plan in zip(names, result.plans) if not plan.marked)
+            report.add(f"  infeasible: empty supervisor {empty}")
         else:
             report.add(f"  infeasible: counterexample \"{_word(result.counterexample)}\"")
         report.add()
@@ -329,23 +332,15 @@ def run_pipeline(
         report.add()
         report.add("motion")
         plans: list[IntegratedPlan] = []
-        motions: list[Dfa] = []
         for name, mission_plan in zip(names, result.plans):
-            if name not in labelings:
-                raise InputError(f"labeling file lacks agent {name!r}")
-            if name not in env.initial_regions:
-                raise InputError(f"environment lacks an initial region for {name!r}")
-            v0 = env.initial_regions[name]
-            gm = motion_dfa(env, v0)
-            lp = integrate(mission_plan, labelings[name], v0, gm, agent=name)
+            lp = integrate_agent(mission_plan, labelings, env, name)
             plans.append(lp)
-            motions.append(gm)
             report.artifacts[f"{name}_motion.aut"] = lp.motion_plan
             report.artifacts[f"{name}_integrated.aut"] = lp.dfa
             report.artifacts[f"{name}_profile.aut"] = lp.profile
             report.add(
                 f"  {name}: motion={len(lp.motion_plan.states)} integrated={len(lp.dfa.states)}"
-                f" profile={len(lp.profile.states)} initial-region={v0}"
+                f" profile={len(lp.profile.states)} initial-region={lp.initial_region}"
             )
         report.plans = plans
         _log(log_stream, f"motion layer done at {time.monotonic() - started:.2f}s")
@@ -357,8 +352,8 @@ def run_pipeline(
             report.add()
             report.add("replanning")
             replanned: list[IntegratedPlan] = []
-            for lp, gm in zip(plans, motions):
-                new_lp = replan(lp, gm, real_env)
+            for lp in plans:
+                new_lp = replan(lp, motion_dfa(env, lp.initial_region), real_env)
                 replanned.append(new_lp)
                 # replan returns a plan it keeps as it is, and a splice always
                 # removes the word through the lost doors

@@ -86,6 +86,7 @@ class SupervisorTeacher:
         self.spec = spec
         self.plant = widen_like(plant, spec.alphabet)
         self.alphabet = spec.alphabet
+        self._uncontrollable = spec.alphabet.uncontrollable
         self.illegal = IllegalBehaviorSet()
         self.k = minimize(spec)
         self._answers: dict[Word, int] = {}
@@ -141,7 +142,7 @@ class SupervisorTeacher:
     def _stripped(self, word: Word) -> int:
         """Length of *word* without its longest uncontrollable suffix."""
         cut = len(word)
-        while cut > 0 and word[cut - 1] in self.alphabet.uncontrollable:
+        while cut > 0 and word[cut - 1] in self._uncontrollable:
             cut -= 1
         return cut
 
@@ -189,7 +190,7 @@ class SupervisorTeacher:
             return None
         plant_moves, spec_moves = self.plant.transitions, self.spec.transitions
         k_moves, k_marked, spec_marked = self.k.transitions, self.k.marked, self.spec.marked
-        uncontrollable = self.alphabet.uncontrollable
+        uncontrollable = self._uncontrollable
         start = (self.plant.initial, self.spec.initial, self.k.initial, 0)
         if self.k.initial not in k_marked:
             return None

@@ -379,10 +379,14 @@ def verify_and_refine(
     bound of their own: a repair phase ends only at a clean re-check, so
     there are at most two.  A run that needs more repairs ends
     ``"undecided"`` with the counterexample it could not repair; one whose
-    violation no repair removes ends ``"infeasible"``.
+    violation no repair removes ends ``"infeasible"``, and so does one in
+    which some agent's first supervisor is empty, with no pass and no
+    counterexample.
     """
     specs = list(specs)
     plans = [synthesize_supervisor(spec, plant) for spec, plant in zip(specs, plants)]
+    if not all(plan.marked for plan in plans):  # an empty supervisor: passes hold vacuously
+        return RefinementResult("infeasible", plans, [])
     verdict, product_states = verify(plans, prop)
     record = RefinementRound(verdict, product_states)
     rounds = [record]

@@ -71,15 +71,24 @@ from cosynth.synthesis import IllegalBehaviorSet
 from cosynth.verification import _with_free_events
 
 
-def perfbench_generate():
-    """The benchmark's instance generator, ``perfbench/generate.py``, imported
-    read-only from the checkout."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "generate.py"
-    spec = importlib.util.spec_from_file_location("perfbench_generate", path)
+def _perfbench_module(name: str):
+    """``perfbench/<name>.py``, imported read-only from the checkout."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def perfbench_generate():
+    """The benchmark's instance generator, ``perfbench/generate.py``."""
+    return _perfbench_module("generate")
+
+
+def perfbench_oracles():
+    """The benchmark's output oracles, ``perfbench/oracles.py``."""
+    return _perfbench_module("oracles")
 
 
 def words_up_to(events: Sequence[str], length: int) -> Iterator[Word]:
@@ -1318,15 +1327,14 @@ def reference_replan(lp: IntegratedPlan, nominal_motion: Dfa,
     """Replanning through the real motion automaton.
 
     Builds ``motion_dfa(real_env, v0)``, walks the motion plan once against
-    each motion automaton, and profiles the kept or spliced plan on the real
-    motion automaton with :func:`door_profile`.  The checks and the splice
-    come in the order :func:`cosynth.motion.replan` makes them.
+    it, and profiles the kept or spliced plan on the real motion automaton
+    with :func:`door_profile`.  The nominal model serves the containment
+    check alone.  The checks and the splice come in the order
+    :func:`cosynth.motion.replan` makes them.
     """
     if not (set(nominal_motion.states) <= set(real_env.regions) <= set(lp.labeling.regions)
             and set(nominal_motion.alphabet.events) <= set(real_env.doors)):
         raise InputError("real environment must share regions and doors with the nominal model")
-    if reference_motion_gap(lp.motion_plan, nominal_motion) is not None:
-        raise InvariantError("plan was not adequate for its nominal motion model")
     real = motion_dfa(real_env, lp.initial_region)
     if reference_motion_gap(lp.motion_plan, real) is None:
         return IntegratedPlan(lp.agent, lp.dfa, lp.mission, lp.motion_plan,

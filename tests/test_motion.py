@@ -1,25 +1,20 @@
 """Environment model, motion plans, integration, door profiles, replanning,
 and the discrete-event simulator."""
 
-import os
 import random
 import re
-import subprocess
-import sys
 import textwrap
+from contextlib import contextmanager
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import cosynth
 from cosynth.automata import (
     Dfa,
     EventAlphabet,
     InputError,
-    InvariantError,
     accepts,
     dfa_to_text,
     language_equal,
@@ -476,7 +471,7 @@ def test_motion_gap_is_the_last_pair_of_the_run_language_witness(rng):
                       density=rng.choice((0.3, 0.6, 0.9)), marked_p=1.0)
     w = language_subset(plan, reference_run_language(gm, stutter=True, regions=REGIONS))
     expected = None if w is None else (gm.initial, w[0]) if len(w) == 1 else w[-2:]
-    assert _motion_gap(plan, (gm.initial, _door_map(gm))) == [expected]
+    assert _motion_gap(plan, gm.initial, _door_map(gm)) == expected
 
 
 def _agent3_plan():
@@ -739,7 +734,7 @@ def _real_variant(rng, env: Environment) -> Environment:
 def _outcome(route, *args):
     try:
         return route(*args)
-    except (InputError, InvariantError, ReplanInfeasible) as exc:
+    except (InputError, ReplanInfeasible) as exc:
         return type(exc), str(exc)
 
 
@@ -752,7 +747,7 @@ def test_replan_matches_the_motion_automaton_route(rng):
     real = _real_variant(rng, env)
     nominal = gm
     case = rng.choice(("real", "real", "real", "narrow nominal", "wider real", "moved start"))
-    if case == "narrow nominal":  # a plan that is inadequate for its nominal model
+    if case == "narrow nominal":  # a plan that may be inadequate for its nominal model
         nominal = motion_dfa(_real_variant(rng, env), "R0")
     elif case == "wider real":
         real = replace(real, regions=real.regions + ("R9",))
@@ -760,6 +755,8 @@ def test_replan_matches_the_motion_automaton_route(rng):
         lp = replace(lp, initial_region=rng.choice(("R1", "R9")))
     got = _outcome(replan, lp, nominal, real)
     expected = _outcome(reference_replan, lp, nominal, real)
+    if case == "narrow nominal":  # replanning reads only the real door map
+        assert got == _outcome(replan, lp, gm, real)
     if isinstance(expected, tuple):
         assert got == expected
         return
@@ -914,38 +911,6 @@ def test_replan_scales_past_word_enumeration():
     assert language_subset(new_lp.motion_plan, real_runs) is None
     detour = ("R0", "x0", "R1", "x1") + ("R0",) + rooms[:1:-1] + ("x2",)
     assert accepts(new_lp.dfa, detour)
-
-
-def test_replan_checks_adequacy_under_optimized_python():
-    # the adequacy check is an explicit raise, so ``python -O`` keeps it
-    script = textwrap.dedent("""
-        from cosynth.automata import Dfa, EventAlphabet
-        from cosynth.motion import (Environment, LabelingMap, integrate, motion_dfa,
-                                    replan)
-
-        if __debug__:
-            raise SystemExit("not optimized")
-        door_map = {("A", "B"): ("d_ab",), ("A", "C"): ("d_ac",), ("C", "B"): ("d_cb",),
-                    ("B", "A"): ("d_ba",)}
-        env = Environment(("A", "B", "C"), tuple(door_map), ("d_ab", "d_ac", "d_cb", "d_ba"),
-                          door_map, {"bot": "A"})
-        alpha = EventAlphabet(("go", "back"), frozenset({"go", "back"}))
-        mission = Dfa(("0", "1"), alpha, "0", {("0", "go"): "1", ("1", "back"): "0"},
-                      frozenset({"0", "1"}))
-        pi = LabelingMap(("A", "B", "C"), {"go": frozenset({"B"}), "back": frozenset({"A"})})
-        gm = motion_dfa(env, "A")
-        lp = integrate(mission, pi, "A", gm)
-        # the plan's direct move A -> B is not in a nominal model without d_ab
-        detour = env.without_doors({"d_ab"})
-        replan(lp, motion_dfa(detour, "A"), detour)
-    """)
-    src = Path(cosynth.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 1, done.stderr
-    assert "cosynth.automata.InvariantError: plan was not adequate for its nominal motion model" in done.stderr
 
 
 def test_simulate_empty_plan_set():
@@ -1124,6 +1089,48 @@ def test_team_runs_replan_and_deadlock():
     runs = [r for r in results if not isinstance(r, tuple)]
     assert any(r.deadlock for r in runs)
     assert any(line.endswith(" replan") for r in runs for line in r.trace)
+
+
+@contextmanager
+def _replans_checked():
+    """Wrap ``replan`` where the pipeline and the simulator call it; each call
+    must get a plan adequate for the nominal model it passes.  Yields the
+    agents of the calls."""
+    calls = []
+
+    def checked(lp, nominal_motion, real_env):
+        calls.append(lp.agent)
+        assert reference_motion_gap(lp.motion_plan, nominal_motion) is None, lp.agent
+        return replan(lp, nominal_motion, real_env)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("cosynth.motion.replan", checked)
+        mp.setattr("cosynth.pipeline.replan", checked)
+        yield calls
+
+
+@pytest.mark.parametrize("workload", ("casestudy", "escorts", "ring"))
+def test_the_pipeline_replans_only_plans_adequate_for_their_nominal_model(workload, tmp_path):
+    # replan does not re-prove integrate's adequacy: the plans the pipeline
+    # and its simulation hand it already have it
+    files = perfbench_generate().build(workload, 1, tmp_path)
+    with _replans_checked() as calls:
+        report = run_pipeline(PipelineConfig.load(files.config), files.real_env, files.schedule)
+    assert report.status == "holds"
+    assert len(calls) >= len(report.plans)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_simulate_replans_only_plans_adequate_for_their_nominal_model(rng):
+    # integrated plans, and plans spliced against doors of the environment,
+    # are adequate for its motion model whenever a walker replans them
+    plans, env, schedule, stop = _team(rng)
+    with _replans_checked():
+        try:
+            simulate(plans, env, schedule, max_steps=30, stop_event=stop)
+        except ReplanInfeasible:
+            pass
 
 
 def test_environment_round_trip():

@@ -564,6 +564,21 @@ def test_refine_unsatisfiable_joint_mission_is_infeasible():
     assert result.counterexample is not None
 
 
+@pytest.mark.filterwarnings("ignore:supremal controllable sublanguage is empty")
+def test_refine_with_an_empty_first_supervisor_is_infeasible():
+    # agent 1's plant fires x uncontrollably at once and its spec forbids x,
+    # so its first supervisor is empty; a product with it accepts nothing, so
+    # a pass would hold although agent 2 fires y, which the property forbids
+    a1 = EventAlphabet(("x",), frozenset())
+    a2 = EventAlphabet(("y",), frozenset({"y"}))
+    s1 = Dfa(("0",), a1, "0", {}, frozenset({"0"}))
+    s2 = universal_dfa(a2)
+    prop = Dfa(("0",), EventAlphabet(("x", "y"), frozenset({"y"})), "0", {}, frozenset({"0"}))
+    result = verify_and_refine([s1, s2], [universal_dfa(a1), s2], prop)
+    assert (result.status, result.rounds, result.counterexample) == ("infeasible", [], None)
+    assert not result.plans[0].marked and result.plans[1].marked
+
+
 def conflicting_choice() -> tuple[Dfa, Dfa, Dfa]:
     """Two plans and a property: agent 1 may pick g (safe) or s (forbidden
     jointly with agent 2's t)."""
@@ -693,6 +708,10 @@ def test_refinement_shrinks_each_plan_and_ends_inside_the_mission(seed):
     assert next(later, None) is None
     if result.status == "holds":
         assert all(a is b for a, b in zip(plans, result.plans))
+        assert all(plan.marked for plan in result.plans)  # no vacuous verdict
         assert reference_satisfies(reference_compose(result.plans), mission) is None
+    elif not result.rounds:  # a first supervisor is empty: no pass runs
+        assert result.counterexample is None
+        assert not all(plan.marked for plan in plans)
     else:
         assert result.counterexample is not None
