@@ -120,16 +120,17 @@ def cmd_replan(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
+def _run_pipeline(args, log_stream):
+    """The pipeline run that ``cosynth pipeline`` and ``cosynth simulate``
+    make from their shared options."""
     config = PipelineConfig.load(args.config)
     config.max_rounds = args.max_rounds
-    report = run_pipeline(
-        config,
-        real_env_path=args.real_env,
-        schedule_path=args.schedule,
-        log_stream=sys.stderr,
-        stop_event=args.stop_event,
-    )
+    return run_pipeline(config, real_env_path=args.real_env, schedule_path=args.schedule,
+                        log_stream=log_stream, stop_event=args.stop_event)
+
+
+def cmd_simulate(args) -> int:
+    report = _run_pipeline(args, sys.stderr)
     if args.trace_out and report.trace is not None:
         Path(args.trace_out).write_text(report.trace, encoding="utf-8")
     elif report.trace is not None:
@@ -138,15 +139,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    config = PipelineConfig.load(args.config)
-    config.max_rounds = args.max_rounds
-    report = run_pipeline(
-        config,
-        real_env_path=args.real_env,
-        schedule_path=args.schedule,
-        log_stream=sys.stderr if args.verbose else None,
-        stop_event=args.stop_event,
-    )
+    report = _run_pipeline(args, sys.stderr if args.verbose else None)
     report.save(args.out)
     if args.trace_out and report.trace is not None:
         Path(args.trace_out).write_text(report.trace, encoding="utf-8")

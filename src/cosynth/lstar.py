@@ -157,9 +157,10 @@ def conjecture_dfa(table: ObservationTable) -> Dfa:
     row(s) --σ--> row(sσ).  The result is total over the alphabet, and
     by Angluin's construction it accepts a table word s·e exactly when
     T(s·e) = 1; the tests check that on the tables of random targets.
+    :func:`learn` calls it only on a table that
+    :func:`close_and_make_consistent` has just returned, so the table is not
+    scanned again here.
     """
-    if table.find_unclosed() is not None or table.find_inconsistent() is not None:
-        raise LearnerFault("conjecture requested from a table that is not closed and consistent")
     row_name: dict[tuple[int, ...], str] = {}
     access: dict[str, Word] = {}
     for s in table.S:

@@ -2,26 +2,26 @@
 
 Regions and doors live in a partitioned environment, which builds and
 checks its door alphabet and each region's door moves once, when it is
-constructed.  An agent's motion capabilities are the automaton whose states
-are the regions its start reaches and whose events are doors, walked
-breadth first from the start.  An integrated plan interleaves a mission
-plan with the region moves its events need, in one numbered walk over
-(mission state, region) nodes and the committed region moves between them.
-Its region projection is the motion plan, the mission's region itinerary,
-which must be executable in the motion model.
+constructed; integration and replanning walk those door moves and the door
+map themselves.  An integrated plan interleaves a mission plan with the
+region moves its events need, in one numbered walk over (mission state,
+region) nodes and the committed region moves between them.  Its region
+projection is the motion plan, the mission's region itinerary, which must
+be executable in the environment from the agent's initial region.
 
 Two run semantics coexist deliberately.  Adequacy (is every region word
 of a motion plan executable?) uses stutter-closed runs: an agent may dwell
 in a region across steps, which the integrated plans produced here require
 at cycle boundaries.  One walk over the motion plan with the agent's last
-region decides it and names the first region change no door makes.  Door
-realisation (which door words implement a region word?) uses strict runs:
-every region change costs exactly one door event; :func:`door_profile`
-builds those door words in one walk over (region, motion-plan state) pairs
-whose successor lists go straight to the integer minimisation core.
+region, against the door map, decides it and names the first region change
+no door makes.  Door realisation (which door words implement a region
+word?) uses strict runs: every region change costs exactly one door event;
+:func:`door_profile` builds those door words in one walk over (region,
+motion-plan state) pairs along the door moves, whose successor lists go
+straight to the integer minimisation core.
 
 Replanning adapts an integrated plan to a real environment whose doors may
-differ from the nominal model, for which integration built the plan.  One
+differ from the nominal one, for which integration built the plan.  One
 walk of the motion plan against the real door map decides its fate: a plan
 the real environment still serves is kept as it is.  Otherwise replanning
 works on the plan automaton, never on its words: the plan is walked
@@ -29,6 +29,8 @@ together with the agent's last region, every region change left without a
 door is spliced into a chain through the shortest real detour, and the
 subset construction's numbered subsets go straight to the integer
 minimisation core, so its cost is polynomial in plan states × regions.
+The agent's motion automaton, :func:`motion_dfa`, only gives replanning the
+nominal regions and doors that the real environment must hold.
 
 Integration and splicing keep the mission projection and the plan's
 clauses by construction, a splice leaves no region change without a real
@@ -166,16 +168,21 @@ class LabelingMap:
         return tuple(r for r in self.regions if r in targets)
 
 
+def _check_region(env: Environment, region: str) -> None:
+    if region not in env.regions:
+        raise InputError(f"initial region {region!r} not in the environment")
+
+
 def motion_dfa(env: Environment, initial_region: str) -> Dfa:
     """Trim DFA over the environment's doors: one marked state per region
     that the initial region reaches, and moves that follow the door map.
 
-    Every region is marked, so the trim automaton is the part reachable from
-    the start: one numbered walk over each region's doors, which keeps the
-    states in its order.
+    It serves only as :func:`replan`'s nominal model, whose regions and
+    doors the real environment must hold.  Every region is marked, so the
+    trim automaton is the part reachable from the start: one numbered walk
+    over each region's doors, which keeps the states in its order.
     """
-    if initial_region not in env.regions:
-        raise InputError(f"initial region {initial_region!r} not in the environment")
+    _check_region(env, initial_region)
     moves, alphabet = env._door_moves, env._door_alphabet  # type: ignore[attr-defined]
     order, succ = _numbered_walk(initial_region, moves.__getitem__)
     return _numbered_dfa(order, succ, alphabet, [True] * len(order))
@@ -265,51 +272,39 @@ def _region_edges(dfa: Dfa, regions: set[str]) -> Iterator[tuple[_Node, str, _No
                 queue.append(nxt)
 
 
-def _door_map(motion: Dfa) -> dict[tuple[str, str], str]:
-    """A door of each region pair that a motion automaton moves between."""
-    return {(v, v2): d for (v, d), v2 in motion.transitions.items()}
-
-
-def _motion_gap(motion_plan: Dfa, v0: str, doors: Mapping[tuple[str, str], object]
-                ) -> Optional[tuple[str, str]]:
+def _motion_gap(motion_plan: Dfa, env: Environment, v0: str) -> Optional[tuple[str, str]]:
     """The first region change of the motion plan that the door map cannot make.
 
-    A pair without doors is missing from *doors* or maps to nothing.  The
-    plan is walked breadth first together with the agent's last region,
+    The plan is walked breadth first together with the agent's last region,
     each state's moves in the plan's event order, up to the first gap;
     dwelling in the last region is always allowed.  The gap is ``(v0, e)``
     when the plan starts in another region e, ``(v, e)`` for the first move
     from v to e with no door, and None when every region word of the plan
-    is a stutter-closed run of the doors from v0.
+    is a stutter-closed run of the environment's doors from v0.
     """
+    doors = env.door_map
     for (_, v), e, _ in _region_edges(motion_plan, set(motion_plan.alphabet.events)):
         if e != v and (e != v0 if v is None else not doors.get((v, e))):
             return (v0 if v is None else v, e)
     return None
 
 
-def door_profile(motion_plan: Dfa, motion: Dfa) -> Dfa:
-    """Door words whose strict runs trace a region word of the motion plan.
+def door_profile(motion_plan: Dfa, env: Environment, v0: str) -> Dfa:
+    """Door words whose strict runs from v0 trace a region word of the motion plan.
 
-    The motion plan must lie within the stutter-closed runs of ``motion``:
-    :func:`integrate` and :func:`replan` check that before they profile it,
-    except on a spliced plan, which meets it by construction.
-
-    One numbered walk over (region, motion-plan state) pairs hands their
-    successor lists, every pair marked, to the integer core of
-    :func:`cosynth.automata.minimize`; no pair is named.  :func:`replan`
-    walks the real environment's own door moves the same way.
+    The motion plan must lie within the stutter-closed runs of the
+    environment's doors from v0: :func:`integrate` and :func:`replan` check
+    that before they profile it, except on a spliced plan, which meets it by
+    construction.  One numbered walk over (region, motion-plan state) pairs,
+    along the door moves the environment keeps, hands their successor lists,
+    every pair marked, to the integer core of
+    :func:`cosynth.automata.minimize`; no pair is named.
     """
-    moves = {v: [(a, v2) for a, _, v2 in out] for v, out in _out_edges(motion).items()}
-    return _profile(motion_plan, motion.initial, moves, motion.alphabet)
-
-
-def _profile(motion_plan: Dfa, v0: str, moves: Mapping[str, list[tuple[int, str]]],
-             doors: EventAlphabet) -> Dfa:
-    """:func:`door_profile` from v0 over door moves as an :class:`Environment` keeps them."""
+    doors = env._door_alphabet  # type: ignore[attr-defined]
     p0 = motion_plan.transitions.get((motion_plan.initial, v0))
     if p0 is None or p0 not in motion_plan.marked:
         return empty_dfa(doors)
+    moves = env._door_moves  # type: ignore[attr-defined]
     plan_moves = motion_plan.transitions
     plan_marked = motion_plan.marked
 
@@ -344,7 +339,7 @@ def integrate(
     mission: Dfa,
     pi: LabelingMap,
     initial_region: str,
-    motion: Dfa,
+    env: Environment,
     agent: str = "agent",
 ) -> IntegratedPlan:
     """The integrated plan of a mission plan, with its motion plan and door profile.
@@ -353,30 +348,32 @@ def integrate(
     need.  The motion plan is the region projection of the result: the
     mission's region itinerary, consecutive duplicates merged and each
     cycle anchored at the initial region.  Raises :class:`MotionInfeasible`
-    when that itinerary needs a region change the motion model cannot
-    perform.  The plan's mission projection is the mission, and it starts
+    when that itinerary needs a region change that no door of *env* makes,
+    and :class:`InputError` when *env* lacks the initial region.  The door
+    profile is walked over *env*'s door moves, as :func:`replan` walks the
+    real ones.  The plan's mission projection is the mission, and it starts
     in the initial region and fires each event where π allows: both hold
     by the construction of :func:`_interleave`.
     """
+    _check_region(env, initial_region)
     lp = _interleave(mission, pi, initial_region)
     motion_plan = project(lp, pi.regions)
-    gap = _motion_gap(motion_plan, motion.initial, _door_map(motion))
+    gap = _motion_gap(motion_plan, env, initial_region)
     if gap is not None:
         raise MotionInfeasible(gap)
-    profile = door_profile(motion_plan, motion)
+    profile = door_profile(motion_plan, env, initial_region)
     return IntegratedPlan(agent, lp, mission, motion_plan, profile, initial_region, pi)
 
 
 def integrate_agent(mission: Dfa, labelings: Mapping[str, LabelingMap], env: Environment,
                     agent: str) -> IntegratedPlan:
-    """:func:`integrate` for *agent*, with its labeling and its initial region
-    in *env*, on the motion model of the environment from there."""
+    """:func:`integrate` for *agent* in *env*, with its labeling and its
+    initial region there."""
     if agent not in labelings:
         raise InputError(f"labeling file lacks agent {agent!r}")
     if agent not in env.initial_regions:
         raise InputError(f"environment lacks an initial region for {agent!r}")
-    v0 = env.initial_regions[agent]
-    return integrate(mission, labelings[agent], v0, motion_dfa(env, v0), agent=agent)
+    return integrate(mission, labelings[agent], env.initial_regions[agent], env, agent=agent)
 
 
 # -- replanning ------------------------------------------------------------
@@ -479,15 +476,13 @@ def replan(lp: IntegratedPlan, nominal_motion: Dfa, real_env: Environment) -> In
             and set(nominal_motion.alphabet.events) <= set(real_env.doors)):
         raise InputError("real environment must share regions and doors with the nominal model")
     v0 = lp.initial_region
-    if v0 not in real_env.regions:
-        raise InputError(f"initial region {v0!r} not in the environment")
-    moves, doors = real_env._door_moves, real_env._door_alphabet  # type: ignore[attr-defined]
-    if _motion_gap(lp.motion_plan, v0, real_env.door_map) is None:
+    _check_region(real_env, v0)
+    if _motion_gap(lp.motion_plan, real_env, v0) is None:
         return IntegratedPlan(lp.agent, lp.dfa, lp.mission, lp.motion_plan,
-                              _profile(lp.motion_plan, v0, moves, doors), v0, lp.labeling)
+                              door_profile(lp.motion_plan, real_env, v0), v0, lp.labeling)
     new_dfa = _splice(lp.dfa, set(lp.labeling.regions), real_env)
     motion_plan = project(new_dfa, lp.labeling.regions)
-    profile = _profile(motion_plan, v0, moves, doors)
+    profile = door_profile(motion_plan, real_env, v0)
     return IntegratedPlan(lp.agent, new_dfa, lp.mission, motion_plan, profile, v0, lp.labeling)
 
 
@@ -556,8 +551,7 @@ def simulate(
         for lp in plans
     ]
     for lp in plans:  # checked up front, though only a walker that replans builds its motion model
-        if lp.initial_region not in env.regions:
-            raise InputError(f"initial region {lp.initial_region!r} not in the environment")
+        _check_region(env, lp.initial_region)
     mission_owners: dict[str, list[int]] = {}
     for i, lp in enumerate(plans):
         for e in lp.mission.alphabet.events:

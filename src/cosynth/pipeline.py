@@ -140,8 +140,6 @@ class PipelineReport:
     lines: list[str] = field(default_factory=list)
     artifacts: dict[str, Dfa] = field(default_factory=dict)
     status: str = "holds"
-    refinement_rounds: int = 0
-    first_counterexample: Optional[Word] = None
     plans: list[IntegratedPlan] = field(default_factory=list)
     mission_plans: list[Dfa] = field(default_factory=list)
     trace: Optional[str] = None
@@ -287,11 +285,6 @@ def run_pipeline(
             report.add(f"    repair {names[agent_idx]}: cut \"{_word(w)}\"")
         report.add(f"    product-states: {rnd.product_states}")
     report.add(f"  refinement-rounds: {result.refinement_rounds}")
-    report.refinement_rounds = result.refinement_rounds
-    for rnd in result.rounds:
-        if rnd.verdict.counterexample is not None:
-            report.first_counterexample = rnd.verdict.counterexample
-            break
     if result.status != "holds":
         report.status = result.status
         if result.status == "undecided":

@@ -72,9 +72,8 @@ from cosynth.synthesis import synthesize_supervisor
 class Verdict:
     """Outcome of one verification pass."""
 
-    outcome: str  # "holds" | "violated" | "refine"
+    outcome: str  # "holds" | "violated"
     counterexample: Optional[Word] = None
-    agent: Optional[int] = None
 
     def holds(self) -> bool:
         return self.outcome == "holds"
@@ -83,8 +82,6 @@ class Verdict:
         parts = [f"outcome: {self.outcome}"]
         if self.counterexample is not None:
             parts.append("counterexample: " + (" ".join(self.counterexample) or "-"))
-        if self.agent is not None:
-            parts.append(f"agent: {self.agent + 1}")
         return "\n".join(parts) + "\n"
 
 
@@ -155,19 +152,12 @@ def sym_n_check(assumptions: Sequence[Dfa], prop: Dfa) -> Optional[Word]:
     return product_violation([complement(a) for a in assumptions], prop)[0]
 
 
-def analyze_counterexample(t: Word, modules: Sequence[Dfa], prop: Dfa) -> Verdict:
-    """Simulate t against every module composed with the complemented property.
-
-    A word accepted by every such composition is a common violating word;
-    otherwise the least-index rejecting agent is reported for refinement.
-    """
-    prop_events = tuple(prop.alphabet.events)
-    violates = not accepts(prop, project_word(t, prop_events))
-    for i, m in enumerate(modules):
-        local = project_word(t, m.alphabet.events)
-        if not (violates and accepts(m, local)):
-            return Verdict("refine", counterexample=t, agent=i)
-    return Verdict("violated", counterexample=t)
+def analyze_counterexample(t: Word, modules: Sequence[Dfa], prop: Dfa) -> bool:
+    """Whether t is a common violating word: the property rejects its
+    projection of t and every module accepts its own."""
+    if accepts(prop, project_word(t, prop.alphabet.events)):
+        return False
+    return all(accepts(m, project_word(t, m.alphabet.events)) for m in modules)
 
 
 def is_live(dfa: Dfa) -> bool:
@@ -295,9 +285,8 @@ def assume_guarantee(modules: Sequence[Dfa], prop: Dfa) -> tuple[Verdict, list[D
     premise = sym_n_check(assumptions, prop)
     if premise is None:
         return Verdict("holds"), assumptions, False
-    verdict = analyze_counterexample(premise, modules, prop)
-    if verdict.outcome == "violated":
-        return verdict, assumptions, False
+    if analyze_counterexample(premise, modules, prop):
+        return Verdict("violated", premise), assumptions, False
     # the rule was inconclusive: the assumptions are already weakest, so a
     # spurious counterexample cannot be refined away
     verdict, _ = verify(modules, prop)

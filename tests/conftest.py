@@ -54,9 +54,9 @@ from cosynth.motion import (
     Environment,
     IntegratedPlan,
     LabelingMap,
+    MotionInfeasible,
     ReplanInfeasible,
     SimulationResult,
-    door_profile,
     motion_dfa,
     _plan_moves,
     _Node,
@@ -1277,8 +1277,9 @@ def reference_door_profile(motion_plan: Dfa, motion: Dfa) -> Dfa:
     """Door words whose strict runs trace a region word of the motion plan.
 
     The motion plan must lie within the stutter-closed runs of ``motion``:
-    :func:`integrate` and :func:`replan` check that before they call this,
-    except on a spliced plan, which meets it by construction.
+    :func:`reference_integrate` and :func:`reference_replan` check that
+    before they call this, except on a spliced plan, which meets it by
+    construction.
     """
     p0 = motion_plan.transitions.get((motion_plan.initial, motion.initial))
     if p0 is None or p0 not in motion_plan.marked:
@@ -1326,23 +1327,45 @@ def reference_replan(lp: IntegratedPlan, nominal_motion: Dfa,
                      real_env: Environment) -> IntegratedPlan:
     """Replanning through the real motion automaton.
 
-    Builds ``motion_dfa(real_env, v0)``, walks the motion plan once against
-    it, and profiles the kept or spliced plan on the real motion automaton
-    with :func:`door_profile`.  The nominal model serves the containment
-    check alone.  The checks and the splice come in the order
-    :func:`cosynth.motion.replan` makes them.
+    Builds :func:`reference_motion_dfa` of the real environment from v0,
+    walks the motion plan once against it, and profiles the kept or spliced
+    plan on it with :func:`reference_door_profile`.  The nominal model
+    serves the containment check alone.  The checks and the splice come in
+    the order :func:`cosynth.motion.replan` makes them.
     """
     if not (set(nominal_motion.states) <= set(real_env.regions) <= set(lp.labeling.regions)
             and set(nominal_motion.alphabet.events) <= set(real_env.doors)):
         raise InputError("real environment must share regions and doors with the nominal model")
-    real = motion_dfa(real_env, lp.initial_region)
+    real = reference_motion_dfa(real_env, lp.initial_region)
     if reference_motion_gap(lp.motion_plan, real) is None:
         return IntegratedPlan(lp.agent, lp.dfa, lp.mission, lp.motion_plan,
-                              door_profile(lp.motion_plan, real), lp.initial_region, lp.labeling)
+                              reference_door_profile(lp.motion_plan, real), lp.initial_region,
+                              lp.labeling)
     new_dfa = reference_splice(lp.dfa, set(lp.labeling.regions), real_env)
     motion_plan = project(new_dfa, lp.labeling.regions)
     return IntegratedPlan(lp.agent, new_dfa, lp.mission, motion_plan,
-                          door_profile(motion_plan, real), lp.initial_region, lp.labeling)
+                          reference_door_profile(motion_plan, real), lp.initial_region, lp.labeling)
+
+
+def reference_integrate(mission: Dfa, pi: LabelingMap, initial_region: str, env: Environment,
+                        agent: str = "agent") -> IntegratedPlan:
+    """Integration through the agent's motion automaton.
+
+    Interleaves the mission with :func:`reference_interleave`, then walks
+    the motion plan against :func:`reference_motion_dfa` of the environment
+    from the initial region and profiles it there with
+    :func:`reference_door_profile`; the reference for
+    :func:`cosynth.motion.integrate`, which walks the environment's door map
+    and door moves.
+    """
+    motion = reference_motion_dfa(env, initial_region)
+    lp = reference_interleave(mission, pi, initial_region)
+    motion_plan = project(lp, pi.regions)
+    gap = reference_motion_gap(motion_plan, motion)
+    if gap is not None:
+        raise MotionInfeasible(gap)
+    return IntegratedPlan(agent, lp, mission, motion_plan,
+                          reference_door_profile(motion_plan, motion), initial_region, pi)
 
 
 def reference_splice(dfa: Dfa, regions: set[str], real_env: Environment) -> Dfa:

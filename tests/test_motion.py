@@ -28,7 +28,6 @@ from cosynth.motion import (
     LabelingMap,
     MotionInfeasible,
     ReplanInfeasible,
-    _door_map,
     _interleave,
     _motion_gap,
     _splice,
@@ -55,6 +54,7 @@ from conftest import (
     perfbench_generate,
     random_dfa,
     reference_door_profile,
+    reference_integrate,
     reference_interleave,
     reference_motion_dfa,
     reference_motion_gap,
@@ -148,13 +148,13 @@ def test_lift_single_region_mission():
     alpha = EventAlphabet(("a", "b"))
     mission = cycle_dfa(("a", "b"), alpha)
     pi = LabelingMap(REGIONS, {"a": frozenset({"R1"}), "b": frozenset({"R1"})})
-    lifted = integrate(mission, pi, "R1", motion_dfa(case_env(), "R1")).motion_plan
+    lifted = integrate(mission, pi, "R1", case_env()).motion_plan
     assert lang_set(lifted, 3) == {(), ("R1",), ("R1", "R1"), ("R1", "R1", "R1")}
 
 
 def test_lift_case_study_agent2():
     mission, pi = fire_mission()
-    lifted = integrate(mission, pi, "R1", motion_dfa(case_env(), "R1")).motion_plan
+    lifted = integrate(mission, pi, "R1", case_env()).motion_plan
     expected = minimize(cycle_dfa(("R1", "R2", "R1"), EventAlphabet(REGIONS)))
     assert language_equal(lifted, expected) is None
 
@@ -164,7 +164,7 @@ def test_lift_requires_labels_for_every_event():
     mission = cycle_dfa(("a", "b"), alpha)
     pi = LabelingMap(REGIONS, {"a": frozenset({"R1"})})
     with pytest.raises(InputError):
-        integrate(mission, pi, "R1", motion_dfa(case_env(), "R1"))
+        integrate(mission, pi, "R1", case_env())
 
 
 def test_run_language_semantics():
@@ -179,8 +179,7 @@ def test_run_language_semantics():
 
 def test_synthesize_motion_plan_case_study():
     mission, pi = fire_mission()
-    gm = motion_dfa(case_env(), "R1")
-    plan = integrate(mission, pi, "R1", gm).motion_plan
+    plan = integrate(mission, pi, "R1", case_env()).motion_plan
     expected = minimize(cycle_dfa(("R1", "R2", "R1"), EventAlphabet(REGIONS)))
     assert language_equal(plan, expected) is None
 
@@ -189,8 +188,7 @@ def test_synthesize_motion_plan_stay_home():
     alpha = EventAlphabet(("a",))
     mission = cycle_dfa(("a",), alpha)
     pi = LabelingMap(REGIONS, {"a": frozenset({"R1"})})
-    gm = motion_dfa(case_env(), "R1")
-    plan = integrate(mission, pi, "R1", gm).motion_plan
+    plan = integrate(mission, pi, "R1", case_env()).motion_plan
     assert language_equal(plan, Dfa(("0",), EventAlphabet(REGIONS), "0",
                                     {("0", "R1"): "0"}, frozenset({"0"}))) is None
 
@@ -199,21 +197,20 @@ def test_synthesize_motion_plan_infeasible_names_pair():
     alpha = EventAlphabet(("a", "b"))
     mission = cycle_dfa(("a", "b"), alpha)
     pi = LabelingMap(REGIONS, {"a": frozenset({"R2"}), "b": frozenset({"R3"})})
-    gm = motion_dfa(case_env(), "R1")
     with pytest.raises(MotionInfeasible) as err:
-        integrate(mission, pi, "R1", gm)
+        integrate(mission, pi, "R1", case_env())
     assert err.value.pair == ("R2", "R3")
 
 
 def test_door_profile_stay_home_is_epsilon():
     plan = Dfa(("0",), EventAlphabet(REGIONS), "0", {("0", "R1"): "0"}, frozenset({"0"}))
-    profile = door_profile(plan, motion_dfa(case_env(), "R1"))
+    profile = door_profile(plan, case_env(), "R1")
     assert lang_set(profile, 2) == {()}
 
 
 def test_door_profile_r1r2_leg():
     plan = minimize(cycle_dfa(("R1", "R2", "R1"), EventAlphabet(REGIONS)))
-    profile = door_profile(plan, motion_dfa(case_env(), "R1"))
+    profile = door_profile(plan, case_env(), "R1")
     assert accepts(profile, ("D1r",)) and accepts(profile, ("D2",))
     assert accepts(profile, ("D2", "D1r")) and accepts(profile, ("D1r", "D1r"))
     assert not accepts(profile, ("D1r", "D2"))
@@ -222,7 +219,7 @@ def test_door_profile_r1r2_leg():
 
 def test_door_profile_r1r3_cycle_product():
     plan = minimize(cycle_dfa(("R1", "R3", "R1"), EventAlphabet(REGIONS)))
-    profile = door_profile(plan, motion_dfa(case_env(), "R1"))
+    profile = door_profile(plan, case_env(), "R1")
     for first in ("D1l", "D3"):
         for second in ("D1l", "D3"):
             assert accepts(profile, (first, second))
@@ -233,8 +230,8 @@ def test_door_profile_soundness_enumeration():
     # every profile word, run on the motion model, traces a plan word
     mission, pi = fire_mission()
     gm = motion_dfa(case_env(), "R1")
-    plan = integrate(mission, pi, "R1", gm).motion_plan
-    profile = door_profile(plan, gm)
+    plan = integrate(mission, pi, "R1", case_env()).motion_plan
+    profile = door_profile(plan, case_env(), "R1")
     for w in words_up_to(gm.alphabet.events, 8):
         if not brute_accepts(profile, w):
             continue
@@ -290,18 +287,17 @@ def test_door_profile_matches_the_named_walk(rng):
     # all-marked motion plans, as integration and replanning make them, and
     # plans with unmarked states, over a region order unlike the environment's
     env = random_environment(rng)
-    motion = motion_dfa(env, rng.choice(env.regions))
+    start = rng.choice(env.regions)
     order = rng.sample(env.regions, len(env.regions))
     plan = random_dfa(rng, 5, order, density=rng.choice((0.4, 0.8)),
                       marked_p=rng.choice((1.0, 1.0, 0.6)))
-    assert dfa_to_text(door_profile(plan, motion)) == dfa_to_text(
-        reference_door_profile(plan, motion))
+    assert dfa_to_text(door_profile(plan, env, start)) == dfa_to_text(
+        reference_door_profile(plan, motion_dfa(env, start)))
 
 
 def test_integrate_case_study_agent2():
     mission, pi = fire_mission()
-    gm = motion_dfa(case_env(), "R1")
-    lp = integrate(mission, pi, "R1", gm, agent="a2")
+    lp = integrate(mission, pi, "R1", case_env(), agent="a2")
     expected = cycle_dfa(("R1", "h2", "R2", "F", "D1open", "R1", "G2inR1", "r"),
                          lp.dfa.alphabet)
     assert language_equal(lp.dfa, expected) is None
@@ -316,8 +312,7 @@ def test_integrate_empty_mission():
     alpha = EventAlphabet(("a",))
     mission = Dfa(("0",), alpha, "0", {}, frozenset({"0"}))
     pi = LabelingMap(REGIONS, {"a": frozenset({"R1"})})
-    gm = motion_dfa(case_env(), "R1")
-    lp = integrate(mission, pi, "R1", gm)
+    lp = integrate(mission, pi, "R1", case_env())
     assert lang_set(lp.dfa, 2) == {(), ("R1",)}
 
 
@@ -369,7 +364,7 @@ def test_integrate_interleaves_once(monkeypatch):
     original = motion._interleave
     monkeypatch.setattr(motion, "_interleave", lambda *args: calls.append(args) or original(*args))
     mission, pi = fire_mission()
-    integrate(mission, pi, "R1", motion_dfa(case_env(), "R1"))
+    integrate(mission, pi, "R1", case_env())
     assert len(calls) == 1
 
 
@@ -427,7 +422,7 @@ def test_integrate_matches_word_oracles(rng):
     # every (mission state, region) pair is reached within this many events
     gap = _lifted_gap(mission, pi, v0, env, len(mission.states) * len(env.regions))
     try:
-        lp = integrate(mission, pi, v0, motion_dfa(env, v0))
+        lp = integrate(mission, pi, v0, env)
     except MotionInfeasible as err:
         assert gap is not None
         v, v2 = err.pair
@@ -466,12 +461,13 @@ def test_motion_gap_is_the_last_pair_of_the_run_language_witness(rng):
                 if a != b and rng.random() < 0.5}
     env = Environment(REGIONS, tuple(door_map),
                       tuple(d for ds in door_map.values() for d in ds), door_map)
-    gm = motion_dfa(env, rng.choice(REGIONS))
+    start = rng.choice(REGIONS)
+    gm = motion_dfa(env, start)
     plan = random_dfa(rng, 5, rng.sample(REGIONS, len(REGIONS)),
                       density=rng.choice((0.3, 0.6, 0.9)), marked_p=1.0)
     w = language_subset(plan, reference_run_language(gm, stutter=True, regions=REGIONS))
-    expected = None if w is None else (gm.initial, w[0]) if len(w) == 1 else w[-2:]
-    assert _motion_gap(plan, gm.initial, _door_map(gm)) == expected
+    expected = None if w is None else (start, w[0]) if len(w) == 1 else w[-2:]
+    assert _motion_gap(plan, env, start) == expected
 
 
 def _agent3_plan():
@@ -487,8 +483,7 @@ def _agent3_plan():
         "D1open": frozenset({"R3"}), "G2inR1": frozenset({"R3"}), "Close": frozenset({"R3"}),
         "D1close": frozenset({"R3"}), "G3inR1": frozenset({"R1"}), "r": frozenset({"R1"}),
     })
-    gm = motion_dfa(case_env(), "R1")
-    return integrate(mission, pi, "R1", gm, agent="a3"), gm
+    return integrate(mission, pi, "R1", case_env(), agent="a3"), motion_dfa(case_env(), "R1")
 
 
 def test_replan_identity_when_real_matches_nominal():
@@ -546,7 +541,7 @@ def test_replan_accepts_regions_the_start_cannot_reach():
     pi = LabelingMap(REGIONS, {"go": frozenset({"R2"}), "back": frozenset({"R1"})})
     gm = motion_dfa(env, "R1")
     assert set(gm.states) == {"R1", "R2"}
-    lp = integrate(cycle_dfa(("go", "back"), alpha), pi, "R1", gm, agent="bot")
+    lp = integrate(cycle_dfa(("go", "back"), alpha), pi, "R1", env, agent="bot")
     assert replan(lp, gm, env).dfa is lp.dfa
     # a real region the plan's labeling cannot name is still refused
     wider = replace(env, regions=REGIONS + ("R4",))
@@ -577,7 +572,7 @@ def test_replan_splices_intermediate_regions():
     mission = cycle_dfa(("go", "back"), alpha)
     pi = LabelingMap(("A", "B", "C"), {"go": frozenset({"B"}), "back": frozenset({"A"})})
     gm = motion_dfa(env, "A")
-    lp = integrate(mission, pi, "A", gm, agent="bot")
+    lp = integrate(mission, pi, "A", env, agent="bot")
     real = env.without_doors({"d_ab"})
     new_lp = replan(lp, gm, real)
     assert accepts(new_lp.dfa, ("A", "C", "B", "go"))
@@ -600,7 +595,7 @@ def test_replan_bridges_break_ties_by_region_name():
     alpha = EventAlphabet(("go", "back"), frozenset({"go", "back"}))
     pi = LabelingMap(env.regions, {"go": frozenset({"D"}), "back": frozenset({"A"})})
     gm = motion_dfa(env, "A")
-    lp = integrate(cycle_dfa(("go", "back"), alpha), pi, "A", gm, agent="bot")
+    lp = integrate(cycle_dfa(("go", "back"), alpha), pi, "A", env, agent="bot")
     new_lp = replan(lp, gm, env.without_doors({"d_ad"}))
     assert accepts(new_lp.dfa, ("A", "B", "D", "go"))
     assert not accepts(new_lp.dfa, ("A", "C", "D", "go"))
@@ -664,7 +659,7 @@ def _random_patrol(rng):
                       frozenset(states))
         pi = LabelingMap(rooms, {**labels, **{e: frozenset({r}) for e, (_, r) in trips.items()}})
         try:
-            return integrate(mission, pi, "R0", gm, agent="bot"), gm, env
+            return integrate(mission, pi, "R0", env, agent="bot"), gm, env
         except MotionInfeasible:
             continue
     raise AssertionError("a route without side trips always has a motion plan")
@@ -767,19 +762,54 @@ def test_replan_matches_the_motion_automaton_route(rng):
     assert (got.motion_plan is lp.motion_plan) == (expected.motion_plan is lp.motion_plan)
 
 
+def _integrate_matches_the_motion_automaton_route(mission, pi, v0, env) -> None:
+    """Integration on the environment's door map and door moves gives what
+    the agent's motion automaton gives: the same gap or input error, or byte
+    for byte the same plan, motion plan and profile."""
+    got, expected = (_integration_outcome(route, mission, pi, v0, env)
+                     for route in (integrate, reference_integrate))
+    if isinstance(expected, (tuple, str)):
+        assert got == expected
+        return
+    assert not isinstance(got, tuple), got
+    for part in ("dfa", "motion_plan", "profile"):
+        assert dfa_to_text(getattr(got, part)) == dfa_to_text(getattr(expected, part)), part
+
+
+def _integration_outcome(route, *args):
+    try:
+        return route(*args, agent="bot")
+    except MotionInfeasible as exc:
+        return exc.pair
+    except InputError as exc:
+        return str(exc)
+
+
 @settings(max_examples=150, deadline=None, database=None)
 @given(rng=st.randoms(use_true_random=False))
 def test_integrate_gap_and_profile_match_the_motion_automaton_route(rng):
     lp, _, env = _random_patrol(rng)
-    motion = motion_dfa(_real_variant(rng, env), "R0")
-    gap = reference_motion_gap(lp.motion_plan, motion)
-    try:
-        got = integrate(lp.mission, lp.labeling, "R0", motion, agent="bot")
-    except MotionInfeasible as exc:
-        assert exc.pair == gap
-        return
-    assert gap is None
-    assert dfa_to_text(got.profile) == dfa_to_text(reference_door_profile(lp.motion_plan, motion))
+    _integrate_matches_the_motion_automaton_route(lp.mission, lp.labeling, "R0",
+                                                  _real_variant(rng, env))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_integrate_on_random_environments_matches_the_motion_automaton_route(rng):
+    # random door maps with an unreachable region and a pair without doors,
+    # often with doors closed, which keeps emptied pairs as () in the door
+    # map; random missions with some unmarked states and random labelings,
+    # and now and then a start the environment lacks
+    env = random_environment(rng)
+    if rng.random() < 0.5:
+        env = env.without_doors({d for d in env.doors if rng.random() < 0.4})
+    events = ("a", "b", "c")[:rng.randint(1, 3)]
+    mission = random_dfa(rng, 4, events, density=rng.choice((0.4, 0.8)),
+                         marked_p=rng.choice((1.0, 0.6)))
+    pi = LabelingMap(env.regions, {
+        e: frozenset(rng.sample(env.regions, rng.randint(1, 2))) for e in events})
+    start = rng.choice(env.regions) if rng.random() < 0.9 else "R9"
+    _integrate_matches_the_motion_automaton_route(mission, pi, start, env)
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -818,7 +848,7 @@ def test_splice_merges_a_bridge_with_a_region_edge_of_the_same_node():
                                            ("0", "peek"): "0"}, frozenset({"0", "1"}))
     pi = LabelingMap(env.regions, {"go": frozenset({"B"}), "back": frozenset({"A"}),
                                    "peek": frozenset({"C"})})
-    lp = integrate(mission, pi, "A", motion_dfa(env, "A"), agent="bot")
+    lp = integrate(mission, pi, "A", env, agent="bot")
     regions = set(env.regions)
     real = env.without_doors({"d_ab"})
     got = _splice(lp.dfa, regions, real)
@@ -871,7 +901,7 @@ def test_replan_tracks_the_last_region_into_merged_states():
     mission = cycle_dfa(("a", "b"), alpha)
     pi = LabelingMap(("R0", "R1", "R2"), {"a": frozenset({"R0"}), "b": frozenset({"R1"})})
     gm = motion_dfa(env, "R0")
-    lp = integrate(mission, pi, "R0", gm)
+    lp = integrate(mission, pi, "R0", env)
     merged = replace(lp, dfa=minimize(lp.dfa))
     assert len(merged.dfa.states) < len(lp.dfa.states)
     real = env.without_doors({"d10"})
@@ -901,7 +931,7 @@ def test_replan_scales_past_word_enumeration():
     labels = {f"{c}{j}": frozenset({rooms[j]}) for j in range(n) for c in "xy"}
     pi = LabelingMap(rooms, {**labels, "r": frozenset({"R0"})})
     gm = motion_dfa(env, "R0")
-    lp = integrate(mission, pi, "R0", gm)
+    lp = integrate(mission, pi, "R0", env)
     real = env.without_doors({"d1"})  # R1 and R2 lose their only door
     new_lp = replan(lp, gm, real)
     assert language_equal(
@@ -953,7 +983,7 @@ def test_simulate_moves_in_alphabet_order_whatever_the_transition_order():
     alpha = EventAlphabet(("go",), frozenset({"go"}))
     mission = Dfa(("0",), alpha, "0", {("0", "go"): "0"}, frozenset({"0"}))
     pi = LabelingMap(("A", "B", "C"), {"go": frozenset({"B", "C"})})
-    lp = integrate(mission, pi, "A", motion_dfa(env, "A"), agent="bot")
+    lp = integrate(mission, pi, "A", env, agent="bot")
     backwards = dict(reversed(list(lp.dfa.transitions.items())))
     reordered = replace(lp, dfa=replace(lp.dfa, transitions=backwards))
     trace = simulate([lp], env, max_steps=6).trace
@@ -970,9 +1000,8 @@ def test_simulate_deadlock_reported():
     env = Environment(("A",), (), (), {}, {"one": "A", "two": "A"})
     pi = LabelingMap(("A",), {"solo": frozenset({"A"}), "sync": frozenset({"A"})})
     pi2 = LabelingMap(("A",), {"sync": frozenset({"A"})})
-    gm = motion_dfa(env, "A")
-    lp1 = integrate(m1, pi, "A", gm, agent="one")
-    lp2 = integrate(m2, pi2, "A", gm, agent="two")
+    lp1 = integrate(m1, pi, "A", env, agent="one")
+    lp2 = integrate(m2, pi2, "A", env, agent="two")
     result = simulate([lp1, lp2], env, max_steps=20)
     assert not result.completed and result.deadlock is not None
 
@@ -998,7 +1027,7 @@ def _team(rng):
         pi = LabelingMap(rooms, {e: labels[e] for e in events})
         start = rng.choice(rooms)
         try:
-            plans.append(integrate(mission, pi, start, motion_dfa(env, start), agent=f"a{i}"))
+            plans.append(integrate(mission, pi, start, env, agent=f"a{i}"))
         except MotionInfeasible:
             continue
     schedule = [(rng.randint(0, 12), rng.choice(doors), rng.choice(("closed", "open")))
@@ -1066,7 +1095,7 @@ def test_simulate_without_a_cap_ends_a_run_that_never_offers_the_stop_event():
     mission = Dfa(("0", "1"), alpha, "0", {("0", "go"): "1", ("1", "go"): "0"},
                   frozenset({"0", "1"}))
     pi = LabelingMap(("A", "B"), {"go": frozenset({"A", "B"}), "r": frozenset({"A"})})
-    lp = integrate(mission, pi, "A", motion_dfa(env, "A"), agent="bot")
+    lp = integrate(mission, pi, "A", env, agent="bot")
     result = simulate([lp], env, stop_event="r")
     assert not result.completed and result.deadlock is None
     assert result.trace == simulate([lp], env, max_steps=len(result.trace), stop_event="r").trace

@@ -247,24 +247,21 @@ def test_sym_n_single_agent_counterexample():
 
 
 def test_analyze_first_agent_rejection():
-    verdict = analyze_counterexample(("a",), [empty_dfa(AB)], universal_dfa(AB))
-    assert verdict.outcome == "refine" and verdict.agent == 0
+    assert not analyze_counterexample(("a",), [empty_dfa(AB)], universal_dfa(AB))
 
 
 def test_analyze_second_agent_rejection():
     m1 = universal_dfa(EventAlphabet(("a",)))
     m2 = words_dfa([()], EventAlphabet(("b",)))
     prop = words_dfa([()], AB)
-    verdict = analyze_counterexample(("b",), [m1, m2], prop)
-    assert verdict.outcome == "refine" and verdict.agent == 1
+    assert not analyze_counterexample(("b",), [m1, m2], prop)
 
 
 def test_analyze_common_violation():
     m1 = universal_dfa(EventAlphabet(("a",)))
     m2 = universal_dfa(EventAlphabet(("b",)))
     prop = words_dfa([()], AB)
-    verdict = analyze_counterexample(("a", "b"), [m1, m2], prop)
-    assert verdict.outcome == "violated"
+    assert analyze_counterexample(("a", "b"), [m1, m2], prop)
 
 
 # -- mission repair ----------------------------------------------------------------
@@ -518,7 +515,7 @@ def test_stepping_walks_match_the_tabled_walks(seed, empty):
 
 
 def test_verdict_serialisation():
-    v = Verdict("violated", counterexample=("a", "b"), agent=None)
+    v = Verdict("violated", counterexample=("a", "b"))
     text = v.render()
     assert "outcome: violated" in text and "a b" in text
 
