@@ -24,11 +24,14 @@ Replanning adapts an integrated plan to a real environment whose doors may
 differ from the nominal one, for which integration built the plan.  One
 walk of the motion plan against the real door map decides its fate: a plan
 the real environment still serves is kept as it is.  Otherwise replanning
-works on the plan automaton, never on its words: the plan is walked
-together with the agent's last region, every region change left without a
-door is spliced into a chain through the shortest real detour, and the
-subset construction's numbered subsets go straight to the integer
-minimisation core, so its cost is polynomial in plan states × regions.
+works on automata, never on their words: the plan and then its motion plan
+are each walked from the initial region together with the agent's last
+region, every region change left without a door is spliced into a chain
+through the shortest real detour, and the subset construction's numbered
+subsets go straight to the integer minimisation core, so its cost is
+polynomial in plan states × regions.  Splicing commutes with the region
+projection, so the spliced motion plan is the spliced plan's projection,
+built without one.
 The agent's motion automaton, :func:`motion_dfa`, only gives replanning the
 nominal regions and doors that the real environment must hold.
 
@@ -251,15 +254,18 @@ def _interleave(mission: Dfa, pi: LabelingMap, initial_region: str) -> Dfa:
 _Node = tuple[str, Optional[str]]  # plan state, last region (None before the first)
 
 
-def _region_edges(dfa: Dfa, regions: set[str]) -> Iterator[tuple[_Node, str, _Node]]:
+def _region_edges(dfa: Dfa, regions: set[str],
+                  v0: Optional[str] = None) -> Iterator[tuple[_Node, str, _Node]]:
     """Edges of the plan × last-region product, breadth-first from the start.
 
-    A region symbol sets the agent's last region and a mission event keeps
-    it.  The walk is lazy, so a caller that stops early allocates nothing
-    beyond the plan's out-edges and the nodes seen so far.
+    The start node pairs the plan's initial state with *v0*, the last region
+    before the first move (None for none).  A region symbol sets the agent's
+    last region and a mission event keeps it.  The walk is lazy, so a caller
+    that stops early allocates nothing beyond the plan's out-edges and the
+    nodes seen so far.
     """
     edges = _out_edges(dfa)
-    start: _Node = (dfa.initial, None)
+    start: _Node = (dfa.initial, v0)
     seen = {start}
     queue = deque([start])
     while queue:
@@ -323,7 +329,8 @@ class IntegratedPlan:
 
     ``motion_plan`` is the canonical region projection of ``dfa``
     (``project(dfa, labeling.regions)``); :func:`replan` returns it as it is
-    when the real environment still serves the plan.
+    when the real environment still serves the plan, and splices it as it
+    splices the plan otherwise.
     """
 
     agent: str
@@ -415,27 +422,32 @@ def _door_lost(real_env: Environment, regions: set[str], v: Optional[str], e: st
     return e in regions and v is not None and e != v and not real_env.doors_between(v, e)
 
 
-def _splice(dfa: Dfa, regions: set[str], real_env: Environment) -> Dfa:
+def _splice(dfa: Dfa, regions: set[str], real_env: Environment, v0: str) -> Dfa:
     """The plan with every doorless region change bridged by a real path.
 
-    Each product edge ``cur → e`` whose regions lost all their doors becomes
-    a fresh chain of integer hops through the intermediate regions of the
-    shortest real path from ``cur`` to ``e``.  An inserted region may
-    collide with a region edge already leaving the same node, so the
-    (plan state, last region) nodes of :func:`_region_edges` and the hops
-    form an NFA, with no empty move, whose subsets, numbered by the subset
-    construction, go straight to the integer core of
-    :func:`cosynth.automata.minimize`.  The NFA's accepting states, every
-    hop and every node whose plan state is marked, are gathered as it is
-    built, so each subset is marked by one disjointness test.
+    The plan is walked from the initial region *v0*, where the agent stands
+    before its first move, so a first region change with no door from v0 is
+    bridged as every later one is.  Each product edge ``cur → e`` whose
+    regions lost all their doors becomes a fresh chain of integer hops
+    through the intermediate regions of the shortest real path from ``cur``
+    to ``e``.  An inserted region may collide with a region edge already
+    leaving the same node, so the (plan state, last region) nodes of
+    :func:`_region_edges` and the hops form an NFA, with no empty move,
+    whose subsets, numbered by the subset construction, go straight to the
+    integer core of :func:`cosynth.automata.minimize`.  The NFA's accepting
+    states, every hop and every node whose plan state is marked, are
+    gathered as it is built, so each subset is marked by one disjointness
+    test.  A region symbol has the same last region in a plan word as in
+    the word's region projection, so splicing a trim plan's motion plan
+    gives the region projection of the spliced plan.
     """
     successors = _open_successors(real_env)
     nfa: dict[tuple[_Node | int, str], set[_Node | int]] = {}
     paths: dict[tuple[str, str], list[str]] = {}
     hops = 0
-    start: _Node = (dfa.initial, None)
+    start: _Node = (dfa.initial, v0)
     accepting: set[_Node | int] = {start} if dfa.initial in dfa.marked else set()
-    for node, e, nxt in _region_edges(dfa, regions):
+    for node, e, nxt in _region_edges(dfa, regions, v0):
         src: _Node | int = node
         if _door_lost(real_env, regions, node[1], e):
             pair = (node[1], e)
@@ -466,11 +478,13 @@ def replan(lp: IntegratedPlan, nominal_motion: Dfa, real_env: Environment) -> In
     over the real door moves (which drops words through missing doors).
     Otherwise each region change with no door left is bridged by the
     shortest intermediate region path of the real environment, spliced into
-    the plan automaton itself: the plan is walked together with the agent's
-    last region, each doorless edge becomes a chain through the bridge, and
-    the numbered subsets of the result are minimised.  Mission event
-    sequences are never altered, and every region change of the spliced
-    plan has a real door.
+    the plan automaton itself and, the same way, into its motion plan: each
+    is walked from the initial region together with the agent's last
+    region, each doorless edge becomes a chain through the bridge, and the
+    numbered subsets of the result are minimised.  The plan is spliced
+    first, so a missing bridge is named as the plan meets it.  Mission
+    event sequences are never altered, and every region change of the
+    spliced plan has a real door.
     """
     if not (set(nominal_motion.states) <= set(real_env.regions) <= set(lp.labeling.regions)
             and set(nominal_motion.alphabet.events) <= set(real_env.doors)):
@@ -480,8 +494,9 @@ def replan(lp: IntegratedPlan, nominal_motion: Dfa, real_env: Environment) -> In
     if _motion_gap(lp.motion_plan, real_env, v0) is None:
         return IntegratedPlan(lp.agent, lp.dfa, lp.mission, lp.motion_plan,
                               door_profile(lp.motion_plan, real_env, v0), v0, lp.labeling)
-    new_dfa = _splice(lp.dfa, set(lp.labeling.regions), real_env)
-    motion_plan = project(new_dfa, lp.labeling.regions)
+    regions = set(lp.labeling.regions)
+    new_dfa = _splice(lp.dfa, regions, real_env, v0)
+    motion_plan = _splice(lp.motion_plan, regions, real_env, v0)
     profile = door_profile(motion_plan, real_env, v0)
     return IntegratedPlan(lp.agent, new_dfa, lp.mission, motion_plan, profile, v0, lp.labeling)
 

@@ -8,7 +8,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cosynth.automata import (
@@ -25,6 +25,7 @@ from cosynth.automata import (
 from cosynth.langops import project
 from cosynth.motion import (
     Environment,
+    IntegratedPlan,
     LabelingMap,
     MotionInfeasible,
     ReplanInfeasible,
@@ -63,6 +64,8 @@ from conftest import (
     reference_run_language,
     reference_simulate,
     reference_splice,
+    shortest_real_path,
+    trim,
     validate_integrated_clauses,
     words_up_to,
 )
@@ -734,6 +737,7 @@ def _outcome(route, *args):
 
 
 @settings(max_examples=200, deadline=None, database=None)
+@example(rng=random.Random(68))  # a moved start, whose first move to R0 is bridged
 @given(rng=st.randoms(use_true_random=False))
 def test_replan_matches_the_motion_automaton_route(rng):
     # walking the real door map and door moves gives what the real motion
@@ -752,6 +756,9 @@ def test_replan_matches_the_motion_automaton_route(rng):
     expected = _outcome(reference_replan, lp, nominal, real)
     if case == "narrow nominal":  # replanning reads only the real door map
         assert got == _outcome(replan, lp, gm, real)
+    if case == "moved start" and not real.doors_between("R1", "R0"):
+        _check_bridged_first_move(got, expected, real)
+        return
     if isinstance(expected, tuple):
         assert got == expected
         return
@@ -760,6 +767,43 @@ def test_replan_matches_the_motion_automaton_route(rng):
         assert dfa_to_text(getattr(got, part)) == dfa_to_text(getattr(expected, part)), part
     assert (got.dfa is lp.dfa) == (expected.dfa is lp.dfa)
     assert (got.motion_plan is lp.motion_plan) == (expected.motion_plan is lp.motion_plan)
+
+
+def _after(dfa: Dfa, word) -> Dfa:
+    """The minimal automaton of what *dfa* accepts after *word*."""
+    return minimize(replace(dfa, initial=run(dfa, word)))
+
+
+def _check_bridged_first_move(got, expected, real: Environment) -> None:
+    """Replanning from R1 a plan that first moves to R0, through no door.
+
+    The splice walks from the initial region R1, so it bridges that first
+    move as it bridges every later one; the reference walks from no region
+    and keeps it.  Past the bridge both walks meet the same nodes in the
+    same order, so they raise the same later ReplanInfeasible, and the
+    replanned plan and motion plan are the bridge, every hop marked,
+    followed by what the reference's accept after R0.  Neither motion plan
+    starts in R1, so both door profiles are empty.
+    """
+    path = shortest_real_path(real, "R1", "R0")
+    if isinstance(expected, tuple) and expected[0] is InputError:
+        assert got == expected
+    elif path is None:
+        assert got == (ReplanInfeasible, str(ReplanInfeasible(("R1", "R0"))))
+    elif isinstance(expected, tuple):  # a later region change has no real path
+        assert got == expected
+    else:
+        assert not isinstance(got, tuple), got
+        bridge = path[1:]
+        for part in ("dfa", "motion_plan"):
+            plan, reference = getattr(got, part), getattr(expected, part)
+            assert (plan.initial in plan.marked) == (reference.initial in reference.marked)
+            for k, hop in enumerate(bridge):
+                state = run(plan, bridge[:k])
+                assert [e for q, e in plan.transitions if q == state] == [hop], part
+                assert k == 0 or state in plan.marked, part
+            assert dfa_to_text(_after(plan, bridge)) == dfa_to_text(_after(reference, ["R0"]))
+        assert dfa_to_text(got.profile) == dfa_to_text(expected.profile)
 
 
 def _integrate_matches_the_motion_automaton_route(mission, pi, v0, env) -> None:
@@ -812,6 +856,13 @@ def test_integrate_on_random_environments_matches_the_motion_automaton_route(rng
     _integrate_matches_the_motion_automaton_route(mission, pi, start, env)
 
 
+def _unmark_some(rng, plan: Dfa) -> Dfa:
+    """*plan* with a random share of its states, perhaps none or all, unmarked."""
+    p = rng.choice((0.0, 0.0, 0.2, 0.5, 1.0))
+    return Dfa(plan.states, plan.alphabet, plan.initial, plan.transitions,
+               frozenset(q for q in plan.states if rng.random() >= p))
+
+
 @settings(max_examples=200, deadline=None, database=None)
 @given(rng=st.randoms(use_true_random=False))
 def test_splice_matches_the_hand_numbered_reference(rng):
@@ -821,19 +872,41 @@ def test_splice_matches_the_hand_numbered_reference(rng):
     # them and a subset that holds neither a hop nor a marked node is unmarked
     lp, _, env = _random_patrol(rng)
     regions = set(lp.labeling.regions)
-    p = rng.choice((0.0, 0.0, 0.2, 0.5, 1.0))
-    plan = lp.dfa
-    lp = replace(lp, dfa=Dfa(plan.states, plan.alphabet, plan.initial, plan.transitions,
-                             frozenset(q for q in plan.states if rng.random() >= p)))
+    lp = replace(lp, dfa=_unmark_some(rng, lp.dfa))
     for _ in range(2):  # the second round splices an already spliced plan
         real = _real_variant(rng, env)
-        got = _outcome(_splice, lp.dfa, regions, real)
+        got = _outcome(_splice, lp.dfa, regions, real, "R0")
         expected = _outcome(reference_splice, lp.dfa, regions, real)
         if isinstance(expected, tuple):
             assert got == expected
             return
         assert dfa_to_text(got) == dfa_to_text(expected)
         lp = replace(lp, dfa=got)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@example(rng=random.Random(54))  # a bridge whose first hop a region edge of the same node also takes
+@given(rng=st.randoms(use_true_random=False))
+def test_splice_routes_agree(rng):
+    # from the initial region, the splice gives the plan that the reference
+    # gives walking from no region, and splicing the motion plan gives the
+    # region projection of the spliced plan; on trim plans, as replanning's
+    # are, where every walked edge lies on an accepted word.  When the plan's
+    # splice finds no bridge, the motion plan's finds none either, though the
+    # two walks may meet the unbridgeable region changes in another order
+    lp, _, env = _random_patrol(rng)
+    regions = set(lp.labeling.regions)
+    plan = trim(_unmark_some(rng, lp.dfa))
+    real = _real_variant(rng, env)
+    got = _outcome(_splice, plan, regions, real, "R0")
+    expected = _outcome(reference_splice, plan, regions, real)
+    motion = _outcome(_splice, project(plan, lp.labeling.regions), regions, real, "R0")
+    if isinstance(expected, tuple):
+        assert got == expected
+        assert isinstance(motion, tuple) and motion[0] is ReplanInfeasible, motion
+        return
+    assert dfa_to_text(got) == dfa_to_text(expected)
+    assert dfa_to_text(motion) == dfa_to_text(project(got, lp.labeling.regions))
 
 
 def test_splice_merges_a_bridge_with_a_region_edge_of_the_same_node():
@@ -851,15 +924,18 @@ def test_splice_merges_a_bridge_with_a_region_edge_of_the_same_node():
     lp = integrate(mission, pi, "A", env, agent="bot")
     regions = set(env.regions)
     real = env.without_doors({"d_ab"})
-    got = _splice(lp.dfa, regions, real)
+    got = _splice(lp.dfa, regions, real, "A")
     assert dfa_to_text(got) == dfa_to_text(reference_splice(lp.dfa, regions, real))
+    assert dfa_to_text(_splice(lp.motion_plan, regions, real, "A")) == \
+        dfa_to_text(project(got, env.regions))
     assert accepts(got, ("A", "C", "B", "go")) and accepts(got, ("A", "C", "peek"))
     assert not accepts(got, ("A", "B"))
     # with every door into B gone, both name the same gap
     closed = real.without_doors({"d_cb"})
-    for route in (_splice, reference_splice):
+    for splice in (lambda: _splice(lp.dfa, regions, closed, "A"),
+                   lambda: reference_splice(lp.dfa, regions, closed)):
         with pytest.raises(ReplanInfeasible) as err:
-            route(lp.dfa, regions, closed)
+            splice()
         assert err.value.pair == ("A", "B")
 
 
@@ -910,6 +986,27 @@ def test_replan_tracks_the_last_region_into_merged_states():
     assert not accepts(new_lp.dfa, ("R0", "a", "R1", "b", "R0"))
     real_runs = reference_run_language(motion_dfa(real, "R0"), stutter=True)
     assert language_subset(new_lp.motion_plan, real_runs) is None
+
+
+def test_replan_bridges_the_first_region_change_from_the_initial_region():
+    # the plan R2 m R0, repeated, starts in R0 with no door from R0 to R2 left;
+    # the agent stands in R0 before its first move, so that move is bridged
+    # through R1 as the same change is on every later cycle
+    door_map = {("R0", "R1"): ("d01",), ("R1", "R2"): ("d12",), ("R2", "R0"): ("d20",),
+                ("R0", "R2"): ("d02",)}
+    env = Environment(("R0", "R1", "R2"), tuple(door_map), ("d01", "d02", "d12", "d20"),
+                      door_map, {"bot": "R0"})
+    alpha = EventAlphabet(("R0", "R1", "R2", "m"), frozenset({"R0", "R1", "R2", "m"}))
+    plan = cycle_dfa(("R2", "m", "R0"), alpha)
+    pi = LabelingMap(env.regions, {"m": frozenset({"R2"})})
+    mission = project(plan, ("m",))
+    lp = IntegratedPlan("bot", plan, mission, project(plan, env.regions),
+                        door_profile(project(plan, env.regions), env, "R0"), "R0", pi)
+    new_lp = replan(lp, motion_dfa(env, "R0"), env.without_doors({"d02"}))
+    assert dfa_to_text(new_lp.dfa) == dfa_to_text(minimize(cycle_dfa(("R1", "R2", "m", "R0"),
+                                                                       alpha)))
+    assert dfa_to_text(new_lp.motion_plan) == dfa_to_text(
+        minimize(cycle_dfa(("R1", "R2", "R0"), new_lp.motion_plan.alphabet)))
 
 
 def test_replan_scales_past_word_enumeration():

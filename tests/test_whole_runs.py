@@ -17,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cosynth import verification
+from cosynth.automata import dfa_to_text
+from cosynth.langops import project
 from cosynth.pipeline import PipelineConfig, run_pipeline
 from cosynth.verification import verify
 from conftest import perfbench_generate, perfbench_oracles
@@ -129,3 +131,8 @@ def test_whole_runs_on_random_instances_pass_the_oracles(rng, tmp_path_factory):
         assert report.status in ("infeasible", "undecided")
         return
     assert _oracle_problems(files, report, passes, stop) == []
+    # a rerouted plan's motion plan is spliced, not projected; it must be the
+    # projection all the same
+    for plan in report.plans:
+        assert dfa_to_text(plan.motion_plan) == \
+            dfa_to_text(project(plan.dfa, plan.labeling.regions)), plan.agent
